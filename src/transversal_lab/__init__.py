@@ -48,6 +48,6 @@ from .extension import (
     transversal_through_fibre,
     transversal_to_constant_fibre,
 )
-from .dilation import DilationMap, dilate, dilrect_condition, extend_partial_in_support, psi, transfer_hitting_set
+from .dilation import dilate, dilrect_condition, extend_partial_in_support, psi, transfer_hitting_set
 
 __version__ = "0.1.0"

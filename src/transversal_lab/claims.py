@@ -32,6 +32,7 @@ from .extension import (
 )
 from .groups import AbelianGroup, cyclic_group, parse_group
 from .hypercube import Hypercube, cyclic, is_latin, pairwise_disjoint_family
+from .oracles import all_latin_squares, brute_transversals
 from .search import (
     DEFAULT_SEED,
     SearchBudget,
@@ -47,7 +48,6 @@ from .search import (
 @dataclass
 class ClaimContext:
     seed: int = DEFAULT_SEED
-    threads: int = 1
     quick: bool = True
 
 
@@ -58,54 +58,6 @@ class ClaimResult:
     passed: bool
     detail: str
     elapsed_s: float
-
-
-# -- independent oracles -------------------------------------------------------
-
-
-def naive_transversals(H: Hypercube) -> list[frozenset]:
-    """Brute force over all products of coordinate permutations.
-
-    Independent of the search engine: a diagonal is a choice of one
-    permutation per axis beyond the first; keep those with distinct symbols."""
-    n, d = H.n, H.d
-    arr = H.symbols
-    out = []
-    for perms in itertools.product(itertools.permutations(range(n)), repeat=d - 1):
-        syms = set()
-        cells = []
-        for r in range(n):
-            coords = (r,) + tuple(p[r] for p in perms)
-            syms.add(int(arr[coords]))
-            cells.append(coords)
-        if len(syms) == n:
-            out.append(frozenset(cells))
-    return out
-
-
-def all_latin_squares(n: int) -> list[np.ndarray]:
-    """Every Latin square of order n, by exhaustive row-by-row backtracking."""
-    rows: list[tuple[int, ...]] = []
-    out: list[np.ndarray] = []
-    col_used = [set() for _ in range(n)]
-
-    def rec(r: int) -> None:
-        if r == n:
-            out.append(np.array(rows, dtype=np.int64))
-            return
-        for perm in itertools.permutations(range(n)):
-            if any(perm[c] in col_used[c] for c in range(n)):
-                continue
-            rows.append(perm)
-            for c in range(n):
-                col_used[c].add(perm[c])
-            rec(r + 1)
-            for c in range(n):
-                col_used[c].discard(perm[c])
-            rows.pop()
-
-    rec(0)
-    return out
 
 
 def random_zero_sum(group: AbelianGroup, rng: random.Random) -> list:
@@ -124,7 +76,7 @@ def claim_01_cyclic_nonexistence(ctx: ClaimContext) -> str:
     for n, d in cases:
         H = cyclic(cyclic_group(n), d)
         t0 = time.perf_counter()
-        count = sum(1 for _ in enumerate_transversals(H, threads=ctx.threads))
+        count = sum(1 for _ in enumerate_transversals(H))
         dt = time.perf_counter() - t0
         counts[(n, d)] = count
         if (n, d) == (4, 4):
@@ -405,7 +357,7 @@ def claim_13_oracle_equivalence(ctx: ClaimContext) -> str:
         for arr in all_latin_squares(n):
             H = Hypercube(arr)
             engine = {D.cell_set() for D in enumerate_transversals(H)}
-            naive = set(naive_transversals(H))
+            naive = {frozenset(c) for c in brute_transversals(arr)}
             assert engine == naive, f"mismatch on an order-{n} square"
             squares_checked += 1
     cubes_checked = 0
@@ -413,7 +365,7 @@ def claim_13_oracle_equivalence(ctx: ClaimContext) -> str:
         for d in (2, 3, 4):
             H = cyclic(cyclic_group(n), d)
             engine = {D.cell_set() for D in enumerate_transversals(H)}
-            naive = set(naive_transversals(H))
+            naive = {frozenset(c) for c in brute_transversals(H.symbols)}
             assert engine == naive, f"mismatch on cyclic n={n}, d={d}"
             cubes_checked += 1
     return f"{squares_checked} squares and {cubes_checked} cyclic cubes agree with brute force"
@@ -446,12 +398,11 @@ CRITERIA: list[Criterion] = [
 def run_claims(
     suite: str = "quick",
     seed: int = DEFAULT_SEED,
-    threads: int = 1,
     only: Iterable[int] | None = None,
 ) -> list[ClaimResult]:
     if suite not in ("quick", "full"):
         raise ValueError(f"unknown suite {suite!r}")
-    ctx = ClaimContext(seed=seed, threads=threads, quick=(suite == "quick"))
+    ctx = ClaimContext(seed=seed, quick=(suite == "quick"))
     wanted = None if only is None else set(only)
     results = []
     for crit in CRITERIA:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -30,7 +29,7 @@ from .hypercube import (
     save,
     serialize,
 )
-from .reports import SearchReport, diagonal_from_json
+from .reports import SearchReport, cell_from_json, diagonal_from_json
 from .search import (
     DEFAULT_SEED,
     BudgetExhausted,
@@ -41,8 +40,6 @@ from .search import (
     hill_climb_decomposition,
     max_disjoint_transversals,
 )
-
-THREADS_ENV = "TRANSVERSAL_LAB_THREADS"
 
 
 @dataclass
@@ -63,7 +60,6 @@ class RunConfig:
     time_cap: float | None = None
     max_witnesses: int = 8
     seed: int = DEFAULT_SEED
-    threads: int = 1
     fmt: str = "json"
     suite: str = "quick"
     only: list[int] = field(default_factory=list)
@@ -201,10 +197,10 @@ def cmd_search(config: RunConfig, stdout) -> int:
             if config.d_prime is None:
                 raise ValueError("search suitable requires --dprime")
             target = suitable_target(H.group, config.d_prime)
-            gen = enumerate_diagonals(H, H.group, target, budget, threads=config.threads)
+            gen = enumerate_diagonals(H, H.group, target, budget)
             report.certificates["target_sum"] = list(target)
         else:
-            gen = enumerate_transversals(H, budget, threads=config.threads)
+            gen = enumerate_transversals(H, budget)
         count = 0
         witnesses = []
         try:
@@ -312,7 +308,10 @@ def cmd_certify_dilation(config: RunConfig, stdout) -> int:
     if config.hitting_set_path is None:
         raise ValueError("certify-dilation requires --hitting-set")
     with open(config.hitting_set_path, "r", encoding="utf-8") as fh:
-        cells = [tuple(int(x) for x in c) for c in json.load(fh)]
+        records = json.load(fh)
+    if not isinstance(records, list):
+        raise ValueError(f"hitting set {records!r} is not a list of cells")
+    cells = [cell_from_json(c, H) for c in records]
     cert = transfer_hitting_set(H, cells, config.factor, config.budget())
     payload = {
         "instance": config.input_path,
@@ -337,7 +336,7 @@ def cmd_verify(config: RunConfig, stdout) -> int:
     if config.subcommand != "paper-claims":
         raise ValueError(f"unknown verify target {config.subcommand!r}")
     only = config.only or None
-    results = run_claims(config.suite, seed=config.seed, threads=config.threads, only=only)
+    results = run_claims(config.suite, seed=config.seed, only=only)
     total = len(results)
     for i, res in enumerate(results, start=1):
         status = "PASS" if res.passed else "FAIL"
@@ -380,7 +379,6 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--format", dest="fmt", choices=("json", "text-grid"), default="json")
     p.add_argument("--out", default=None)
     p.add_argument("--max-nodes", type=int, default=None)
@@ -457,11 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get(THREADS_ENV, "1"))
-    if threads < 1:
-        raise ValueError("--threads must be at least 1")
     only = []
     if getattr(args, "only", None):
         only = [int(x) for x in str(args.only).split(",") if x.strip()]
@@ -482,7 +475,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         time_cap=args.time_cap,
         max_witnesses=getattr(args, "max_witnesses", 8),
         seed=args.seed,
-        threads=threads,
         fmt=args.fmt,
         suite=getattr(args, "suite", "quick"),
         only=only,

@@ -23,20 +23,6 @@ from .hypercube import Coords, Diagonal, Entry, Hypercube, is_latin
 from .search import SearchBudget, complete_avoiding, hitting_set_check
 
 
-@dataclass(frozen=True)
-class DilationMap:
-    base_order: int
-    factor: int
-
-    def __post_init__(self) -> None:
-        if self.factor < 2:
-            raise ValueError("dilation factor must be at least 2")
-
-    @property
-    def target_order(self) -> int:
-        return self.base_order * self.factor
-
-
 def _require_zn(H: Hypercube) -> None:
     if H.group.moduli != (H.n,):
         raise ValueError("dilation requires a single-factor cyclic labeling")

@@ -14,7 +14,7 @@ from typing import Any
 
 import jsonschema
 
-from .hypercube import Diagonal, Entry, Hypercube
+from .hypercube import Coords, Diagonal, Entry, Hypercube
 
 SCHEMA_VERSION = 1
 
@@ -70,9 +70,31 @@ def diagonal_to_json(D: Diagonal) -> list[dict]:
     return [{"coords": list(e.coords), "symbol": e.symbol} for e in D.entries]
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def cell_from_json(obj, H: Hypercube) -> Coords:
+    """A cell of the host cube from its JSON form: a list of d integers in [0, n)."""
+    if not (
+        isinstance(obj, list)
+        and len(obj) == H.d
+        and all(_is_int(c) and 0 <= c < H.n for c in obj)
+    ):
+        raise ValueError(f"cell {obj!r} is not a list of {H.d} integers in [0, {H.n})")
+    return tuple(obj)
+
+
 def diagonal_from_json(obj, H: Hypercube, *, transversal: bool = False) -> Diagonal:
     """Rebuild and revalidate a diagonal from its JSON form against a host cube."""
-    entries = [Entry(tuple(int(c) for c in rec["coords"]), int(rec["symbol"])) for rec in obj]
+    if not isinstance(obj, list):
+        raise ValueError(f"diagonal {obj!r} is not a list of entries")
+    entries = []
+    for rec in obj:
+        if not (isinstance(rec, dict) and set(rec) == {"coords", "symbol"}
+                and _is_int(rec["symbol"])):
+            raise ValueError(f"diagonal entry {rec!r} needs coords and an integer symbol")
+        entries.append(Entry(cell_from_json(rec["coords"], H), rec["symbol"]))
     return Diagonal.from_entries(H, entries, transversal=transversal)
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -45,9 +44,8 @@ class BudgetExhausted(RuntimeError):
 class SearchBudget:
     """Resource caps for one search.
 
-    ``max_nodes`` caps expansions of one search tree; with ``threads > 1`` the
-    cap applies per root branch, so completed runs are identical across thread
-    counts.  Node-capped runs are deterministic; ``time_cap`` is a wall-clock
+    ``max_nodes`` caps the node expansions of one whole search, in every code
+    path.  Node-capped runs are deterministic; ``time_cap`` is a wall-clock
     safety valve and is not part of the determinism contract."""
 
     max_nodes: int = 2_000_000_000
@@ -96,14 +94,11 @@ def _dfs(
     transversal: bool,
     pre: Sequence[RawEntry] = (),
     forbidden: frozenset[Coords] = frozenset(),
-    first_row_choice: Coords | None = None,
 ) -> Iterator[tuple[RawEntry, ...]]:
     """Yield completions of ``pre`` to full diagonals, in deterministic order.
 
     ``pre`` entries occupy their hyperplanes up front and appear in every
-    yielded result.  ``forbidden`` cells are never used.  When
-    ``first_row_choice`` is given, the first free row is restricted to that
-    single coordinate tuple (used to split the root across workers).
+    yielded result.  ``forbidden`` cells are never used.
     """
     n, d = H.n, H.d
     nested = H.symbols.tolist()
@@ -132,7 +127,6 @@ def _dfs(
             return
         r = rows[ri]
         sub = nested[r]
-        restrict = first_row_choice if ri == 0 and first_row_choice is not None else None
 
         def pick(axis: int, node, prefix: Coords) -> Iterator[tuple[RawEntry, ...]]:
             if axis == d:
@@ -148,15 +142,6 @@ def _dfs(
                 used_sym[sym] = False
                 return
             u = used[axis - 1]
-            if restrict is not None:
-                v = restrict[axis]
-                if u[v]:
-                    return
-                gauge.tick()
-                u[v] = True
-                yield from pick(axis + 1, node[v], prefix + (v,))
-                u[v] = False
-                return
             for v in range(n):
                 if u[v]:
                     continue
@@ -170,32 +155,6 @@ def _dfs(
     yield from rows_from(0)
 
 
-def _first_row_choices(H: Hypercube, pre: Sequence[RawEntry]) -> list[Coords]:
-    """Candidate cells for the first free row, in the engine's order."""
-    n, d = H.n, H.d
-    pre_rows = {c[0] for c, _ in pre}
-    rows = [r for r in range(n) if r not in pre_rows]
-    if not rows:
-        return []
-    r = rows[0]
-    used_axis = [{c[axis] for c, _ in pre} for axis in range(d)]
-    out = []
-
-    def rec(axis: int, partial: list[int]) -> None:
-        if axis == d:
-            out.append(tuple(partial))
-            return
-        for v in range(n):
-            if v in used_axis[axis]:
-                continue
-            partial.append(v)
-            rec(axis + 1, partial)
-            partial.pop()
-
-    rec(1, [r])
-    return out
-
-
 def _raw_to_diagonal(raw: tuple[RawEntry, ...], n: int) -> Diagonal:
     entries = tuple(Entry(c, s) for c, s in raw)
     return Diagonal(entries, complete=len(entries) == n)
@@ -204,13 +163,11 @@ def _raw_to_diagonal(raw: tuple[RawEntry, ...], n: int) -> Diagonal:
 def enumerate_transversals(
     H: Hypercube,
     budget: SearchBudget | None = None,
-    *,
-    threads: int = 1,
 ) -> Iterator[Diagonal]:
     """All transversals, each exactly once, in deterministic order."""
     _require_latin(H)
     budget = budget or SearchBudget()
-    yield from _enumerate(H, budget, threads, transversal=True)
+    yield from _enumerate(H, budget, transversal=True)
 
 
 def enumerate_diagonals(
@@ -218,8 +175,6 @@ def enumerate_diagonals(
     group: AbelianGroup | None = None,
     target_sum: Element | None = None,
     budget: SearchBudget | None = None,
-    *,
-    threads: int = 1,
 ) -> Iterator[Diagonal]:
     """All complete diagonals, optionally filtered to a given delta sum."""
     _require_latin(H)
@@ -235,7 +190,6 @@ def enumerate_diagonals(
     yield from _enumerate(
         H,
         budget,
-        threads,
         transversal=False,
         target_idx=target_idx,
         dlist=dlist,
@@ -246,7 +200,6 @@ def enumerate_diagonals(
 def _enumerate(
     H: Hypercube,
     budget: SearchBudget,
-    threads: int,
     *,
     transversal: bool,
     target_idx: int | None = None,
@@ -265,38 +218,13 @@ def _enumerate(
         return total == target_idx
 
     emitted = 0
-    if threads <= 1:
-        gauge = _Gauge(budget)
-        for raw in _dfs(H, gauge, transversal=transversal):
-            if matches(raw):
-                yield _raw_to_diagonal(raw, H.n)
-                emitted += 1
-                if budget.max_results is not None and emitted >= budget.max_results:
-                    raise BudgetExhausted("result budget reached", partial=emitted)
-        return
-
-    choices = _first_row_choices(H, ())
-
-    def branch(choice: Coords):
-        gauge = _Gauge(budget)
-        results = []
-        try:
-            for raw in _dfs(H, gauge, transversal=transversal, first_row_choice=choice):
-                if matches(raw):
-                    results.append(raw)
-        except BudgetExhausted as exc:
-            return results, exc
-        return results, None
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for results, exc in pool.map(branch, choices):
-            for raw in results:
-                yield _raw_to_diagonal(raw, H.n)
-                emitted += 1
-                if budget.max_results is not None and emitted >= budget.max_results:
-                    raise BudgetExhausted("result budget reached", partial=emitted)
-            if exc is not None:
-                raise exc
+    gauge = _Gauge(budget)
+    for raw in _dfs(H, gauge, transversal=transversal):
+        if matches(raw):
+            yield _raw_to_diagonal(raw, H.n)
+            emitted += 1
+            if budget.max_results is not None and emitted >= budget.max_results:
+                raise BudgetExhausted("result budget reached", partial=emitted)
 
 
 def transversal_through(

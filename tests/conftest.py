@@ -1,14 +1,9 @@
-import sys
-from pathlib import Path
-
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
-
-from oracles import latin_squares_up_to  # noqa: E402
+from transversal_lab.oracles import all_latin_squares
 
 
 @pytest.fixture(scope="session")
 def square_catalogue():
     """All Latin squares of order up to 4, keyed by order."""
-    return latin_squares_up_to(4)
+    return {n: all_latin_squares(n) for n in range(1, 5)}

@@ -12,7 +12,7 @@ _BY_NUMBER = {c.number: c for c in CRITERIA}
 
 def _run(number: int, quick: bool = True) -> None:
     crit = _BY_NUMBER[number]
-    ctx = ClaimContext(seed=DEFAULT_SEED, threads=1, quick=quick)
+    ctx = ClaimContext(seed=DEFAULT_SEED, quick=quick)
     try:
         detail = crit.fn(ctx)
     except AssertionError as exc:

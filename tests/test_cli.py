@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from transversal_lab.cli import main
 from transversal_lab.constructions import ord6m_starred_cells, z6_marked_diagonal
 from transversal_lab.extension import g_extension
@@ -66,7 +68,7 @@ def test_analyze_delta_json(tmp_path, capsys):
 
 def test_search_suitable_counts_match_oracle(tmp_path, capsys):
     import numpy as np
-    from oracles import brute_target_diagonals
+    from transversal_lab.oracles import brute_target_diagonals
 
     cube = tmp_path / "z6.lhc"
     run_cli(["construct", "z6-isotope", "--out", str(cube)], capsys)
@@ -205,16 +207,59 @@ def test_text_grid_output(tmp_path, capsys):
     assert "*" in out
 
 
-def test_threads_env_var_matches_flag(tmp_path, capsys, monkeypatch):
-    # parallel runs must produce identical reports (timing aside)
+def test_threads_flag_is_unknown(tmp_path, capsys):
+    cube = tmp_path / "c3.lhc"
+    run_cli(["construct", "cyclic", "--group", "Z3", "--d", "2", "--out", str(cube)], capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "transversals", str(cube), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_search_transversals_budgets(tmp_path, capsys):
     cube = tmp_path / "t44.lhc"
     run_cli(["construct", "turned-cyclic", "--n", "4", "--d", "4", "--out", str(cube)], capsys)
-    code, base_out, _ = run_cli(["search", "transversals", str(cube)], capsys)
-    assert code == 0
-    monkeypatch.setenv("TRANSVERSAL_LAB_THREADS", "2")
-    code, env_out, _ = run_cli(["search", "transversals", str(cube)], capsys)
-    assert code == 0
-    assert strip_elapsed(report_of(base_out)) == strip_elapsed(report_of(env_out))
+    code, out, _ = run_cli(["search", "transversals", str(cube), "--max-results", "5"], capsys)
+    assert code == 3
+    payload = report_of(out)
+    assert payload["count"] == 5 and payload["exhausted"] and not payload["exact"]
+
+    # the node cap is global to the search, so a capped run is reproducible
+    argv = ["search", "transversals", str(cube), "--max-nodes", "500"]
+    code, out1, _ = run_cli(argv, capsys)
+    assert code == 3
+    code, out2, _ = run_cli(argv, capsys)
+    assert code == 3
+    first, second = report_of(out1), report_of(out2)
+    assert strip_elapsed(first) == strip_elapsed(second)
+    assert first["exhausted"] and not first["exact"]
+    assert 0 < first["count"] < 1280
+
+
+@pytest.mark.parametrize(
+    "flag, payload",
+    [
+        ("--hitting-set", 5),
+        ("--hitting-set", [[99, 99]]),
+        ("--hitting-set", [[0, 0, 0]]),
+        ("--hitting-set", [[-1, 0], [0, -1]]),
+        ("--diagonal", {"entries": 5}),
+        ("--diagonal", [5]),
+        ("--diagonal", [{"coords": [6, 0], "symbol": 0}]),
+        ("--diagonal", [{"coords": [-1, 0], "symbol": 0}]),
+    ],
+)
+def test_exit_code_2_on_malformed_json_cells(tmp_path, capsys, flag, payload):
+    cube = tmp_path / "z6.lhc"
+    run_cli(["construct", "z6-isotope", "--out", str(cube)], capsys)
+    cells = tmp_path / "cells.json"
+    cells.write_text(json.dumps(payload))
+    if flag == "--hitting-set":
+        argv = ["certify-dilation", str(cube), "--lambda", "2", flag, str(cells)]
+    else:
+        argv = ["lift", str(cube), "--dprime", "4", flag, str(cells)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_verify_subset(capsys):

@@ -2,8 +2,6 @@ import itertools
 
 import pytest
 
-from oracles import brute_diagonals
-
 from transversal_lab.constructions import (
     confirmed_bachelor,
     l8_square,
@@ -25,6 +23,7 @@ from transversal_lab.delta import (
 from transversal_lab.extension import symbol_classes
 from transversal_lab.groups import cyclic_group, parse_group
 from transversal_lab.hypercube import Diagonal, Entry, Hypercube, cyclic
+from transversal_lab.oracles import brute_diagonals
 from transversal_lab.search import enumerate_transversals
 
 from test_hypercube import bachelor_pre_switch

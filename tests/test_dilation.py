@@ -3,7 +3,6 @@ import pytest
 from transversal_lab.constructions import l8_square, ord6m_square, ord6m_starred_cells
 from transversal_lab.delta import delta_sum, profile, suitable_target
 from transversal_lab.dilation import (
-    DilationMap,
     dilate,
     dilrect_condition,
     extend_partial_in_support,
@@ -30,8 +29,6 @@ def test_dilate_requires_cyclic_labeling_and_factor():
         dilate(base, 2)
     with pytest.raises(ValueError):
         dilate(cyclic(cyclic_group(3), 2), 1)
-    with pytest.raises(ValueError):
-        DilationMap(3, 1)
 
 
 def test_dilation_delta_structure():
