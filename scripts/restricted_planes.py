@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Dimension-boosted cubes of orders 6 and 8 whose transversals are confined.
 
-For each base square the script certifies the two-cell blocking pair by
-exhaustive enumeration, boosts to dimension 4, and constructs the maximum
-family of 2 n^2 disjoint transversals from the two highlighted base
-transversals."""
+For each base square the script certifies the two-cell blocking pair with the
+hitting-set check (every base diagonal with the suitable deviation sum meets
+the pair), boosts to dimension 4, and constructs the maximum family of
+2 n^2 disjoint transversals from the two highlighted base transversals."""
 
 import argparse
 import time
@@ -35,7 +35,7 @@ def main() -> None:
     ]
     for name, base, pair, marked in cases:
         t0 = time.perf_counter()
-        cert = extension_hitting_certificate(base, base.group, d_prime, pair, method="exhaustive")
+        cert = extension_hitting_certificate(base, base.group, d_prime, pair)
         family = lift_family(base, list(marked), base.group, d_prime)
         assert cert.holds and pairwise_disjoint_family(family)
         n = base.n

@@ -32,7 +32,7 @@ from .extension import (
 )
 from .groups import AbelianGroup, cyclic_group, parse_group
 from .hypercube import Hypercube, cyclic, is_latin, pairwise_disjoint_family
-from .oracles import all_latin_squares, brute_transversals
+from .oracles import all_latin_squares, brute_target_diagonals, brute_transversals
 from .search import (
     DEFAULT_SEED,
     SearchBudget,
@@ -166,9 +166,7 @@ def claim_05_turned_block(ctx: ClaimContext) -> str:
             results.append(f"(4,4): {len(hits)} transversals all hit block, packing 16 "
                            f"[{packing.certificate}]")
         else:
-            ok = hitting_set_check(
-                H, H.group, suitable_target(H.group, 4), region, method="certificate"
-            )
+            ok = hitting_set_check(H, H.group, suitable_target(H.group, 4), region)
             assert ok, "deviation-sum certificate failed at (6,4)"
             results.append("(6,4): certificate + 16 disjoint translates")
     return "; ".join(results)
@@ -195,7 +193,7 @@ def claim_06_ord8_exhibit(ctx: ClaimContext) -> str:
     ta, tb = cons.ord8_marked_transversals()
     assert not (ta.cell_set() & tb.cell_set())
     pair = cons.ord8_blocking_cells()
-    ok = hitting_set_check(H, H.group, (4,), pair, method="exhaustive")
+    ok = hitting_set_check(H, H.group, (4,), pair)
     assert ok, "a sum-4 diagonal avoided both blocking cells"
     packing = max_disjoint_transversals(H)
     assert packing.optimal and len(packing.packing) == 2, (
@@ -225,16 +223,20 @@ def claim_07_ord6m_exhibit(ctx: ClaimContext) -> str:
         assert got == _ord6m_expected_support(m), f"support differs at m={m}"
         stars = cons.ord6m_starred_cells(m)
         target = (3 * m,)
+        ok = hitting_set_check(H, H.group, target, stars)
         if m == 1:
             ta, tb = cons.ord6m_marked_transversals()
             assert set(ta.cells()) & set(stars) and set(tb.cells()) & set(stars)
-            ok = hitting_set_check(H, H.group, target, stars, method="exhaustive")
-            method = "exhaustive"
+            # cross-check against every target diagonal of the order-6 square
+            brute_ok = all(
+                set(cells) & set(stars) for cells in brute_target_diagonals(H.symbols, target[0])
+            )
+            assert brute_ok == ok, "engine and brute force disagree at m=1"
+            via = "exhaustive"
         else:
-            ok = hitting_set_check(H, H.group, target, stars, method="support")
-            method = "support"
+            via = "support"
         assert ok, f"target diagonal avoided the starred cells at m={m}"
-        details.append(f"m={m} via {method}")
+        details.append(f"m={m} via {via}")
     dt = time.perf_counter() - t0
     assert dt < 60.0, f"took {dt:.1f}s, bound is 60s"
     return f"support tables match, hitting certified ({'; '.join(details)}, {dt:.2f}s)"
@@ -308,8 +310,8 @@ def claim_11_boosted_witness_order6(ctx: ClaimContext) -> str:
     H = cons.ord6m_square(1)
     group = cyclic_group(6)
     stars = cons.ord6m_starred_cells(1)
-    cert = extension_hitting_certificate(H, group, 4, stars, method="exhaustive")
-    assert cert.holds, "base enumeration failed to certify the starred pair"
+    cert = extension_hitting_certificate(H, group, 4, stars)
+    assert cert.holds, "the base hitting check failed to certify the starred pair"
     ta, tb = cons.ord6m_marked_transversals()
     family = lift_family(H, [ta, tb], group, 4)
     assert len(family) == 72 and pairwise_disjoint_family(family)

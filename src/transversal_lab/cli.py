@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from . import constructions as cons
@@ -170,10 +170,17 @@ def _finish_report(config: RunConfig, report: SearchReport, stdout, t0: float) -
     return 3 if report.exhausted else 0
 
 
+def _reject_max_results(config: RunConfig, what: str) -> None:
+    if config.max_results is not None:
+        raise ValueError(f"{what} yields no list of results; --max-results does not apply")
+
+
 def cmd_search(config: RunConfig, stdout) -> int:
+    op = config.subcommand
+    if op in ("bachelors", "packing", "decompose"):
+        _reject_max_results(config, f"search {op}")
     H = _load_cube(config)
     budget = config.budget()
-    op = config.subcommand
     t0 = time.perf_counter()
     report = SearchReport(
         instance=config.input_path or H.content_id(),
@@ -244,7 +251,7 @@ def cmd_search(config: RunConfig, stdout) -> int:
         if config.max_nodes is None:
             # the climber cannot prove nonexistence, so give it a finite
             # default move budget instead of the enumeration default
-            budget = SearchBudget(max_nodes=1_000_000, rng_seed=config.seed)
+            budget = replace(budget, max_nodes=1_000_000)
         decomposition = hill_climb_decomposition(H, budget)
         if decomposition is None:
             report.count = 0
@@ -307,6 +314,7 @@ def cmd_certify_dilation(config: RunConfig, stdout) -> int:
         raise ValueError("certify-dilation requires --lambda")
     if config.hitting_set_path is None:
         raise ValueError("certify-dilation requires --hitting-set")
+    _reject_max_results(config, "certify-dilation")
     with open(config.hitting_set_path, "r", encoding="utf-8") as fh:
         records = json.load(fh)
     if not isinstance(records, list):

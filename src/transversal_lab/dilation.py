@@ -157,8 +157,8 @@ class DilationCertificate:
 
     When parity, the base hitting property and the projection bound all hold,
     the conclusion follows by transfer.  When only the projection bound fails,
-    the conclusion may instead be established directly on the dilation by an
-    exhaustive support-branch check; ``direct_ok`` records that outcome."""
+    the conclusion may instead be established directly on the dilation by the
+    same hitting-set check; ``direct_ok`` records that outcome."""
 
     base_instance: str
     factor: int
@@ -188,22 +188,21 @@ def transfer_hitting_set(
     cells: Iterable[Coords],
     factor: int,
     budget: SearchBudget | None = None,
-    method: str = "auto",
 ) -> DilationCertificate:
     """Certify that the dilation inherits a hitting-set restriction from the base.
 
     Hypotheses checked individually: the parity condition; that every diagonal
     of the base with the transversal deviation sum meets the cells; and the
     support projection condition.  When only the projection condition fails,
-    the hitting property is instead checked directly on the dilation (the
-    dilated support stays as small as the base support, so the support-branch
-    check remains exhaustive)."""
+    the hitting property is instead checked directly on the dilation; the
+    dilated support is the image of the base support, so the check branches
+    over exactly as many partial diagonals as on the base."""
     _require_zn(H)
     cells = tuple(tuple(int(x) for x in c) for c in cells)
     parity_ok = parity_condition(H.n, H.d, factor)
     spread = dilrect_condition(H)
     target = suitable_target(H.group, H.d)
-    base_ok = hitting_set_check(H, H.group, target, cells, budget, method=method)
+    base_ok = hitting_set_check(H, H.group, target, cells, budget)
     direct_ok = None
     if parity_ok and base_ok and not spread.holds:
         big = dilate(H, factor)

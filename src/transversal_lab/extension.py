@@ -410,7 +410,6 @@ class ExtensionHittingCertificate:
     d_prime: int
     cells: tuple[Coords, ...]
     base_checked: bool
-    method: str
 
     @property
     def holds(self) -> bool:
@@ -423,18 +422,16 @@ def extension_hitting_certificate(
     d_prime: int,
     cells: Sequence[Coords],
     budget=None,
-    method: str = "auto",
 ) -> ExtensionHittingCertificate:
     from .search import hitting_set_check
 
     group = L.group if group is None else group
     target = suitable_target(group, d_prime)
-    ok = hitting_set_check(L, group, target, cells, budget, method=method)
+    ok = hitting_set_check(L, group, target, cells, budget)
     return ExtensionHittingCertificate(
         base_instance=L.content_id(),
         group=str(group),
         d_prime=d_prime,
         cells=tuple(tuple(c) for c in cells),
         base_checked=ok,
-        method=method,
     )

@@ -417,26 +417,6 @@ def max_disjoint_transversals(
 # -- hitting-set certification ------------------------------------------------
 
 
-def _partial_diagonals(cells: Sequence[Coords]) -> Iterator[tuple[Coords, ...]]:
-    """All subsets of the given cells that are partial diagonals (incl. empty)."""
-    cells = sorted(cells)
-    d = len(cells[0]) if cells else 0
-    acc: list[Coords] = []
-
-    def rec(i: int) -> Iterator[tuple[Coords, ...]]:
-        if i == len(cells):
-            yield tuple(acc)
-            return
-        yield from rec(i + 1)
-        cand = cells[i]
-        if all(all(cand[a] != c[a] for a in range(d)) for c in acc):
-            acc.append(cand)
-            yield from rec(i + 1)
-            acc.pop()
-
-    yield from rec(0)
-
-
 def complete_avoiding(
     H: Hypercube,
     partial_cells: Sequence[Coords],
@@ -462,60 +442,54 @@ def hitting_set_check(
     target: Element,
     cells: Iterable[Coords],
     budget: SearchBudget | None = None,
-    method: str = "auto",
 ) -> bool:
     """True iff every complete diagonal with the given delta sum meets ``cells``.
 
-    Methods: "certificate" (the cell set covers the whole nonzero-delta
-    support and the target is nonzero, so any hitting diagonal is forced),
-    "support" (branch over which support cells a diagonal uses and test
-    extendability of each branch), "exhaustive" (enumerate all diagonals with
-    the target sum), or "auto" to pick the cheapest sound one."""
+    Off the nonzero-delta support X every delta is zero, so a diagonal D that
+    avoids the cells U has the delta sum of D & X, and the rest of D avoids
+    X | U.  The check branches over the partial diagonals P inside X - U; for
+    each P with the target sum it searches for a completion of P avoiding
+    X | U, and answers True iff no branch completes.  When U covers X the only
+    branch is the empty one, whose sum is zero, so a nonzero target is decided
+    without search.
+
+    One gauge covers the whole check: it ticks on every branch and is shared
+    by every completion.  BudgetExhausted propagates, so an exhausted budget
+    never yields True."""
     _require_latin(H)
     budget = budget or SearchBudget()
     group = H.group if group is None else group
     target = group.reduce(target)
     U = {tuple(int(x) for x in c) for c in cells}
     prof = profile(H, group)
-    X = set(prof.support)
+    X = frozenset(prof.support)
+    free = sorted(X - U)
+    forbidden = X | U
+    gauge = _Gauge(budget)
+    used: list[set[int]] = [set() for _ in range(H.d)]
+    branch: list[RawEntry] = []
 
-    if method == "auto":
-        if X and X <= U and target != group.identity():
-            method = "certificate"
-        elif U <= X and len(X) <= H.n * H.d:
-            method = "support"
-        else:
-            method = "exhaustive"
-
-    if method == "certificate":
-        if not (X <= U):
-            raise ValueError("certificate method needs the cell set to cover the support")
-        if target == group.identity():
-            raise ValueError("certificate method needs a nonzero target")
-        # a diagonal avoiding the support has delta sum zero, so it misses the target
-        return True
-
-    if method == "support":
-        if not U <= X:
-            raise ValueError("support method requires the cell set to lie inside the support")
-        for P in _partial_diagonals(sorted(X)):
-            if U & set(P):
+    def completes(start: int, total: Element) -> bool:
+        gauge.tick()
+        if total == target:
+            for _ in _dfs(H, gauge, transversal=False, pre=branch, forbidden=forbidden):
+                return True
+        for i in range(start, len(free)):
+            cell = free[i]
+            if any(v in u for v, u in zip(cell, used)):
                 continue
-            s = group.sum(prof.value_at(c) for c in P)
-            if s != target:
-                continue
-            completion = complete_avoiding(H, P, X, budget)
-            if completion is not None:
-                return False
-        return True
+            for v, u in zip(cell, used):
+                u.add(v)
+            branch.append((cell, H[cell]))
+            found = completes(i + 1, group.add(total, prof.value_at(cell)))
+            branch.pop()
+            for v, u in zip(cell, used):
+                u.discard(v)
+            if found:
+                return True
+        return False
 
-    if method == "exhaustive":
-        for D in enumerate_diagonals(H, group, target, budget):
-            if not (U & set(D.cells())):
-                return False
-        return True
-
-    raise ValueError(f"unknown method {method!r}")
+    return not completes(0, group.identity())
 
 
 # -- decomposition hill climbing ----------------------------------------------

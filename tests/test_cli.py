@@ -192,6 +192,38 @@ def test_exit_code_3_on_budget_exhaustion(tmp_path, capsys):
     assert payload["exhausted"] and not payload["exact"]
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["search", "bachelors"],
+        ["search", "packing"],
+        ["search", "decompose"],
+        ["certify-dilation", "--lambda", "2", "--hitting-set", "{cells}"],
+    ],
+    ids=["bachelors", "packing", "decompose", "certify-dilation"],
+)
+def test_max_results_rejected_where_no_results_are_listed(tmp_path, capsys, command):
+    cube = tmp_path / "m1.lhc"
+    run_cli(["construct", "ord6m", "--m", "1", "--out", str(cube)], capsys)
+    cells = tmp_path / "cells.json"
+    cells.write_text(json.dumps([list(c) for c in ord6m_starred_cells(1)]))
+    argv = [a.format(cells=cells) for a in command] + [str(cube), "--max-results", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == "" and "--max-results" in err
+
+
+def test_search_decompose_keeps_time_cap(tmp_path, capsys):
+    # the climber checks its deadline every 4096 moves and has not finished by
+    # the first check on this cube at seed 2024, so the run stops there
+    cube = tmp_path / "z5d3.lhc"
+    run_cli(["construct", "cyclic", "--group", "Z5", "--d", "3", "--out", str(cube)], capsys)
+    argv = ["search", "decompose", "--seed", "2024", "--time-cap", "1e-9", str(cube)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 3
+    payload = report_of(out)
+    assert payload["count"] == 0 and payload["exhausted"] and not payload["exact"]
+
+
 def test_text_grid_output(tmp_path, capsys):
     code, out, err = run_cli(["construct", "ord8", "--format", "text-grid"], capsys)
     assert code == 0

@@ -120,7 +120,7 @@ def test_transfer_hitting_set_certifies_small_square():
     big = dilate(H, 2)
     image = [psi_cell(c, 2) for c in ord6m_starred_cells(1)]
     target = suitable_target(big.group, 2)
-    assert hitting_set_check(big, big.group, target, image, method="support")
+    assert hitting_set_check(big, big.group, target, image)
 
 
 def test_transfer_hitting_set_via_projection_bound():
@@ -132,7 +132,7 @@ def test_transfer_hitting_set_via_projection_bound():
     big = dilate(H, 2)
     image = [psi_cell(c, 2) for c in ord6m_starred_cells(2)]
     target = suitable_target(big.group, 2)
-    assert hitting_set_check(big, big.group, target, image, method="support")
+    assert hitting_set_check(big, big.group, target, image)
 
 
 def test_transfer_hitting_set_vacuous_and_failing_cases():

@@ -367,7 +367,7 @@ def test_extension_hitting_certificate_order8():
     L = ord8_square()
     g = L.group
     pair = ord8_blocking_cells()
-    cert = extension_hitting_certificate(L, g, 4, pair, method="exhaustive")
+    cert = extension_hitting_certificate(L, g, 4, pair)
     assert cert.holds
 
     ta, tb = ord8_marked_transversals()

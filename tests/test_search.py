@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from transversal_lab import search
 from transversal_lab.constructions import (
     confirmed_bachelor,
     ord6m_square,
@@ -10,8 +13,9 @@ from transversal_lab.constructions import (
     third_species_blocked_cells,
     turned_cyclic,
     turned_region,
+    z6_isotope_square,
 )
-from transversal_lab.delta import suitable_target
+from transversal_lab.delta import profile, suitable_target
 from transversal_lab.extension import g_extension
 from transversal_lab.groups import cyclic_group
 from transversal_lab.hypercube import Diagonal, Hypercube, cyclic, pairwise_disjoint_family
@@ -174,26 +178,76 @@ def test_hitting_set_check_empty_set_is_false():
     assert not hitting_set_check(H, H.group, (0,), [])
 
 
-def test_hitting_set_check_methods_agree():
+_SMALL_SQUARES = {
+    "cyclic-3": lambda: cyclic(cyclic_group(3), 2),
+    "cyclic-4": lambda: cyclic(cyclic_group(4), 2),
+    "cyclic-5": lambda: cyclic(cyclic_group(5), 2),
+    "cyclic-6": lambda: cyclic(cyclic_group(6), 2),
+    "turned-cyclic-4": lambda: turned_cyclic(4, 2),
+    "turned-cyclic-6": lambda: turned_cyclic(6, 2),
+    "ord6m-1": lambda: ord6m_square(1),
+    "z6-isotope": z6_isotope_square,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_SQUARES))
+def test_hitting_set_check_matches_brute_force(name):
+    H = _SMALL_SQUARES[name]()
+    n = H.n
+    support = set(profile(H).support)
+    cells = list(H.cells())
+    by_target = {t: [set(D) for D in brute_target_diagonals(H.symbols, t)] for t in range(n)}
+    rng = random.Random(2024)
+    outcomes = set()
+    for trial in range(8):
+        U = set(rng.sample(cells, rng.randrange(1, 2 * n)))
+        if trial % 2:
+            U |= support
+        assert U - support, "every cell set includes cells outside the support"
+        for t in range(n):
+            expected = all(D & U for D in by_target[t])
+            assert hitting_set_check(H, H.group, (t,), U) == expected, (sorted(U), t)
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_hitting_set_check_ord6m_starred_pair():
     H = ord6m_square(1)
     stars = ord6m_starred_cells(1)
-    assert hitting_set_check(H, H.group, (3,), stars, method="exhaustive")
-    assert hitting_set_check(H, H.group, (3,), stars, method="support")
-    assert hitting_set_check(H, H.group, (3,), stars, method="auto")
+    assert hitting_set_check(H, H.group, (3,), stars)
     # dropping one starred cell must break the property
-    assert not hitting_set_check(H, H.group, (3,), stars[:1], method="support")
-    assert not hitting_set_check(H, H.group, (3,), stars[:1], method="exhaustive")
+    assert not hitting_set_check(H, H.group, (3,), stars[:1])
 
 
-def test_hitting_set_certificate_path():
+def test_hitting_set_check_covering_the_support_needs_no_search():
+    # a diagonal avoiding the whole support has delta sum zero, so one branch
+    # (the empty one) decides a nonzero target
     H = turned_cyclic(6, 4)
     region = turned_region(6, 4)
     target = suitable_target(H.group, 4)
-    assert hitting_set_check(H, H.group, target, region, method="certificate")
-    with pytest.raises(ValueError):
-        hitting_set_check(H, H.group, (0,) , region, method="certificate")
-    with pytest.raises(ValueError):
-        hitting_set_check(H, H.group, target, region[:3], method="certificate")
+    assert hitting_set_check(H, H.group, target, region, SearchBudget(max_nodes=1))
+
+
+def test_hitting_set_check_budget_covers_the_whole_check(monkeypatch):
+    # every sum-5 diagonal of the z6 isotope meets the anti-diagonal, which
+    # lies inside the support; deciding it takes several completion searches
+    H = z6_isotope_square()
+    anti = [(i, H.n - 1 - i) for i in range(H.n)]
+    ticks = 0
+    tick = search._Gauge.tick
+
+    def counting_tick(gauge):
+        nonlocal ticks
+        ticks += 1
+        tick(gauge)
+
+    monkeypatch.setattr(search._Gauge, "tick", counting_tick)
+    assert hitting_set_check(H, H.group, (5,), anti)
+    total = ticks
+    for max_nodes in (1, total // 2, total - 1):
+        with pytest.raises(BudgetExhausted):
+            hitting_set_check(H, H.group, (5,), anti, SearchBudget(max_nodes=max_nodes))
+    assert hitting_set_check(H, H.group, (5,), anti, SearchBudget(max_nodes=total))
 
 
 def test_complete_avoiding():
