@@ -389,6 +389,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--format", dest="fmt", choices=("json", "text-grid"), default="json")
     p.add_argument("--out", default=None)
+
+
+def _add_budget(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-nodes", type=int, default=None)
     p.add_argument("--max-results", type=int, default=None)
     p.add_argument("--time-cap", type=float, default=None)
@@ -426,6 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=None)
     p.add_argument("--max-witnesses", type=int, default=8)
     _add_common(p)
+    _add_budget(p)
 
     p = sub.add_parser("extend", help="boost dimension over the index group")
     p.add_argument("input_path")
@@ -452,6 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="factor", type=int, required=True)
     p.add_argument("--hitting-set", dest="hitting_set_path", required=True)
     _add_common(p)
+    _add_budget(p)
 
     p = sub.add_parser("verify", help="run the built-in claim suite")
     p.add_argument("subcommand", choices=("paper-claims",))
@@ -478,9 +483,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         d_prime=getattr(args, "d_prime", None),
         factor=getattr(args, "factor", None),
         cap=getattr(args, "cap", None),
-        max_nodes=args.max_nodes,
-        max_results=args.max_results,
-        time_cap=args.time_cap,
+        max_nodes=getattr(args, "max_nodes", None),
+        max_results=getattr(args, "max_results", None),
+        time_cap=getattr(args, "time_cap", None),
         max_witnesses=getattr(args, "max_witnesses", 8),
         seed=args.seed,
         fmt=args.fmt,

@@ -1,9 +1,13 @@
 """Exact search over diagonals and transversals.
 
-The enumeration engine is a depth-first search over rows (axis-1 values in
-increasing order); within a row, candidate coordinates are tried in increasing
-lexicographic order on the remaining axes.  This fixes a deterministic output
-order.  Occupancy is tracked per axis and per symbol.
+Two engines share one node gauge.  The depth-first search (``_dfs``) serves
+enumeration, through-cell searches, completions and packings.  It fills rows
+(axis-0 values in increasing order); within a row, candidate coordinates are
+tried in increasing lexicographic order on the remaining axes.  This fixes a
+deterministic output order.  Occupancy is tracked per axis and per symbol.
+The frontier DP (``bachelor_cells``) decides for every cell at once whether
+a transversal passes through it, with one forward and one backward pass over
+sets of packed-int states.
 
 Absence results (bachelor cells, hitting-set certificates, packing optimality)
 are only reported when the relevant search tree ran to exhaustion within
@@ -13,6 +17,7 @@ BudgetExhausted.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -118,6 +123,17 @@ def _dfs(
     rows = [r for r in range(n) if r not in pre_rows]
     if len(pre_rows) != len(pre):
         raise ValueError("pre-placed entries share a hyperplane")
+    if forbidden:
+        # a row left with no allowed cell would only be found empty after
+        # searching every filling of the rows before it
+        free = [[v for v in range(n) if not u[v]] for u in used]
+        for r in rows:
+            if not any(
+                (r,) + rest not in forbidden
+                and not (transversal and used_sym[H[(r,) + rest]])
+                for rest in itertools.product(*free)
+            ):
+                return
 
     acc: list[RawEntry] = list(pre)
 
@@ -237,22 +253,19 @@ def transversal_through(
     Raises BudgetExhausted when the budget runs out before either outcome."""
     _require_latin(H)
     budget = budget or SearchBudget()
-    gauge = _Gauge(budget)
     cell = tuple(int(c) for c in cell)
-    raw = _find_transversal_through(H, cell, gauge)
-    return None if raw is None else _raw_to_diagonal(raw, H.n)
-
-
-def _find_transversal_through(H: Hypercube, cell: Coords, gauge: _Gauge):
-    pre = [(cell, H[cell])]
-    for raw in _dfs(H, gauge, transversal=True, pre=pre):
-        return raw
+    for raw in _dfs(H, _Gauge(budget), transversal=True, pre=[(cell, H[cell])]):
+        return _raw_to_diagonal(raw, H.n)
     return None
 
 
 @dataclass
 class BachelorScan:
-    """Cells proven to lie on no transversal."""
+    """Cells proven to lie on no transversal.
+
+    ``nodes`` counts the frontier states the scan expanded.  A truncated scan
+    (``exhaustive`` False) lists no cells and has ``checked_cells`` 0: it
+    decides nothing."""
 
     bachelor_cells: tuple[Coords, ...]
     exhaustive: bool
@@ -260,32 +273,91 @@ class BachelorScan:
     nodes: int
 
 
+# A row's cells bucketed for the frontier DP: (axis-1 bit, [(symbol bit,
+# [cell masks])]).  Only buckets whose two bits are free in a state can hold a
+# cell that fits it.
+_RowBuckets = list[tuple[int, list[tuple[int, list[int]]]]]
+
+
+def _frontier_rows(H: Hypercube) -> tuple[list[list[tuple[Coords, int]]], list[_RowBuckets]]:
+    """Each row's cells as packed masks, in row-major order, and bucketed.
+
+    A cell of row r (axis-0 value r) becomes one int with an n-bit one-hot
+    field for each of axes 1..d-1 and one for its symbol, so a set of cells
+    from distinct rows is a partial transversal iff their masks are disjoint."""
+    n, d = H.n, H.d
+    sym_shift = (d - 1) * n
+    flat = H.symbols.reshape(n, -1).tolist()
+    rows, buckets = [], []
+    for r, syms in enumerate(flat):
+        cells: list[tuple[Coords, int]] = []
+        by_key: dict[int, dict[int, list[int]]] = {}
+        for rest, s in zip(itertools.product(range(n), repeat=d - 1), syms):
+            mask = 1 << (sym_shift + s)
+            for axis, v in enumerate(rest):
+                mask |= 1 << (axis * n + v)
+            cells.append(((r,) + rest, mask))
+            by_key.setdefault(1 << rest[0], {}).setdefault(1 << (sym_shift + s), []).append(mask)
+        rows.append(cells)
+        buckets.append([(b1, list(sub.items())) for b1, sub in by_key.items()])
+    return rows, buckets
+
+
+def _extend(states: Iterable[int], row: _RowBuckets, gauge: _Gauge) -> Iterator[tuple[int, int]]:
+    """Every (state, cell mask) pair with the cell disjoint from the state."""
+    for f in states:
+        gauge.tick()
+        for b1, sub in row:
+            if f & b1:
+                continue
+            for b2, masks in sub:
+                if f & b2:
+                    continue
+                for m in masks:
+                    if not f & m:
+                        yield f, m
+
+
 def bachelor_cells(H: Hypercube, budget: SearchBudget | None = None) -> BachelorScan:
     """Classify every cell by whether some transversal passes through it.
 
-    Cells covered by a previously found transversal are skipped; each
-    remaining cell gets its own exhaustive through-cell search.  A partial
-    scan (budget ran out) is flagged, never silently truncated."""
+    One row-by-row frontier DP decides every cell at once.  The forward pass
+    builds F_r, the unions of partial transversals on rows 0..r-1.  The
+    backward pass walks from row n-1 down, keeping B_{r+1}, the unions on
+    rows r+1..n-1 that some state of F_{r+1} completes; a cell m of row r is
+    covered iff some b in B_{r+1} fits m and the complement of b | m lies in
+    F_r.  If F_n is empty there is no transversal and every cell is a
+    bachelor.
+
+    The gauge ticks once per state expanded in either pass, so ``max_nodes``
+    caps both the work and the states held.  When the budget runs out the
+    scan is flagged non-exhaustive and lists no cells."""
     _require_latin(H)
     budget = budget or SearchBudget()
     gauge = _Gauge(budget)
-    covered: set[Coords] = set()
-    bachelors: list[Coords] = []
-    checked = 0
-    for cell in H.cells():
-        if cell in covered:
-            checked += 1
-            continue
-        try:
-            raw = _find_transversal_through(H, cell, gauge)
-        except BudgetExhausted:
-            return BachelorScan(tuple(bachelors), False, checked, gauge.nodes)
-        checked += 1
-        if raw is None:
-            bachelors.append(cell)
-        else:
-            covered.update(c for c, _ in raw)
-    return BachelorScan(tuple(bachelors), True, checked, gauge.nodes)
+    n = H.n
+    rows, buckets = _frontier_rows(H)
+    full = (1 << (H.d * n)) - 1
+    covered: list[set[int]] = [set() for _ in range(n)]
+    try:
+        layers = [{0}]
+        for r in range(n):
+            layers.append({f | m for f, m in _extend(layers[-1], buckets[r], gauge)})
+        if layers.pop():
+            back = {0}
+            for r in reversed(range(n)):
+                forward = layers.pop()
+                prev = set()
+                for b, m in _extend(back, buckets[r], gauge):
+                    s = b | m
+                    if full ^ s in forward:
+                        covered[r].add(m)
+                        prev.add(s)
+                back = prev
+    except BudgetExhausted:
+        return BachelorScan((), False, 0, gauge.nodes)
+    bachelors = tuple(c for r in range(n) for c, m in rows[r] if m not in covered[r])
+    return BachelorScan(bachelors, True, n ** H.d, gauge.nodes)
 
 
 # -- disjoint packings -------------------------------------------------------

@@ -212,6 +212,38 @@ def test_max_results_rejected_where_no_results_are_listed(tmp_path, capsys, comm
     assert code == 2 and out == "" and "--max-results" in err
 
 
+def test_bachelor_scan_keeps_time_cap(tmp_path, capsys):
+    # the gauge reads the clock every 4096 state expansions and this scan
+    # expands about 32,000 states
+    cube = tmp_path / "cb46.lhc"
+    run_cli(["construct", "confirmed-bachelor", "--n", "4", "--d", "6", "--out", str(cube)], capsys)
+    code, out, _ = run_cli(["search", "bachelors", str(cube), "--time-cap", "1e-9"], capsys)
+    assert code == 3
+    payload = report_of(out)
+    assert payload["exhausted"] and not payload["exact"]
+    assert payload["bachelor_cells"] == [] and payload["certificates"]["checked_cells"] == 0
+
+
+@pytest.mark.parametrize("flag", ["--max-nodes", "--max-results", "--time-cap"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["construct", "cyclic", "--group", "Z3", "--d", "2"],
+        ["analyze", "delta", "c.lhc"],
+        ["extend", "c.lhc", "--dprime", "3"],
+        ["lift", "c.lhc", "--dprime", "3", "--diagonal", "d.json"],
+        ["dilate", "c.lhc", "--lambda", "2"],
+        ["verify", "paper-claims", "--only", "10"],
+    ],
+    ids=["construct", "analyze", "extend", "lift", "dilate", "verify"],
+)
+def test_budget_flags_rejected_where_nothing_searches(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(command + [flag, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_search_decompose_keeps_time_cap(tmp_path, capsys):
     # the climber checks its deadline every 4096 moves and has not finished by
     # the first check on this cube at seed 2024, so the run stops there

@@ -5,6 +5,7 @@ import pytest
 from transversal_lab import search
 from transversal_lab.constructions import (
     confirmed_bachelor,
+    l8_square,
     ord6m_square,
     ord6m_starred_cells,
     ord8_blocking_cells,
@@ -18,7 +19,13 @@ from transversal_lab.constructions import (
 from transversal_lab.delta import profile, suitable_target
 from transversal_lab.extension import g_extension
 from transversal_lab.groups import cyclic_group
-from transversal_lab.hypercube import Diagonal, Hypercube, cyclic, pairwise_disjoint_family
+from transversal_lab.hypercube import (
+    Diagonal,
+    Hypercube,
+    apply_isotopy,
+    cyclic,
+    pairwise_disjoint_family,
+)
 from transversal_lab.oracles import (
     brute_diagonals,
     brute_max_disjoint,
@@ -121,6 +128,55 @@ def test_bachelor_cells_known_regions():
     scan = bachelor_cells(third_species_44())
     assert scan.exhaustive
     assert set(scan.bachelor_cells) == {e.coords for e in third_species_blocked_cells()}
+
+
+def _assert_bachelors_agree(H):
+    # the frontier DP against a DFS per cell and against the cells that the
+    # brute-force oracle's transversals cover
+    scan = bachelor_cells(H)
+    assert scan.exhaustive and scan.checked_cells == H.n ** H.d
+    dfs = tuple(c for c in H.cells() if transversal_through(H, c) is None)
+    on_some = {c for cells in brute_transversals(H.symbols) for c in cells}
+    brute = tuple(c for c in H.cells() if c not in on_some)
+    assert scan.bachelor_cells == dfs == brute
+
+
+def test_bachelor_cells_match_dfs_and_brute_force_on_every_small_square(square_catalogue):
+    for squares in square_catalogue.values():
+        for arr in squares:
+            _assert_bachelors_agree(Hypercube(arr))
+
+
+def _random_isotope(H, seed):
+    rng = random.Random(seed)
+    perms = [rng.sample(range(H.n), H.n) for _ in range(H.d + 1)]
+    return apply_isotopy(H, perms)
+
+
+_BACHELOR_CASES = {
+    **{f"cyclic-{n}-d{d}": (lambda n=n, d=d: cyclic(cyclic_group(n), d))
+       for n in (2, 3) for d in (2, 3, 4)},
+    "confirmed-bachelor-4-4": lambda: confirmed_bachelor(4, 4),
+    "third-species-44": third_species_44,
+    **{f"{name}-seed{seed}": (lambda base=base, seed=seed: _random_isotope(base(), seed))
+       for name, base in (("l8", l8_square), ("z6-isotope", z6_isotope_square),
+                          ("ord6m-1", lambda: ord6m_square(1)))
+       for seed in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BACHELOR_CASES))
+def test_bachelor_cells_match_dfs_and_brute_force(name):
+    _assert_bachelors_agree(_BACHELOR_CASES[name]())
+
+
+def test_bachelor_cells_budget_never_claims_absence():
+    H = confirmed_bachelor(4, 4)
+    full = bachelor_cells(H)
+    for max_nodes in range(1, full.nodes):
+        scan = bachelor_cells(H, SearchBudget(max_nodes=max_nodes))
+        assert (scan.bachelor_cells, scan.exhaustive, scan.checked_cells) == ((), False, 0)
+    assert bachelor_cells(H, SearchBudget(max_nodes=full.nodes)) == full
 
 
 def test_max_disjoint_small_decomposition():
@@ -228,6 +284,15 @@ def test_hitting_set_check_covering_the_support_needs_no_search():
     assert hitting_set_check(H, H.group, target, region, SearchBudget(max_nodes=1))
 
 
+def test_hitting_set_check_prunes_a_row_with_no_allowed_cell():
+    # with all of the last row forbidden no completion exists; a search that
+    # finds the row empty only on reaching it takes 27,994 ticks here, and 814
+    # when the forbidden row is row 2
+    H = ord8_square()
+    last_row = [c for c in H.cells() if c[0] == H.n - 1]
+    assert hitting_set_check(H, H.group, (0,), last_row, SearchBudget(max_nodes=814))
+
+
 def test_hitting_set_check_budget_covers_the_whole_check(monkeypatch):
     # every sum-5 diagonal of the z6 isotope meets the anti-diagonal, which
     # lies inside the support; deciding it takes several completion searches
@@ -294,8 +359,6 @@ def test_engine_matches_oracle_on_catalogue_sample(square_catalogue):
 
 
 def test_engine_matches_oracle_at_order_five():
-    from transversal_lab.hypercube import apply_isotopy
-
     base = cyclic(cyclic_group(5), 2)
     twisted = apply_isotopy(base, [[2, 0, 4, 1, 3], [0, 3, 1, 4, 2], [1, 4, 0, 2, 3]])
     for H in (base, twisted):
