@@ -5,9 +5,10 @@ enumeration, through-cell searches, completions and packings.  It fills rows
 (axis-0 values in increasing order); within a row, candidate coordinates are
 tried in increasing lexicographic order on the remaining axes.  This fixes a
 deterministic output order.  Occupancy is tracked per axis and per symbol.
-The frontier DP (``bachelor_cells``) decides for every cell at once whether
-a transversal passes through it, with one forward and one backward pass over
-sets of packed-int states.
+The frontier DP decides for every cell at once whether a transversal passes
+through it, with one forward and one backward pass over sets of packed-int
+states.  ``bachelor_cells`` runs it on cubes whose order and dimension keep
+its worst case small, and one DFS per uncovered cell on larger cubes.
 
 Absence results (bachelor cells, hitting-set certificates, packing optimality)
 are only reported when the relevant search tree ran to exhaustion within
@@ -18,6 +19,7 @@ BudgetExhausted.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -125,7 +127,8 @@ def _dfs(
         raise ValueError("pre-placed entries share a hyperplane")
     if forbidden:
         # a row left with no allowed cell would only be found empty after
-        # searching every filling of the rows before it
+        # searching every filling of the rows before it; this check tests at
+        # most n**d cells and the gauge does not count them
         free = [[v for v in range(n) if not u[v]] for u in used]
         for r in rows:
             if not any(
@@ -263,9 +266,9 @@ def transversal_through(
 class BachelorScan:
     """Cells proven to lie on no transversal.
 
-    ``nodes`` counts the frontier states the scan expanded.  A truncated scan
-    (``exhaustive`` False) lists no cells and has ``checked_cells`` 0: it
-    decides nothing."""
+    ``nodes`` counts the frontier states or the DFS nodes that the scan
+    expanded, whichever engine ran.  A truncated scan (``exhaustive`` False)
+    lists no cells and has ``checked_cells`` 0: it decides nothing."""
 
     bachelor_cells: tuple[Coords, ...]
     exhaustive: bool
@@ -318,46 +321,92 @@ def _extend(states: Iterable[int], row: _RowBuckets, gauge: _Gauge) -> Iterator[
                         yield f, m
 
 
+# Above this much worst-case work (states times cells tried per state) the
+# frontier DP is left to per-cell searches, which a transversal-rich cube ends
+# in a few early exits.  DP times track the bound at 1e-8 to 3e-8 s a unit
+# (CPython 3.11, one Xeon core), so 2**26 is one or two seconds.  Order 13,
+# d=2 is the first square above it; at order 16 the middle layer alone can
+# hold C(16, 8)**2, about 1.7e8, states.
+_DP_WORK_BOUND = 1 << 26
+
+
+def _frontier_work(n: int, d: int) -> int:
+    """Worst-case work of the frontier DP on a cube of order n and dimension d.
+
+    A state of layer r sets r bits in each of its d fields, so layer r holds
+    at most C(n, r)**d states, and each state tries at most n**(d-1) cells."""
+    return n ** (d - 1) * sum(math.comb(n, r) ** d for r in range(n + 1))
+
+
 def bachelor_cells(H: Hypercube, budget: SearchBudget | None = None) -> BachelorScan:
     """Classify every cell by whether some transversal passes through it.
 
-    One row-by-row frontier DP decides every cell at once.  The forward pass
-    builds F_r, the unions of partial transversals on rows 0..r-1.  The
-    backward pass walks from row n-1 down, keeping B_{r+1}, the unions on
-    rows r+1..n-1 that some state of F_{r+1} completes; a cell m of row r is
-    covered iff some b in B_{r+1} fits m and the complement of b | m lies in
-    F_r.  If F_n is empty there is no transversal and every cell is a
-    bachelor.
+    The engine is chosen from the cube's order and dimension alone, before
+    either runs.  Up to ``_DP_WORK_BOUND`` of worst-case work
+    (``_frontier_work``) one frontier DP decides every cell at once; above it
+    each cell not yet covered gets one early-exit DFS, which on a
+    transversal-rich cube covers every cell in a few searches.
 
-    The gauge ticks once per state expanded in either pass, so ``max_nodes``
-    caps both the work and the states held.  When the budget runs out the
-    scan is flagged non-exhaustive and lists no cells."""
+    ``nodes`` counts the frontier states or DFS nodes expanded.  When the
+    budget runs out the scan is flagged non-exhaustive and lists no cells."""
     _require_latin(H)
     budget = budget or SearchBudget()
     gauge = _Gauge(budget)
+    scan = _frontier_scan if _frontier_work(H.n, H.d) <= _DP_WORK_BOUND else _per_cell_scan
+    try:
+        bachelors = scan(H, gauge)
+    except BudgetExhausted:
+        return BachelorScan((), False, 0, gauge.nodes)
+    return BachelorScan(bachelors, True, H.n ** H.d, gauge.nodes)
+
+
+def _frontier_scan(H: Hypercube, gauge: _Gauge) -> tuple[Coords, ...]:
+    """The bachelor cells, by one row-by-row frontier DP.
+
+    The forward pass builds F_r, the unions of partial transversals on rows
+    0..r-1.  The backward pass walks from row n-1 down, keeping B_{r+1}, the
+    unions on rows r+1..n-1 that some state of F_{r+1} completes; a cell m of
+    row r is covered iff some b in B_{r+1} fits m and the complement of b | m
+    lies in F_r.  If F_n is empty there is no transversal and every cell is a
+    bachelor.
+
+    The gauge ticks once per state expanded in either pass; each expansion
+    adds at most n**(d-1) states, which bounds the states held."""
     n = H.n
     rows, buckets = _frontier_rows(H)
     full = (1 << (H.d * n)) - 1
     covered: list[set[int]] = [set() for _ in range(n)]
-    try:
-        layers = [{0}]
-        for r in range(n):
-            layers.append({f | m for f, m in _extend(layers[-1], buckets[r], gauge)})
-        if layers.pop():
-            back = {0}
-            for r in reversed(range(n)):
-                forward = layers.pop()
-                prev = set()
-                for b, m in _extend(back, buckets[r], gauge):
-                    s = b | m
-                    if full ^ s in forward:
-                        covered[r].add(m)
-                        prev.add(s)
-                back = prev
-    except BudgetExhausted:
-        return BachelorScan((), False, 0, gauge.nodes)
-    bachelors = tuple(c for r in range(n) for c, m in rows[r] if m not in covered[r])
-    return BachelorScan(bachelors, True, n ** H.d, gauge.nodes)
+    layers = [{0}]
+    for r in range(n):
+        layers.append({f | m for f, m in _extend(layers[-1], buckets[r], gauge)})
+    if layers.pop():
+        back = {0}
+        for r in reversed(range(n)):
+            forward = layers.pop()
+            prev = set()
+            for b, m in _extend(back, buckets[r], gauge):
+                s = b | m
+                if full ^ s in forward:
+                    covered[r].add(m)
+                    prev.add(s)
+            back = prev
+    return tuple(c for r in range(n) for c, m in rows[r] if m not in covered[r])
+
+
+def _per_cell_scan(H: Hypercube, gauge: _Gauge) -> tuple[Coords, ...]:
+    """The bachelor cells, by one DFS per cell that no transversal found so far
+    covers; the DFS stops at its first transversal."""
+    covered: set[Coords] = set()
+    bachelors: list[Coords] = []
+    for cell in H.cells():
+        if cell in covered:
+            continue
+        for raw in _dfs(H, gauge, transversal=True, pre=[(cell, H[cell])]):
+            covered.update(c for c, _ in raw)
+            break
+        else:
+            bachelors.append(cell)
+    return tuple(bachelors)
 
 
 # -- disjoint packings -------------------------------------------------------

@@ -131,14 +131,16 @@ def test_bachelor_cells_known_regions():
 
 
 def _assert_bachelors_agree(H):
-    # the frontier DP against a DFS per cell and against the cells that the
+    # both scan engines against a DFS per cell and against the cells that the
     # brute-force oracle's transversals cover
     scan = bachelor_cells(H)
     assert scan.exhaustive and scan.checked_cells == H.n ** H.d
+    frontier = search._frontier_scan(H, search._Gauge(SearchBudget()))
+    per_cell = search._per_cell_scan(H, search._Gauge(SearchBudget()))
     dfs = tuple(c for c in H.cells() if transversal_through(H, c) is None)
     on_some = {c for cells in brute_transversals(H.symbols) for c in cells}
     brute = tuple(c for c in H.cells() if c not in on_some)
-    assert scan.bachelor_cells == dfs == brute
+    assert scan.bachelor_cells == frontier == per_cell == dfs == brute
 
 
 def test_bachelor_cells_match_dfs_and_brute_force_on_every_small_square(square_catalogue):
@@ -173,10 +175,30 @@ def test_bachelor_cells_match_dfs_and_brute_force(name):
 def test_bachelor_cells_budget_never_claims_absence():
     H = confirmed_bachelor(4, 4)
     full = bachelor_cells(H)
-    for max_nodes in range(1, full.nodes):
+    total = full.nodes
+    for max_nodes in (1, total // 4, total // 2, 3 * total // 4, total - 1):
         scan = bachelor_cells(H, SearchBudget(max_nodes=max_nodes))
         assert (scan.bachelor_cells, scan.exhaustive, scan.checked_cells) == ((), False, 0)
-    assert bachelor_cells(H, SearchBudget(max_nodes=full.nodes)) == full
+    assert bachelor_cells(H, SearchBudget(max_nodes=total)) == full
+
+
+def test_bachelor_cells_runs_the_dp_where_its_worst_case_is_small():
+    # Z10 has no transversal: 13,606 frontier states decide all 100 cells,
+    # where one search per cell takes about 2.8 million nodes
+    H = cyclic(cyclic_group(10), 2)
+    scan = bachelor_cells(H, SearchBudget(max_nodes=20_000))
+    assert scan.exhaustive and scan.bachelor_cells == tuple(H.cells())
+
+
+def test_bachelor_cells_searches_per_cell_on_large_cubes():
+    # Z15 is transversal-rich: early-exit searches through the cells no found
+    # transversal covers take 58,151 nodes (82,456 without skipping covered
+    # cells), where the frontier DP would expand about 1.4e7 states
+    H = cyclic(cyclic_group(15), 2)
+    scan = bachelor_cells(H, SearchBudget(max_nodes=60_000))
+    assert scan.exhaustive and scan.bachelor_cells == () and scan.checked_cells == 225
+    cut = bachelor_cells(H, SearchBudget(max_nodes=10))
+    assert (cut.bachelor_cells, cut.exhaustive, cut.checked_cells) == ((), False, 0)
 
 
 def test_max_disjoint_small_decomposition():
