@@ -11,7 +11,7 @@ import time
 
 from transversal_lab.constructions import l8_square
 from transversal_lab.dilation import dilate
-from transversal_lab.search import DEFAULT_SEED, enumerate_diagonals, transversal_through
+from transversal_lab.search import DEFAULT_SEED, count_diagonals, transversal_through
 
 
 def main() -> None:
@@ -21,8 +21,9 @@ def main() -> None:
     args = parser.parse_args()
 
     base = l8_square()
-    bare = sum(1 for _ in enumerate_diagonals(base, base.group, (4,)))
-    print(f"base square: {bare} diagonals reach the transversal deviation sum")
+    bare = count_diagonals(base, base.group, (4,))
+    assert bare.exact
+    print(f"base square: {bare.count} diagonals reach the transversal deviation sum")
 
     big = dilate(base, 2)
     cells = sorted(big.cells())

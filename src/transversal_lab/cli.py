@@ -35,8 +35,8 @@ from .search import (
     BudgetExhausted,
     SearchBudget,
     bachelor_cells,
-    enumerate_diagonals,
-    enumerate_transversals,
+    count_diagonals,
+    count_transversals,
     hill_climb_decomposition,
     max_disjoint_transversals,
 )
@@ -204,22 +204,14 @@ def cmd_search(config: RunConfig, stdout) -> int:
             if config.d_prime is None:
                 raise ValueError("search suitable requires --dprime")
             target = suitable_target(H.group, config.d_prime)
-            gen = enumerate_diagonals(H, H.group, target, budget)
+            census = count_diagonals(H, H.group, target, budget, keep=config.max_witnesses)
             report.certificates["target_sum"] = list(target)
         else:
-            gen = enumerate_transversals(H, budget)
-        count = 0
-        witnesses = []
-        try:
-            for D in gen:
-                if count < config.max_witnesses:
-                    witnesses.append(D)
-                count += 1
-        except BudgetExhausted:
-            report.exhausted = True
-            report.exact = False
-        report.count = count
-        report.witnesses = witnesses
+            census = count_transversals(H, budget, keep=config.max_witnesses)
+        report.count = census.count
+        report.witnesses = list(census.witnesses)
+        report.exact = census.exact
+        report.exhausted = not census.exact
         return _finish_report(config, report, stdout, t0)
 
     if op == "bachelors":

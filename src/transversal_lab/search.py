@@ -5,10 +5,13 @@ enumeration, through-cell searches, completions and packings.  It fills rows
 (axis-0 values in increasing order); within a row, candidate coordinates are
 tried in increasing lexicographic order on the remaining axes.  This fixes a
 deterministic output order.  Occupancy is tracked per axis and per symbol.
-The frontier DP decides for every cell at once whether a transversal passes
-through it, with one forward and one backward pass over sets of packed-int
-states.  ``bachelor_cells`` runs it on cubes whose order and dimension keep
-its worst case small, and one DFS per uncovered cell on larger cubes.
+The frontier DP runs row by row over sets of packed-int states and serves
+three uses.  ``bachelor_cells`` decides for every cell at once whether a
+transversal passes through it, by one forward and one backward pass.
+``count_transversals`` and ``count_diagonals`` count results by one forward
+pass, after the DFS has listed the few witnesses asked for.  Each use runs the
+DP only on cubes whose order and dimension (and group order) keep its worst
+case small, and the DFS on larger cubes.
 
 Absence results (bachelor cells, hitting-set certificates, packing optimality)
 are only reported when the relevant search tree ran to exhaustion within
@@ -23,7 +26,9 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .delta import profile, suitable_target
 from .groups import AbelianGroup, Element
@@ -78,9 +83,9 @@ class _Gauge:
         self.deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
 
     def tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
+        if self.nodes >= self.max_nodes:
             raise BudgetExhausted(f"node budget {self.max_nodes} exhausted")
+        self.nodes += 1
         if self.deadline is not None and self.nodes % 4096 == 0:
             if time.monotonic() > self.deadline:
                 raise BudgetExhausted("time budget exhausted")
@@ -186,7 +191,7 @@ def enumerate_transversals(
     """All transversals, each exactly once, in deterministic order."""
     _require_latin(H)
     budget = budget or SearchBudget()
-    yield from _enumerate(H, budget, transversal=True)
+    yield from _listed(H, budget, _results(H, _Gauge(budget), transversal=True))
 
 
 def enumerate_diagonals(
@@ -199,51 +204,157 @@ def enumerate_diagonals(
     _require_latin(H)
     budget = budget or SearchBudget()
     group = H.group if group is None else group
-    target_idx = None
-    dlist = None
-    add_tab = None
-    if target_sum is not None:
-        target_idx = group.index(group.reduce(target_sum))
-        dlist = profile(H, group).indices.tolist()
-        add_tab = index_add_table(group).tolist()
-    yield from _enumerate(
+    target = None if target_sum is None else _TargetSum.of(H, group, target_sum)
+    yield from _listed(H, budget, _results(H, _Gauge(budget), transversal=False, target=target))
+
+
+@dataclass(frozen=True)
+class Census:
+    """How many results a search has, and the first ``keep`` of them.
+
+    ``witnesses`` are the first results of the matching ``enumerate_*`` call.
+    ``exact`` is False when a budget cut the search short; ``count`` is then
+    ``max_results`` if that many results exist, and otherwise the number of
+    results the DFS reached before the node or time budget ran out.  ``nodes``
+    counts DFS nodes plus DP states, the units ``max_nodes`` caps."""
+
+    count: int
+    witnesses: tuple[Diagonal, ...]
+    exact: bool
+    nodes: int
+
+
+def count_transversals(
+    H: Hypercube,
+    budget: SearchBudget | None = None,
+    *,
+    keep: int = 0,
+) -> Census:
+    """The number of transversals, and the first ``keep`` in enumeration order.
+
+    The DFS lists the ``keep`` witnesses.  Unless its tree ends first, the rest
+    are counted by the frontier DP when its worst case (``_frontier_work``) is
+    at most ``_DP_WORK_BOUND``, and by the same DFS otherwise."""
+    _require_latin(H)
+    small = _frontier_work(H.n, H.d) <= _DP_WORK_BOUND
+    return _census(
         H,
-        budget,
-        transversal=False,
-        target_idx=target_idx,
-        dlist=dlist,
-        add_tab=add_tab,
+        budget or SearchBudget(),
+        keep,
+        lambda gauge: _results(H, gauge, transversal=True),
+        (lambda gauge: _count_transversals_dp(H, gauge)) if small else None,
     )
 
 
-def _enumerate(
+def count_diagonals(
     H: Hypercube,
-    budget: SearchBudget,
+    group: AbelianGroup | None,
+    target_sum: Element,
+    budget: SearchBudget | None = None,
+    *,
+    keep: int = 0,
+) -> Census:
+    """The number of complete diagonals with the given delta sum, and the first
+    ``keep`` in enumeration order.
+
+    As ``count_transversals``, with the target-sum DP and its worst case
+    ``_target_work``."""
+    _require_latin(H)
+    group = H.group if group is None else group
+    target = _TargetSum.of(H, group, target_sum)
+    small = _target_work(H.n, H.d, group.order) <= _DP_WORK_BOUND
+    return _census(
+        H,
+        budget or SearchBudget(),
+        keep,
+        lambda gauge: _results(H, gauge, transversal=False, target=target),
+        (lambda gauge: _count_target_dp(H, target, gauge)) if small else None,
+    )
+
+
+class _TargetSum(NamedTuple):
+    """A delta-sum target in index form: the target's index, each cell's delta
+    index, and the group's addition table on indices."""
+
+    index: int
+    deltas: np.ndarray
+    add: list[list[int]]
+
+    @classmethod
+    def of(cls, H: Hypercube, group: AbelianGroup, target_sum: Element) -> _TargetSum:
+        return cls(
+            group.index(group.reduce(target_sum)),
+            profile(H, group).indices,
+            index_add_table(group).tolist(),
+        )
+
+
+def _results(
+    H: Hypercube,
+    gauge: _Gauge,
     *,
     transversal: bool,
-    target_idx: int | None = None,
-    dlist=None,
-    add_tab=None,
-) -> Iterator[Diagonal]:
-    def matches(raw: tuple[RawEntry, ...]) -> bool:
-        if target_idx is None:
-            return True
-        total = 0
+    target: _TargetSum | None = None,
+) -> Iterator[tuple[RawEntry, ...]]:
+    """The DFS's transversals or diagonals, those with the target sum if given."""
+    found = _dfs(H, gauge, transversal=transversal)
+    if target is None:
+        return found
+    dlist, add = target.deltas.tolist(), target.add
+
+    def total(raw: tuple[RawEntry, ...]) -> int:
+        t = 0
         for coords, _sym in raw:
             node = dlist
             for c in coords:
                 node = node[c]
-            total = add_tab[total][node]
-        return total == target_idx
+            t = add[t][node]
+        return t
 
-    emitted = 0
+    return (raw for raw in found if total(raw) == target.index)
+
+
+def _listed(
+    H: Hypercube, budget: SearchBudget, results: Iterator[tuple[RawEntry, ...]]
+) -> Iterator[Diagonal]:
+    for emitted, raw in enumerate(results, 1):
+        yield _raw_to_diagonal(raw, H.n)
+        if emitted == budget.max_results:
+            raise BudgetExhausted("result budget reached", partial=emitted)
+
+
+def _census(
+    H: Hypercube,
+    budget: SearchBudget,
+    keep: int,
+    results: Callable[[_Gauge], Iterator[tuple[RawEntry, ...]]],
+    dp: Callable[[_Gauge], int] | None,
+) -> Census:
+    """List ``keep`` results by the DFS, then count every result by the DP, or
+    by the same DFS when ``dp`` is None; one gauge covers both."""
+    if keep < 0:
+        raise ValueError("keep must be non-negative")
     gauge = _Gauge(budget)
-    for raw in _dfs(H, gauge, transversal=transversal):
-        if matches(raw):
-            yield _raw_to_diagonal(raw, H.n)
-            emitted += 1
-            if budget.max_results is not None and emitted >= budget.max_results:
-                raise BudgetExhausted("result budget reached", partial=emitted)
+    cap = budget.max_results
+    witnesses: list[Diagonal] = []
+    count = 0
+    try:
+        if keep or dp is None:
+            for raw in results(gauge):
+                if count < keep:
+                    witnesses.append(_raw_to_diagonal(raw, H.n))
+                count += 1
+                if count == cap or (count == keep and dp is not None):
+                    break
+            else:
+                return Census(count, tuple(witnesses), True, gauge.nodes)
+        if count != cap:
+            count = dp(gauge)
+    except BudgetExhausted:
+        return Census(count, tuple(witnesses), False, gauge.nodes)
+    if cap is not None and count >= cap:
+        return Census(cap, tuple(witnesses), False, gauge.nodes)
+    return Census(count, tuple(witnesses), True, gauge.nodes)
 
 
 def transversal_through(
@@ -282,25 +393,36 @@ class BachelorScan:
 _RowBuckets = list[tuple[int, list[tuple[int, list[int]]]]]
 
 
+def _packed_rows(H: Hypercube, values: np.ndarray) -> Iterator[list[tuple[Coords, int, int]]]:
+    """Each row's cells in row-major order as (coords, axis mask, value).
+
+    A cell of row r (axis-0 value r) gets an n-bit one-hot field for each of
+    axes 1..d-1, so cells from distinct rows share no hyperplane iff their
+    axis masks are disjoint; its value is ``values`` at the cell."""
+    n, d = H.n, H.d
+    rests = list(itertools.product(range(n), repeat=d - 1))
+    masks = [sum(1 << (axis * n + v) for axis, v in enumerate(rest)) for rest in rests]
+    for r, row in enumerate(values.reshape(n, -1).tolist()):
+        yield [((r,) + rest, mask, v) for rest, mask, v in zip(rests, masks, row)]
+
+
 def _frontier_rows(H: Hypercube) -> tuple[list[list[tuple[Coords, int]]], list[_RowBuckets]]:
     """Each row's cells as packed masks, in row-major order, and bucketed.
 
-    A cell of row r (axis-0 value r) becomes one int with an n-bit one-hot
-    field for each of axes 1..d-1 and one for its symbol, so a set of cells
-    from distinct rows is a partial transversal iff their masks are disjoint."""
-    n, d = H.n, H.d
-    sym_shift = (d - 1) * n
-    flat = H.symbols.reshape(n, -1).tolist()
+    A cell's mask is its axis mask (``_packed_rows``) plus an n-bit one-hot
+    field for its symbol, so a set of cells from distinct rows is a partial
+    transversal iff their masks are disjoint."""
+    n = H.n
+    sym_shift = (H.d - 1) * n
+    axis1 = (1 << n) - 1
     rows, buckets = [], []
-    for r, syms in enumerate(flat):
+    for packed in _packed_rows(H, H.symbols):
         cells: list[tuple[Coords, int]] = []
         by_key: dict[int, dict[int, list[int]]] = {}
-        for rest, s in zip(itertools.product(range(n), repeat=d - 1), syms):
-            mask = 1 << (sym_shift + s)
-            for axis, v in enumerate(rest):
-                mask |= 1 << (axis * n + v)
-            cells.append(((r,) + rest, mask))
-            by_key.setdefault(1 << rest[0], {}).setdefault(1 << (sym_shift + s), []).append(mask)
+        for coords, axes, s in packed:
+            sym_bit = 1 << (sym_shift + s)
+            cells.append((coords, axes | sym_bit))
+            by_key.setdefault(axes & axis1, {}).setdefault(sym_bit, []).append(axes | sym_bit)
         rows.append(cells)
         buckets.append([(b1, list(sub.items())) for b1, sub in by_key.items()])
     return rows, buckets
@@ -322,11 +444,14 @@ def _extend(states: Iterable[int], row: _RowBuckets, gauge: _Gauge) -> Iterator[
 
 
 # Above this much worst-case work (states times cells tried per state) the
-# frontier DP is left to per-cell searches, which a transversal-rich cube ends
-# in a few early exits.  DP times track the bound at 1e-8 to 3e-8 s a unit
-# (CPython 3.11, one Xeon core), so 2**26 is one or two seconds.  Order 13,
-# d=2 is the first square above it; at order 16 the middle layer alone can
-# hold C(16, 8)**2, about 1.7e8, states.
+# frontier DP is left to the DFS: to per-cell searches, which a
+# transversal-rich cube ends in a few early exits, and to counting by the DFS,
+# which a result budget ends early.  Transversal DP times track the bound at
+# 1e-8 to 3e-8 s a unit (CPython 3.11, one Xeon core), so 2**26 is one or two
+# seconds.  Order 13, d=2 is the first square above it; at order 16 the middle
+# layer alone can hold C(16, 8)**2, about 1.7e8, states.  The target-sum DP
+# fills its layers nearly to their worst case and runs at 2e-7 to 5e-7 s a
+# unit: order 16, d=2 (a quarter of the bound) takes about 8 s.
 _DP_WORK_BOUND = 1 << 26
 
 
@@ -336,6 +461,58 @@ def _frontier_work(n: int, d: int) -> int:
     A state of layer r sets r bits in each of its d fields, so layer r holds
     at most C(n, r)**d states, and each state tries at most n**(d-1) cells."""
     return n ** (d - 1) * sum(math.comb(n, r) ** d for r in range(n + 1))
+
+
+def _target_work(n: int, d: int, order: int) -> int:
+    """Worst-case work of the target-sum DP: layer r holds at most
+    C(n, r)**(d-1) axis masks times ``order`` running sums, and each state
+    tries at most n**(d-1) cells."""
+    return n ** (d - 1) * order * sum(math.comb(n, r) ** (d - 1) for r in range(n + 1))
+
+
+def _count_transversals_dp(H: Hypercube, gauge: _Gauge) -> int:
+    """The number of transversals, by a forward frontier DP that maps each
+    union of partial transversals on the rows so far to its number of ways."""
+    _, buckets = _frontier_rows(H)
+    layer = {0: 1}
+    for row in buckets:
+        ways: dict[int, int] = {}
+        for f, m in _extend(layer, row, gauge):
+            g = f | m
+            ways[g] = ways.get(g, 0) + layer[f]
+        layer = ways
+    return sum(layer.values())
+
+
+def _count_target_dp(H: Hypercube, target: _TargetSum, gauge: _Gauge) -> int:
+    """The number of diagonals with the target delta sum, by a forward frontier
+    DP.  A state packs the axis masks of the cells placed so far (an n-bit
+    field per axis 1..d-1) with the index of their delta sum above them."""
+    n = H.n
+    shift = (H.d - 1) * n
+    axes = (1 << shift) - 1
+    axis1 = (1 << n) - 1
+    rows = []
+    for packed in _packed_rows(H, target.deltas):
+        by_bit: dict[int, list[tuple[int, int]]] = {}
+        for _coords, mask, v in packed:
+            by_bit.setdefault(mask & axis1, []).append((mask, v))
+        rows.append(list(by_bit.items()))
+    layer = {0: 1}
+    for row in rows:
+        ways: dict[int, int] = {}
+        for f, w in layer.items():
+            gauge.tick()
+            used, add = f & axes, target.add[f >> shift]
+            for b1, cells in row:
+                if used & b1:
+                    continue
+                for mask, v in cells:
+                    if not used & mask:
+                        g = used | mask | add[v] << shift
+                        ways[g] = ways.get(g, 0) + w
+        layer = ways
+    return layer.get(axes | target.index << shift, 0)
 
 
 def bachelor_cells(H: Hypercube, budget: SearchBudget | None = None) -> BachelorScan:

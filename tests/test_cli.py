@@ -382,3 +382,64 @@ def test_verify_quick_suite_passes(capsys):
     assert code == 0
     assert "13/13 criteria passed" in out
     assert elapsed < 60.0
+
+
+# (construct arguments, search arguments, number of results)
+_COUNTED_SEARCHES = {
+    "transversals": (["cyclic", "--group", "Z5", "--d", "2"], ["search", "transversals"], 15),
+    "suitable": (["z6-isotope"], ["search", "suitable", "--dprime", "4"], 56),
+}
+
+
+def _counted_search(tmp_path, capsys, op, *flags):
+    construct, search, _ = _COUNTED_SEARCHES[op]
+    cube = tmp_path / "c.lhc"
+    run_cli(["construct", *construct, "--out", str(cube)], capsys)
+    code, out, _ = run_cli([*search, str(cube), *flags], capsys)
+    return code, report_of(out)
+
+
+@pytest.mark.parametrize("op", sorted(_COUNTED_SEARCHES))
+def test_search_count_without_results(tmp_path, capsys, op):
+    cube = tmp_path / "z4.lhc"
+    run_cli(["construct", "cyclic", "--group", "Z4", "--d", "2", "--out", str(cube)], capsys)
+    search = _COUNTED_SEARCHES[op][1][:2] + (["--dprime", "2"] if op == "suitable" else [])
+    code, out, _ = run_cli([*search, str(cube)], capsys)
+    payload = report_of(out)
+    assert code == 0 and payload["count"] == 0
+    assert payload["exact"] and not payload["exhausted"] and "witnesses" not in payload
+
+
+@pytest.mark.parametrize("op", sorted(_COUNTED_SEARCHES))
+def test_search_count_below_max_witnesses_is_exact(tmp_path, capsys, op):
+    total = _COUNTED_SEARCHES[op][2]
+    code, payload = _counted_search(tmp_path, capsys, op, "--max-witnesses", str(total + 1))
+    assert code == 0 and payload["count"] == total and len(payload["witnesses"]) == total
+    assert payload["exact"] and not payload["exhausted"]
+
+
+@pytest.mark.parametrize("op", sorted(_COUNTED_SEARCHES))
+def test_search_count_without_witnesses(tmp_path, capsys, op):
+    code, payload = _counted_search(tmp_path, capsys, op, "--max-witnesses", "0")
+    assert code == 0 and payload["count"] == _COUNTED_SEARCHES[op][2]
+    assert payload["exact"] and "witnesses" not in payload
+
+
+@pytest.mark.parametrize("op", sorted(_COUNTED_SEARCHES))
+def test_search_count_under_max_results(tmp_path, capsys, op):
+    total = _COUNTED_SEARCHES[op][2]
+    code, payload = _counted_search(tmp_path, capsys, op, "--max-results", str(total + 1))
+    assert code == 0 and payload["count"] == total and payload["exact"]
+    for cap in (1, 8, total):
+        code, payload = _counted_search(tmp_path, capsys, op, "--max-results", str(cap))
+        assert code == 3 and payload["count"] == cap
+        assert payload["exhausted"] and not payload["exact"]
+        assert len(payload["witnesses"]) == min(cap, 8)
+
+
+def test_search_rejects_negative_max_witnesses(tmp_path, capsys):
+    code, out, err = run_cli(["construct", "cyclic", "--group", "Z3", "--d", "2"], capsys)
+    cube = tmp_path / "c3.lhc"
+    cube.write_text(out)
+    code, out, err = run_cli(["search", "transversals", str(cube), "--max-witnesses", "-1"], capsys)
+    assert code == 2 and out == "" and "non-negative" in err

@@ -10,3 +10,12 @@ def test_block_census_counts(capsys):
     # (transversals, blocked cells): the cyclic cube has no transversal, so
     # every one of its 256 cells is blocked
     assert [(int(r[-3]), int(r[-2])) for r in rows] == [(0, 256), (3840, 16), (768, 32)]
+
+
+def test_dilation_sweep_sample(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["dilation_sweep.py", "--sample", "4"])
+    runpy.run_path(str(SCRIPTS / "dilation_sweep.py"))["main"]()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "base square: 0 diagonals reach the transversal deviation sum"
+    assert not any(line.startswith("NO transversal") for line in lines)
+    assert lines[-1].startswith("2-dilation: transversal found through each of 4 cells")

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -37,6 +38,8 @@ from transversal_lab.search import (
     SearchBudget,
     bachelor_cells,
     complete_avoiding,
+    count_diagonals,
+    count_transversals,
     enumerate_diagonals,
     enumerate_transversals,
     hill_climb_decomposition,
@@ -199,6 +202,156 @@ def test_bachelor_cells_searches_per_cell_on_large_cubes():
     assert scan.exhaustive and scan.bachelor_cells == () and scan.checked_cells == 225
     cut = bachelor_cells(H, SearchBudget(max_nodes=10))
     assert (cut.bachelor_cells, cut.exhaustive, cut.checked_cells) == ((), False, 0)
+
+
+def test_truncated_search_reports_exactly_max_nodes():
+    scan = bachelor_cells(confirmed_bachelor(4, 4), SearchBudget(max_nodes=50))
+    assert not scan.exhaustive and scan.nodes == 50
+    gauge = search._Gauge(SearchBudget(max_nodes=3))
+    for _ in range(3):
+        gauge.tick()
+    with pytest.raises(BudgetExhausted):
+        gauge.tick()
+    assert gauge.nodes == 3
+
+
+def _dfs_only(monkeypatch):
+    # every cube is above a bound of 0, so both counts run on the DFS alone
+    monkeypatch.setattr(search, "_DP_WORK_BOUND", 0)
+
+
+def _assert_census(census, listed, keep):
+    assert census.exact and census.count == len(listed)
+    assert census.witnesses == tuple(listed[:keep])
+
+
+def _assert_counts_agree(H, targets, keep=3):
+    # the DP, the DFS listing, the census on either engine (with witnesses
+    # that hand the count from the DFS to the DP whenever there are more than
+    # `keep` results) and the brute-force oracle all count the same results
+    listed = list(enumerate_transversals(H))
+    dp = search._count_transversals_dp(H, search._Gauge(SearchBudget()))
+    assert dp == len(listed) == len(brute_transversals(H.symbols))
+    _assert_census(count_transversals(H, keep=keep), listed, keep)
+    with pytest.MonkeyPatch.context() as mp:
+        _dfs_only(mp)
+        _assert_census(count_transversals(H, keep=keep), listed, keep)
+    for t in targets:
+        listed = list(enumerate_diagonals(H, H.group, (t,)))
+        target = search._TargetSum.of(H, H.group, (t,))
+        dp = search._count_target_dp(H, target, search._Gauge(SearchBudget()))
+        assert dp == len(listed) == len(brute_target_diagonals(H.symbols, t)), t
+        _assert_census(count_diagonals(H, None, (t,), keep=keep), listed, keep)
+        with pytest.MonkeyPatch.context() as mp:
+            _dfs_only(mp)
+            _assert_census(count_diagonals(H, None, (t,), keep=keep), listed, keep)
+
+
+def test_counts_match_dfs_and_brute_force_on_every_small_square(square_catalogue):
+    for n, squares in square_catalogue.items():
+        for arr in squares:
+            _assert_counts_agree(Hypercube(arr), range(n))
+
+
+_COUNT_CASES = {
+    **{f"cyclic-{n}-d{d}": (lambda n=n, d=d: cyclic(cyclic_group(n), d))
+       for n in (2, 3, 4, 5) for d in (3, 4)},
+    **{f"{name}-seed{seed}": (lambda base=base, seed=seed: _random_isotope(base(), seed))
+       for name, base in (("l8", l8_square), ("z6-isotope", z6_isotope_square),
+                          ("ord6m-1", lambda: ord6m_square(1)))
+       for seed in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COUNT_CASES))
+def test_counts_match_dfs_and_brute_force(name):
+    H = _COUNT_CASES[name]()
+    targets = range(H.n)
+    if name.startswith("cyclic"):
+        # every deviation of a cyclic cube is zero, so all (n!)**(d-1)
+        # diagonals have sum 0 and none has another sum; the DFS and the
+        # oracle then check one target of each kind
+        gauge = search._Gauge(SearchBudget())
+        counts = [search._count_target_dp(H, search._TargetSum.of(H, H.group, (t,)), gauge)
+                  for t in targets]
+        assert counts == [math.factorial(H.n) ** (H.d - 1)] + [0] * (H.n - 1)
+        targets = (0, 1)
+    if name == "cyclic-5-d4":
+        # 1.7 million diagonals and 321,375 transversals: listing or brute
+        # force would take minutes, so the DFS only counts the transversals
+        dp = count_transversals(H)
+        with pytest.MonkeyPatch.context() as mp:
+            _dfs_only(mp)
+            dfs = count_transversals(H)
+        assert dp.exact and dfs.exact and dp.count == dfs.count == 321_375
+        return
+    if H.n == 8:
+        # each target lists all 40,320 diagonals three times over
+        targets = (H.n // 2,)
+    _assert_counts_agree(H, targets)
+
+
+def test_count_transversals_runs_the_dp_where_its_worst_case_is_small():
+    # Z10 has no transversal: 13,606 frontier states count them, where the
+    # DFS needs 282,800 nodes
+    census = count_transversals(cyclic(cyclic_group(10), 2), SearchBudget(max_nodes=20_000))
+    assert census == search.Census(0, (), True, 13_606)
+
+
+def test_count_diagonals_runs_the_dp_where_its_worst_case_is_small():
+    # L8 has no diagonal with sum 4: 506 states count them, where the DFS
+    # needs 109,600 nodes
+    census = count_diagonals(l8_square(), None, (4,), SearchBudget(max_nodes=1_000))
+    assert census == search.Census(0, (), True, 506)
+
+
+def test_counts_run_the_dfs_above_the_dp_bound():
+    # the DP would spend the whole node budget on its first layers and count
+    # nothing; the DFS reaches 100 results within it
+    z13 = cyclic(cyclic_group(13), 2)
+    assert search._frontier_work(13, 2) > search._DP_WORK_BOUND
+    census = count_transversals(z13, SearchBudget(max_results=100, max_nodes=10_000))
+    assert (census.count, census.exact) == (100, False)
+    z10 = cyclic(cyclic_group(10), 3)
+    assert search._target_work(10, 3, 10) > search._DP_WORK_BOUND
+    census = count_diagonals(z10, None, (0,), SearchBudget(max_results=100, max_nodes=1_000))
+    assert (census.count, census.exact) == (100, False)
+
+
+@pytest.mark.parametrize("dfs_only", [False, True], ids=["dp", "dfs"])
+def test_count_max_results_caps_the_count(monkeypatch, dfs_only):
+    if dfs_only:
+        _dfs_only(monkeypatch)
+    H = turned_cyclic(4, 4)
+    listed = list(enumerate_transversals(H))
+    assert len(listed) == 1280
+    for cap in (1, 5, 8, 9, 1279, 1280):
+        census = count_transversals(H, SearchBudget(max_results=cap), keep=8)
+        assert (census.count, census.exact) == (cap, False)
+        assert census.witnesses == tuple(listed[:min(cap, 8)])
+    census = count_transversals(H, SearchBudget(max_results=1281), keep=8)
+    assert (census.count, census.exact) == (1280, True)
+
+
+@pytest.mark.parametrize("dfs_only", [False, True], ids=["dp", "dfs"])
+def test_truncated_census_is_never_exact(monkeypatch, dfs_only):
+    if dfs_only:
+        _dfs_only(monkeypatch)
+    H = turned_cyclic(4, 4)
+    H6 = z6_isotope_square()
+    for count in (lambda b: count_transversals(H, b, keep=8),
+                  lambda b: count_diagonals(H6, None, (3,), b, keep=8)):
+        full = count(SearchBudget())
+        assert full.exact and full.count > 8
+        for max_nodes in (1, full.nodes // 4, full.nodes // 2, full.nodes - 1):
+            cut = count(SearchBudget(max_nodes=max_nodes))
+            assert not cut.exact and cut.nodes == max_nodes
+            assert cut.witnesses == full.witnesses[:len(cut.witnesses)]
+            # the count is what the DFS reached before the cut: on the DP side
+            # only the listed witnesses
+            assert len(cut.witnesses) <= cut.count <= full.count
+            assert dfs_only or cut.count == len(cut.witnesses)
+        assert count(SearchBudget(max_nodes=full.nodes)) == full
 
 
 def test_max_disjoint_small_decomposition():
