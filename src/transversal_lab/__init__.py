@@ -22,8 +22,11 @@ from .hypercube import (
 from .delta import DeltaProfile, delta, delta_sum, is_suitable, profile, suitable_target
 from .search import (
     BudgetExhausted,
+    Census,
     SearchBudget,
     bachelor_cells,
+    count_diagonals,
+    count_transversals,
     enumerate_diagonals,
     enumerate_transversals,
     hill_climb_decomposition,

@@ -216,7 +216,10 @@ class Census:
     ``exact`` is False when a budget cut the search short; ``count`` is then
     ``max_results`` if that many results exist, and otherwise the number of
     results the DFS reached before the node or time budget ran out.  ``nodes``
-    counts DFS nodes plus DP states, the units ``max_nodes`` caps."""
+    counts DFS nodes plus DP states, the units ``max_nodes`` caps.
+
+    A count under ``max_results`` runs on the DFS alone and stops at the
+    ``max_results``-th result, as ``enumerate_*`` does."""
 
     count: int
     witnesses: tuple[Diagonal, ...]
@@ -234,7 +237,8 @@ def count_transversals(
 
     The DFS lists the ``keep`` witnesses.  Unless its tree ends first, the rest
     are counted by the frontier DP when its worst case (``_frontier_work``) is
-    at most ``_DP_WORK_BOUND``, and by the same DFS otherwise."""
+    at most ``_DP_WORK_BOUND`` and no ``max_results`` is set, and by the same
+    DFS otherwise."""
     _require_latin(H)
     small = _frontier_work(H.n, H.d) <= _DP_WORK_BOUND
     return _census(
@@ -257,12 +261,12 @@ def count_diagonals(
     """The number of complete diagonals with the given delta sum, and the first
     ``keep`` in enumeration order.
 
-    As ``count_transversals``, with the target-sum DP and its worst case
-    ``_target_work``."""
+    As ``count_transversals``, with the target-sum DP, its worst case
+    ``_target_work`` and its bound ``_TARGET_WORK_BOUND``."""
     _require_latin(H)
     group = H.group if group is None else group
     target = _TargetSum.of(H, group, target_sum)
-    small = _target_work(H.n, H.d, group.order) <= _DP_WORK_BOUND
+    small = _target_work(H.n, H.d, group.order) <= _TARGET_WORK_BOUND
     return _census(
         H,
         budget or SearchBudget(),
@@ -331,11 +335,14 @@ def _census(
     dp: Callable[[_Gauge], int] | None,
 ) -> Census:
     """List ``keep`` results by the DFS, then count every result by the DP, or
-    by the same DFS when ``dp`` is None; one gauge covers both."""
+    by the same DFS when ``dp`` is None or a result budget is set, so that a
+    result-capped count stops at its cap; one gauge covers both."""
     if keep < 0:
         raise ValueError("keep must be non-negative")
-    gauge = _Gauge(budget)
     cap = budget.max_results
+    if cap is not None:
+        dp = None
+    gauge = _Gauge(budget)
     witnesses: list[Diagonal] = []
     count = 0
     try:
@@ -344,16 +351,15 @@ def _census(
                 if count < keep:
                     witnesses.append(_raw_to_diagonal(raw, H.n))
                 count += 1
-                if count == cap or (count == keep and dp is not None):
+                if count == cap:
+                    return Census(count, tuple(witnesses), False, gauge.nodes)
+                if count == keep and dp is not None:
                     break
             else:
                 return Census(count, tuple(witnesses), True, gauge.nodes)
-        if count != cap:
-            count = dp(gauge)
+        count = dp(gauge)
     except BudgetExhausted:
         return Census(count, tuple(witnesses), False, gauge.nodes)
-    if cap is not None and count >= cap:
-        return Census(cap, tuple(witnesses), False, gauge.nodes)
     return Census(count, tuple(witnesses), True, gauge.nodes)
 
 
@@ -445,14 +451,19 @@ def _extend(states: Iterable[int], row: _RowBuckets, gauge: _Gauge) -> Iterator[
 
 # Above this much worst-case work (states times cells tried per state) the
 # frontier DP is left to the DFS: to per-cell searches, which a
-# transversal-rich cube ends in a few early exits, and to counting by the DFS,
-# which a result budget ends early.  Transversal DP times track the bound at
-# 1e-8 to 3e-8 s a unit (CPython 3.11, one Xeon core), so 2**26 is one or two
-# seconds.  Order 13, d=2 is the first square above it; at order 16 the middle
-# layer alone can hold C(16, 8)**2, about 1.7e8, states.  The target-sum DP
-# fills its layers nearly to their worst case and runs at 2e-7 to 5e-7 s a
-# unit: order 16, d=2 (a quarter of the bound) takes about 8 s.
+# transversal-rich cube ends in a few early exits, and to counting by the DFS.
+# Transversal DP times track the bound at 1e-8 to 3e-8 s a unit (CPython 3.11,
+# one Xeon core), so 2**26 is one or two seconds.  Order 13, d=2 is the first
+# square above it; at order 16 the middle layer alone can hold C(16, 8)**2,
+# about 1.7e8, states.
 _DP_WORK_BOUND = 1 << 26
+
+# The same for the target-sum DP, which fills its layers nearly to their worst
+# case: seeded isotopes of Z12..Z15 at d=2 ran at 3.1e-7 to 3.6e-7 s a unit and
+# of Z7, Z8 at d=3 at 8e-8 to 9e-8 s (same machine), so 2**22 is at most one or
+# two seconds.  With |G| = n, order 15, d=2 (2.4 s) and order 8, d=3 are the
+# first cubes above it.
+_TARGET_WORK_BOUND = 1 << 22
 
 
 def _frontier_work(n: int, d: int) -> int:

@@ -216,8 +216,9 @@ def test_truncated_search_reports_exactly_max_nodes():
 
 
 def _dfs_only(monkeypatch):
-    # every cube is above a bound of 0, so both counts run on the DFS alone
+    # every cube is above bounds of 0, so both counts run on the DFS alone
     monkeypatch.setattr(search, "_DP_WORK_BOUND", 0)
+    monkeypatch.setattr(search, "_TARGET_WORK_BOUND", 0)
 
 
 def _assert_census(census, listed, keep):
@@ -307,15 +308,34 @@ def test_count_diagonals_runs_the_dp_where_its_worst_case_is_small():
 
 def test_counts_run_the_dfs_above_the_dp_bound():
     # the DP would spend the whole node budget on its first layers and count
-    # nothing; the DFS reaches 100 results within it
+    # nothing beyond the (no) witnesses; the DFS counts what it reaches
     z13 = cyclic(cyclic_group(13), 2)
     assert search._frontier_work(13, 2) > search._DP_WORK_BOUND
-    census = count_transversals(z13, SearchBudget(max_results=100, max_nodes=10_000))
-    assert (census.count, census.exact) == (100, False)
-    z10 = cyclic(cyclic_group(10), 3)
-    assert search._target_work(10, 3, 10) > search._DP_WORK_BOUND
-    census = count_diagonals(z10, None, (0,), SearchBudget(max_results=100, max_nodes=1_000))
-    assert (census.count, census.exact) == (100, False)
+    census = count_transversals(z13, SearchBudget(max_nodes=10_000))
+    assert (census.count, census.exact) == (153, False)
+    # order 8 at d=3 lies above the target-sum bound but below the
+    # transversal one, so this fails if the two bounds are merged again
+    z8 = cyclic(cyclic_group(8), 3)
+    assert search._target_work(8, 3, 8) > search._TARGET_WORK_BOUND
+    assert search._target_work(8, 3, 8) <= search._DP_WORK_BOUND
+    census = count_diagonals(z8, None, (0,), SearchBudget(max_nodes=1_000))
+    assert (census.count, census.exact) == (256, False)
+
+
+def test_count_under_max_results_stops_where_enumeration_stops():
+    # a result budget keeps the count on the DFS, also below the DP bound, so
+    # with a node cap as well the count is what `enumerate_*` lists
+    z11 = cyclic(cyclic_group(11), 2)
+    assert search._frontier_work(11, 2) <= search._DP_WORK_BOUND
+    for max_nodes, reached in ((2_000, False), (5_000, True)):
+        budget = SearchBudget(max_results=100, max_nodes=max_nodes)
+        listed = []
+        with pytest.raises(BudgetExhausted):
+            listed.extend(enumerate_transversals(z11, budget))
+        census = count_transversals(z11, budget, keep=8)
+        assert (census.count == 100) == reached
+        assert census.count == len(listed) and not census.exact
+        assert census.witnesses == tuple(listed[:8])
 
 
 @pytest.mark.parametrize("dfs_only", [False, True], ids=["dp", "dfs"])
