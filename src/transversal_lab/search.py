@@ -1,17 +1,22 @@
 """Exact search over diagonals and transversals.
 
 Two engines share one node gauge.  The depth-first search (``_dfs``) serves
-enumeration, through-cell searches, completions and packings.  It fills rows
+through-cell searches, completions, the census witnesses, diagonal listing,
+and transversal listing where the stored layers do not run.  It fills rows
 (axis-0 values in increasing order); within a row, candidate coordinates are
 tried in increasing lexicographic order on the remaining axes.  This fixes a
 deterministic output order.  Occupancy is tracked per axis and per symbol.
-The frontier DP runs row by row over sets of packed-int states and serves
-three uses.  ``bachelor_cells`` decides for every cell at once whether a
-transversal passes through it, by one forward and one backward pass.
+
+The frontier DP runs row by row over sets of packed-int states.  One builder
+(``_back_layers``) stores every backward layer.  ``bachelor_cells`` decides
+every cell at once by a forward sweep over its live states, and
+``enumerate_transversals`` and ``max_disjoint_transversals`` read the
+transversals off it in the DFS's order, taking only branches that complete.
 ``count_transversals`` and ``count_diagonals`` count results by one forward
-pass, after the DFS has listed the few witnesses asked for.  Each use runs the
-DP only on cubes whose order and dimension (and group order) keep its worst
-case small, and the DFS on larger cubes.
+pass, after the DFS has listed the few witnesses asked for.  Each use runs
+the DP only on cubes whose order and dimension (and group order) keep its
+worst case small, and the DFS on larger cubes; listing also keeps the DFS
+under a node budget below that worst case or a result budget.
 
 Absence results (bachelor cells, hitting-set certificates, packing optimality)
 are only reported when the relevant search tree ran to exhaustion within
@@ -188,10 +193,13 @@ def enumerate_transversals(
     H: Hypercube,
     budget: SearchBudget | None = None,
 ) -> Iterator[Diagonal]:
-    """All transversals, each exactly once, in deterministic order."""
+    """All transversals, each exactly once, in deterministic order.
+
+    They are read off stored frontier layers or listed by the DFS, in the same
+    order, by the engine rule of ``_transversals``."""
     _require_latin(H)
     budget = budget or SearchBudget()
-    yield from _listed(H, budget, _results(H, _Gauge(budget), transversal=True))
+    yield from _listed(H, budget, _transversals(H, budget, _Gauge(budget)))
 
 
 def enumerate_diagonals(
@@ -412,8 +420,9 @@ def _packed_rows(H: Hypercube, values: np.ndarray) -> Iterator[list[tuple[Coords
         yield [((r,) + rest, mask, v) for rest, mask, v in zip(rests, masks, row)]
 
 
-def _frontier_rows(H: Hypercube) -> tuple[list[list[tuple[Coords, int]]], list[_RowBuckets]]:
-    """Each row's cells as packed masks, in row-major order, and bucketed.
+def _frontier_rows(H: Hypercube) -> tuple[list[list[tuple[RawEntry, int]]], list[_RowBuckets]]:
+    """Each row's entries with their packed masks, in row-major order, and the
+    masks bucketed.
 
     A cell's mask is its axis mask (``_packed_rows``) plus an n-bit one-hot
     field for its symbol, so a set of cells from distinct rows is a partial
@@ -423,11 +432,11 @@ def _frontier_rows(H: Hypercube) -> tuple[list[list[tuple[Coords, int]]], list[_
     axis1 = (1 << n) - 1
     rows, buckets = [], []
     for packed in _packed_rows(H, H.symbols):
-        cells: list[tuple[Coords, int]] = []
+        cells: list[tuple[RawEntry, int]] = []
         by_key: dict[int, dict[int, list[int]]] = {}
         for coords, axes, s in packed:
             sym_bit = 1 << (sym_shift + s)
-            cells.append((coords, axes | sym_bit))
+            cells.append(((coords, s), axes | sym_bit))
             by_key.setdefault(axes & axis1, {}).setdefault(sym_bit, []).append(axes | sym_bit)
         rows.append(cells)
         buckets.append([(b1, list(sub.items())) for b1, sub in by_key.items()])
@@ -451,7 +460,8 @@ def _extend(states: Iterable[int], row: _RowBuckets, gauge: _Gauge) -> Iterator[
 
 # Above this much worst-case work (states times cells tried per state) the
 # frontier DP is left to the DFS: to per-cell searches, which a
-# transversal-rich cube ends in a few early exits, and to counting by the DFS.
+# transversal-rich cube ends in a few early exits, and to listing and counting
+# by the DFS.
 # Transversal DP times track the bound at 1e-8 to 3e-8 s a unit (CPython 3.11,
 # one Xeon core), so 2**26 is one or two seconds.  Order 13, d=2 is the first
 # square above it; at order 16 the middle layer alone can hold C(16, 8)**2,
@@ -548,37 +558,107 @@ def bachelor_cells(H: Hypercube, budget: SearchBudget | None = None) -> Bachelor
     return BachelorScan(bachelors, True, H.n ** H.d, gauge.nodes)
 
 
-def _frontier_scan(H: Hypercube, gauge: _Gauge) -> tuple[Coords, ...]:
-    """The bachelor cells, by one row-by-row frontier DP.
+class _Layers(NamedTuple):
+    """The backward frontier layers of a cube, with its rows as
+    ``_frontier_rows`` gives them.  ``back[r]`` is B_r, the unions of partial
+    transversals on rows r..n-1: B_n is {0}, and B_0 is {``full``} if the cube
+    has a transversal and empty otherwise."""
 
-    The forward pass builds F_r, the unions of partial transversals on rows
-    0..r-1.  The backward pass walks from row n-1 down, keeping B_{r+1}, the
-    unions on rows r+1..n-1 that some state of F_{r+1} completes; a cell m of
-    row r is covered iff some b in B_{r+1} fits m and the complement of b | m
-    lies in F_r.  If F_n is empty there is no transversal and every cell is a
-    bachelor.
+    rows: list[list[tuple[RawEntry, int]]]
+    buckets: list[_RowBuckets]
+    back: list[set[int]]
+    full: int
 
-    The gauge ticks once per state expanded in either pass; each expansion
-    adds at most n**(d-1) states, which bounds the states held."""
-    n = H.n
+
+def _back_layers(H: Hypercube, gauge: _Gauge) -> _Layers:
+    """Every backward layer, built from row n-1 down.
+
+    The gauge ticks once per state expanded; each expansion adds at most
+    n**(d-1) states, which bounds the states held."""
     rows, buckets = _frontier_rows(H)
-    full = (1 << (H.d * n)) - 1
-    covered: list[set[int]] = [set() for _ in range(n)]
-    layers = [{0}]
-    for r in range(n):
-        layers.append({f | m for f, m in _extend(layers[-1], buckets[r], gauge)})
-    if layers.pop():
-        back = {0}
-        for r in reversed(range(n)):
-            forward = layers.pop()
-            prev = set()
-            for b, m in _extend(back, buckets[r], gauge):
-                s = b | m
-                if full ^ s in forward:
-                    covered[r].add(m)
-                    prev.add(s)
-            back = prev
-    return tuple(c for r in range(n) for c, m in rows[r] if m not in covered[r])
+    back = [{0}]
+    for row in reversed(buckets):
+        back.append({b | m for b, m in _extend(back[-1], row, gauge)})
+    back.reverse()
+    return _Layers(rows, buckets, back, (1 << (H.d * H.n)) - 1)
+
+
+def _frontier_scan(H: Hypercube, gauge: _Gauge) -> tuple[Coords, ...]:
+    """The bachelor cells, off the backward layers.
+
+    A forward sweep keeps L_r, the live unions on rows 0..r-1: L_0 is {0} when
+    B_0 is not empty, and L_{r+1} holds f | m for each f in L_r and cell m of
+    row r disjoint from f whose complement ``full ^ (f | m)`` lies in B_{r+1}.
+    Those cells m are the covered cells of row r; if B_0 is empty there is no
+    transversal and every cell is a bachelor.  The gauge ticks once per state
+    expanded in either pass."""
+    layers = _back_layers(H, gauge)
+    full = layers.full
+    live = {0} if layers.back[0] else set()
+    covered: list[set[int]] = []
+    for row, back in zip(layers.buckets, layers.back[1:]):
+        cells, nxt = set(), set()
+        for f, m in _extend(live, row, gauge):
+            g = f | m
+            if full ^ g in back:
+                cells.add(m)
+                nxt.add(g)
+        covered.append(cells)
+        live = nxt
+    return tuple(c for cells, row in zip(covered, layers.rows)
+                 for (c, _), m in row if m not in cells)
+
+
+def _layer_listing(H: Hypercube, gauge: _Gauge) -> Iterator[tuple[RawEntry, ...]]:
+    """The transversals in ``_dfs`` order, read off the backward layers.
+
+    At row r with union f the row's cells are tried in row-major order, and a
+    cell m is taken iff it is disjoint from f and ``full ^ (f | m)`` lies in
+    B_{r+1}, so every branch taken completes.  The gauge ticks once per state
+    expanded while building the layers, and once per partial transversal
+    extended by a row other than the last while reading them."""
+    layers = _back_layers(H, gauge)
+    n, back, full = H.n, layers.back, layers.full
+    axis1 = (1 << n) - 1
+    # row-major order groups a row's cells by their axis-1 value
+    rows = [[(b1, list(cells)) for b1, cells in itertools.groupby(row, lambda e: e[1] & axis1)]
+            for row in layers.rows]
+    # a live union on rows 0..n-2 leaves exactly one cell of the last row
+    last = {m: entry for entry, m in layers.rows[-1]}
+    acc: list[RawEntry] = []
+
+    def from_row(r: int, f: int) -> Iterator[tuple[RawEntry, ...]]:
+        if r == n - 1:
+            yield (*acc, last[full ^ f])
+            return
+        gauge.tick()
+        live = back[r + 1]
+        for b1, cells in rows[r]:
+            if f & b1:
+                continue
+            for entry, m in cells:
+                if not f & m and full ^ (f | m) in live:
+                    acc.append(entry)
+                    yield from from_row(r + 1, f | m)
+                    acc.pop()
+
+    if back[0]:
+        yield from from_row(0, 0)
+
+
+def _transversals(
+    H: Hypercube, budget: SearchBudget, gauge: _Gauge
+) -> Iterator[tuple[RawEntry, ...]]:
+    """Every transversal in ``_dfs`` order.
+
+    The engine is fixed before either runs: the stored layers when their worst
+    case (``_frontier_work``) is at most ``_DP_WORK_BOUND`` and at most
+    ``max_nodes``, and no ``max_results`` is set; the DFS otherwise, so that a
+    node or result budget below the worst case still lists results."""
+    work = _frontier_work(H.n, H.d)
+    if work <= _DP_WORK_BOUND and budget.max_nodes >= work and budget.max_results is None:
+        return _layer_listing(H, gauge)
+    return _dfs(H, gauge, transversal=True)
 
 
 def _per_cell_scan(H: Hypercube, gauge: _Gauge) -> tuple[Coords, ...]:
@@ -611,17 +691,27 @@ class PackingResult:
 
 
 def _greedy_hitting_set(cell_sets: list[frozenset[Coords]]) -> list[Coords]:
-    """Greedy cover: cells chosen so every set contains at least one of them."""
-    remaining = list(range(len(cell_sets)))
+    """Greedy cover: cells chosen so every set contains at least one of them.
+
+    Each step takes the smallest of the cells in most sets not yet hit."""
+    holders: dict[Coords, list[int]] = {}
+    for i, cells in enumerate(cell_sets):
+        for c in cells:
+            holders.setdefault(c, []).append(i)
+    freq = {c: len(sets) for c, sets in holders.items()}
+    order = sorted(freq)
+    hit = [False] * len(cell_sets)
     chosen: list[Coords] = []
-    while remaining:
-        freq: dict[Coords, int] = {}
-        for i in remaining:
-            for c in cell_sets[i]:
-                freq[c] = freq.get(c, 0) + 1
-        best = max(sorted(freq), key=lambda c: freq[c])
+    while order:
+        best = max(order, key=freq.__getitem__)
+        if not freq[best]:
+            break
         chosen.append(best)
-        remaining = [i for i in remaining if best not in cell_sets[i]]
+        for i in holders[best]:
+            if not hit[i]:
+                hit[i] = True
+                for c in cell_sets[i]:
+                    freq[c] -= 1
     return chosen
 
 
@@ -632,18 +722,20 @@ def max_disjoint_transversals(
 ) -> PackingResult:
     """A maximum-cardinality family of pairwise disjoint transversals.
 
-    Enumerates all transversals, derives an upper bound from a greedy hitting
-    set over them (valid because the enumeration is exhaustive), then packs by
-    branch and bound grouped on hitting-set cells.  The optimality flag is set
-    only when the bound is met or the packing tree was exhausted."""
+    Lists all transversals (``_transversals``: off stored frontier layers
+    when the budget allows their worst case, by the DFS otherwise), derives an
+    upper bound from a greedy hitting set over them (valid because the listing
+    is exhaustive), then packs by branch and bound grouped on hitting-set
+    cells.  One gauge covers the listing and the packing.  The optimality flag
+    is set only when the listing ran to its end and the bound is met or the
+    packing tree was exhausted."""
     _require_latin(H)
     budget = budget or SearchBudget()
     all_t: list[tuple[RawEntry, ...]] = []
     enum_exhausted = False
     gauge = _Gauge(budget)
     try:
-        for raw in _dfs(H, gauge, transversal=True):
-            all_t.append(raw)
+        all_t.extend(_transversals(H, budget, gauge))
     except BudgetExhausted:
         enum_exhausted = True
 

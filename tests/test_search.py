@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -372,6 +373,175 @@ def test_truncated_census_is_never_exact(monkeypatch, dfs_only):
             assert len(cut.witnesses) <= cut.count <= full.count
             assert dfs_only or cut.count == len(cut.witnesses)
         assert count(SearchBudget(max_nodes=full.nodes)) == full
+
+
+def _assert_listing_matches_dfs(H, brute=True):
+    # the layer listing yields the DFS's results, as the same tuples in the
+    # same order; streamed, so that no list of results is held
+    layers = search._layer_listing(H, search._Gauge(SearchBudget()))
+    dfs = search._dfs(H, search._Gauge(SearchBudget()), transversal=True)
+    cells = []
+    for a, b in itertools.zip_longest(layers, dfs):
+        assert a == b
+        if brute:
+            cells.append(tuple(c for c, _ in a))
+    if brute:
+        assert sorted(cells) == sorted(brute_transversals(H.symbols))
+
+
+def test_layer_listing_matches_dfs_on_every_small_square(square_catalogue):
+    for squares in square_catalogue.values():
+        for arr in squares:
+            _assert_listing_matches_dfs(Hypercube(arr))
+
+
+_LISTING_CASES = {
+    **{f"cyclic-{n}-d{d}": (lambda n=n, d=d: cyclic(cyclic_group(n), d))
+       for n in (2, 3, 5) for d in (3, 4)},
+    "turned-cyclic-4-4": lambda: turned_cyclic(4, 4),
+    "cyclic-10": lambda: cyclic(cyclic_group(10), 2),
+    **{f"{name}-seed{seed}": (lambda base=base, seed=seed: _random_isotope(base(), seed))
+       for name, base in (("l8", l8_square), ("z6-isotope", z6_isotope_square),
+                          ("ord6m-1", lambda: ord6m_square(1)))
+       for seed in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LISTING_CASES))
+def test_layer_listing_matches_dfs(name):
+    H = _LISTING_CASES[name]()
+    # brute force runs over all (n!)**(d-1) diagonals: 1.7 million for
+    # cyclic-5-d4 (321,375 transversals) and 3.6 million for cyclic-10
+    _assert_listing_matches_dfs(H, brute=name not in ("cyclic-5-d4", "cyclic-10"))
+
+
+def test_listing_engine_is_chosen_by_the_budget(monkeypatch):
+    # the layers run iff their worst case is within the DP bound and the node
+    # cap and no result cap is set; otherwise the DFS lists
+    H = cyclic(cyclic_group(5), 3)
+    work = search._frontier_work(5, 3)
+    dfs = search._dfs
+    engines = []
+
+    def spy(*args, **kwargs):
+        engines.append("dfs")
+        return dfs(*args, **kwargs)
+
+    monkeypatch.setattr(search, "_dfs", spy)
+    listed = list(enumerate_transversals(H, SearchBudget(max_nodes=work)))
+    assert engines == [] and len(listed) == 3325
+    packing = max_disjoint_transversals(H, budget=SearchBudget(max_nodes=work))
+    assert engines == [] and packing.transversal_count == 3325
+    assert len(list(enumerate_transversals(H, SearchBudget(max_nodes=work - 1)))) == 3325
+    assert engines == ["dfs"]
+    with pytest.raises(BudgetExhausted):
+        list(enumerate_transversals(H, SearchBudget(max_results=3325)))
+    assert engines == ["dfs"] * 2
+    with monkeypatch.context() as mp:
+        mp.setattr(search, "_DP_WORK_BOUND", work - 1)
+        assert len(list(enumerate_transversals(H))) == 3325
+    assert engines == ["dfs"] * 3
+
+
+def test_node_budget_below_the_worst_case_lists_by_the_dfs():
+    # Z11's worst case is 7,759,752; below it the DFS lists what it reaches,
+    # as it did before the layers: 122 transversals in 5,000 nodes and 2,258
+    # in 100,000
+    z11 = cyclic(cyclic_group(11), 2)
+    assert search._frontier_work(11, 2) == 7_759_752
+    for max_nodes, reached in ((5_000, 122), (100_000, 2_258)):
+        budget = SearchBudget(max_nodes=max_nodes)
+        listed = []
+        with pytest.raises(BudgetExhausted):
+            listed.extend(enumerate_transversals(z11, budget))
+        dfs = []
+        with pytest.raises(BudgetExhausted):
+            dfs.extend(search._dfs(z11, search._Gauge(budget), transversal=True))
+        assert listed == [search._raw_to_diagonal(raw, 11) for raw in dfs]
+        assert len(listed) == reached
+        result = max_disjoint_transversals(z11, budget=budget)
+        assert result.transversal_count == reached
+        assert result.exhausted and not result.optimal and result.upper_bound is None
+
+
+def _packing_ticks(monkeypatch, H):
+    ticks = 0
+    tick = search._Gauge.tick
+
+    def counting_tick(gauge):
+        nonlocal ticks
+        ticks += 1
+        tick(gauge)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(search._Gauge, "tick", counting_tick)
+        max_disjoint_transversals(H)
+    return ticks
+
+
+@pytest.mark.parametrize("make", [lambda: turned_cyclic(4, 4), ord8_square],
+                         ids=["turned-cyclic-4-4", "ord8"])
+def test_truncated_packing_is_never_optimal(monkeypatch, make):
+    H = make()
+    work = search._frontier_work(H.n, H.d)
+    layers_total = _packing_ticks(monkeypatch, H)
+    with monkeypatch.context() as mp:
+        _dfs_only(mp)
+        dfs_total = _packing_ticks(monkeypatch, H)
+    full = max_disjoint_transversals(H)
+    assert full.optimal and not full.exhausted
+    cut_any = False
+    for max_nodes in sorted({1, dfs_total // 4, dfs_total // 2, dfs_total - 1, dfs_total,
+                             layers_total - 1, layers_total, work - 1, work}):
+        result = max_disjoint_transversals(H, budget=SearchBudget(max_nodes=max_nodes))
+        total = layers_total if max_nodes >= work else dfs_total
+        if max_nodes < total:
+            cut_any = True
+            assert result.exhausted and not result.optimal, max_nodes
+        else:
+            assert result == full, max_nodes
+    assert cut_any
+
+
+def test_time_capped_packing_is_never_optimal():
+    # the time cap cuts the layer build short (the gauge reads the clock every
+    # 4,096 ticks), and the packing is flagged, not optimal
+    z11 = cyclic(cyclic_group(11), 2)
+    result = max_disjoint_transversals(z11, budget=SearchBudget(time_cap=1e-9))
+    assert result.exhausted and not result.optimal
+
+
+@pytest.mark.parametrize("make", [lambda: cyclic(cyclic_group(3), 2),
+                                  lambda: cyclic(cyclic_group(2), 2),
+                                  lambda: cyclic(cyclic_group(5), 3),
+                                  lambda: cyclic(cyclic_group(9), 2),
+                                  lambda: turned_cyclic(4, 4),
+                                  ord8_square],
+                         ids=["cyclic-3", "cyclic-2", "cyclic-5-d3", "cyclic-9",
+                              "turned-cyclic-4-4", "ord8"])
+def test_packing_is_the_same_on_both_engines(monkeypatch, make):
+    H = make()
+    layers = max_disjoint_transversals(H)
+    _dfs_only(monkeypatch)
+    assert max_disjoint_transversals(H) == layers
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_greedy_hitting_set_picks_the_smallest_most_frequent_cell(seed):
+    # the incremental greedy against a recount of every remaining set per step
+    rng = random.Random(seed)
+    cells = [(r, c) for r in range(5) for c in range(5)]
+    sets = [frozenset(rng.sample(cells, rng.randrange(1, 6))) for _ in range(60)]
+    remaining, expected = list(sets), []
+    while remaining:
+        freq = {}
+        for cs in remaining:
+            for c in cs:
+                freq[c] = freq.get(c, 0) + 1
+        best = min(freq, key=lambda c: (-freq[c], c))
+        expected.append(best)
+        remaining = [cs for cs in remaining if best not in cs]
+    assert search._greedy_hitting_set(sets) == expected
 
 
 def test_max_disjoint_small_decomposition():
