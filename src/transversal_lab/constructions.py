@@ -379,44 +379,28 @@ def l8_square() -> Hypercube:
 
 # -- registry for the command line --
 
-CONSTRUCTION_IDS = (
-    "cyclic",
-    "confirmed-bachelor",
-    "third-species-44",
-    "turned-cyclic",
-    "ord8",
-    "ord6m",
-    "z6-isotope",
-    "l8",
-)
+# id -> (required parameters, builder taking them in that order)
+_REGISTRY = {
+    "cyclic": (("group", "d"), cyclic),
+    "confirmed-bachelor": (("n", "d"), confirmed_bachelor),
+    "third-species-44": ((), third_species_44),
+    "turned-cyclic": (("n", "d"), turned_cyclic),
+    "ord8": ((), ord8_square),
+    "ord6m": (("m",), ord6m_square),
+    "z6-isotope": ((), z6_isotope_square),
+    "l8": ((), l8_square),
+}
+CONSTRUCTION_IDS = tuple(_REGISTRY)
 
 
 def build(construction_id: str, *, group: AbelianGroup | None = None,
           n: int | None = None, d: int | None = None, m: int | None = None) -> Hypercube:
     """Build a construction by its registry id, validating parameters."""
-    cid = construction_id
-    if cid == "cyclic":
-        if group is None or d is None:
-            raise ConstructionError("cyclic requires --group and --d")
-        return cyclic(group, d)
-    if cid == "confirmed-bachelor":
-        if n is None or d is None:
-            raise ConstructionError("confirmed-bachelor requires --n and --d")
-        return confirmed_bachelor(n, d)
-    if cid == "third-species-44":
-        return third_species_44()
-    if cid == "turned-cyclic":
-        if n is None or d is None:
-            raise ConstructionError("turned-cyclic requires --n and --d")
-        return turned_cyclic(n, d)
-    if cid == "ord8":
-        return ord8_square()
-    if cid == "ord6m":
-        if m is None:
-            raise ConstructionError("ord6m requires --m")
-        return ord6m_square(m)
-    if cid == "z6-isotope":
-        return z6_isotope_square()
-    if cid == "l8":
-        return l8_square()
-    raise ConstructionError(f"unknown construction {construction_id!r}")
+    if construction_id not in _REGISTRY:
+        raise ConstructionError(f"unknown construction {construction_id!r}")
+    required, builder = _REGISTRY[construction_id]
+    given = {"group": group, "n": n, "d": d, "m": m}
+    if any(given[k] is None for k in required):
+        flags = " and ".join(f"--{k}" for k in required)
+        raise ConstructionError(f"{construction_id} requires {flags}")
+    return builder(*(given[k] for k in required))

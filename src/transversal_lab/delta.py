@@ -39,9 +39,6 @@ class DeltaProfile:
     def value_at(self, coords) -> Element:
         return self.group.element(int(self.indices[tuple(coords)]))
 
-    def support_cells(self) -> tuple[Coords, ...]:
-        return tuple(self.support)
-
     def projection_sizes(self) -> tuple[int, ...]:
         return tuple(len(p) for p in self.projections)
 

@@ -78,9 +78,6 @@ class Hypercube:
         """Read-only symbol array of shape (n,) * d."""
         return self._arr
 
-    def with_group(self, group: AbelianGroup) -> "Hypercube":
-        return Hypercube(self._arr, group)
-
     def __getitem__(self, coords) -> int:
         return int(self._arr[tuple(coords)])
 
@@ -276,9 +273,6 @@ class Diagonal:
         except ValueError:
             return False
         return len(self.entries) == H.n
-
-    def sorted_by_coords(self) -> "Diagonal":
-        return Diagonal(tuple(sorted(self.entries)), self.complete)
 
     def __len__(self) -> int:
         return len(self.entries)

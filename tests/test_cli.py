@@ -137,6 +137,22 @@ def test_lift_command(tmp_path, capsys):
     assert T.complete
 
 
+def test_lift_text_grid_marks_the_extension(tmp_path, capsys):
+    cube = tmp_path / "z6.lhc"
+    run_cli(["construct", "z6-isotope", "--out", str(cube)], capsys)
+    diag = tmp_path / "diag.json"
+    diag.write_text(json.dumps({"entries": diagonal_to_json(z6_marked_diagonal())}))
+    argv = ["lift", str(cube), "--dprime", "4", "--diagonal", str(diag), "--format", "text-grid"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0
+    lines = out.splitlines()
+    # the 6^4 extension prints as 36 slices; slice headers hold "*,*", so
+    # count the marked symbols, not the "*" characters
+    assert sum(line.startswith("slice ") for line in lines) == 36
+    grid = [line for line in lines if not line.startswith(("slice ", "#"))]
+    assert sum(tok.endswith("*") for line in grid for tok in line.split()) == 6
+
+
 def test_dilate_command(tmp_path, capsys):
     cube = tmp_path / "c4.lhc"
     out_path = tmp_path / "c8.lhc"
@@ -224,24 +240,55 @@ def test_bachelor_scan_keeps_time_cap(tmp_path, capsys):
     assert payload["bachelor_cells"] == [] and payload["certificates"]["checked_cells"] == 0
 
 
+# every required argument of each command, so that parsing reaches the flag under test
+_COMMANDS = {
+    "construct": ["construct", "cyclic", "--group", "Z3", "--d", "2"],
+    "analyze": ["analyze", "delta", "c.lhc"],
+    "extend": ["extend", "c.lhc", "--dprime", "3"],
+    "lift": ["lift", "c.lhc", "--dprime", "3", "--diagonal", "d.json"],
+    "dilate": ["dilate", "c.lhc", "--lambda", "2"],
+    "certify-dilation": ["certify-dilation", "c.lhc", "--lambda", "2", "--hitting-set", "h.json"],
+    "verify": ["verify", "paper-claims", "--only", "10"],
+}
+
+
 @pytest.mark.parametrize("flag", ["--max-nodes", "--max-results", "--time-cap"])
-@pytest.mark.parametrize(
-    "command",
-    [
-        ["construct", "cyclic", "--group", "Z3", "--d", "2"],
-        ["analyze", "delta", "c.lhc"],
-        ["extend", "c.lhc", "--dprime", "3"],
-        ["lift", "c.lhc", "--dprime", "3", "--diagonal", "d.json"],
-        ["dilate", "c.lhc", "--lambda", "2"],
-        ["verify", "paper-claims", "--only", "10"],
-    ],
-    ids=["construct", "analyze", "extend", "lift", "dilate", "verify"],
-)
+@pytest.mark.parametrize("command", ["construct", "analyze", "extend", "lift", "dilate", "verify"])
 def test_budget_flags_rejected_where_nothing_searches(capsys, command, flag):
     with pytest.raises(SystemExit) as exc:
-        main(command + [flag, "1"])
+        main(_COMMANDS[command] + [flag, "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+_UNREAD_FLAGS = [
+    ("construct", "--seed", "1"),
+    ("analyze", "--seed", "1"),
+    ("extend", "--seed", "1"),
+    ("dilate", "--seed", "1"),
+    ("certify-dilation", "--seed", "1"),
+    ("extend", "--format", "json"),
+    ("dilate", "--format", "json"),
+    ("certify-dilation", "--format", "json"),
+    ("verify", "--format", "json"),
+    ("verify", "--out", "x.txt"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value", _UNREAD_FLAGS, ids=[f"{c}{f}" for c, f, _ in _UNREAD_FLAGS]
+)
+def test_unread_flags_rejected(capsys, command, flag, value):
+    # each subcommand registers only the flags its handler reads
+    with pytest.raises(SystemExit) as exc:
+        main(_COMMANDS[command] + [flag, value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_rejects_malformed_only(capsys):
+    code, out, err = run_cli(["verify", "paper-claims", "--only", "1,x"], capsys)
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_search_decompose_keeps_time_cap(tmp_path, capsys):
