@@ -43,8 +43,9 @@ def _load_cube(args: argparse.Namespace) -> Hypercube:
 
 
 def _budget(args: argparse.Namespace, seed: int = DEFAULT_SEED) -> SearchBudget:
-    """The budget from ``--max-nodes``, ``--max-results`` and ``--time-cap``."""
-    caps = {k: getattr(args, k) for k in ("max_nodes", "max_results", "time_cap")}
+    """The budget from ``--max-nodes``, ``--max-results`` and ``--time-cap``,
+    those of them that the subcommand takes."""
+    caps = {k: getattr(args, k, None) for k in ("max_nodes", "max_results", "time_cap")}
     return SearchBudget(rng_seed=seed, **{k: v for k, v in caps.items() if v is not None})
 
 
@@ -101,8 +102,10 @@ def cmd_construct(args: argparse.Namespace, stdout) -> int:
 
 def cmd_analyze_delta(args: argparse.Namespace, stdout) -> int:
     H = _load_cube(args)
+    if args.fmt == "text-grid" and H.d != 2:
+        raise ValueError(f"--format text-grid draws squares only; this cube has d={H.d}")
     prof = profile(H)
-    if args.fmt == "text-grid" and H.d == 2:
+    if args.fmt == "text-grid":
         grid = Hypercube(prof.indices, H.group)
         _emit(args, render_grid(grid), stdout)
         return 0
@@ -122,7 +125,7 @@ def _finish_report(
 ) -> int:
     """Emit the report, or with ``--format text-grid`` its witnesses marked on H."""
     report.elapsed_s = round(time.perf_counter() - t0, 6)
-    if args.fmt == "text-grid" and report.witnesses:
+    if getattr(args, "fmt", "json") == "text-grid" and report.witnesses:
         head = f"# {report.operation}: count={report.count} exact={report.exact}\n"
         _emit(args, head + render_grid(H, _witness_marks(report.witnesses[:4])), stdout)
     else:
@@ -130,19 +133,12 @@ def _finish_report(
     return 3 if report.exhausted else 0
 
 
-def _reject_max_results(args: argparse.Namespace, what: str) -> None:
-    if args.max_results is not None:
-        raise ValueError(f"{what} yields no list of results; --max-results does not apply")
-
-
 def cmd_search(args: argparse.Namespace, stdout) -> int:
     op = args.subcommand
-    if op in ("bachelors", "packing", "decompose"):
-        _reject_max_results(args, f"search {op}")
     H = _load_cube(args)
     budget = _budget(args, args.seed)
     t0 = time.perf_counter()
-    params = {k: getattr(args, k) for k in ("d_prime", "cap", "max_nodes", "max_results")}
+    params = {k: getattr(args, k, None) for k in ("d_prime", "cap", "max_nodes", "max_results")}
     report = SearchReport(
         instance=args.input_path,
         operation=f"search {op}",
@@ -153,8 +149,6 @@ def cmd_search(args: argparse.Namespace, stdout) -> int:
 
     if op in ("transversals", "suitable"):
         if op == "suitable":
-            if args.d_prime is None:
-                raise ValueError("search suitable requires --dprime")
             target = suitable_target(H.group, args.d_prime)
             census = count_diagonals(H, H.group, target, budget, keep=args.max_witnesses)
             report.certificates["target_sum"] = list(target)
@@ -238,7 +232,6 @@ def cmd_dilate(args: argparse.Namespace, stdout) -> int:
 
 def cmd_certify_dilation(args: argparse.Namespace, stdout) -> int:
     H = _load_cube(args)
-    _reject_max_results(args, "certify-dilation")
     with open(args.hitting_set_path, "r", encoding="utf-8") as fh:
         records = json.load(fh)
     if not isinstance(records, list):
@@ -306,9 +299,12 @@ def _add_shared(p: argparse.ArgumentParser, *flags: str) -> None:
         p.add_argument("--out", default=None)
 
 
-def _add_budget(p: argparse.ArgumentParser) -> None:
+def _add_budget(p: argparse.ArgumentParser, *, results: bool) -> None:
+    """Register ``--max-nodes`` and ``--time-cap``, and ``--max-results`` where
+    results are listed."""
     p.add_argument("--max-nodes", type=int, default=None)
-    p.add_argument("--max-results", type=int, default=None)
+    if results:
+        p.add_argument("--max-results", type=int, default=None)
     p.add_argument("--time-cap", type=float, default=None)
 
 
@@ -335,19 +331,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", default=None)
     _add_shared(p, "format", "out")
 
-    p = sub.add_parser("search", help="exact searches")
-    p.set_defaults(handler=cmd_search)
-    p.add_argument(
-        "subcommand",
-        choices=("transversals", "suitable", "bachelors", "packing", "decompose"),
+    ops = sub.add_parser("search", help="exact searches").add_subparsers(
+        dest="subcommand", required=True
     )
-    p.add_argument("input_path")
-    p.add_argument("--group", default=None)
-    p.add_argument("--dprime", dest="d_prime", type=int, default=None)
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--max-witnesses", type=int, default=8)
-    _add_shared(p, "seed", "format", "out")
-    _add_budget(p)
+    for op in ("transversals", "suitable", "bachelors", "packing", "decompose"):
+        p = ops.add_parser(op)
+        p.set_defaults(handler=cmd_search)
+        p.add_argument("input_path")
+        p.add_argument("--group", default=None)
+        listing = op in ("transversals", "suitable")
+        if op == "suitable":
+            p.add_argument("--dprime", dest="d_prime", type=int, required=True)
+        if op == "packing":
+            p.add_argument("--cap", type=int, default=None)
+        if listing:
+            p.add_argument("--max-witnesses", type=int, default=8)
+        # bachelor cells and packings are reported as JSON only
+        _add_shared(p, "seed", "out", *(() if op in ("bachelors", "packing") else ("format",)))
+        _add_budget(p, results=listing)
 
     p = sub.add_parser("extend", help="boost dimension over the index group")
     p.set_defaults(handler=cmd_extend)
@@ -378,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="factor", type=int, required=True)
     p.add_argument("--hitting-set", dest="hitting_set_path", required=True)
     _add_shared(p, "out")
-    _add_budget(p)
+    _add_budget(p, results=False)
 
     p = sub.add_parser("verify", help="run the built-in claim suite")
     p.set_defaults(handler=cmd_verify)

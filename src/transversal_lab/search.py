@@ -1,22 +1,22 @@
 """Exact search over diagonals and transversals.
 
 Two engines share one node gauge.  The depth-first search (``_dfs``) serves
-through-cell searches, completions, the census witnesses, diagonal listing,
-and transversal listing where the stored layers do not run.  It fills rows
-(axis-0 values in increasing order); within a row, candidate coordinates are
-tried in increasing lexicographic order on the remaining axes.  This fixes a
+through-cell searches, completions, listing of all diagonals, and counting
+and listing wherever the stored layers do not run.  It fills rows (axis-0
+values in increasing order); within a row, candidate coordinates are tried in
+increasing lexicographic order on the remaining axes.  This fixes a
 deterministic output order.  Occupancy is tracked per axis and per symbol.
 
-The frontier DP runs row by row over sets of packed-int states.  One builder
-(``_back_layers``) stores every backward layer.  ``bachelor_cells`` decides
-every cell at once by a forward sweep over its live states, and
-``enumerate_transversals`` and ``max_disjoint_transversals`` read the
-transversals off it in the DFS's order, taking only branches that complete.
-``count_transversals`` and ``count_diagonals`` count results by one forward
-pass, after the DFS has listed the few witnesses asked for.  Each use runs
-the DP only on cubes whose order and dimension (and group order) keep its
-worst case small, and the DFS on larger cubes; listing also keeps the DFS
-under a node budget below that worst case or a result budget.
+The frontier layers run row by row over dicts of packed-int states.  One
+builder (``_back_layers``) stores every backward layer, each state with its
+number of ways to complete, for transversals or for diagonals with a target
+delta sum.  Counts are the ways at the root; ``_layer_listing`` reads the
+results off in the DFS's order, taking only branches that complete; and
+``bachelor_cells`` decides every cell at once by a forward sweep over the
+live states.  Each use runs the layers only on cubes whose order and
+dimension (and group order) keep their worst case small, and the DFS on
+larger cubes; listing also keeps the DFS under a node budget below that
+worst case, and counting and listing keep it under a result budget.
 
 Absence results (bachelor cells, hitting-set certificates, packing optimality)
 are only reported when the relevant search tree ran to exhaustion within
@@ -31,7 +31,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -196,10 +196,10 @@ def enumerate_transversals(
     """All transversals, each exactly once, in deterministic order.
 
     They are read off stored frontier layers or listed by the DFS, in the same
-    order, by the engine rule of ``_transversals``."""
+    order, by the listing rule of ``_results``."""
     _require_latin(H)
     budget = budget or SearchBudget()
-    yield from _listed(H, budget, _transversals(H, budget, _Gauge(budget)))
+    yield from _listed(H, budget, _results(H, budget, _Gauge(budget), transversal=True))
 
 
 def enumerate_diagonals(
@@ -208,12 +208,16 @@ def enumerate_diagonals(
     target_sum: Element | None = None,
     budget: SearchBudget | None = None,
 ) -> Iterator[Diagonal]:
-    """All complete diagonals, optionally filtered to a given delta sum."""
+    """All complete diagonals, optionally filtered to a given delta sum.
+
+    With a target sum they are read off stored frontier layers or listed by
+    the DFS, in the same order, by the listing rule of ``_results``."""
     _require_latin(H)
     budget = budget or SearchBudget()
     group = H.group if group is None else group
     target = None if target_sum is None else _TargetSum.of(H, group, target_sum)
-    yield from _listed(H, budget, _results(H, _Gauge(budget), transversal=False, target=target))
+    results = _results(H, budget, _Gauge(budget), transversal=False, target=target)
+    yield from _listed(H, budget, results)
 
 
 @dataclass(frozen=True)
@@ -221,12 +225,16 @@ class Census:
     """How many results a search has, and the first ``keep`` of them.
 
     ``witnesses`` are the first results of the matching ``enumerate_*`` call.
-    ``exact`` is False when a budget cut the search short; ``count`` is then
-    ``max_results`` if that many results exist, and otherwise the number of
-    results the DFS reached before the node or time budget ran out.  ``nodes``
-    counts DFS nodes plus DP states, the units ``max_nodes`` caps.
+    ``nodes`` counts layer states and listing steps, or DFS nodes, the units
+    ``max_nodes`` caps.  ``exact`` is False when a budget cut the search short;
+    ``count`` is then ``max_results`` if that many results exist, and otherwise
+    the number of results listed before the node or time budget ran out: on
+    the stored layers the witnesses listed (0 if the cut came while building
+    them), on the DFS every result it reached.
 
-    A count under ``max_results`` runs on the DFS alone and stops at the
+    The census runs on the layers, which give the count without listing,
+    when their worst case is within its bound and no ``max_results`` is set,
+    and on the DFS alone otherwise; a count under ``max_results`` stops at the
     ``max_results``-th result, as ``enumerate_*`` does."""
 
     count: int
@@ -243,19 +251,10 @@ def count_transversals(
 ) -> Census:
     """The number of transversals, and the first ``keep`` in enumeration order.
 
-    The DFS lists the ``keep`` witnesses.  Unless its tree ends first, the rest
-    are counted by the frontier DP when its worst case (``_frontier_work``) is
-    at most ``_DP_WORK_BOUND`` and no ``max_results`` is set, and by the same
-    DFS otherwise."""
+    By the rule of ``Census``, with the worst case ``_frontier_work`` and the
+    bound ``_DP_WORK_BOUND``."""
     _require_latin(H)
-    small = _frontier_work(H.n, H.d) <= _DP_WORK_BOUND
-    return _census(
-        H,
-        budget or SearchBudget(),
-        keep,
-        lambda gauge: _results(H, gauge, transversal=True),
-        (lambda gauge: _count_transversals_dp(H, gauge)) if small else None,
-    )
+    return _census(H, budget or SearchBudget(), keep, None)
 
 
 def count_diagonals(
@@ -269,19 +268,11 @@ def count_diagonals(
     """The number of complete diagonals with the given delta sum, and the first
     ``keep`` in enumeration order.
 
-    As ``count_transversals``, with the target-sum DP, its worst case
-    ``_target_work`` and its bound ``_TARGET_WORK_BOUND``."""
+    By the rule of ``Census``, with the worst case ``_target_work`` and the
+    bound ``_TARGET_WORK_BOUND``."""
     _require_latin(H)
     group = H.group if group is None else group
-    target = _TargetSum.of(H, group, target_sum)
-    small = _target_work(H.n, H.d, group.order) <= _TARGET_WORK_BOUND
-    return _census(
-        H,
-        budget or SearchBudget(),
-        keep,
-        lambda gauge: _results(H, gauge, transversal=False, target=target),
-        (lambda gauge: _count_target_dp(H, target, gauge)) if small else None,
-    )
+    return _census(H, budget or SearchBudget(), keep, _TargetSum.of(H, group, target_sum))
 
 
 class _TargetSum(NamedTuple):
@@ -301,12 +292,8 @@ class _TargetSum(NamedTuple):
         )
 
 
-def _results(
-    H: Hypercube,
-    gauge: _Gauge,
-    *,
-    transversal: bool,
-    target: _TargetSum | None = None,
+def _dfs_results(
+    H: Hypercube, gauge: _Gauge, transversal: bool, target: _TargetSum | None
 ) -> Iterator[tuple[RawEntry, ...]]:
     """The DFS's transversals or diagonals, those with the target sum if given."""
     found = _dfs(H, gauge, transversal=transversal)
@@ -326,6 +313,29 @@ def _results(
     return (raw for raw in found if total(raw) == target.index)
 
 
+def _results(
+    H: Hypercube,
+    budget: SearchBudget,
+    gauge: _Gauge,
+    *,
+    transversal: bool,
+    target: _TargetSum | None = None,
+) -> Iterator[tuple[RawEntry, ...]]:
+    """Every transversal, or every diagonal (with the target sum if given), in
+    ``_dfs`` order.
+
+    The listing rule is fixed before either engine runs: transversals and
+    target-sum diagonals are read off the stored layers when their worst case
+    (``_layer_work``) is within its bound and within ``max_nodes``, and no
+    ``max_results`` is set; the DFS lists otherwise, so that a node or result
+    budget below the worst case still lists results."""
+    if transversal or target is not None:
+        work, bound = _layer_work(H, target)
+        if work <= min(bound, budget.max_nodes) and budget.max_results is None:
+            return _layer_listing(_back_layers(H, gauge, target), gauge)
+    return _dfs_results(H, gauge, transversal, target)
+
+
 def _listed(
     H: Hypercube, budget: SearchBudget, results: Iterator[tuple[RawEntry, ...]]
 ) -> Iterator[Diagonal]:
@@ -336,36 +346,32 @@ def _listed(
 
 
 def _census(
-    H: Hypercube,
-    budget: SearchBudget,
-    keep: int,
-    results: Callable[[_Gauge], Iterator[tuple[RawEntry, ...]]],
-    dp: Callable[[_Gauge], int] | None,
+    H: Hypercube, budget: SearchBudget, keep: int, target: _TargetSum | None
 ) -> Census:
-    """List ``keep`` results by the DFS, then count every result by the DP, or
-    by the same DFS when ``dp`` is None or a result budget is set, so that a
-    result-capped count stops at its cap; one gauge covers both."""
+    """Count the transversals (``target`` None) or the target-sum diagonals and
+    list the first ``keep``, by the rule of ``Census``; one gauge covers the
+    whole census."""
     if keep < 0:
         raise ValueError("keep must be non-negative")
-    cap = budget.max_results
-    if cap is not None:
-        dp = None
     gauge = _Gauge(budget)
     witnesses: list[Diagonal] = []
+    work, bound = _layer_work(H, target)
+    if work <= bound and budget.max_results is None:
+        try:
+            layers = _back_layers(H, gauge, target)
+            for raw in itertools.islice(_layer_listing(layers, gauge), keep):
+                witnesses.append(_raw_to_diagonal(raw, H.n))
+        except BudgetExhausted:
+            return Census(len(witnesses), tuple(witnesses), False, gauge.nodes)
+        return Census(layers.count, tuple(witnesses), True, gauge.nodes)
     count = 0
     try:
-        if keep or dp is None:
-            for raw in results(gauge):
-                if count < keep:
-                    witnesses.append(_raw_to_diagonal(raw, H.n))
-                count += 1
-                if count == cap:
-                    return Census(count, tuple(witnesses), False, gauge.nodes)
-                if count == keep and dp is not None:
-                    break
-            else:
-                return Census(count, tuple(witnesses), True, gauge.nodes)
-        count = dp(gauge)
+        for raw in _dfs_results(H, gauge, target is None, target):
+            if count < keep:
+                witnesses.append(_raw_to_diagonal(raw, H.n))
+            count += 1
+            if count == budget.max_results:
+                return Census(count, tuple(witnesses), False, gauge.nodes)
     except BudgetExhausted:
         return Census(count, tuple(witnesses), False, gauge.nodes)
     return Census(count, tuple(witnesses), True, gauge.nodes)
@@ -401,65 +407,8 @@ class BachelorScan:
     nodes: int
 
 
-# A row's cells bucketed for the frontier DP: (axis-1 bit, [(symbol bit,
-# [cell masks])]).  Only buckets whose two bits are free in a state can hold a
-# cell that fits it.
-_RowBuckets = list[tuple[int, list[tuple[int, list[int]]]]]
-
-
-def _packed_rows(H: Hypercube, values: np.ndarray) -> Iterator[list[tuple[Coords, int, int]]]:
-    """Each row's cells in row-major order as (coords, axis mask, value).
-
-    A cell of row r (axis-0 value r) gets an n-bit one-hot field for each of
-    axes 1..d-1, so cells from distinct rows share no hyperplane iff their
-    axis masks are disjoint; its value is ``values`` at the cell."""
-    n, d = H.n, H.d
-    rests = list(itertools.product(range(n), repeat=d - 1))
-    masks = [sum(1 << (axis * n + v) for axis, v in enumerate(rest)) for rest in rests]
-    for r, row in enumerate(values.reshape(n, -1).tolist()):
-        yield [((r,) + rest, mask, v) for rest, mask, v in zip(rests, masks, row)]
-
-
-def _frontier_rows(H: Hypercube) -> tuple[list[list[tuple[RawEntry, int]]], list[_RowBuckets]]:
-    """Each row's entries with their packed masks, in row-major order, and the
-    masks bucketed.
-
-    A cell's mask is its axis mask (``_packed_rows``) plus an n-bit one-hot
-    field for its symbol, so a set of cells from distinct rows is a partial
-    transversal iff their masks are disjoint."""
-    n = H.n
-    sym_shift = (H.d - 1) * n
-    axis1 = (1 << n) - 1
-    rows, buckets = [], []
-    for packed in _packed_rows(H, H.symbols):
-        cells: list[tuple[RawEntry, int]] = []
-        by_key: dict[int, dict[int, list[int]]] = {}
-        for coords, axes, s in packed:
-            sym_bit = 1 << (sym_shift + s)
-            cells.append(((coords, s), axes | sym_bit))
-            by_key.setdefault(axes & axis1, {}).setdefault(sym_bit, []).append(axes | sym_bit)
-        rows.append(cells)
-        buckets.append([(b1, list(sub.items())) for b1, sub in by_key.items()])
-    return rows, buckets
-
-
-def _extend(states: Iterable[int], row: _RowBuckets, gauge: _Gauge) -> Iterator[tuple[int, int]]:
-    """Every (state, cell mask) pair with the cell disjoint from the state."""
-    for f in states:
-        gauge.tick()
-        for b1, sub in row:
-            if f & b1:
-                continue
-            for b2, masks in sub:
-                if f & b2:
-                    continue
-                for m in masks:
-                    if not f & m:
-                        yield f, m
-
-
 # Above this much worst-case work (states times cells tried per state) the
-# frontier DP is left to the DFS: to per-cell searches, which a
+# transversal layers are left to the DFS: to per-cell searches, which a
 # transversal-rich cube ends in a few early exits, and to listing and counting
 # by the DFS.
 # Transversal DP times track the bound at 1e-8 to 3e-8 s a unit (CPython 3.11,
@@ -468,16 +417,17 @@ def _extend(states: Iterable[int], row: _RowBuckets, gauge: _Gauge) -> Iterator[
 # about 1.7e8, states.
 _DP_WORK_BOUND = 1 << 26
 
-# The same for the target-sum DP, which fills its layers nearly to their worst
-# case: seeded isotopes of Z12..Z15 at d=2 ran at 3.1e-7 to 3.6e-7 s a unit and
-# of Z7, Z8 at d=3 at 8e-8 to 9e-8 s (same machine), so 2**22 is at most one or
-# two seconds.  With |G| = n, order 15, d=2 (2.4 s) and order 8, d=3 are the
-# first cubes above it.
+# The same for the target-sum layers, which fill nearly to their worst case:
+# seeded isotopes of Z12..Z15 at d=2 built at 3.3e-7 to 4.3e-7 s a unit and of
+# Z7, Z8 at d=3 at 1.4e-7 s (CPython 3.11, 2-core sandbox), so 2**22 is at
+# most one or two seconds.  With |G| = n, order 15, d=2 (3.2 s) and order 8,
+# d=3 are the first cubes above it.
 _TARGET_WORK_BOUND = 1 << 22
 
 
 def _frontier_work(n: int, d: int) -> int:
-    """Worst-case work of the frontier DP on a cube of order n and dimension d.
+    """Worst-case work of the transversal layers on a cube of order n and
+    dimension d.
 
     A state of layer r sets r bits in each of its d fields, so layer r holds
     at most C(n, r)**d states, and each state tries at most n**(d-1) cells."""
@@ -485,55 +435,169 @@ def _frontier_work(n: int, d: int) -> int:
 
 
 def _target_work(n: int, d: int, order: int) -> int:
-    """Worst-case work of the target-sum DP: layer r holds at most
+    """Worst-case work of the target-sum layers: layer r holds at most
     C(n, r)**(d-1) axis masks times ``order`` running sums, and each state
     tries at most n**(d-1) cells."""
     return n ** (d - 1) * order * sum(math.comb(n, r) ** (d - 1) for r in range(n + 1))
 
 
-def _count_transversals_dp(H: Hypercube, gauge: _Gauge) -> int:
-    """The number of transversals, by a forward frontier DP that maps each
-    union of partial transversals on the rows so far to its number of ways."""
-    _, buckets = _frontier_rows(H)
-    layer = {0: 1}
-    for row in buckets:
-        ways: dict[int, int] = {}
-        for f, m in _extend(layer, row, gauge):
-            g = f | m
-            ways[g] = ways.get(g, 0) + layer[f]
-        layer = ways
-    return sum(layer.values())
+def _layer_work(H: Hypercube, target: _TargetSum | None) -> tuple[int, int]:
+    """The worst case of the transversal layers (``target`` None) or of the
+    target-sum layers on H, and its bound."""
+    if target is None:
+        return _frontier_work(H.n, H.d), _DP_WORK_BOUND
+    return _target_work(H.n, H.d, len(target.add)), _TARGET_WORK_BOUND
 
 
-def _count_target_dp(H: Hypercube, target: _TargetSum, gauge: _Gauge) -> int:
-    """The number of diagonals with the target delta sum, by a forward frontier
-    DP.  A state packs the axis masks of the cells placed so far (an n-bit
-    field per axis 1..d-1) with the index of their delta sum above them."""
-    n = H.n
-    shift = (H.d - 1) * n
-    axes = (1 << shift) - 1
+# A row's cells for one key, in two forms: grouped by their axis-1 bit in
+# row-major order, as (bit, [(entry, mask)]), for reading results; and bucketed
+# as (axis-1 bit, [(last-field bit, [masks])]) for extending states, since only
+# buckets whose two bits are free in a state can hold a cell that fits it.
+_RowGroups = list[tuple[int, list[tuple[RawEntry, int]]]]
+_RowBuckets = list[tuple[int, list[tuple[int, list[int]]]]]
+_Row = list[tuple[_RowGroups, _RowBuckets]]
+
+
+def _frontier_rows(
+    H: Hypercube, values: np.ndarray, bits: list[list[int]], full: int
+) -> list[_Row]:
+    """Each row's cells for each key k, with their packed masks.
+
+    A cell of row r (axis-0 value r) gets an n-bit one-hot field for each of
+    axes 1..d-1, so cells from distinct rows share no hyperplane iff those
+    fields are disjoint; for key k its mask adds ``bits[k][v]``, v being
+    ``values`` at the cell.  ``full`` sets every field below the key."""
+    n, d = H.n, H.d
     axis1 = (1 << n) - 1
+    top = full ^ (full >> n)
+    rests = list(itertools.product(range(n), repeat=d - 1))
+    axes = [sum(1 << (axis * n + v) for axis, v in enumerate(rest)) for rest in rests]
     rows = []
-    for packed in _packed_rows(H, target.deltas):
-        by_bit: dict[int, list[tuple[int, int]]] = {}
-        for _coords, mask, v in packed:
-            by_bit.setdefault(mask & axis1, []).append((mask, v))
-        rows.append(list(by_bit.items()))
-    layer = {0: 1}
-    for row in rows:
+    for r, (syms, vals) in enumerate(zip(H.symbols.reshape(n, -1).tolist(),
+                                         values.reshape(n, -1).tolist())):
+        entries = [((r,) + rest, s) for rest, s in zip(rests, syms)]
+        row: _Row = []
+        for key_bits in bits:
+            cells = [(e, a | key_bits[v]) for e, a, v in zip(entries, axes, vals)]
+            by_bit: dict[int, dict[int, list[int]]] = {}
+            for _, m in cells:
+                by_bit.setdefault(m & axis1, {}).setdefault(m & top, []).append(m)
+            # row-major order groups a row's cells by their axis-1 value
+            groups = itertools.groupby(cells, lambda c: c[1] & axis1)
+            row.append(([(b1, list(g)) for b1, g in groups],
+                        [(b1, list(sub.items())) for b1, sub in by_bit.items()]))
+        rows.append(row)
+    return rows
+
+
+class _Layers(NamedTuple):
+    """The backward frontier layers of one kind of search on a cube.
+
+    A state packs n-bit one-hot fields, all set in ``full``: one per axis
+    1..d-1 and, for transversals, one for the symbols.  For target sums the
+    index of a delta sum sits above the fields; the state's key is its bits
+    above ``full`` (0 for transversals).  ``back[r]`` maps each state of B_r to
+    its number of ways: the partial transversals (or partial diagonals) on
+    rows r..n-1 whose cells fill its fields, for target sums with its delta
+    sum.  B_n is {0: 1}.
+
+    ``rows`` are for reading forward: a forward state holds the fields of rows
+    0..r-1 and, for target sums, the target minus their delta sum, and cell m
+    of row r takes it to state g = (f & ``full``) | m; g completes iff
+    ``full ^ g`` lies in B_{r+1}.  Reading starts at ``root``."""
+
+    rows: list[_Row]
+    back: list[dict[int, int]]
+    full: int
+    root: int
+
+    @property
+    def count(self) -> int:
+        """The number of results: the ways of the state that completes the root."""
+        return self.back[0].get(self.full ^ self.root, 0)
+
+
+def _back_layers(H: Hypercube, gauge: _Gauge, target: _TargetSum | None = None) -> _Layers:
+    """Every backward layer of the transversals (``target`` None) or of the
+    diagonals with the target sum, built from row n-1 down.
+
+    A state of B_{r+1} with key k extended by a cell of row r (mask m for key
+    k) becomes (f & full) | m, one OR per cell: for target sums m holds the
+    new delta sum, k plus the cell's delta.  The gauge ticks once per state
+    expanded; each expansion adds at most n**(d-1) states, which bounds the
+    states held."""
+    n = H.n
+    width = (H.d if target is None else H.d - 1) * n
+    full = (1 << width) - 1
+    if target is None:
+        symbol_bits = [[1 << (width - n + s) for s in range(n)]]
+        rows = build = _frontier_rows(H, H.symbols, symbol_bits, full)
+        root = 0
+    else:
+        add = target.add
+        # reading subtracts each delta from what is left of the target
+        minus = [[0] * len(add) for _ in add]
+        for k, sums in enumerate(add):
+            for v, s in enumerate(sums):
+                minus[s][v] = k
+        build = _frontier_rows(H, target.deltas, [[s << width for s in k] for k in add], full)
+        rows = _frontier_rows(H, target.deltas, [[s << width for s in k] for k in minus], full)
+        root = target.index << width
+    back = [{0: 1}]
+    for row in reversed(build):
         ways: dict[int, int] = {}
-        for f, w in layer.items():
+        get = ways.get
+        for f, w in back[-1].items():
             gauge.tick()
-            used, add = f & axes, target.add[f >> shift]
-            for b1, cells in row:
-                if used & b1:
+            base = f & full
+            for b1, sub in row[f >> width][1]:
+                if base & b1:
                     continue
-                for mask, v in cells:
-                    if not used & mask:
-                        g = used | mask | add[v] << shift
-                        ways[g] = ways.get(g, 0) + w
-        layer = ways
-    return layer.get(axes | target.index << shift, 0)
+                for b2, masks in sub:
+                    if base & b2:
+                        continue
+                    for m in masks:
+                        if not base & m:
+                            g = base | m
+                            ways[g] = get(g, 0) + w
+        back.append(ways)
+    back.reverse()
+    return _Layers(rows, back, full, root)
+
+
+def _layer_listing(layers: _Layers, gauge: _Gauge) -> Iterator[tuple[RawEntry, ...]]:
+    """The results in ``_dfs`` order, read off the backward layers.
+
+    At row r with forward state f the row's cells are tried in row-major
+    order, and a cell is taken iff it fits f and the state g it leads to
+    completes (``full ^ g`` lies in B_{r+1}), so every branch taken completes.
+    The gauge ticks once per partial result extended by a row other than the
+    last; the last row's cell is looked up, not searched."""
+    rows, back, full, root = layers
+    n, shift = len(rows), full.bit_length()
+    groups = [[g for g, _ in row] for row in rows]
+    # a live state on rows 0..n-2 leaves exactly one cell of the last row
+    last = [{m: e for _, cells in g for e, m in cells} for g in groups[-1]]
+    acc: list[RawEntry] = []
+
+    def from_row(r: int, f: int) -> Iterator[tuple[RawEntry, ...]]:
+        base = f & full
+        if r == n - 1:
+            yield (*acc, last[f >> shift][full ^ base])
+            return
+        gauge.tick()
+        live = back[r + 1]
+        for b1, cells in groups[r][f >> shift]:
+            if base & b1:
+                continue
+            for entry, m in cells:
+                if not base & m and full ^ (base | m) in live:
+                    acc.append(entry)
+                    yield from from_row(r + 1, base | m)
+                    acc.pop()
+
+    if layers.count:
+        yield from from_row(0, root)
 
 
 def bachelor_cells(H: Hypercube, budget: SearchBudget | None = None) -> BachelorScan:
@@ -541,7 +605,7 @@ def bachelor_cells(H: Hypercube, budget: SearchBudget | None = None) -> Bachelor
 
     The engine is chosen from the cube's order and dimension alone, before
     either runs.  Up to ``_DP_WORK_BOUND`` of worst-case work
-    (``_frontier_work``) one frontier DP decides every cell at once; above it
+    (``_frontier_work``) the stored layers decide every cell at once; above it
     each cell not yet covered gets one early-exit DFS, which on a
     transversal-rich cube covers every cell in a few searches.
 
@@ -558,107 +622,38 @@ def bachelor_cells(H: Hypercube, budget: SearchBudget | None = None) -> Bachelor
     return BachelorScan(bachelors, True, H.n ** H.d, gauge.nodes)
 
 
-class _Layers(NamedTuple):
-    """The backward frontier layers of a cube, with its rows as
-    ``_frontier_rows`` gives them.  ``back[r]`` is B_r, the unions of partial
-    transversals on rows r..n-1: B_n is {0}, and B_0 is {``full``} if the cube
-    has a transversal and empty otherwise."""
-
-    rows: list[list[tuple[RawEntry, int]]]
-    buckets: list[_RowBuckets]
-    back: list[set[int]]
-    full: int
-
-
-def _back_layers(H: Hypercube, gauge: _Gauge) -> _Layers:
-    """Every backward layer, built from row n-1 down.
-
-    The gauge ticks once per state expanded; each expansion adds at most
-    n**(d-1) states, which bounds the states held."""
-    rows, buckets = _frontier_rows(H)
-    back = [{0}]
-    for row in reversed(buckets):
-        back.append({b | m for b, m in _extend(back[-1], row, gauge)})
-    back.reverse()
-    return _Layers(rows, buckets, back, (1 << (H.d * H.n)) - 1)
-
-
 def _frontier_scan(H: Hypercube, gauge: _Gauge) -> tuple[Coords, ...]:
-    """The bachelor cells, off the backward layers.
+    """The bachelor cells, off the backward transversal layers.
 
     A forward sweep keeps L_r, the live unions on rows 0..r-1: L_0 is {0} when
-    B_0 is not empty, and L_{r+1} holds f | m for each f in L_r and cell m of
-    row r disjoint from f whose complement ``full ^ (f | m)`` lies in B_{r+1}.
-    Those cells m are the covered cells of row r; if B_0 is empty there is no
-    transversal and every cell is a bachelor.  The gauge ticks once per state
+    the cube has a transversal, and L_{r+1} holds f | m for each f in L_r and
+    cell m of row r disjoint from f whose complement ``full ^ (f | m)`` lies in
+    B_{r+1}.  Those cells m are the covered cells of row r; if there is no
+    transversal every cell is a bachelor.  The gauge ticks once per state
     expanded in either pass."""
     layers = _back_layers(H, gauge)
     full = layers.full
-    live = {0} if layers.back[0] else set()
+    live = {0} if layers.count else set()
+    rows = [row[0] for row in layers.rows]  # transversals have the one key 0
     covered: list[set[int]] = []
-    for row, back in zip(layers.buckets, layers.back[1:]):
+    for (_, buckets), back in zip(rows, layers.back[1:]):
         cells, nxt = set(), set()
-        for f, m in _extend(live, row, gauge):
-            g = f | m
-            if full ^ g in back:
-                cells.add(m)
-                nxt.add(g)
+        for f in live:
+            gauge.tick()
+            for b1, sub in buckets:
+                if f & b1:
+                    continue
+                for b2, masks in sub:
+                    if f & b2:
+                        continue
+                    for m in masks:
+                        if not f & m and full ^ (f | m) in back:
+                            cells.add(m)
+                            nxt.add(f | m)
         covered.append(cells)
         live = nxt
-    return tuple(c for cells, row in zip(covered, layers.rows)
-                 for (c, _), m in row if m not in cells)
-
-
-def _layer_listing(H: Hypercube, gauge: _Gauge) -> Iterator[tuple[RawEntry, ...]]:
-    """The transversals in ``_dfs`` order, read off the backward layers.
-
-    At row r with union f the row's cells are tried in row-major order, and a
-    cell m is taken iff it is disjoint from f and ``full ^ (f | m)`` lies in
-    B_{r+1}, so every branch taken completes.  The gauge ticks once per state
-    expanded while building the layers, and once per partial transversal
-    extended by a row other than the last while reading them."""
-    layers = _back_layers(H, gauge)
-    n, back, full = H.n, layers.back, layers.full
-    axis1 = (1 << n) - 1
-    # row-major order groups a row's cells by their axis-1 value
-    rows = [[(b1, list(cells)) for b1, cells in itertools.groupby(row, lambda e: e[1] & axis1)]
-            for row in layers.rows]
-    # a live union on rows 0..n-2 leaves exactly one cell of the last row
-    last = {m: entry for entry, m in layers.rows[-1]}
-    acc: list[RawEntry] = []
-
-    def from_row(r: int, f: int) -> Iterator[tuple[RawEntry, ...]]:
-        if r == n - 1:
-            yield (*acc, last[full ^ f])
-            return
-        gauge.tick()
-        live = back[r + 1]
-        for b1, cells in rows[r]:
-            if f & b1:
-                continue
-            for entry, m in cells:
-                if not f & m and full ^ (f | m) in live:
-                    acc.append(entry)
-                    yield from from_row(r + 1, f | m)
-                    acc.pop()
-
-    if back[0]:
-        yield from from_row(0, 0)
-
-
-def _transversals(
-    H: Hypercube, budget: SearchBudget, gauge: _Gauge
-) -> Iterator[tuple[RawEntry, ...]]:
-    """Every transversal in ``_dfs`` order.
-
-    The engine is fixed before either runs: the stored layers when their worst
-    case (``_frontier_work``) is at most ``_DP_WORK_BOUND`` and at most
-    ``max_nodes``, and no ``max_results`` is set; the DFS otherwise, so that a
-    node or result budget below the worst case still lists results."""
-    work = _frontier_work(H.n, H.d)
-    if work <= _DP_WORK_BOUND and budget.max_nodes >= work and budget.max_results is None:
-        return _layer_listing(H, gauge)
-    return _dfs(H, gauge, transversal=True)
+    return tuple(coords for cells, (groups, _) in zip(covered, rows)
+                 for _, group in groups for (coords, _sym), m in group if m not in cells)
 
 
 def _per_cell_scan(H: Hypercube, gauge: _Gauge) -> tuple[Coords, ...]:
@@ -722,7 +717,7 @@ def max_disjoint_transversals(
 ) -> PackingResult:
     """A maximum-cardinality family of pairwise disjoint transversals.
 
-    Lists all transversals (``_transversals``: off stored frontier layers
+    Lists all transversals (``_results``: off stored frontier layers
     when the budget allows their worst case, by the DFS otherwise), derives an
     upper bound from a greedy hitting set over them (valid because the listing
     is exhaustive), then packs by branch and bound grouped on hitting-set
@@ -735,7 +730,7 @@ def max_disjoint_transversals(
     enum_exhausted = False
     gauge = _Gauge(budget)
     try:
-        all_t.extend(_transversals(H, budget, gauge))
+        all_t.extend(_results(H, budget, gauge, transversal=True))
     except BudgetExhausted:
         enum_exhausted = True
 

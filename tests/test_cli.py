@@ -224,8 +224,10 @@ def test_max_results_rejected_where_no_results_are_listed(tmp_path, capsys, comm
     cells = tmp_path / "cells.json"
     cells.write_text(json.dumps([list(c) for c in ord6m_starred_cells(1)]))
     argv = [a.format(cells=cells) for a in command] + [str(cube), "--max-results", "1"]
-    code, out, err = run_cli(argv, capsys)
-    assert code == 2 and out == "" and "--max-results" in err
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "--max-results" in err
 
 
 def test_bachelor_scan_keeps_time_cap(tmp_path, capsys):
@@ -249,6 +251,8 @@ _COMMANDS = {
     "dilate": ["dilate", "c.lhc", "--lambda", "2"],
     "certify-dilation": ["certify-dilation", "c.lhc", "--lambda", "2", "--hitting-set", "h.json"],
     "verify": ["verify", "paper-claims", "--only", "10"],
+    "search bachelors": ["search", "bachelors", "c.lhc"],
+    "search packing": ["search", "packing", "c.lhc"],
 }
 
 
@@ -272,11 +276,18 @@ _UNREAD_FLAGS = [
     ("certify-dilation", "--format", "json"),
     ("verify", "--format", "json"),
     ("verify", "--out", "x.txt"),
+    ("search bachelors", "--cap", "2"),
+    ("search bachelors", "--dprime", "4"),
+    ("search bachelors", "--max-witnesses", "3"),
+    # bachelor cells and packings are not witness lists, so nothing is drawn
+    ("search bachelors", "--format", "text-grid"),
+    ("search packing", "--format", "text-grid"),
 ]
 
 
 @pytest.mark.parametrize(
-    "command, flag, value", _UNREAD_FLAGS, ids=[f"{c}{f}" for c, f, _ in _UNREAD_FLAGS]
+    "command, flag, value", _UNREAD_FLAGS,
+    ids=[f"{c.replace(' ', '-')}{f}" for c, f, _ in _UNREAD_FLAGS]
 )
 def test_unread_flags_rejected(capsys, command, flag, value):
     # each subcommand registers only the flags its handler reads
@@ -284,6 +295,22 @@ def test_unread_flags_rejected(capsys, command, flag, value):
         main(_COMMANDS[command] + [flag, value])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_search_suitable_requires_dprime(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "suitable", "c.lhc"])
+    assert exc.value.code == 2 and "--dprime" in capsys.readouterr().err
+
+
+def test_analyze_text_grid_draws_squares_only(tmp_path, capsys):
+    cube = tmp_path / "b.lhc"
+    run_cli(["construct", "confirmed-bachelor", "--n", "4", "--d", "4", "--out", str(cube)],
+            capsys)
+    code, out, err = run_cli(["analyze", "delta", str(cube), "--format", "text-grid"], capsys)
+    assert code == 2 and out == "" and "text-grid" in err
+    code, out, _ = run_cli(["analyze", "delta", str(cube)], capsys)
+    assert code == 0 and json.loads(out)["support"]
 
 
 def test_verify_rejects_malformed_only(capsys):
@@ -335,7 +362,8 @@ def test_search_transversals_budgets(tmp_path, capsys):
     payload = report_of(out)
     assert payload["count"] == 5 and payload["exhausted"] and not payload["exact"]
 
-    # the node cap is global to the search, so a capped run is reproducible
+    # the node cap is global to the search, so a capped run is reproducible;
+    # on the stored layers a cut count is the witnesses listed before the cut
     argv = ["search", "transversals", str(cube), "--max-nodes", "500"]
     code, out1, _ = run_cli(argv, capsys)
     assert code == 3
@@ -344,7 +372,16 @@ def test_search_transversals_budgets(tmp_path, capsys):
     first, second = report_of(out1), report_of(out2)
     assert strip_elapsed(first) == strip_elapsed(second)
     assert first["exhausted"] and not first["exact"]
-    assert 0 < first["count"] < 1280
+    assert first["count"] == len(first.get("witnesses", []))
+
+    # above the layers' bound the DFS counts what it reaches before the cut;
+    # Z13 has 1,030,367 transversals
+    z13 = tmp_path / "z13.lhc"
+    run_cli(["construct", "cyclic", "--group", "Z13", "--d", "2", "--out", str(z13)], capsys)
+    code, out, _ = run_cli(["search", "transversals", str(z13), "--max-nodes", "10000"], capsys)
+    payload = report_of(out)
+    assert code == 3 and payload["exhausted"] and not payload["exact"]
+    assert 0 < payload["count"] < 1_030_367
 
 
 @pytest.mark.parametrize(
@@ -482,6 +519,18 @@ def test_search_count_under_max_results(tmp_path, capsys, op):
         assert code == 3 and payload["count"] == cap
         assert payload["exhausted"] and not payload["exact"]
         assert len(payload["witnesses"]) == min(cap, 8)
+
+
+def test_search_suitable_without_results_needs_no_search(tmp_path, capsys):
+    # L8 has no diagonal with the suitable sum for d'=2: the layers decide it
+    # in 506 states with the default 8 witnesses asked for
+    cube = tmp_path / "l8.lhc"
+    run_cli(["construct", "l8", "--out", str(cube)], capsys)
+    argv = ["search", "suitable", str(cube), "--dprime", "2", "--max-nodes", "1000"]
+    code, out, _ = run_cli(argv, capsys)
+    payload = report_of(out)
+    assert code == 0 and payload["count"] == 0 and payload["exact"]
+    assert not payload["exhausted"] and "witnesses" not in payload
 
 
 def test_search_rejects_negative_max_witnesses(tmp_path, capsys):

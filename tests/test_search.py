@@ -228,12 +228,11 @@ def _assert_census(census, listed, keep):
 
 
 def _assert_counts_agree(H, targets, keep=3):
-    # the DP, the DFS listing, the census on either engine (with witnesses
-    # that hand the count from the DFS to the DP whenever there are more than
-    # `keep` results) and the brute-force oracle all count the same results
+    # the stored layers' count, the DFS listing, the census on either engine
+    # and the brute-force oracle all count the same results
     listed = list(enumerate_transversals(H))
-    dp = search._count_transversals_dp(H, search._Gauge(SearchBudget()))
-    assert dp == len(listed) == len(brute_transversals(H.symbols))
+    layers = search._back_layers(H, search._Gauge(SearchBudget()))
+    assert layers.count == len(listed) == len(brute_transversals(H.symbols))
     _assert_census(count_transversals(H, keep=keep), listed, keep)
     with pytest.MonkeyPatch.context() as mp:
         _dfs_only(mp)
@@ -241,8 +240,8 @@ def _assert_counts_agree(H, targets, keep=3):
     for t in targets:
         listed = list(enumerate_diagonals(H, H.group, (t,)))
         target = search._TargetSum.of(H, H.group, (t,))
-        dp = search._count_target_dp(H, target, search._Gauge(SearchBudget()))
-        assert dp == len(listed) == len(brute_target_diagonals(H.symbols, t)), t
+        layers = search._back_layers(H, search._Gauge(SearchBudget()), target)
+        assert layers.count == len(listed) == len(brute_target_diagonals(H.symbols, t)), t
         _assert_census(count_diagonals(H, None, (t,), keep=keep), listed, keep)
         with pytest.MonkeyPatch.context() as mp:
             _dfs_only(mp)
@@ -274,7 +273,7 @@ def test_counts_match_dfs_and_brute_force(name):
         # diagonals have sum 0 and none has another sum; the DFS and the
         # oracle then check one target of each kind
         gauge = search._Gauge(SearchBudget())
-        counts = [search._count_target_dp(H, search._TargetSum.of(H, H.group, (t,)), gauge)
+        counts = [search._back_layers(H, gauge, search._TargetSum.of(H, H.group, (t,))).count
                   for t in targets]
         assert counts == [math.factorial(H.n) ** (H.d - 1)] + [0] * (H.n - 1)
         targets = (0, 1)
@@ -305,6 +304,15 @@ def test_count_diagonals_runs_the_dp_where_its_worst_case_is_small():
     # needs 109,600 nodes
     census = count_diagonals(l8_square(), None, (4,), SearchBudget(max_nodes=1_000))
     assert census == search.Census(0, (), True, 506)
+
+
+def test_census_with_witnesses_needs_no_search_on_a_cube_without_results():
+    # cyclic Z6 d=4 has no transversal: the layers decide it in 43,972 states,
+    # where a DFS listing the witnesses first spent 3,000,000 nodes undecided
+    H = cyclic(cyclic_group(6), 4)
+    census = count_transversals(H, SearchBudget(max_nodes=50_000), keep=8)
+    assert (census.count, census.witnesses, census.exact) == (0, (), True)
+    assert census.nodes == 43_972
 
 
 def test_counts_run_the_dfs_above_the_dp_bound():
@@ -375,18 +383,23 @@ def test_truncated_census_is_never_exact(monkeypatch, dfs_only):
         assert count(SearchBudget(max_nodes=full.nodes)) == full
 
 
-def _assert_listing_matches_dfs(H, brute=True):
-    # the layer listing yields the DFS's results, as the same tuples in the
-    # same order; streamed, so that no list of results is held
-    layers = search._layer_listing(H, search._Gauge(SearchBudget()))
-    dfs = search._dfs(H, search._Gauge(SearchBudget()), transversal=True)
+def _assert_listing_matches_dfs(H, brute=True, target_sum=None):
+    # the layer listing yields the DFS's results (filtered to the target sum if
+    # given), as the same tuples in the same order; streamed, so that no list
+    # of results is held
+    target = None if target_sum is None else search._TargetSum.of(H, H.group, (target_sum,))
+    gauge = search._Gauge(SearchBudget())
+    layers = search._layer_listing(search._back_layers(H, gauge, target), gauge)
+    dfs = search._dfs_results(H, search._Gauge(SearchBudget()), target is None, target)
     cells = []
     for a, b in itertools.zip_longest(layers, dfs):
         assert a == b
         if brute:
             cells.append(tuple(c for c, _ in a))
     if brute:
-        assert sorted(cells) == sorted(brute_transversals(H.symbols))
+        oracle = (brute_transversals(H.symbols) if target is None
+                  else brute_target_diagonals(H.symbols, target_sum))
+        assert sorted(cells) == sorted(oracle)
 
 
 def test_layer_listing_matches_dfs_on_every_small_square(square_catalogue):
@@ -413,6 +426,32 @@ def test_layer_listing_matches_dfs(name):
     # brute force runs over all (n!)**(d-1) diagonals: 1.7 million for
     # cyclic-5-d4 (321,375 transversals) and 3.6 million for cyclic-10
     _assert_listing_matches_dfs(H, brute=name not in ("cyclic-5-d4", "cyclic-10"))
+
+
+def test_target_listing_matches_dfs_on_every_small_square(square_catalogue):
+    for n, squares in square_catalogue.items():
+        for arr in squares:
+            for t in range(n):
+                _assert_listing_matches_dfs(Hypercube(arr), target_sum=t)
+
+
+@pytest.mark.parametrize("name", sorted(_COUNT_CASES))
+def test_target_listing_matches_dfs(name):
+    H = _COUNT_CASES[name]()
+    if name == "cyclic-5-d4":
+        # all 1.7 million diagonals have sum 0: the first thousand come in the
+        # DFS's order, and every other sum lists nothing
+        budget = SearchBudget()
+        target = search._TargetSum.of(H, H.group, (0,))
+        layers = search._layer_listing(search._back_layers(H, search._Gauge(budget), target),
+                                       search._Gauge(budget))
+        dfs = search._dfs(H, search._Gauge(budget), transversal=False)
+        assert list(itertools.islice(layers, 1000)) == list(itertools.islice(dfs, 1000))
+        for t in range(1, H.n):
+            assert list(enumerate_diagonals(H, H.group, (t,))) == []
+        return
+    for t in range(H.n):
+        _assert_listing_matches_dfs(H, target_sum=t)
 
 
 def test_listing_engine_is_chosen_by_the_budget(monkeypatch):
