@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -80,48 +81,61 @@ def fibre(entries: Iterable[Entry], mapping: ExtensionMap, extension: Hypercube)
     return out
 
 
+@lru_cache(maxsize=64)
+def _index_arithmetic(
+    group: AbelianGroup,
+) -> tuple[tuple[Element, ...], dict[Element, int], tuple[tuple[int, ...], ...]]:
+    """The group's elements in enumeration order, each element's index, and the
+    addition table on indices (index 0 is the identity), built once per group."""
+    elems = tuple(group.elements())
+    index = {e: i for i, e in enumerate(elems)}
+    return elems, index, tuple(map(tuple, index_add_table(group).tolist()))
+
+
 def hall_pair(
     group: AbelianGroup, sigmas: Sequence[Element]
 ) -> tuple[list[Element], list[Element]]:
     """Two enumerations (a_i), (b_i) of the whole group with a_i - b_i = sigma_i.
 
-    Requires exactly n = |G| sigmas summing to the identity; such a pairing
-    always exists, so exhaustive backtracking terminates with a solution."""
+    Requires exactly n = |G| sigmas summing to the identity.  Built by Hall's
+    exchange chain (M. Hall, A combinatorial problem on abelian groups,
+    Proc. AMS 3, 1952), on element indices: a = b = the enumeration pairs the
+    all-zero sequence; then for u = 0..n-2 position u takes sigma_u, the last
+    position takes up the difference, and a chain of exchanges repairs
+    position u.  At position i the chain moves the a-value b_i + sigma_i to i
+    from the position j holding it; if j is not the last position, it swaps
+    b_j with the last b and repairs j next.  Hall's argument closes every
+    chain within n exchanges."""
     n = group.order
-    sigmas = [group.reduce(s) for s in sigmas]
-    if len(sigmas) != n:
-        raise ValueError(f"need exactly {n} values, got {len(sigmas)}")
-    if group.sum(sigmas) != group.identity():
+    elems, index, add = _index_arithmetic(group)
+    want = [index[group.reduce(s)] for s in sigmas]
+    if len(want) != n:
+        raise ValueError(f"need exactly {n} values, got {len(want)}")
+    total = 0
+    for x in want:
+        total = add[total][x]
+    if total:
         raise ValueError("values must sum to the identity")
-    elems = [group.element(i) for i in range(n)]
-    used_b = [False] * n
-    used_a = [False] * n
-    b_pick: list[int] = []
-
-    def backtrack(i: int) -> bool:
-        if i == n:
-            return True
-        for bi in range(n):
-            if used_b[bi]:
-                continue
-            ai = group.index(group.add(elems[bi], sigmas[i]))
-            if used_a[ai]:
-                continue
-            used_b[bi] = True
-            used_a[ai] = True
-            b_pick.append(bi)
-            if backtrack(i + 1):
-                return True
-            b_pick.pop()
-            used_b[bi] = False
-            used_a[ai] = False
-        return False
-
-    if not backtrack(0):
-        raise RuntimeError("zero-sum pairing search failed; this should be impossible")
-    b = [elems[bi] for bi in b_pick]
-    a = [group.add(x, s) for x, s in zip(b, sigmas)]
-    return a, b
+    a, b = list(range(n)), list(range(n))
+    where = list(range(n))  # where[x] is the position whose a is x
+    sigma = [0] * n  # a_i - b_i = sigma[i] at every position but the last
+    last = n - 1
+    for u in range(last):
+        sigma[u] = want[u]
+        i = u
+        for _ in range(n):
+            j = where[add[b[i]][sigma[i]]]
+            if j == i:
+                break
+            a[i], a[j] = a[j], a[i]
+            where[a[i]], where[a[j]] = i, j
+            if j == last:
+                break
+            b[j], b[last] = b[last], b[j]
+            i = j
+        else:
+            raise RuntimeError("exchange chain did not close; this should be impossible")
+    return [elems[x] for x in a], [elems[x] for x in b]
 
 
 def lift_diagonal(

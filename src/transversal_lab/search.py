@@ -1,11 +1,18 @@
 """Exact search over diagonals and transversals.
 
-Two engines share one node gauge.  The depth-first search (``_dfs``) serves
-through-cell searches, completions, listing of all diagonals, and counting
-and listing wherever the stored layers do not run.  It fills rows (axis-0
-values in increasing order); within a row, candidate coordinates are tried in
+Three engines share one node gauge.  The depth-first search (``_dfs``) lists
+all diagonals, and counts and lists transversals and target-sum diagonals
+wherever the stored layers do not run.  It fills rows (axis-0 values in
+increasing order); within a row, candidate coordinates are tried in
 increasing lexicographic order on the remaining axes.  This fixes a
 deterministic output order.  Occupancy is tracked per axis and per symbol.
+
+The existence search (``_complete``) answers whether a diagonal or
+transversal passes through given cells while avoiding others: through-cell
+searches, per-cell coverage scans, completions and the completions of
+hitting-set checks.  It keeps each unfilled row's fitting cells as a bit set
+and always fills the row with the fewest, so a row with no cell left fails at
+once.
 
 The frontier layers run row by row over dicts of packed-int states.  One
 builder (``_back_layers``) stores every backward layer, each state with its
@@ -14,9 +21,10 @@ delta sum.  Counts are the ways at the root; ``_layer_listing`` reads the
 results off in the DFS's order, taking only branches that complete; and
 ``bachelor_cells`` decides every cell at once by a forward sweep over the
 live states.  Each use runs the layers only on cubes whose order and
-dimension (and group order) keep their worst case small, and the DFS on
-larger cubes; listing also keeps the DFS under a node budget below that
-worst case, and counting and listing keep it under a result budget.
+dimension (and group order) keep their worst case small, and the DFS (for
+``bachelor_cells``, one existence search per cell) on larger cubes; listing
+also keeps the DFS under a node budget below that worst case, and counting
+and listing keep it under a result budget.
 
 Absence results (bachelor cells, hitting-set certificates, packing optimality)
 are only reported when the relevant search tree ran to exhaustion within
@@ -104,69 +112,28 @@ def _require_latin(H: Hypercube) -> None:
 RawEntry = tuple[Coords, int]
 
 
-def _dfs(
-    H: Hypercube,
-    gauge: _Gauge,
-    *,
-    transversal: bool,
-    pre: Sequence[RawEntry] = (),
-    forbidden: frozenset[Coords] = frozenset(),
-) -> Iterator[tuple[RawEntry, ...]]:
-    """Yield completions of ``pre`` to full diagonals, in deterministic order.
-
-    ``pre`` entries occupy their hyperplanes up front and appear in every
-    yielded result.  ``forbidden`` cells are never used.
-    """
+def _dfs(H: Hypercube, gauge: _Gauge, *, transversal: bool) -> Iterator[tuple[RawEntry, ...]]:
+    """Yield every full diagonal (every transversal if ``transversal``), in
+    deterministic order."""
     n, d = H.n, H.d
     nested = H.symbols.tolist()
     used = [[False] * n for _ in range(d - 1)]
     used_sym = [False] * n
-    pre = [((tuple(c)), s) for c, s in pre]
-    pre_rows = set()
-    for coords, sym in pre:
-        if used_sym[sym] and transversal:
-            raise ValueError("pre-placed entries repeat a symbol")
-        pre_rows.add(coords[0])
-        for axis in range(1, d):
-            if used[axis - 1][coords[axis]]:
-                raise ValueError("pre-placed entries share a hyperplane")
-            used[axis - 1][coords[axis]] = True
-        used_sym[sym] = True
-    rows = [r for r in range(n) if r not in pre_rows]
-    if len(pre_rows) != len(pre):
-        raise ValueError("pre-placed entries share a hyperplane")
-    if forbidden:
-        # a row left with no allowed cell would only be found empty after
-        # searching every filling of the rows before it; this check tests at
-        # most n**d cells and the gauge does not count them
-        free = [[v for v in range(n) if not u[v]] for u in used]
-        for r in rows:
-            if not any(
-                (r,) + rest not in forbidden
-                and not (transversal and used_sym[H[(r,) + rest]])
-                for rest in itertools.product(*free)
-            ):
-                return
+    acc: list[RawEntry] = []
 
-    acc: list[RawEntry] = list(pre)
-
-    def rows_from(ri: int) -> Iterator[tuple[RawEntry, ...]]:
-        if ri == len(rows):
+    def rows_from(r: int) -> Iterator[tuple[RawEntry, ...]]:
+        if r == n:
             yield tuple(acc)
             return
-        r = rows[ri]
-        sub = nested[r]
 
         def pick(axis: int, node, prefix: Coords) -> Iterator[tuple[RawEntry, ...]]:
             if axis == d:
                 sym = node
                 if transversal and used_sym[sym]:
                     return
-                if prefix in forbidden:
-                    return
                 used_sym[sym] = True
                 acc.append((prefix, sym))
-                yield from rows_from(ri + 1)
+                yield from rows_from(r + 1)
                 acc.pop()
                 used_sym[sym] = False
                 return
@@ -179,7 +146,7 @@ def _dfs(
                 yield from pick(axis + 1, node[v], prefix + (v,))
                 u[v] = False
 
-        yield from pick(1, sub, (r,))
+        yield from pick(1, nested[r], (r,))
 
     yield from rows_from(0)
 
@@ -377,29 +344,145 @@ def _census(
     return Census(count, tuple(witnesses), True, gauge.nodes)
 
 
+# -- existence search ---------------------------------------------------------
+
+
+class _Cells(NamedTuple):
+    """A cube's cells, row by row, for the existence search.
+
+    Cell i of row r is the row's i-th in row-major order, ``entries[r][i]``.
+    Its positions ``positions[r][i]`` are bit numbers: value v on axis k
+    (1..d-1) is (k-1)*n + v and, for transversals (``symbols``), symbol s is
+    (d-1)*n + s, so cells of distinct rows fit together iff they share no
+    position.  A set of a row's cells is an int with bit i for cell i:
+    ``allowed[r]`` holds the cells not forbidden, and ``avoiding[r][b]`` the
+    allowed cells without position b."""
+
+    entries: list[list[RawEntry]]
+    positions: list[list[tuple[int, ...]]]
+    allowed: list[int]
+    avoiding: list[list[int]]
+    n: int
+    symbols: bool
+
+    @classmethod
+    def of(
+        cls, H: Hypercube, transversal: bool, forbidden: frozenset[Coords] = frozenset()
+    ) -> _Cells:
+        """The cells of H, those in ``forbidden`` not allowed."""
+        n, d = H.n, H.d
+        rests = list(itertools.product(range(n), repeat=d - 1))
+        axes = [tuple(k * n + v for k, v in enumerate(rest)) for rest in rests]
+        top = (d - 1) * n
+        entries, positions, allowed, avoiding = [], [], [], []
+        for r, syms in enumerate(H.symbols.reshape(n, -1).tolist()):
+            row = [((r,) + rest, s) for rest, s in zip(rests, syms)]
+            pos = [a + (top + s,) for a, s in zip(axes, syms)] if transversal else axes
+            ok = (1 << len(row)) - 1
+            if forbidden:
+                ok -= sum(1 << i for i, (c, _) in enumerate(row) if c in forbidden)
+            holding = [0] * (top + n)
+            for i, ps in enumerate(pos):
+                for b in ps:
+                    holding[b] |= 1 << i
+            entries.append(row)
+            positions.append(pos)
+            allowed.append(ok)
+            avoiding.append([ok & ~h for h in holding])
+        return cls(entries, positions, allowed, avoiding, n, transversal)
+
+
+def _complete(
+    cells: _Cells, pre: Sequence[RawEntry], gauge: _Gauge
+) -> tuple[RawEntry, ...] | None:
+    """A full diagonal (transversal, on cells with symbol positions) through
+    the ``pre`` entries, on allowed cells elsewhere, or None if provably absent.
+
+    Each pre entry fixes its row.  The search places one cell per row: it
+    always fills the unfilled row with the fewest allowed cells that fit the
+    cells placed (the smallest row on ties), trying them in row-major order,
+    so a row left with no such cell fails at once.  Each row's fitting cells
+    are kept as a bit set and cut by the positions of every cell placed.  The
+    gauge ticks once per cell placed; BudgetExhausted propagates."""
+    n = cells.n
+    taken: set[int] = set()
+    fixed: dict[int, RawEntry] = {}
+    for coords, sym in pre:
+        ps = [k * n + v for k, v in enumerate(coords[1:])]
+        if coords[0] in fixed or taken.intersection(ps):
+            raise ValueError("pre-placed entries share a hyperplane")
+        if cells.symbols:
+            ps.append(len(ps) * n + sym)  # the symbol's position
+            if ps[-1] in taken:
+                raise ValueError("pre-placed entries repeat a symbol")
+        taken.update(ps)
+        fixed[coords[0]] = (coords, sym)
+    todo = []
+    for r in range(n):
+        if r not in fixed:
+            fits, avoid = cells.allowed[r], cells.avoiding[r]
+            for b in taken:
+                fits &= avoid[b]
+            if not fits:
+                return None
+            todo.append((r, fits))
+    placed: dict[int, RawEntry] = {}
+
+    def fill(todo: list[tuple[int, int]]) -> bool:
+        if not todo:
+            return True
+        r, fits = min(todo, key=lambda t: t[1].bit_count())
+        rest = [t for t in todo if t[0] != r]
+        positions = cells.positions[r]
+        while fits:
+            low = fits & -fits
+            fits ^= low
+            i = low.bit_length() - 1
+            gauge.tick()
+            nxt = []
+            for r2, fits2 in rest:
+                avoid = cells.avoiding[r2]
+                for b in positions[i]:
+                    fits2 &= avoid[b]
+                if not fits2:
+                    break
+                nxt.append((r2, fits2))
+            else:
+                if fill(nxt):
+                    placed[r] = cells.entries[r][i]
+                    return True
+        return False
+
+    if not fill(todo):
+        return None
+    placed.update(fixed)
+    return tuple(placed[r] for r in range(n))
+
+
 def transversal_through(
     H: Hypercube,
     cell: Coords,
     budget: SearchBudget | None = None,
 ) -> Diagonal | None:
-    """A transversal containing the cell, or None if provably absent.
+    """A transversal containing the cell, or None if provably absent, by the
+    most-constrained-row search of ``_complete``.
 
     Raises BudgetExhausted when the budget runs out before either outcome."""
     _require_latin(H)
     budget = budget or SearchBudget()
     cell = tuple(int(c) for c in cell)
-    for raw in _dfs(H, _Gauge(budget), transversal=True, pre=[(cell, H[cell])]):
-        return _raw_to_diagonal(raw, H.n)
-    return None
+    raw = _complete(_Cells.of(H, True), [(cell, H[cell])], _Gauge(budget))
+    return None if raw is None else _raw_to_diagonal(raw, H.n)
 
 
 @dataclass
 class BachelorScan:
     """Cells proven to lie on no transversal.
 
-    ``nodes`` counts the frontier states or the DFS nodes that the scan
-    expanded, whichever engine ran.  A truncated scan (``exhaustive`` False)
-    lists no cells and has ``checked_cells`` 0: it decides nothing."""
+    ``nodes`` counts the frontier states that the scan expanded or the cells
+    that its per-cell searches placed, whichever engine ran.  A truncated scan
+    (``exhaustive`` False) lists no cells and has ``checked_cells`` 0: it
+    decides nothing."""
 
     bachelor_cells: tuple[Coords, ...]
     exhaustive: bool
@@ -408,7 +491,7 @@ class BachelorScan:
 
 
 # Above this much worst-case work (states times cells tried per state) the
-# transversal layers are left to the DFS: to per-cell searches, which a
+# transversal layers are left to per-cell existence searches, which a
 # transversal-rich cube ends in a few early exits, and to listing and counting
 # by the DFS.
 # Transversal DP times track the bound at 1e-8 to 3e-8 s a unit (CPython 3.11,
@@ -606,11 +689,12 @@ def bachelor_cells(H: Hypercube, budget: SearchBudget | None = None) -> Bachelor
     The engine is chosen from the cube's order and dimension alone, before
     either runs.  Up to ``_DP_WORK_BOUND`` of worst-case work
     (``_frontier_work``) the stored layers decide every cell at once; above it
-    each cell not yet covered gets one early-exit DFS, which on a
-    transversal-rich cube covers every cell in a few searches.
+    each cell not yet covered gets one existence search (``_complete``),
+    which on a transversal-rich cube covers every cell in a few searches.
 
-    ``nodes`` counts the frontier states or DFS nodes expanded.  When the
-    budget runs out the scan is flagged non-exhaustive and lists no cells."""
+    ``nodes`` counts the frontier states expanded or the cells placed.  When
+    the budget runs out the scan is flagged non-exhaustive and lists no
+    cells."""
     _require_latin(H)
     budget = budget or SearchBudget()
     gauge = _Gauge(budget)
@@ -657,18 +741,19 @@ def _frontier_scan(H: Hypercube, gauge: _Gauge) -> tuple[Coords, ...]:
 
 
 def _per_cell_scan(H: Hypercube, gauge: _Gauge) -> tuple[Coords, ...]:
-    """The bachelor cells, by one DFS per cell that no transversal found so far
-    covers; the DFS stops at its first transversal."""
+    """The bachelor cells, by one ``_complete`` search per cell that no
+    transversal found so far covers, on cells built once for the scan."""
+    cells = _Cells.of(H, True)
     covered: set[Coords] = set()
     bachelors: list[Coords] = []
     for cell in H.cells():
         if cell in covered:
             continue
-        for raw in _dfs(H, gauge, transversal=True, pre=[(cell, H[cell])]):
-            covered.update(c for c, _ in raw)
-            break
-        else:
+        raw = _complete(cells, [(cell, H[cell])], gauge)
+        if raw is None:
             bachelors.append(cell)
+        else:
+            covered.update(c for c, _ in raw)
     return tuple(bachelors)
 
 
@@ -819,17 +904,18 @@ def complete_avoiding(
     forbidden: Iterable[Coords],
     budget: SearchBudget | None = None,
 ) -> Diagonal | None:
-    """Extend a partial diagonal to a complete one avoiding the forbidden cells.
+    """Extend a partial diagonal to a complete one avoiding the forbidden cells,
+    by the most-constrained-row search of ``_complete``; the partial cells
+    themselves may be forbidden.
 
-    Returns None when no completion exists (exhaustive); raises
-    BudgetExhausted when undecided."""
+    Returns None when no completion exists (exhaustive); raises ValueError
+    when partial cells share a hyperplane, and BudgetExhausted when
+    undecided."""
     budget = budget or SearchBudget()
-    gauge = _Gauge(budget)
     pre = [(tuple(c), H[c]) for c in partial_cells]
-    forb = frozenset(tuple(c) for c in forbidden) - {tuple(c) for c in partial_cells}
-    for raw in _dfs(H, gauge, transversal=False, pre=pre, forbidden=forb):
-        return _raw_to_diagonal(raw, H.n)
-    return None
+    cells = _Cells.of(H, False, frozenset(tuple(c) for c in forbidden))
+    raw = _complete(cells, pre, _Gauge(budget))
+    return None if raw is None else _raw_to_diagonal(raw, H.n)
 
 
 def hitting_set_check(
@@ -845,9 +931,9 @@ def hitting_set_check(
     avoids the cells U has the delta sum of D & X, and the rest of D avoids
     X | U.  The check branches over the partial diagonals P inside X - U; for
     each P with the target sum it searches for a completion of P avoiding
-    X | U, and answers True iff no branch completes.  When U covers X the only
-    branch is the empty one, whose sum is zero, so a nonzero target is decided
-    without search.
+    X | U (``_complete``, on cells built at most once for the check), and
+    answers True iff no branch completes.  When U covers X the only branch is the empty
+    one, whose sum is zero, so a nonzero target is decided without search.
 
     One gauge covers the whole check: it ticks on every branch and is shared
     by every completion.  BudgetExhausted propagates, so an exhausted budget
@@ -860,15 +946,17 @@ def hitting_set_check(
     prof = profile(H, group)
     X = frozenset(prof.support)
     free = sorted(X - U)
-    forbidden = X | U
+    allowed: _Cells | None = None  # built for the first completion searched
     gauge = _Gauge(budget)
     used: list[set[int]] = [set() for _ in range(H.d)]
     branch: list[RawEntry] = []
 
     def completes(start: int, total: Element) -> bool:
+        nonlocal allowed
         gauge.tick()
         if total == target:
-            for _ in _dfs(H, gauge, transversal=False, pre=branch, forbidden=forbidden):
+            allowed = allowed or _Cells.of(H, False, X | U)
+            if _complete(allowed, branch, gauge) is not None:
                 return True
         for i in range(start, len(free)):
             cell = free[i]

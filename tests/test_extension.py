@@ -136,6 +136,20 @@ def test_hall_pair_rejects_bad_input():
         hall_pair(g, [(0,)] * 3)
 
 
+def test_hall_pair_every_zero_sum_sequence_of_small_groups():
+    # all 8,540 zero-sum sequences over the abelian groups of order 2 to 6
+    checked = 0
+    for g in map(parse_group, ("Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6")):
+        elems = sorted(g.elements())
+        for head in itertools.product(elems, repeat=g.order - 1):
+            sigmas = [*head, g.neg(g.sum(head))]
+            a, b = hall_pair(g, sigmas)
+            assert sorted(a) == sorted(b) == elems
+            assert all(g.sub(x, y) == s for x, y, s in zip(a, b, sigmas))
+            checked += 1
+    assert checked == 8540
+
+
 HALL_GROUPS = [
     cyclic_group(5),
     cyclic_group(8),

@@ -23,6 +23,15 @@ def test_dilation_sweep_sample(capsys, monkeypatch):
     assert lines[-1].startswith("2-dilation: transversal found through each of 4 cells")
 
 
+def test_dilation_sweep_every_cell(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["dilation_sweep.py"])
+    runpy.run_path(str(SCRIPTS / "dilation_sweep.py"))["main"]()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "base square: 0 diagonals reach the transversal deviation sum"
+    assert not any(line.startswith("NO transversal") for line in lines)
+    assert lines[-1].startswith("2-dilation: transversal found through each of 256 cells")
+
+
 def test_restricted_planes_builds_both_families(capsys, monkeypatch):
     monkeypatch.setattr("sys.argv", ["restricted_planes.py"])
     runpy.run_path(str(SCRIPTS / "restricted_planes.py"))["main"]()

@@ -19,6 +19,7 @@ from transversal_lab.constructions import (
     z6_isotope_square,
 )
 from transversal_lab.delta import profile, suitable_target
+from transversal_lab.dilation import dilate
 from transversal_lab.extension import g_extension
 from transversal_lab.groups import cyclic_group
 from transversal_lab.hypercube import (
@@ -111,6 +112,17 @@ def test_transversal_through_present():
     assert Diagonal.from_entries(H, T.entries, transversal=True).complete
 
 
+def test_transversal_through_every_cell_of_the_dilated_l8_within_budget():
+    # filling the most constrained row first takes at most 6,584 nodes for a
+    # cell of this order-16 square; filling rows in order took 1,058,715 at
+    # (6, 12)
+    D = dilate(l8_square(), 2)
+    for cell in D.cells():
+        T = transversal_through(D, cell, SearchBudget(max_nodes=20_000))
+        assert T is not None and cell in T.cells()
+        assert Diagonal.from_entries(D, T.entries, transversal=True).complete
+
+
 def test_transversal_through_budget_exhaustion_is_distinct():
     H = confirmed_bachelor(4, 4)
     with pytest.raises(BudgetExhausted):
@@ -196,7 +208,7 @@ def test_bachelor_cells_runs_the_dp_where_its_worst_case_is_small():
 
 def test_bachelor_cells_searches_per_cell_on_large_cubes():
     # Z15 is transversal-rich: early-exit searches through the cells no found
-    # transversal covers take 58,151 nodes (82,456 without skipping covered
+    # transversal covers take 1,226 nodes (4,008 without skipping covered
     # cells), where the frontier DP would expand about 1.4e7 states
     H = cyclic(cyclic_group(15), 2)
     scan = bachelor_cells(H, SearchBudget(max_nodes=60_000))
@@ -717,6 +729,40 @@ def test_hitting_set_check_budget_covers_the_whole_check(monkeypatch):
         with pytest.raises(BudgetExhausted):
             hitting_set_check(H, H.group, (5,), anti, SearchBudget(max_nodes=max_nodes))
     assert hitting_set_check(H, H.group, (5,), anti, SearchBudget(max_nodes=total))
+
+
+def _assert_completions_match_brute_force(H, rng, trials):
+    # random partial diagonals and forbidden sets: a completion exists iff
+    # some diagonal holds the partial cells and avoids the forbidden ones
+    diagonals = [frozenset(cells) for cells in brute_diagonals(H.symbols)]
+    every = list(H.cells())
+    for _ in range(trials):
+        size, partial = rng.randrange(H.n), []
+        for cell in rng.sample(every, len(every)):
+            if len(partial) < size and all(a != b for c in partial for a, b in zip(cell, c)):
+                partial.append(cell)
+        rate = rng.choice((0.1, 0.3, 0.6))
+        forbidden = {c for c in every if c not in partial and rng.random() < rate}
+        exists = any(set(partial) <= D and not D & forbidden for D in diagonals)
+        found = complete_avoiding(H, partial, forbidden)
+        assert (found is not None) == exists
+        if found is not None:
+            cells = set(found.cells())
+            assert set(partial) <= cells and not cells & forbidden
+            assert Diagonal.from_entries(H, found.entries).complete
+
+
+def test_complete_avoiding_matches_brute_force_on_every_small_square(square_catalogue):
+    rng = random.Random(2024)
+    for squares in square_catalogue.values():
+        for arr in squares:
+            _assert_completions_match_brute_force(Hypercube(arr), rng, 12)
+
+
+@pytest.mark.parametrize("name", ["z6-isotope", "ord6m-1"])
+def test_complete_avoiding_matches_brute_force(name):
+    H = {"z6-isotope": z6_isotope_square, "ord6m-1": lambda: ord6m_square(1)}[name]()
+    _assert_completions_match_brute_force(H, random.Random(name), 200)
 
 
 def test_complete_avoiding():
