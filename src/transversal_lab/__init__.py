@@ -7,12 +7,9 @@ from .hypercube import (
     Entry,
     FormatError,
     Hypercube,
-    LatinValidationError,
-    PlaneSpec,
     apply_isotopy,
     cyclic,
     is_latin,
-    line,
     load,
     parse,
     save,
@@ -35,17 +32,14 @@ from .search import (
     transversal_through,
 )
 from .extension import (
-    ExtensionMap,
     Quasigroup,
     constant_to_transversal_fibre,
-    fibre,
     g_extension,
     hall_pair,
     iterated_decomposition,
     iterated_hypercube,
     lift_diagonal,
     lift_family,
-    project,
     quasi_extend,
     symbol_classes,
     transversal_through_fibre,

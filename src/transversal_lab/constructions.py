@@ -19,7 +19,6 @@ from .hypercube import (
     Diagonal,
     Entry,
     Hypercube,
-    LatinValidationError,
     cyclic,
     is_latin,
     serialize,

@@ -11,7 +11,6 @@ deviation support.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -83,72 +82,19 @@ def extend_partial_in_support(
     budget: SearchBudget | None = None,
 ) -> Diagonal | None:
     """Complete a partial diagonal inside the support to a diagonal meeting the
-    support exactly there.
+    support exactly there, or None if provably absent.
 
-    When the projection condition holds, a direct table-filling recipe always
-    succeeds: give every remaining row one coordinate outside the corresponding
-    support projection, then fill the columns with their unused values.
-    Otherwise falls back to exhaustive search and may prove absence (None)."""
-    prof = profile(H, group)
-    X = set(prof.support)
+    This is a completion of the partial cells avoiding the rest of the
+    support (``complete_avoiding``).  When the projection condition holds one
+    always exists: give every remaining row one coordinate outside the
+    corresponding support projection, then fill the columns with their unused
+    values."""
+    X = set(profile(H, group).support)
     cells = [tuple(int(x) for x in c) for c in partial_cells]
     for c in cells:
         if c not in X:
             raise ValueError(f"cell {c} is not in the nonzero-deviation support")
-    for a, b in itertools.combinations(cells, 2):
-        if any(x == y for x, y in zip(a, b)):
-            raise ValueError("partial cells share a hyperplane")
-
-    spread = dilrect_condition(H, group)
-    if not spread.holds:
-        return complete_avoiding(H, cells, X, budget)
-
-    n, d = H.n, H.d
-    table: list[list[int | None]] = [[None] * d for _ in range(n)]
-    col_used: list[set[int]] = [set() for _ in range(d)]
-    for i, c in enumerate(cells):
-        for j in range(d):
-            table[i][j] = c[j]
-            col_used[j].add(c[j])
-
-    free_rows = list(range(len(cells), n))
-    projections = prof.projections
-
-    def place(idx: int, taken: set[tuple[int, int]]) -> bool:
-        # choose a distinct (column, value-outside-projection) pin per free row
-        if idx == len(free_rows):
-            return True
-        i = free_rows[idx]
-        for j in range(d):
-            for x in range(n):
-                if x in projections[j] or x in col_used[j] or (j, x) in taken:
-                    continue
-                table[i][j] = x
-                col_used[j].add(x)
-                taken.add((j, x))
-                if place(idx + 1, taken):
-                    return True
-                taken.discard((j, x))
-                col_used[j].discard(x)
-                table[i][j] = None
-        return False
-
-    if not place(0, set()):
-        # the counting argument guarantees enough pins; fall back just in case
-        return complete_avoiding(H, cells, X, budget)
-
-    for j in range(d):
-        unused = [x for x in range(n) if x not in col_used[j]]
-        k = 0
-        for i in range(n):
-            if table[i][j] is None:
-                table[i][j] = unused[k]
-                k += 1
-    out_cells = [tuple(row) for row in table]  # type: ignore[arg-type]
-    D = Diagonal.from_cells(H, out_cells)
-    if set(out_cells) & X != set(cells):
-        raise RuntimeError("completion touched unexpected support cells")
-    return D
+    return complete_avoiding(H, cells, X, budget)
 
 
 @dataclass

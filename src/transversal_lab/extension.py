@@ -15,7 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,19 +30,6 @@ from .hypercube import (
     is_latin,
     pairwise_disjoint_family,
 )
-
-
-@dataclass(frozen=True)
-class ExtensionMap:
-    """Bookkeeping for one extension: base dimension, target dimension, group."""
-
-    base_d: int
-    target_d: int
-    group: AbelianGroup
-
-    def __post_init__(self) -> None:
-        if self.target_d <= self.base_d:
-            raise ValueError("target dimension must exceed base dimension")
 
 
 def g_extension(L: Hypercube, group: AbelianGroup | None = None, d_prime: int = 3) -> Hypercube:
@@ -60,24 +47,6 @@ def g_extension(L: Hypercube, group: AbelianGroup | None = None, d_prime: int = 
     out = Hypercube(acc, group)
     if L._latin:
         out._latin = True
-    return out
-
-
-def project(alpha: Entry, mapping: ExtensionMap, base: Hypercube) -> Entry:
-    """Shadow of an extension entry: first base_d coordinates with the base symbol."""
-    coords = alpha.coords[: mapping.base_d]
-    return base.entry(coords)
-
-
-def fibre(entries: Iterable[Entry], mapping: ExtensionMap, extension: Hypercube) -> list[Entry]:
-    """All extension entries projecting onto the given base entries."""
-    n = extension.n
-    extra = mapping.target_d - mapping.base_d
-    out = []
-    for e in entries:
-        for tail in itertools.product(range(n), repeat=extra):
-            coords = e.coords + tail
-            out.append(extension.entry(coords))
     return out
 
 

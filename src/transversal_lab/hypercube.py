@@ -23,28 +23,9 @@ class FormatError(ValueError):
     """Raised for malformed hypercube text input."""
 
 
-class LatinValidationError(ValueError):
-    """Raised when a construction that must be Latin fails validation."""
-
-
 class Entry(NamedTuple):
     coords: Coords
     symbol: int
-
-
-@dataclass
-class PlaneSpec:
-    """A k-plane given by its fixed axes; all other axes run over the full range."""
-
-    fixed: dict[int, int]
-
-    def free_axes(self, d: int) -> list[int]:
-        for axis, value in self.fixed.items():
-            if not 0 <= axis < d:
-                raise ValueError(f"fixed axis {axis} out of range for dimension {d}")
-        if len(self.fixed) != len(set(self.fixed)):
-            raise ValueError("fixed axes must be distinct")
-        return [a for a in range(d) if a not in self.fixed]
 
 
 class Hypercube:
@@ -152,19 +133,6 @@ def is_latin(H: Hypercube) -> bool:
     return H._latin
 
 
-def line(H: Hypercube, spec: PlaneSpec) -> list[Entry]:
-    """Entries of a 1-plane, in coordinate order along the free axis."""
-    free = spec.free_axes(H.d)
-    if len(free) != 1:
-        raise ValueError(f"line spec must leave exactly one free axis, got {len(free)}")
-    axis = free[0]
-    out = []
-    for v in range(H.n):
-        coords = tuple(spec.fixed[a] if a != axis else v for a in range(H.d))
-        out.append(H.entry(coords))
-    return out
-
-
 def subcube(H: Hypercube, index_sets: Sequence[Sequence[int]]) -> np.ndarray:
     """Restriction of the symbol array to the given per-axis index sets."""
     if len(index_sets) != H.d:
@@ -266,13 +234,6 @@ class Diagonal:
 
     def has_distinct_symbols(self) -> bool:
         return len(set(self.symbols())) == len(self.entries)
-
-    def is_transversal_of(self, H: Hypercube) -> bool:
-        try:
-            Diagonal.from_entries(H, self.entries, transversal=True)
-        except ValueError:
-            return False
-        return len(self.entries) == H.n
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -1,18 +1,17 @@
 """Exact search over diagonals and transversals.
 
-Three engines share one node gauge.  The depth-first search (``_dfs``) lists
-all diagonals, and counts and lists transversals and target-sum diagonals
-wherever the stored layers do not run.  It fills rows (axis-0 values in
-increasing order); within a row, candidate coordinates are tried in
-increasing lexicographic order on the remaining axes.  This fixes a
-deterministic output order.  Occupancy is tracked per axis and per symbol.
-
-The existence search (``_complete``) answers whether a diagonal or
-transversal passes through given cells while avoiding others: through-cell
-searches, per-cell coverage scans, completions and the completions of
-hitting-set checks.  It keeps each unfilled row's fitting cells as a bit set
-and always fills the row with the fewest, so a row with no cell left fails at
-once.
+Two engines share one node gauge.  The depth-first search works on
+``_Cells``: each row's cells as an int bit set, so that a cell placed cuts
+every unfilled row's fitting cells by a few ANDs and a row left with no cell
+ends the branch at once.  One DFS node is one cell placed.  It fills the rows
+in one of two orders.  ``_listing`` fills them in increasing order (axis-0
+values) and takes a row's cells in row-major order, which fixes a
+deterministic output order: it lists all diagonals, and lists and counts
+transversals and target-sum diagonals wherever the stored layers do not run.
+``_complete`` answers whether a diagonal or transversal passes through given
+cells while avoiding others: through-cell searches, per-cell coverage scans,
+completions and the completions of hitting-set checks.  It always fills the
+row with the fewest fitting cells.
 
 The frontier layers run row by row over dicts of packed-int states.  One
 builder (``_back_layers``) stores every backward layer, each state with its
@@ -36,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -70,8 +70,10 @@ class SearchBudget:
     """Resource caps for one search.
 
     ``max_nodes`` caps the node expansions of one whole search, in every code
-    path.  Node-capped runs are deterministic; ``time_cap`` is a wall-clock
-    safety valve and is not part of the determinism contract."""
+    path: cells placed by the depth-first search, states expanded and partial
+    results extended on the frontier layers.  Node-capped runs are
+    deterministic; ``time_cap`` is a wall-clock safety valve and is not part
+    of the determinism contract."""
 
     max_nodes: int = 2_000_000_000
     max_results: int | None = None
@@ -112,43 +114,20 @@ def _require_latin(H: Hypercube) -> None:
 RawEntry = tuple[Coords, int]
 
 
-def _dfs(H: Hypercube, gauge: _Gauge, *, transversal: bool) -> Iterator[tuple[RawEntry, ...]]:
-    """Yield every full diagonal (every transversal if ``transversal``), in
-    deterministic order."""
-    n, d = H.n, H.d
-    nested = H.symbols.tolist()
-    used = [[False] * n for _ in range(d - 1)]
-    used_sym = [False] * n
-    acc: list[RawEntry] = []
-
-    def rows_from(r: int) -> Iterator[tuple[RawEntry, ...]]:
-        if r == n:
-            yield tuple(acc)
-            return
-
-        def pick(axis: int, node, prefix: Coords) -> Iterator[tuple[RawEntry, ...]]:
-            if axis == d:
-                sym = node
-                if transversal and used_sym[sym]:
-                    return
-                used_sym[sym] = True
-                acc.append((prefix, sym))
-                yield from rows_from(r + 1)
-                acc.pop()
-                used_sym[sym] = False
-                return
-            u = used[axis - 1]
-            for v in range(n):
-                if u[v]:
-                    continue
-                gauge.tick()
-                u[v] = True
-                yield from pick(axis + 1, node[v], prefix + (v,))
-                u[v] = False
-
-        yield from pick(1, nested[r], (r,))
-
-    yield from rows_from(0)
+def _checked_cells(H: Hypercube, cells: Iterable[Coords]) -> list[Coords]:
+    """The cells as int tuples; ValueError unless each is d integer coordinates
+    in [0, n), since a cell outside the cube lies on no diagonal and would
+    read as an absence claim (numpy would even wrap negative coordinates)."""
+    out = []
+    for cell in cells:
+        try:
+            coords = tuple(operator.index(c) for c in cell)
+        except TypeError:
+            raise ValueError(f"cell {cell!r} is not a tuple of integers") from None
+        if len(coords) != H.d or not all(0 <= c < H.n for c in coords):
+            raise ValueError(f"cell {cell!r} is not a cell of the cube (d={H.d}, n={H.n})")
+        out.append(coords)
+    return out
 
 
 def _raw_to_diagonal(raw: tuple[RawEntry, ...], n: int) -> Diagonal:
@@ -192,9 +171,9 @@ class Census:
     """How many results a search has, and the first ``keep`` of them.
 
     ``witnesses`` are the first results of the matching ``enumerate_*`` call.
-    ``nodes`` counts layer states and listing steps, or DFS nodes, the units
-    ``max_nodes`` caps.  ``exact`` is False when a budget cut the search short;
-    ``count`` is then ``max_results`` if that many results exist, and otherwise
+    ``nodes`` counts layer states and listing steps, or DFS nodes (cells
+    placed), the units ``max_nodes`` caps.  ``exact`` is False when a budget
+    cut the search short; ``count`` is then ``max_results`` if that many results exist, and otherwise
     the number of results listed before the node or time budget ran out: on
     the stored layers the witnesses listed (0 if the cut came while building
     them), on the DFS every result it reached.
@@ -263,7 +242,7 @@ def _dfs_results(
     H: Hypercube, gauge: _Gauge, transversal: bool, target: _TargetSum | None
 ) -> Iterator[tuple[RawEntry, ...]]:
     """The DFS's transversals or diagonals, those with the target sum if given."""
-    found = _dfs(H, gauge, transversal=transversal)
+    found = _listing(_Cells.of(H, transversal), gauge)
     if target is None:
         return found
     dlist, add = target.deltas.tolist(), target.add
@@ -289,7 +268,7 @@ def _results(
     target: _TargetSum | None = None,
 ) -> Iterator[tuple[RawEntry, ...]]:
     """Every transversal, or every diagonal (with the target sum if given), in
-    ``_dfs`` order.
+    ``_listing`` order.
 
     The listing rule is fixed before either engine runs: transversals and
     target-sum diagonals are read off the stored layers when their worst case
@@ -344,11 +323,11 @@ def _census(
     return Census(count, tuple(witnesses), True, gauge.nodes)
 
 
-# -- existence search ---------------------------------------------------------
+# -- depth-first search --------------------------------------------------------
 
 
 class _Cells(NamedTuple):
-    """A cube's cells, row by row, for the existence search.
+    """A cube's cells, row by row, for the depth-first searches.
 
     Cell i of row r is the row's i-th in row-major order, ``entries[r][i]``.
     Its positions ``positions[r][i]`` are bit numbers: value v on axis k
@@ -390,6 +369,52 @@ class _Cells(NamedTuple):
             allowed.append(ok)
             avoiding.append([ok & ~h for h in holding])
         return cls(entries, positions, allowed, avoiding, n, transversal)
+
+
+def _listing(cells: _Cells, gauge: _Gauge) -> Iterator[tuple[RawEntry, ...]]:
+    """Every full diagonal (transversal, on cells with symbol positions) on
+    the allowed cells, in deterministic order.
+
+    Rows are filled in increasing order, each row's fitting cells taken lowest
+    bit first, which is row-major order; so the results come in lexicographic
+    order.  Each cell placed cuts the bit sets of the later rows, and a branch
+    ends as soon as one of them is empty.  The gauge ticks once per cell
+    placed, as in ``_complete``; BudgetExhausted propagates."""
+    n, entries, positions, avoiding = cells.n, cells.entries, cells.positions, cells.avoiding
+    if not all(cells.allowed):
+        return
+    # todo[r]: row r's fitting cells not yet tried; later[r]: the fitting cells
+    # of rows r+1..n-1, given the cells placed on rows 0..r-1 (those in acc)
+    todo, later = [cells.allowed[0]], [cells.allowed[1:]]
+    acc: list[RawEntry] = []
+    while todo:
+        r = len(todo) - 1
+        fits = todo[r]
+        if not fits:
+            todo.pop()
+            later.pop()
+            if acc:
+                acc.pop()
+            continue
+        low = fits & -fits
+        todo[r] = fits ^ low
+        i = low.bit_length() - 1
+        gauge.tick()
+        if r == n - 1:
+            yield (*acc, entries[r][i])
+            continue
+        nxt = []
+        for r2, fits2 in enumerate(later[r], r + 1):
+            avoid = avoiding[r2]
+            for b in positions[r][i]:
+                fits2 &= avoid[b]
+            if not fits2:
+                break
+            nxt.append(fits2)
+        else:
+            acc.append(entries[r][i])
+            todo.append(nxt[0])
+            later.append(nxt[1:])
 
 
 def _complete(
@@ -467,10 +492,11 @@ def transversal_through(
     """A transversal containing the cell, or None if provably absent, by the
     most-constrained-row search of ``_complete``.
 
-    Raises BudgetExhausted when the budget runs out before either outcome."""
+    Raises ValueError when the cell lies outside the cube, and BudgetExhausted
+    when the budget runs out before either outcome."""
     _require_latin(H)
     budget = budget or SearchBudget()
-    cell = tuple(int(c) for c in cell)
+    [cell] = _checked_cells(H, [cell])
     raw = _complete(_Cells.of(H, True), [(cell, H[cell])], _Gauge(budget))
     return None if raw is None else _raw_to_diagonal(raw, H.n)
 
@@ -649,7 +675,7 @@ def _back_layers(H: Hypercube, gauge: _Gauge, target: _TargetSum | None = None) 
 
 
 def _layer_listing(layers: _Layers, gauge: _Gauge) -> Iterator[tuple[RawEntry, ...]]:
-    """The results in ``_dfs`` order, read off the backward layers.
+    """The results in ``_listing`` order, read off the backward layers.
 
     At row r with forward state f the row's cells are tried in row-major
     order, and a cell is taken iff it fits f and the state g it leads to
@@ -909,11 +935,11 @@ def complete_avoiding(
     themselves may be forbidden.
 
     Returns None when no completion exists (exhaustive); raises ValueError
-    when partial cells share a hyperplane, and BudgetExhausted when
-    undecided."""
+    when a cell lies outside the cube or partial cells share a hyperplane, and
+    BudgetExhausted when undecided."""
     budget = budget or SearchBudget()
-    pre = [(tuple(c), H[c]) for c in partial_cells]
-    cells = _Cells.of(H, False, frozenset(tuple(c) for c in forbidden))
+    pre = [(c, H[c]) for c in _checked_cells(H, partial_cells)]
+    cells = _Cells.of(H, False, frozenset(_checked_cells(H, forbidden)))
     raw = _complete(cells, pre, _Gauge(budget))
     return None if raw is None else _raw_to_diagonal(raw, H.n)
 
@@ -937,12 +963,12 @@ def hitting_set_check(
 
     One gauge covers the whole check: it ticks on every branch and is shared
     by every completion.  BudgetExhausted propagates, so an exhausted budget
-    never yields True."""
+    never yields True.  A cell outside the cube raises ValueError."""
     _require_latin(H)
     budget = budget or SearchBudget()
     group = H.group if group is None else group
     target = group.reduce(target)
-    U = {tuple(int(x) for x in c) for c in cells}
+    U = set(_checked_cells(H, cells))
     prof = profile(H, group)
     X = frozenset(prof.support)
     free = sorted(X - U)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from transversal_lab.constructions import l8_square, ord6m_square, ord6m_starred_cells
@@ -12,8 +14,13 @@ from transversal_lab.dilation import (
     transfer_hitting_set,
 )
 from transversal_lab.groups import cyclic_group, parse_group
-from transversal_lab.hypercube import cyclic, is_latin
-from transversal_lab.search import complete_avoiding, enumerate_diagonals, hitting_set_check
+from transversal_lab.hypercube import Diagonal, cyclic, is_latin
+from transversal_lab.search import (
+    SearchBudget,
+    complete_avoiding,
+    enumerate_diagonals,
+    hitting_set_check,
+)
 
 
 def test_dilated_cyclic_is_cyclic():
@@ -85,13 +92,37 @@ def test_extend_partial_single_star():
     assert set(D.cells()) & X == {star}
 
 
+# the projection condition fails at m=1 and holds for the others
+_SUPPORT_CUBES = {
+    "m1": lambda: ord6m_square(1),
+    "m2": lambda: ord6m_square(2),
+    "m4": lambda: ord6m_square(4),
+    "dilated-m2": lambda: dilate(ord6m_square(2), 2),
+}
+
+
+def _assert_meets_support_exactly(H, cells):
+    X = set(profile(H).support)
+    D = extend_partial_in_support(H, cells, budget=SearchBudget(max_nodes=10_000))
+    assert D is not None and set(D.cells()) & X == set(cells)
+    assert Diagonal.from_entries(H, D.entries).complete
+
+
 def test_extend_partial_every_support_singleton():
-    H = ord6m_square(2)
-    X = sorted(profile(H).support)
-    for cell in X:
-        D = extend_partial_in_support(H, [cell])
-        assert D is not None
-        assert set(D.cells()) & set(X) == {cell}
+    for make in _SUPPORT_CUBES.values():
+        H = make()
+        for cell in sorted(profile(H).support):
+            _assert_meets_support_exactly(H, [cell])
+
+
+@pytest.mark.parametrize("name", sorted(_SUPPORT_CUBES))
+def test_extend_partial_every_disjoint_support_pair(name):
+    H = _SUPPORT_CUBES[name]()
+    pairs = [list(p) for p in itertools.combinations(sorted(profile(H).support), 2)
+             if all(a != b for a, b in zip(*p))]
+    assert len(pairs) == 20
+    for cells in pairs:
+        _assert_meets_support_exactly(H, cells)
 
 
 def test_extend_partial_rejects_cells_outside_support():

@@ -17,18 +17,15 @@ from transversal_lab.constructions import (
 )
 from transversal_lab.delta import delta_sum, profile, suitable_target
 from transversal_lab.extension import (
-    ExtensionMap,
     Quasigroup,
     constant_to_transversal_fibre,
     extension_hitting_certificate,
-    fibre,
     g_extension,
     hall_pair,
     iterated_decomposition,
     iterated_hypercube,
     lift_diagonal,
     lift_family,
-    project,
     quasi_extend,
     symbol_classes,
     transversal_through_fibre,
@@ -77,33 +74,6 @@ def test_extension_rejects_bad_parameters():
         g_extension(L, cyclic_group(4), 2)
     with pytest.raises(ValueError):
         g_extension(L, cyclic_group(5), 3)
-
-
-def test_project_and_fibre():
-    L = z6_isotope_square()
-    mapping = ExtensionMap(2, 4, L.group)
-    ext = g_extension(L, L.group, 4)
-    e = L.entry((2, 3))
-    fib = fibre([e], mapping, ext)
-    assert len(fib) == 36
-    assert {project(a, mapping, L) for a in fib} == {e}
-
-    one_up = ExtensionMap(2, 3, L.group)
-    ext3 = g_extension(L, L.group, 3)
-    assert len(fibre([e], one_up, ext3)) == 6
-
-    # the extension is the disjoint union of the fibres of the base entries
-    all_cells = set()
-    for base_entry in L.entries():
-        cells = {a.coords for a in fibre([base_entry], one_up, ext3)}
-        assert not (cells & all_cells)
-        all_cells |= cells
-    assert len(all_cells) == 6**3
-
-
-def test_extension_map_validation():
-    with pytest.raises(ValueError):
-        ExtensionMap(3, 3, cyclic_group(4))
 
 
 # -- zero-sum pairing --

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from transversal_lab import search
 from transversal_lab.constructions import (
@@ -14,6 +15,7 @@ from transversal_lab.constructions import (
     ord8_square,
     third_species_44,
     third_species_blocked_cells,
+    turn_subcube,
     turned_cyclic,
     turned_region,
     z6_isotope_square,
@@ -306,7 +308,7 @@ def test_counts_match_dfs_and_brute_force(name):
 
 def test_count_transversals_runs_the_dp_where_its_worst_case_is_small():
     # Z10 has no transversal: 13,606 frontier states count them, where the
-    # DFS needs 282,800 nodes
+    # DFS needs 63,250 nodes
     census = count_transversals(cyclic(cyclic_group(10), 2), SearchBudget(max_nodes=20_000))
     assert census == search.Census(0, (), True, 13_606)
 
@@ -333,22 +335,32 @@ def test_counts_run_the_dfs_above_the_dp_bound():
     z13 = cyclic(cyclic_group(13), 2)
     assert search._frontier_work(13, 2) > search._DP_WORK_BOUND
     census = count_transversals(z13, SearchBudget(max_nodes=10_000))
-    assert (census.count, census.exact) == (153, False)
+    assert (census.count, census.exact) == (716, False)
+    listed = []
+    with pytest.raises(BudgetExhausted):
+        listed.extend(enumerate_transversals(z13, SearchBudget(max_nodes=10_000)))
+    assert len(listed) == 716
     # order 8 at d=3 lies above the target-sum bound but below the
     # transversal one, so this fails if the two bounds are merged again
     z8 = cyclic(cyclic_group(8), 3)
     assert search._target_work(8, 3, 8) > search._TARGET_WORK_BOUND
     assert search._target_work(8, 3, 8) <= search._DP_WORK_BOUND
     census = count_diagonals(z8, None, (0,), SearchBudget(max_nodes=1_000))
-    assert (census.count, census.exact) == (256, False)
+    assert (census.count, census.exact) == (436, False)
+    listed = []
+    with pytest.raises(BudgetExhausted):
+        listed.extend(enumerate_diagonals(z8, None, (0,), SearchBudget(max_nodes=1_000)))
+    assert len(listed) == 436
 
 
 def test_count_under_max_results_stops_where_enumeration_stops():
     # a result budget keeps the count on the DFS, also below the DP bound, so
-    # with a node cap as well the count is what `enumerate_*` lists
+    # with a node cap as well the count is what `enumerate_*` lists; the DFS
+    # reaches the 100th result at its 1,115th node
     z11 = cyclic(cyclic_group(11), 2)
     assert search._frontier_work(11, 2) <= search._DP_WORK_BOUND
-    for max_nodes, reached in ((2_000, False), (5_000, True)):
+    for max_nodes, reached in ((1_000, False), (1_114, False), (1_115, True), (2_000, True),
+                               (5_000, True)):
         budget = SearchBudget(max_results=100, max_nodes=max_nodes)
         listed = []
         with pytest.raises(BudgetExhausted):
@@ -395,23 +407,29 @@ def test_truncated_census_is_never_exact(monkeypatch, dfs_only):
         assert count(SearchBudget(max_nodes=full.nodes)) == full
 
 
-def _assert_listing_matches_dfs(H, brute=True, target_sum=None):
-    # the layer listing yields the DFS's results (filtered to the target sum if
-    # given), as the same tuples in the same order; streamed, so that no list
-    # of results is held
+def _listings(H, target_sum=None):
+    # the layer listing and the DFS listing of the transversals, or of the
+    # diagonals with the target sum if given
     target = None if target_sum is None else search._TargetSum.of(H, H.group, (target_sum,))
     gauge = search._Gauge(SearchBudget())
     layers = search._layer_listing(search._back_layers(H, gauge, target), gauge)
-    dfs = search._dfs_results(H, search._Gauge(SearchBudget()), target is None, target)
-    cells = []
+    return layers, search._dfs_results(H, search._Gauge(SearchBudget()), target is None, target)
+
+
+def _assert_listing_matches_dfs(H, brute=True, target_sum=None):
+    # the layer listing and the DFS listing yield the same tuples in the same
+    # order, which is the sorted order of the brute-force oracle's row-sorted
+    # cell tuples; streamed, so that no list of results is held without brute
+    layers, dfs = _listings(H, target_sum)
+    oracle = iter(())
+    if brute:
+        oracle = iter(sorted(brute_transversals(H.symbols) if target_sum is None
+                             else brute_target_diagonals(H.symbols, target_sum)))
     for a, b in itertools.zip_longest(layers, dfs):
         assert a == b
         if brute:
-            cells.append(tuple(c for c, _ in a))
-    if brute:
-        oracle = (brute_transversals(H.symbols) if target is None
-                  else brute_target_diagonals(H.symbols, target_sum))
-        assert sorted(cells) == sorted(oracle)
+            assert tuple(c for c, _ in a) == next(oracle)
+    assert next(oracle, None) is None
 
 
 def test_layer_listing_matches_dfs_on_every_small_square(square_catalogue):
@@ -457,7 +475,7 @@ def test_target_listing_matches_dfs(name):
         target = search._TargetSum.of(H, H.group, (0,))
         layers = search._layer_listing(search._back_layers(H, search._Gauge(budget), target),
                                        search._Gauge(budget))
-        dfs = search._dfs(H, search._Gauge(budget), transversal=False)
+        dfs = search._dfs_results(H, search._Gauge(budget), False, None)
         assert list(itertools.islice(layers, 1000)) == list(itertools.islice(dfs, 1000))
         for t in range(1, H.n):
             assert list(enumerate_diagonals(H, H.group, (t,))) == []
@@ -466,19 +484,74 @@ def test_target_listing_matches_dfs(name):
         _assert_listing_matches_dfs(H, target_sum=t)
 
 
+# every cube with at most 50,000 diagonals, so that brute force stays quick
+_SMALL_SIZES = [(n, d) for d in range(2, 8) for n in range(2, 9)
+                if math.factorial(n) ** (d - 1) <= 50_000]
+
+
+@st.composite
+def _small_cubes(draw):
+    # a seeded random isotope of a cyclic cube, a turned cyclic cube, or a
+    # cyclic cube of even order with one order-2 subcube switched
+    kind = draw(st.sampled_from(["cyclic", "turned", "switched"]))
+    if kind == "turned":
+        n, d = draw(st.sampled_from([(n, d) for n, d in _SMALL_SIZES
+                                     if n > 2 and n % 2 == 0 and d % 2 == 0]))
+        H = turned_cyclic(n, d)
+    elif kind == "switched":
+        n, d = draw(st.sampled_from([(n, d) for n, d in _SMALL_SIZES if n % 2 == 0]))
+        corner = draw(st.tuples(*[st.integers(0, n - 1)] * d))
+        H = turn_subcube(cyclic(cyclic_group(n), d), corner, (n // 2,) * d)
+    else:
+        n, d = draw(st.sampled_from(_SMALL_SIZES))
+        H = cyclic(cyclic_group(n), d)
+    return _random_isotope(H, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(H=_small_cubes(), data=st.data())
+def test_dfs_layers_and_brute_force_agree_on_random_cubes(H, data):
+    # with both bounds at 0 every listing and count runs on the DFS; it, the
+    # layers and brute force agree on the transversals and on every target
+    # sum, and a census cut by its node cap is never exact
+    with pytest.MonkeyPatch.context() as mp:
+        _dfs_only(mp)
+        for t in (None, *range(H.n)):
+            if t is None:
+                oracle = sorted(brute_transversals(H.symbols))
+                listed = list(enumerate_transversals(H))
+                count = lambda b: count_transversals(H, b, keep=2)
+            else:
+                oracle = sorted(brute_target_diagonals(H.symbols, t))
+                listed = list(enumerate_diagonals(H, H.group, (t,)))
+                count = lambda b: count_diagonals(H, None, (t,), b, keep=2)
+            layers, dfs = _listings(H, t)
+            assert [D.entries for D in listed] == list(layers) == list(dfs)
+            assert [D.cells() for D in listed] == oracle
+            full = count(SearchBudget())
+            assert full.exact and full.count == len(oracle)
+            assert full.witnesses == tuple(listed[:2])
+            max_nodes = data.draw(st.integers(1, full.nodes), label=f"max_nodes {t}")
+            cut = count(SearchBudget(max_nodes=max_nodes))
+            if max_nodes < full.nodes:
+                assert not cut.exact and cut.nodes == max_nodes
+            else:
+                assert cut == full
+
+
 def test_listing_engine_is_chosen_by_the_budget(monkeypatch):
     # the layers run iff their worst case is within the DP bound and the node
     # cap and no result cap is set; otherwise the DFS lists
     H = cyclic(cyclic_group(5), 3)
     work = search._frontier_work(5, 3)
-    dfs = search._dfs
+    dfs = search._listing
     engines = []
 
     def spy(*args, **kwargs):
         engines.append("dfs")
         return dfs(*args, **kwargs)
 
-    monkeypatch.setattr(search, "_dfs", spy)
+    monkeypatch.setattr(search, "_listing", spy)
     listed = list(enumerate_transversals(H, SearchBudget(max_nodes=work)))
     assert engines == [] and len(listed) == 3325
     packing = max_disjoint_transversals(H, budget=SearchBudget(max_nodes=work))
@@ -495,19 +568,18 @@ def test_listing_engine_is_chosen_by_the_budget(monkeypatch):
 
 
 def test_node_budget_below_the_worst_case_lists_by_the_dfs():
-    # Z11's worst case is 7,759,752; below it the DFS lists what it reaches,
-    # as it did before the layers: 122 transversals in 5,000 nodes and 2,258
-    # in 100,000
+    # Z11's worst case is 7,759,752; below it the DFS lists what it reaches:
+    # 468 transversals in 5,000 nodes and 9,247 in 100,000
     z11 = cyclic(cyclic_group(11), 2)
     assert search._frontier_work(11, 2) == 7_759_752
-    for max_nodes, reached in ((5_000, 122), (100_000, 2_258)):
+    for max_nodes, reached in ((5_000, 468), (100_000, 9_247)):
         budget = SearchBudget(max_nodes=max_nodes)
         listed = []
         with pytest.raises(BudgetExhausted):
             listed.extend(enumerate_transversals(z11, budget))
         dfs = []
         with pytest.raises(BudgetExhausted):
-            dfs.extend(search._dfs(z11, search._Gauge(budget), transversal=True))
+            dfs.extend(search._dfs_results(z11, search._Gauge(budget), True, None))
         assert listed == [search._raw_to_diagonal(raw, 11) for raw in dfs]
         assert len(listed) == reached
         result = max_disjoint_transversals(z11, budget=budget)
@@ -772,6 +844,27 @@ def test_complete_avoiding():
     assert D is not None and stars[0] in D.cells()
     with pytest.raises(ValueError):
         complete_avoiding(H, [(0, 0), (0, 1)], [])
+
+
+def test_cells_outside_the_cube_are_rejected_not_claimed_absent():
+    # numpy would wrap (-1, 0) to the last row, and cells out of range or of
+    # the wrong length would fail with IndexError or TypeError or be ignored
+    H = cyclic(cyclic_group(5), 2)
+    H6 = ord6m_square(1)
+    for bad in [(-1, 0), (5, 0), (0, 5), (0,), (0, 0, 0), (0.0, 1), "01"]:
+        with pytest.raises(ValueError):
+            transversal_through(H, bad)
+        with pytest.raises(ValueError):
+            complete_avoiding(H, [bad], [])
+        with pytest.raises(ValueError):
+            complete_avoiding(H, [], [bad])
+        with pytest.raises(ValueError):
+            hitting_set_check(H, H.group, (0,), [(0, 0), bad])
+    with pytest.raises(ValueError):
+        complete_avoiding(H6, [(-1, 2)], [])
+    with pytest.raises(ValueError):
+        hitting_set_check(H6, H6.group, (3,), [*ord6m_starred_cells(1), (6, 0)])
+    assert transversal_through(H, (4, 0)).cells()[4] == (4, 0)
 
 
 def test_budget_max_results():
