@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from typing import Sequence
 
 from . import constructions as cons
@@ -42,11 +41,11 @@ def _load_cube(args: argparse.Namespace) -> Hypercube:
     return load(args.input_path, _group(args))
 
 
-def _budget(args: argparse.Namespace, seed: int = DEFAULT_SEED) -> SearchBudget:
+def _budget(args: argparse.Namespace) -> SearchBudget:
     """The budget from ``--max-nodes``, ``--max-results`` and ``--time-cap``,
     those of them that the subcommand takes."""
     caps = {k: getattr(args, k, None) for k in ("max_nodes", "max_results", "time_cap")}
-    return SearchBudget(rng_seed=seed, **{k: v for k, v in caps.items() if v is not None})
+    return SearchBudget(**{k: v for k, v in caps.items() if v is not None})
 
 
 def _emit(args: argparse.Namespace, text: str, stdout) -> None:
@@ -136,7 +135,7 @@ def _finish_report(
 def cmd_search(args: argparse.Namespace, stdout) -> int:
     op = args.subcommand
     H = _load_cube(args)
-    budget = _budget(args, args.seed)
+    budget = _budget(args)
     t0 = time.perf_counter()
     params = {k: getattr(args, k, None) for k in ("d_prime", "cap", "max_nodes", "max_results")}
     report = SearchReport(
@@ -180,19 +179,20 @@ def cmd_search(args: argparse.Namespace, stdout) -> int:
             }
         )
     else:  # decompose
-        if args.max_nodes is None:
-            # the climber cannot prove nonexistence, so give it a finite
-            # default move budget instead of the enumeration default
-            budget = replace(budget, max_nodes=1_000_000)
-        decomposition = hill_climb_decomposition(H, budget)
-        if decomposition is None:
+        try:
+            decomposition = hill_climb_decomposition(H, budget)
+        except BudgetExhausted:
             report.count = 0
             report.exact = False
             report.exhausted = True
-            report.certificates["note"] = "no decomposition found within budget"
+            report.certificates["note"] = "budget exhausted before the exact cover finished"
         else:
-            report.count = len(decomposition)
-            report.witnesses = list(decomposition)
+            if decomposition is None:
+                report.count = 0
+                report.certificates["note"] = "exhaustive exact cover: no decomposition exists"
+            else:
+                report.count = len(decomposition)
+                report.witnesses = list(decomposition)
     return _finish_report(args, report, H, stdout, t0)
 
 

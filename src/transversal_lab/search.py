@@ -1,6 +1,6 @@
 """Exact search over diagonals and transversals.
 
-Two engines share one node gauge.  The depth-first search works on
+Three engines share one node gauge.  The depth-first search works on
 ``_Cells``: each row's cells as an int bit set, so that a cell placed cuts
 every unfilled row's fitting cells by a few ANDs and a row left with no cell
 ends the branch at once.  One DFS node is one cell placed.  It fills the rows
@@ -25,18 +25,26 @@ dimension (and group order) keep their worst case small, and the DFS (for
 also keeps the DFS under a node budget below that worst case, and counting
 and listing keep it under a result budget.
 
-Absence results (bachelor cells, hitting-set certificates, packing optimality)
-are only reported when the relevant search tree ran to exhaustion within
-budget; otherwise results carry an explicit exhausted flag or raise
-BudgetExhausted.
+Packings and decompositions run one exact cover (``_packs``) over every
+listed transversal: each cell holds its transversals as one int bit set, and
+a node branches on the cell with the fewest live transversals.
+``max_disjoint_transversals`` asks it whether g = min(ub, cap), g - 1, ...
+disjoint transversals exist, and ``hill_climb_decomposition`` whether
+n**(d-1) do.
+
+Absence results (bachelor cells, hitting-set certificates, packing optimality,
+decompositions that do not exist) are only reported when the relevant search
+tree ran to exhaustion within budget; otherwise results carry an explicit
+exhausted flag or raise BudgetExhausted.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 import itertools
 import math
 import operator
-import random
 import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -71,14 +79,15 @@ class SearchBudget:
 
     ``max_nodes`` caps the node expansions of one whole search, in every code
     path: cells placed by the depth-first search, states expanded and partial
-    results extended on the frontier layers.  Node-capped runs are
+    results extended on the frontier layers, and in the exact cover a
+    transversal or cell read into its bit sets, a greedy hitting-set step, and
+    a transversal chosen or a cell left uncovered.  Node-capped runs are
     deterministic; ``time_cap`` is a wall-clock safety valve and is not part
     of the determinism contract."""
 
     max_nodes: int = 2_000_000_000
     max_results: int | None = None
     time_cap: float | None = None
-    rng_seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
         if self.max_nodes <= 0:
@@ -783,7 +792,7 @@ def _per_cell_scan(H: Hypercube, gauge: _Gauge) -> tuple[Coords, ...]:
     return tuple(bachelors)
 
 
-# -- disjoint packings -------------------------------------------------------
+# -- disjoint packings: exact cover over the listed transversals ---------------
 
 
 @dataclass
@@ -796,29 +805,129 @@ class PackingResult:
     transversal_count: int
 
 
-def _greedy_hitting_set(cell_sets: list[frozenset[Coords]]) -> list[Coords]:
-    """Greedy cover: cells chosen so every set contains at least one of them.
+class _Cover(NamedTuple):
+    """Every listed transversal against the cells it passes through.
 
-    Each step takes the smallest of the cells in most sets not yet hit."""
-    holders: dict[Coords, list[int]] = {}
-    for i, cells in enumerate(cell_sets):
-        for c in cells:
-            holders.setdefault(c, []).append(i)
-    freq = {c: len(sets) for c, sets in holders.items()}
-    order = sorted(freq)
-    hit = [False] * len(cell_sets)
-    chosen: list[Coords] = []
-    while order:
-        best = max(order, key=freq.__getitem__)
-        if not freq[best]:
-            break
-        chosen.append(best)
-        for i in holders[best]:
-            if not hit[i]:
-                hit[i] = True
-                for c in cell_sets[i]:
-                    freq[c] -= 1
+    Cells are numbered by flat (row-major) index.  Bit t of ``masks[c]`` is
+    set iff transversal t passes through cell c, and ``cells[t]`` holds the n
+    cells of transversal t.  A line is a hyperplane (axis k, value v: line
+    k*n + v) or the cells of one symbol s (line d*n + s); every transversal
+    meets every line once, and ``lines[c]`` holds the d + 1 lines of cell c."""
+
+    masks: list[int]
+    cells: np.ndarray
+    lines: list[list[int]]
+
+
+def _cover(H: Hypercube, listed: list[tuple[RawEntry, ...]], gauge: _Gauge) -> _Cover:
+    """The cover of the listed transversals.  The masks are ORed into one
+    packed row of bytes per cell, never a cells x transversals bool matrix,
+    then read as one int per cell; the gauge ticks once per transversal read
+    and once per cell."""
+    n, d, count = H.n, H.d, len(listed)
+    flat = {coords: i for i, coords in enumerate(np.ndindex(H.symbols.shape))}
+
+    def flat_cells() -> Iterator[int]:
+        for raw in listed:
+            gauge.tick()
+            for c, _ in raw:
+                yield flat[c]
+
+    cells = np.fromiter(flat_cells(), np.intp, count * n)
+    t = np.repeat(np.arange(count), n)
+    packed = np.zeros((H.symbols.size, (count + 7) // 8), np.uint8)
+    np.bitwise_or.at(packed, (cells, t >> 3), np.left_shift(1, t & 7).astype(np.uint8))
+    masks = []
+    for row in packed:
+        gauge.tick()
+        masks.append(int.from_bytes(row.tobytes(), "little"))
+    axes = np.indices(H.symbols.shape).reshape(d, -1)
+    lines = np.vstack([axes, H.symbols.reshape(1, -1)]).T + n * np.arange(d + 1)
+    return _Cover(masks, cells.reshape(count, n), lines.tolist())
+
+
+def _greedy_hitting_set(masks: list[int], gauge: _Gauge) -> list[int]:
+    """Greedy cover: cells chosen so that every transversal passes through one
+    of them.  Each step, one gauge tick, takes the smallest of the cells on
+    most transversals not yet hit.  A cell's count only falls from step to
+    step, so the cells wait in a heap keyed on an earlier count and the top
+    is recounted until it still leads."""
+    unhit = functools.reduce(operator.or_, masks, 0)
+    heap = [(-m.bit_count(), c) for c, m in enumerate(masks) if m]
+    heapq.heapify(heap)
+    chosen: list[int] = []
+    while unhit:
+        gauge.tick()
+        while True:
+            _, c = heapq.heappop(heap)
+            key = (-(masks[c] & unhit).bit_count(), c)
+            if not heap or key <= heap[0]:
+                break
+            heapq.heappush(heap, key)
+        chosen.append(c)
+        unhit &= ~masks[c]
     return chosen
+
+
+def _packs(cover: _Cover, g: int, gauge: _Gauge, best: list[int]) -> bool:
+    """Whether g pairwise disjoint transversals exist, by exhaustive search.
+
+    A node holds the live transversals, those disjoint from every one chosen,
+    and branches on the cell with the fewest live transversals (the first
+    such cell): each of them in index order is chosen, which kills every
+    transversal sharing a cell with it, and last the cell is left uncovered,
+    which kills the cell's transversals.  A cell with no live transversal
+    drops out.  Each transversal chosen on the way to g covers one open cell
+    of every line (``_Cover``), so a node whose chosen count plus its fewest
+    open cells on one line falls short of g is pruned; at g = n**(d-1) no
+    cell may be left uncovered and the search is an exact cover.
+
+    The gauge ticks once per branch taken.  ``best`` is left holding the
+    largest family reached, the g found on success.  The path is kept on a
+    list, not the call stack, since it can be one level per cell deep."""
+    masks, cells, lines = cover
+    line_count = len(lines[0]) * cells.shape[1]
+    chosen: list[int] = []
+    # per node on the path: [live, open cells, pivot, untried transversals,
+    # number chosen above it]; the pivot is -1 once left uncovered
+    path: list[list] = []
+    live, todo = (1 << len(cells)) - 1, list(range(len(masks)))
+    while True:
+        if len(chosen) > len(best):
+            best[:] = chosen
+        if len(chosen) == g:
+            return True
+        open_cells, on_line = [], [0] * line_count
+        pivot, fewest = -1, 0
+        for c in todo:
+            k = (masks[c] & live).bit_count()
+            if k:
+                open_cells.append(c)
+                for x in lines[c]:
+                    on_line[x] += 1
+                if pivot < 0 or k < fewest:
+                    pivot, fewest = c, k
+        if len(chosen) + min(on_line) >= g:
+            path.append([live, open_cells, pivot, masks[pivot] & live, len(chosen)])
+        while path:
+            node = path[-1]
+            live, todo, pivot, untried, above = node
+            del chosen[above:]
+            if untried:
+                t = (untried & -untried).bit_length() - 1
+                node[3] = untried ^ (1 << t)
+                chosen.append(t)
+                live &= ~functools.reduce(operator.or_, (masks[c] for c in cells[t].tolist()))
+            elif pivot >= 0:
+                node[2] = -1
+                live &= ~masks[pivot]
+            else:
+                path.pop()
+                continue
+            gauge.tick()
+            break
+        else:
+            return False
 
 
 def max_disjoint_transversals(
@@ -828,30 +937,33 @@ def max_disjoint_transversals(
 ) -> PackingResult:
     """A maximum-cardinality family of pairwise disjoint transversals.
 
-    Lists all transversals (``_results``: off stored frontier layers
-    when the budget allows their worst case, by the DFS otherwise), derives an
-    upper bound from a greedy hitting set over them (valid because the listing
-    is exhaustive), then packs by branch and bound grouped on hitting-set
-    cells.  One gauge covers the listing and the packing.  The optimality flag
-    is set only when the listing ran to its end and the bound is met or the
-    packing tree was exhausted."""
+    Lists all transversals (``_results``: off stored frontier layers when the
+    budget allows their worst case, by the DFS otherwise) and bounds the
+    answer by ub, the least of a greedy hitting set over them (valid because
+    the listing is exhaustive), the nonzero-deviation support when the
+    transversals' deviation sum is nonzero, the hyperplane cap n**(d-1) and
+    their number.  The exact cover (``_packs``) then decides g = min(ub, cap),
+    g - 1, and so on; the first g that packs is the answer, and every larger g
+    up to ub is refuted: each g tried before it exhaustively, and those above
+    the cap by the refutation of the cap.  A refutation of g + 1 that reached
+    g disjoint transversals already packs g.  One gauge covers the listing,
+    the cover, the greedy steps and the search.  The optimality flag is set
+    only when the answer is ub or a larger g was refuted; a run cut by the
+    budget keeps the largest family reached and is flagged exhausted.  A cap
+    below 1 raises ValueError."""
     _require_latin(H)
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     budget = budget or SearchBudget()
-    all_t: list[tuple[RawEntry, ...]] = []
-    enum_exhausted = False
     gauge = _Gauge(budget)
+    listed: list[tuple[RawEntry, ...]] = []
     try:
-        all_t.extend(_results(H, budget, gauge, transversal=True))
+        listed.extend(_results(H, budget, gauge, transversal=True))
     except BudgetExhausted:
-        enum_exhausted = True
+        return PackingResult((), False, None, "enumeration-truncated", True, len(listed))
+    if not listed:
+        return PackingResult((), True, 0, "no transversals", False, 0)
 
-    if not all_t:
-        return PackingResult((), not enum_exhausted, 0 if not enum_exhausted else None,
-                             "no transversals", enum_exhausted, 0)
-
-    cell_sets = [frozenset(c for c, _ in raw) for raw in all_t]
-    hitting = _greedy_hitting_set(cell_sets)
-    ub_hit = len(hitting)
     hard_cap = H.n ** (H.d - 1)
     # every transversal has the target deviation sum, so when that target is
     # nonzero the nonzero-deviation support is itself a hitting set
@@ -859,66 +971,27 @@ def max_disjoint_transversals(
     support_ub = None
     if suitable_target(group, H.d) != group.identity():
         support_ub = len(profile(H, group).support)
-    ub = min(ub_hit, hard_cap, len(all_t), *(x for x in (support_ub,) if x is not None))
-    goal = ub if cap is None else min(ub, cap)
-
-    # group transversals by the first cell they contain from whichever hitting
-    # set is tighter; branch over small groups first
-    if support_ub is not None and support_ub <= ub_hit:
-        base_cells = sorted(profile(H, group).support)
-    else:
-        base_cells = hitting
-    hit_index = {c: i for i, c in enumerate(base_cells)}
-    raw_groups: list[list[int]] = [[] for _ in base_cells]
-    for t, cs in enumerate(cell_sets):
-        first = min(hit_index[c] for c in cs if c in hit_index)
-        raw_groups[first].append(t)
-    order = sorted(range(len(raw_groups)), key=lambda i: (len(raw_groups[i]), base_cells[i]))
-    groups = [raw_groups[i] for i in order if raw_groups[i]]
-
+    try:
+        cover = _cover(H, listed, gauge)
+        ub_hit = len(_greedy_hitting_set(cover.masks, gauge))
+    except BudgetExhausted:
+        return PackingResult((), False, None, "bounds-truncated", True, len(listed))
+    ub = min(ub_hit, hard_cap, len(listed), *(x for x in (support_ub,) if x is not None))
+    goal = g = ub if cap is None else min(ub, cap)
     best: list[int] = []
-    chosen: list[int] = []
-    used: set[Coords] = set()
-    budget_hit = False
-
-    def bb(gi: int) -> bool:
-        # returns True when the whole search should stop (goal met or budget out)
-        nonlocal best, budget_hit
-        if len(chosen) > len(best):
-            best = list(chosen)
-            if len(best) >= goal:
-                return True
-        if gi == len(groups):
-            return False
-        if len(chosen) + (len(groups) - gi) <= len(best):
-            return False
-        for t in groups[gi]:
-            try:
-                gauge.tick()
-            except BudgetExhausted:
-                budget_hit = True
-                return True
-            if used & cell_sets[t]:
-                continue
-            chosen.append(t)
-            used.update(cell_sets[t])
-            if bb(gi + 1):
-                return True
-            used.difference_update(cell_sets[t])
-            chosen.pop()
-        return bb(gi + 1)
-
-    stopped = bb(0)
-    tree_exhausted = not stopped
-    packing = tuple(_raw_to_diagonal(all_t[t], H.n) for t in sorted(best))
-    optimal = (not enum_exhausted) and (len(best) == ub or tree_exhausted)
+    exhausted = False
+    try:
+        while len(best) < g:
+            if not _packs(cover, g, gauge, best):
+                g -= 1
+    except BudgetExhausted:
+        exhausted = True
+    packing = tuple(_raw_to_diagonal(listed[t], H.n) for t in sorted(best))
+    optimal = not exhausted and (len(best) == ub or len(best) < goal)
     cert = f"greedy-hitting-set({ub_hit}), hyperplane-cap({hard_cap})"
     if support_ub is not None:
         cert += f", support-hitting-set({support_ub})"
-    if enum_exhausted:
-        cert += ", enumeration-truncated"
-    return PackingResult(packing, optimal, None if enum_exhausted else ub, cert,
-                         enum_exhausted or budget_hit, len(all_t))
+    return PackingResult(packing, optimal, ub, cert, exhausted, len(listed))
 
 
 # -- hitting-set certification ------------------------------------------------
@@ -1002,124 +1075,27 @@ def hitting_set_check(
     return not completes(0, group.identity())
 
 
-# -- decomposition hill climbing ----------------------------------------------
+# -- decompositions ------------------------------------------------------------
 
 
 def hill_climb_decomposition(
     H: Hypercube,
     budget: SearchBudget | None = None,
 ) -> tuple[Diagonal, ...] | None:
-    """Random local search for a partition of all cells into disjoint transversals.
+    """A partition of all cells into n**(d-1) disjoint transversals, or None
+    when none exists.
 
-    State: each axis-0 hyperplane assigns its n^(d-1) cells bijectively to
-    n^(d-1) classes; cost counts repeated coordinates (axes 1..d-1) and
-    repeated symbols inside classes.  A move swaps the class labels of two
-    cells inside one hyperplane.  Failure within budget is not a
-    nonexistence proof."""
+    Exact, despite the name it keeps from the local search it replaced: the
+    exact cover of ``max_disjoint_transversals`` decides g = n**(d-1) over
+    every listed transversal, so None is a proof.  The transversals are given
+    in listing order.  One gauge covers the listing, the cover and the search,
+    and BudgetExhausted propagates, so an exhausted budget never reads as
+    None."""
     _require_latin(H)
     budget = budget or SearchBudget()
-    rng = random.Random(budget.rng_seed)
-    n, d = H.n, H.d
-    k = n ** (d - 1)
-    nested = H.symbols.reshape(n, -1).tolist()
-
-    # cell c in hyperplane r has flat index c; its axis-j coordinate:
-    coord_of = [[0] * k for _ in range(d - 1)]
-    for c in range(k):
-        rest = c
-        for axis in reversed(range(d - 1)):
-            coord_of[axis][c] = rest % n
-            rest //= n
-
-    max_moves = budget.max_nodes
-    deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
-    moves = 0
-    restart_after = max(2000, 200 * n * k)
-    sideways_cap = 10 * n * k
-
-    while moves < max_moves:
-        labels = [list(range(k)) for _ in range(n)]
-        for row in labels:
-            rng.shuffle(row)
-        # cnt[cls][axis][v] for axes 1..d-1, then symbols at index d-1
-        cnt = [[[0] * n for _ in range(d)] for _ in range(k)]
-        cost = 0
-        for r in range(n):
-            for c in range(k):
-                cls = labels[r][c]
-                for axis in range(d - 1):
-                    v = coord_of[axis][c]
-                    cnt[cls][axis][v] += 1
-                    if cnt[cls][axis][v] > 1:
-                        cost += 1
-                s = nested[r][c]
-                cnt[cls][d - 1][s] += 1
-                if cnt[cls][d - 1][s] > 1:
-                    cost += 1
-
-        def move_delta(cls: int, r: int, c: int, sign: int) -> int:
-            delta = 0
-            for axis in range(d - 1):
-                v = coord_of[axis][c]
-                before = cnt[cls][axis][v]
-                cnt[cls][axis][v] = before + sign
-                if sign > 0 and before >= 1:
-                    delta += 1
-                if sign < 0 and before >= 2:
-                    delta -= 1
-            s = nested[r][c]
-            before = cnt[cls][d - 1][s]
-            cnt[cls][d - 1][s] = before + sign
-            if sign > 0 and before >= 1:
-                delta += 1
-            if sign < 0 and before >= 2:
-                delta -= 1
-            return delta
-
-        stagnant = 0
-        sideways = 0
-        while cost > 0 and moves < max_moves and stagnant < restart_after:
-            moves += 1
-            if deadline is not None and moves % 4096 == 0 and time.monotonic() > deadline:
-                return None
-            r = rng.randrange(n)
-            c1 = rng.randrange(k)
-            c2 = rng.randrange(k)
-            a, b = labels[r][c1], labels[r][c2]
-            if a == b:
-                stagnant += 1
-                continue
-            delta = 0
-            delta += move_delta(a, r, c1, -1)
-            delta += move_delta(b, r, c2, -1)
-            delta += move_delta(b, r, c1, +1)
-            delta += move_delta(a, r, c2, +1)
-            accept = delta < 0 or (delta == 0 and sideways < sideways_cap)
-            if accept:
-                labels[r][c1], labels[r][c2] = b, a
-                cost += delta
-                if delta == 0:
-                    sideways += 1
-                    stagnant += 1
-                else:
-                    stagnant = 0
-                    sideways = 0
-            else:
-                # revert counters
-                move_delta(a, r, c2, -1)
-                move_delta(b, r, c1, -1)
-                move_delta(b, r, c2, +1)
-                move_delta(a, r, c1, +1)
-                stagnant += 1
-
-        if cost == 0:
-            classes: list[list[Entry]] = [[] for _ in range(k)]
-            for r in range(n):
-                for c in range(k):
-                    coords = (r,) + tuple(coord_of[axis][c] for axis in range(d - 1))
-                    classes[labels[r][c]].append(Entry(coords, nested[r][c]))
-            out = tuple(
-                Diagonal.from_entries(H, sorted(cls), transversal=True) for cls in classes
-            )
-            return out
-    return None
+    gauge = _Gauge(budget)
+    listed = list(_results(H, budget, gauge, transversal=True))
+    best: list[int] = []
+    if not _packs(_cover(H, listed, gauge), H.n ** (H.d - 1), gauge, best):
+        return None
+    return tuple(_raw_to_diagonal(listed[t], H.n) for t in sorted(best))

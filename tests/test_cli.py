@@ -109,6 +109,25 @@ def test_search_decompose_deterministic(tmp_path, capsys):
     assert payload["count"] == 3
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_search_packing_rejects_a_cap_below_one(tmp_path, capsys, cap):
+    cube = tmp_path / "c3.lhc"
+    run_cli(["construct", "cyclic", "--group", "Z3", "--d", "2", "--out", str(cube)], capsys)
+    code, out, err = run_cli(["search", "packing", "--cap", cap, str(cube)], capsys)
+    assert code == 2 and out == "" and "cap" in err
+
+
+def test_search_decompose_proves_none(tmp_path, capsys):
+    cube = tmp_path / "t44.lhc"
+    run_cli(["construct", "turned-cyclic", "--n", "4", "--d", "4", "--out", str(cube)], capsys)
+    code, out, _ = run_cli(["search", "decompose", str(cube)], capsys)
+    assert code == 0
+    payload = report_of(out)
+    assert payload["count"] == 0 and payload["exact"] and not payload["exhausted"]
+    assert "witnesses" not in payload
+    assert payload["certificates"]["note"].startswith("exhaustive exact cover")
+
+
 def test_extend_and_reread(tmp_path, capsys):
     cube = tmp_path / "z6.lhc"
     ext = tmp_path / "z6d4.lhc"
@@ -319,8 +338,9 @@ def test_verify_rejects_malformed_only(capsys):
 
 
 def test_search_decompose_keeps_time_cap(tmp_path, capsys):
-    # the climber checks its deadline every 4096 moves and has not finished by
-    # the first check on this cube at seed 2024, so the run stops there
+    # the gauge reads the clock every 4096 ticks; listing this cube's 3,325
+    # transversals and reading them into the exact cover's masks takes more
+    # ticks than that, so the run stops before the search
     cube = tmp_path / "z5d3.lhc"
     run_cli(["construct", "cyclic", "--group", "Z5", "--d", "3", "--out", str(cube)], capsys)
     argv = ["search", "decompose", "--seed", "2024", "--time-cap", "1e-9", str(cube)]

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -587,7 +588,7 @@ def test_node_budget_below_the_worst_case_lists_by_the_dfs():
         assert result.exhausted and not result.optimal and result.upper_bound is None
 
 
-def _packing_ticks(monkeypatch, H):
+def _ticks(monkeypatch, run):
     ticks = 0
     tick = search._Gauge.tick
 
@@ -598,31 +599,57 @@ def _packing_ticks(monkeypatch, H):
 
     with monkeypatch.context() as mp:
         mp.setattr(search._Gauge, "tick", counting_tick)
-        max_disjoint_transversals(H)
+        run()
     return ticks
+
+
+def _cut_points(monkeypatch, H, run):
+    """Node caps around each engine's total ticks for ``run``, with each
+    cap's total: the layers list under caps from their worst case up."""
+    work = search._frontier_work(H.n, H.d)
+    layers_total = _ticks(monkeypatch, run)
+    with monkeypatch.context() as mp:
+        _dfs_only(mp)
+        dfs_total = _ticks(monkeypatch, run)
+    caps = {1, dfs_total // 4, dfs_total // 2, dfs_total - 1, dfs_total,
+            layers_total - 1, layers_total, work - 1, work}
+    return [(cap, layers_total if cap >= work else dfs_total) for cap in sorted(caps)]
 
 
 @pytest.mark.parametrize("make", [lambda: turned_cyclic(4, 4), ord8_square],
                          ids=["turned-cyclic-4-4", "ord8"])
 def test_truncated_packing_is_never_optimal(monkeypatch, make):
     H = make()
-    work = search._frontier_work(H.n, H.d)
-    layers_total = _packing_ticks(monkeypatch, H)
-    with monkeypatch.context() as mp:
-        _dfs_only(mp)
-        dfs_total = _packing_ticks(monkeypatch, H)
     full = max_disjoint_transversals(H)
     assert full.optimal and not full.exhausted
     cut_any = False
-    for max_nodes in sorted({1, dfs_total // 4, dfs_total // 2, dfs_total - 1, dfs_total,
-                             layers_total - 1, layers_total, work - 1, work}):
+    for max_nodes, total in _cut_points(monkeypatch, H, lambda: max_disjoint_transversals(H)):
         result = max_disjoint_transversals(H, budget=SearchBudget(max_nodes=max_nodes))
-        total = layers_total if max_nodes >= work else dfs_total
         if max_nodes < total:
             cut_any = True
             assert result.exhausted and not result.optimal, max_nodes
         else:
             assert result == full, max_nodes
+    assert cut_any
+
+
+@pytest.mark.parametrize("make", [lambda: turned_cyclic(4, 4), ord8_square,
+                                  lambda: cyclic(cyclic_group(5), 3)],
+                         ids=["turned-cyclic-4-4", "ord8", "cyclic-5-d3"])
+def test_truncated_decomposition_is_never_a_proven_none(monkeypatch, make):
+    # a cut run raises; only a run that finished may answer None
+    H = make()
+    full = hill_climb_decomposition(H)
+    assert (full is None) == (H.n != 5)
+    cut_any = False
+    for max_nodes, total in _cut_points(monkeypatch, H, lambda: hill_climb_decomposition(H)):
+        budget = SearchBudget(max_nodes=max_nodes)
+        if max_nodes < total:
+            cut_any = True
+            with pytest.raises(BudgetExhausted):
+                hill_climb_decomposition(H, budget)
+        else:
+            assert hill_climb_decomposition(H, budget) == full, max_nodes
     assert cut_any
 
 
@@ -651,10 +678,12 @@ def test_packing_is_the_same_on_both_engines(monkeypatch, make):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_greedy_hitting_set_picks_the_smallest_most_frequent_cell(seed):
-    # the incremental greedy against a recount of every remaining set per step
+    # the greedy on the cells' transversal masks against a recount of every
+    # remaining set per step; cell (r, c) is flat index 5 * r + c
     rng = random.Random(seed)
     cells = [(r, c) for r in range(5) for c in range(5)]
     sets = [frozenset(rng.sample(cells, rng.randrange(1, 6))) for _ in range(60)]
+    masks = [sum(1 << i for i, cs in enumerate(sets) if cell in cs) for cell in cells]
     remaining, expected = list(sets), []
     while remaining:
         freq = {}
@@ -664,7 +693,8 @@ def test_greedy_hitting_set_picks_the_smallest_most_frequent_cell(seed):
         best = min(freq, key=lambda c: (-freq[c], c))
         expected.append(best)
         remaining = [cs for cs in remaining if best not in cs]
-    assert search._greedy_hitting_set(sets) == expected
+    chosen = search._greedy_hitting_set(masks, search._Gauge(SearchBudget()))
+    assert [divmod(c, 5) for c in chosen] == expected
 
 
 def test_max_disjoint_small_decomposition():
@@ -676,9 +706,25 @@ def test_max_disjoint_small_decomposition():
 
 
 def test_max_disjoint_respects_cap():
+    # a packing found at the cap below ub is optimal only if every larger g up
+    # to ub was refuted: Z3 packs its cap of 2 but ub is 3 and nothing was
+    # refuted; turned-cyclic(6,2) packs 4 = ub, so a cap of 5 or 6 is refuted
+    # first and a cap of 3 is not
     H = cyclic(cyclic_group(3), 2)
     result = max_disjoint_transversals(H, cap=2)
     assert len(result.packing) == 2
+    assert result.upper_bound == 3 and not result.optimal and not result.exhausted
+    tc62 = turned_cyclic(6, 2)
+    for cap, size, optimal in ((3, 3, False), (4, 4, True), (5, 4, True), (6, 4, True)):
+        result = max_disjoint_transversals(tc62, cap=cap)
+        assert (len(result.packing), result.optimal, result.upper_bound) == (size, optimal, 4)
+        assert pairwise_disjoint_family(result.packing)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_max_disjoint_rejects_a_cap_below_one(cap):
+    with pytest.raises(ValueError, match="cap"):
+        max_disjoint_transversals(cyclic(cyclic_group(3), 2), cap=cap)
 
 
 def test_max_disjoint_no_transversals():
@@ -686,9 +732,70 @@ def test_max_disjoint_no_transversals():
     assert result.packing == () and result.optimal and result.upper_bound == 0
 
 
+def _assert_packing_and_decomposition_match_the_oracle(H):
+    best = brute_max_disjoint(H.symbols)
+    result = max_disjoint_transversals(H)
+    assert len(result.packing) == best and result.optimal and not result.exhausted
+    assert pairwise_disjoint_family(result.packing)
+    parts = hill_climb_decomposition(H)
+    if best == H.n ** (H.d - 1):
+        assert parts is not None and len(parts) == best and pairwise_disjoint_family(parts)
+    else:
+        assert parts is None
+
+
+def test_packing_and_decomposition_match_the_oracle_on_every_small_square(square_catalogue):
+    for squares in square_catalogue.values():
+        for arr in squares:
+            _assert_packing_and_decomposition_match_the_oracle(Hypercube(arr))
+
+
+# a random order-7 square with 18 transversals whose greedy bound, 5, is
+# refuted: its packing of 4 must leave the first branching cell uncovered
+_ORDER_7_PACKS_4 = [[4, 5, 0, 1, 3, 6, 2], [1, 3, 5, 4, 6, 2, 0], [2, 0, 1, 3, 5, 4, 6],
+                    [3, 6, 4, 2, 1, 0, 5], [0, 2, 6, 5, 4, 1, 3], [5, 4, 2, 6, 0, 3, 1],
+                    [6, 1, 3, 0, 2, 5, 4]]
+
+
+@pytest.mark.parametrize("make, upper_bound",
+                         [(lambda: cyclic(cyclic_group(3), 3), 9),
+                          (lambda: Hypercube(np.array(_ORDER_7_PACKS_4)), 5)],
+                         ids=["cyclic-3-d3", "order-7-packs-4"])
+def test_packing_and_decomposition_match_the_oracle(make, upper_bound):
+    H = make()
+    _assert_packing_and_decomposition_match_the_oracle(H)
+    assert max_disjoint_transversals(H).upper_bound == upper_bound
+
+
+def test_packing_is_proven_where_a_line_limits_it():
+    # 32 cells of third-species 4,4 lie on no transversal, and some hyperplane
+    # or symbol class keeps only 48 cells that do, while the greedy bound is
+    # 56: the search refutes 56..49 at the root and packs 48
+    H = third_species_44()
+    result = max_disjoint_transversals(H)
+    assert (len(result.packing), result.optimal, result.upper_bound) == (48, True, 56)
+    assert pairwise_disjoint_family(result.packing)
+    on_some = np.ones(H.symbols.shape, dtype=bool)
+    for cell in bachelor_cells(H).bachelor_cells:
+        on_some[cell] = False
+    lines = [on_some.take(v, axis=k) for k in range(H.d) for v in range(H.n)]
+    lines += [on_some[H.symbols == s] for s in range(H.n)]
+    assert min(int(line.sum()) for line in lines) == 48
+
+
+def test_packing_and_decomposition_run_deeper_than_the_recursion_limit():
+    # cyclic Z2 d=11 splits into 1,024 transversals, each a cell and its
+    # complement: one search level per transversal chosen
+    H = cyclic(cyclic_group(2), 11)
+    result = max_disjoint_transversals(H)
+    assert len(result.packing) == 1024 and result.optimal
+    parts = hill_climb_decomposition(H)
+    assert parts is not None and len(parts) == 1024 and pairwise_disjoint_family(parts)
+
+
 def test_hill_climb_finds_decomposition():
     H = cyclic(cyclic_group(3), 2)
-    parts = hill_climb_decomposition(H, SearchBudget(max_nodes=200_000, rng_seed=7))
+    parts = hill_climb_decomposition(H)
     assert parts is not None and len(parts) == 3
     covered = set()
     for D in parts:
@@ -699,12 +806,17 @@ def test_hill_climb_finds_decomposition():
 
 def test_hill_climb_fails_when_no_transversal_exists():
     H = cyclic(cyclic_group(2), 2)
-    assert hill_climb_decomposition(H, SearchBudget(max_nodes=20_000)) is None
+    assert hill_climb_decomposition(H) is None
+
+
+def test_hill_climb_proves_turned_cyclic_4_4_has_no_decomposition():
+    # 1,280 transversals, all through the turned block, pack only 16 of 64
+    assert hill_climb_decomposition(turned_cyclic(4, 4)) is None
 
 
 def test_hill_climb_on_boosted_cube():
     H = g_extension(cyclic(cyclic_group(3), 2), cyclic_group(3), 3)
-    parts = hill_climb_decomposition(H, SearchBudget(max_nodes=2_000_000, rng_seed=11))
+    parts = hill_climb_decomposition(H)
     assert parts is not None and len(parts) == 9
     assert pairwise_disjoint_family(parts)
     assert len(set().union(*(D.cell_set() for D in parts))) == 27
@@ -712,8 +824,8 @@ def test_hill_climb_on_boosted_cube():
 
 def test_hill_climb_determinism():
     H = cyclic(cyclic_group(3), 2)
-    a = hill_climb_decomposition(H, SearchBudget(max_nodes=100_000, rng_seed=3))
-    b = hill_climb_decomposition(H, SearchBudget(max_nodes=100_000, rng_seed=3))
+    a = hill_climb_decomposition(H)
+    b = hill_climb_decomposition(H)
     assert a is not None and [x.cells() for x in a] == [x.cells() for x in b]
 
 
