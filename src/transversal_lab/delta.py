@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import AbelianGroup, Element
-from .hypercube import Coords, Diagonal, Entry, Hypercube
+from .groups import AbelianGroup, Element, index_table
+from .hypercube import Coords, Diagonal, Entry, Hypercube, cyclic
 
 
 class DeltaProfile:
@@ -27,17 +27,18 @@ class DeltaProfile:
         self.group = group
         indices.setflags(write=False)
         self.indices = indices
+        elements = index_table(group).elements
         nz = np.argwhere(indices != 0)
         # np.argwhere returns row-major order, keeping support iteration deterministic
         self.support: dict[Coords, Element] = {
-            tuple(int(c) for c in cell): group.element(int(indices[tuple(cell)])) for cell in nz
+            tuple(int(c) for c in cell): elements[indices[tuple(cell)]] for cell in nz
         }
         self.projections: tuple[frozenset[int], ...] = tuple(
             frozenset(cell[axis] for cell in self.support) for axis in range(host.d)
         )
 
     def value_at(self, coords) -> Element:
-        return self.group.element(int(self.indices[tuple(coords)]))
+        return index_table(self.group).elements[self.indices[tuple(coords)]]
 
     def projection_sizes(self) -> tuple[int, ...]:
         return tuple(len(p) for p in self.projections)
@@ -58,32 +59,22 @@ def _check_group(H: Hypercube, group: AbelianGroup | None) -> AbelianGroup:
 
 @lru_cache(maxsize=256)
 def _profile_cached(H: Hypercube, group: AbelianGroup) -> DeltaProfile:
-    n, d = H.n, H.d
-    shape = (n,) * d
-    idx = np.zeros(shape, dtype=np.int64)
-    # componentwise: delta_k = (sym_k - sum_j coord_k(x_j)) mod m_k, then recombined
-    # into the group's mixed-radix element index
-    comp_tables = []
-    for k in range(group.rank):
-        comp_tables.append(np.array([group.element(i)[k] for i in range(n)], dtype=np.int64))
-    for k, (tab, m) in enumerate(zip(comp_tables, group.moduli)):
-        total = np.zeros(shape, dtype=np.int64)
-        for axis in range(d):
-            grid_shape = [1] * d
-            grid_shape[axis] = n
-            total = total + tab.reshape(grid_shape)
-        comp = (tab[H.symbols] - total) % m
-        idx = idx * m + comp
-    return DeltaProfile(H, group, idx)
+    # the cyclic cube of the group holds x_1 + ... + x_d at every cell
+    sub = index_table(group).sub_array
+    return DeltaProfile(H, group, sub[H.symbols, cyclic(group, H.d).symbols])
 
 
 def profile(H: Hypercube, group: AbelianGroup | None = None) -> DeltaProfile:
-    """Full delta profile (memoized per cube and group)."""
+    """Full delta profile (memoized per cube and group): each cell's symbol
+    minus its coordinate sum, one lookup in the group's subtraction table."""
     return _profile_cached(H, _check_group(H, group))
 
 
 def delta(H: Hypercube, group: AbelianGroup | None, e: Entry) -> Element:
-    """Delta value of a single entry; the entry must belong to the host."""
+    """Delta value of a single entry; the entry must belong to the host.
+
+    Computed componentwise with the checked group operations: the reference
+    that ``profile`` is tested against."""
     group = _check_group(H, group)
     coords = tuple(int(c) for c in e.coords)
     if len(coords) != H.d or H[coords] != e.symbol:

@@ -5,60 +5,45 @@ coordinates into the symbol: L'(x_1..x_{d'}) = L(x_1..x_d) + x_{d+1} + ... +
 x_{d'} in the index group.  Deviation values are preserved by the projection
 onto the first d coordinates, which makes diagonals with the right deviation
 sum in L exactly the shadows of transversals in L'.  The lift itself is
-constructive: pad the middle dimensions with permutations, then solve a
-zero-sum pairing problem in the group for the last dimension.
+constructive: pad the middle dimensions with the natural enumeration, then
+solve a zero-sum pairing problem in the group for the last dimension.  All of
+it runs on element indices, through the group's ``index_table``.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .delta import delta_sum, is_suitable, suitable_target
-from .groups import AbelianGroup, Element
+from .groups import AbelianGroup, Element, index_table
 from .hypercube import (
     Coords,
     Diagonal,
     Entry,
     Hypercube,
-    index_add_table,
     is_latin,
     pairwise_disjoint_family,
 )
 
 
 def g_extension(L: Hypercube, group: AbelianGroup | None = None, d_prime: int = 3) -> Hypercube:
-    """Extension of L to dimension d_prime over the given group labeling."""
+    """Extension of L to dimension d_prime over the given group labeling: one
+    ``quasi_extend`` step per added dimension over the group's addition."""
     group = L.group if group is None else group
     if group.order != L.n:
         raise ValueError(f"group order {group.order} does not match cube order {L.n}")
     if d_prime <= L.d:
         raise ValueError(f"target dimension {d_prime} must exceed base dimension {L.d}")
-    add_tab = index_add_table(group)
-    axis = np.arange(L.n, dtype=np.int64)
-    acc = L.symbols
+    Q = Quasigroup.from_group(group)
+    out = Hypercube(L.symbols, group)
+    out._latin = L._latin
     for _ in range(d_prime - L.d):
-        acc = add_tab[acc[..., None], axis]
-    out = Hypercube(acc, group)
-    if L._latin:
-        out._latin = True
+        out = quasi_extend(out, Q)
     return out
-
-
-@lru_cache(maxsize=64)
-def _index_arithmetic(
-    group: AbelianGroup,
-) -> tuple[tuple[Element, ...], dict[Element, int], tuple[tuple[int, ...], ...]]:
-    """The group's elements in enumeration order, each element's index, and the
-    addition table on indices (index 0 is the identity), built once per group."""
-    elems = tuple(group.elements())
-    index = {e: i for i, e in enumerate(elems)}
-    return elems, index, tuple(map(tuple, index_add_table(group).tolist()))
 
 
 def hall_pair(
@@ -75,9 +60,16 @@ def hall_pair(
     from the position j holding it; if j is not the last position, it swaps
     b_j with the last b and repairs j next.  Hall's argument closes every
     chain within n exchanges."""
-    n = group.order
-    elems, index, add = _index_arithmetic(group)
-    want = [index[group.reduce(s)] for s in sigmas]
+    table = index_table(group)
+    a, b = _hall_indices(table.add, [table.index[group.reduce(s)] for s in sigmas])
+    return [table.elements[x] for x in a], [table.elements[x] for x in b]
+
+
+def _hall_indices(
+    add: Sequence[Sequence[int]], want: list[int]
+) -> tuple[list[int], list[int]]:
+    """``hall_pair`` on element indices, with the group's addition table."""
+    n = len(add)
     if len(want) != n:
         raise ValueError(f"need exactly {n} values, got {len(want)}")
     total = 0
@@ -104,7 +96,7 @@ def hall_pair(
             i = j
         else:
             raise RuntimeError("exchange chain did not close; this should be impossible")
-    return [elems[x] for x in a], [elems[x] for x in b]
+    return a, b
 
 
 def lift_diagonal(
@@ -112,40 +104,50 @@ def lift_diagonal(
     D: Diagonal,
     group: AbelianGroup | None = None,
     d_prime: int = 3,
-    rng: random.Random | None = None,
 ) -> Diagonal:
     """Transversal of the extension that projects exactly onto D.
 
     D must have the deviation sum matching d_prime.  Middle dimensions are
-    padded with the natural enumeration (or seeded random permutations); the
-    last dimension comes from the zero-sum pairing."""
+    padded with the natural enumeration (entry i of D gets coordinate i on
+    each); the last dimension comes from the zero-sum pairing, on element
+    indices."""
     group = L.group if group is None else group
     if not is_suitable(L, group, D, d_prime):
         raise ValueError(
             f"diagonal deviation sum {delta_sum(L, group, D)} does not match the"
             f" target {suitable_target(group, d_prime)} for dimension {d_prime}"
         )
-    n = L.n
+    add = index_table(group).add
     extension = g_extension(L, group, d_prime)
-    coords = [list(e.coords) for e in D.entries]
-    syms = [group.element(e.symbol) for e in D.entries]
     middle = d_prime - L.d - 1
+    syms = [e.symbol for e in D.entries]
     for _ in range(middle):
-        perm = list(range(n))
-        if rng is not None:
-            rng.shuffle(perm)
-        for i in range(n):
-            coords[i].append(perm[i])
-            syms[i] = group.add(syms[i], group.element(perm[i]))
-    a, b = hall_pair(group, syms)
-    entries = []
-    for i in range(n):
-        coords[i].append(group.index(b[i]))
-        entries.append(Entry(tuple(coords[i]), group.index(a[i])))
+        syms = [add[s][i] for i, s in enumerate(syms)]
+    a, b = _hall_indices(add, syms)
+    entries = [
+        Entry(e.coords + (i,) * middle + (b[i],), a[i]) for i, e in enumerate(D.entries)
+    ]
     T = Diagonal.from_entries(extension, entries, transversal=True)
     if {e.coords[: L.d] for e in T.entries} != {e.coords for e in D.entries}:
         raise RuntimeError("lift does not project onto the input diagonal")
     return T
+
+
+def _translated(
+    T: Diagonal, d: int, tail: Sequence[int], group: AbelianGroup
+) -> list[Entry]:
+    """T's entries moved inside their fibre: the coordinates past the first d
+    by ``tail`` and every symbol by the group sum of ``tail`` (indices), which
+    keeps each entry on the extension."""
+    add = index_table(group).add
+    total = 0
+    for t in tail:
+        total = add[total][t]
+    return [
+        Entry(e.coords[:d] + tuple(add[c][t] for c, t in zip(e.coords[d:], tail)),
+              add[e.symbol][total])
+        for e in T.entries
+    ]
 
 
 def transversal_through_fibre(
@@ -162,27 +164,16 @@ def transversal_through_fibre(
     shifting every symbol by the group sum of the translation."""
     group = L.group if group is None else group
     extension = g_extension(L, group, d_prime)
-    base_cells = {e.coords: i for i, e in enumerate(D.entries)}
     head = alpha.coords[: L.d]
-    if head not in base_cells:
+    if head not in D.cell_set():
         raise ValueError("alpha does not project into the diagonal")
     if extension[alpha.coords] != alpha.symbol:
         raise ValueError("alpha is not an entry of the extension")
     T = lift_diagonal(L, D, group, d_prime)
-    k = next(i for i, e in enumerate(T.entries) if e.coords[: L.d] == head)
-    anchor = T.entries[k]
-    shift = [
-        group.sub(group.element(y), group.element(x))
-        for y, x in zip(alpha.coords, anchor.coords)
-    ]
-    total = group.sum(shift)
-    entries = []
-    for e in T.entries:
-        coords = tuple(
-            group.index(group.add(group.element(c), v)) for c, v in zip(e.coords, shift)
-        )
-        entries.append(Entry(coords, group.index(group.add(group.element(e.symbol), total))))
-    out = Diagonal.from_entries(extension, entries, transversal=True)
+    anchor = next(e for e in T.entries if e.coords[: L.d] == head)
+    sub = index_table(group).sub
+    tail = [sub[y][x] for y, x in zip(alpha.coords[L.d :], anchor.coords[L.d :])]
+    out = Diagonal.from_entries(extension, _translated(T, L.d, tail, group), transversal=True)
     if alpha not in out.entries:
         raise RuntimeError("translated lift missed the requested entry")
     return out
@@ -201,25 +192,12 @@ def lift_family(
     group = L.group if group is None else group
     if not pairwise_disjoint_family(diagonals):
         raise ValueError("input diagonals are not pairwise disjoint")
-    n = L.n
-    extra = d_prime - L.d
     extension = g_extension(L, group, d_prime)
     out: list[Diagonal] = []
     for D in diagonals:
         T = lift_diagonal(L, D, group, d_prime)
-        for tail in itertools.product(range(n), repeat=extra):
-            vec = [group.element(t) for t in tail]
-            total = group.sum(vec)
-            entries = []
-            for e in T.entries:
-                head = e.coords[: L.d]
-                moved = tuple(
-                    group.index(group.add(group.element(c), v))
-                    for c, v in zip(e.coords[L.d :], vec)
-                )
-                entries.append(
-                    Entry(head + moved, group.index(group.add(group.element(e.symbol), total)))
-                )
+        for tail in itertools.product(range(L.n), repeat=d_prime - L.d):
+            entries = _translated(T, L.d, tail, group)
             out.append(Diagonal.from_entries(extension, entries, transversal=True))
     if not pairwise_disjoint_family(out):
         raise RuntimeError("lifted family is not pairwise disjoint")
@@ -278,9 +256,7 @@ class Quasigroup:
 
     @classmethod
     def from_group(cls, group: AbelianGroup) -> "Quasigroup":
-        n = group.order
-        tab = index_add_table(group)
-        return cls(tuple(tuple(int(v) for v in row) for row in tab))
+        return cls(index_table(group).add)
 
 
 def quasi_extend(H_prev: Hypercube, Q: Quasigroup) -> Hypercube:

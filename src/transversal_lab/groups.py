@@ -3,15 +3,21 @@
 Groups are direct products of cyclic factors.  Elements are reduced integer
 tuples, one component per factor.  Every group carries a fixed enumeration of
 its elements (mixed-radix, last factor fastest) so that symbols 0..n-1 of a
-hypercube can be identified with group elements.
+hypercube can be identified with group elements.  ``index_table`` holds the
+arithmetic on those indices, built once per group; every boost, deviation
+profile, pairing, lift and hitting check adds through it, while the checked
+tuple operations of ``AbelianGroup`` serve outside input and tests.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
-from typing import Iterator
+from typing import Iterator, NamedTuple
+
+import numpy as np
 
 Element = tuple[int, ...]
 
@@ -70,7 +76,9 @@ class AbelianGroup:
         return tuple((-x) % m for x, m in zip(a, self.moduli))
 
     def sub(self, a: Element, b: Element) -> Element:
-        return self.add(a, self.neg(b))
+        self._check(a)
+        self._check(b)
+        return tuple((x - y) % m for x, y, m in zip(a, b, self.moduli))
 
     def scalar_mul(self, k: int, a: Element) -> Element:
         self._check(a)
@@ -79,7 +87,8 @@ class AbelianGroup:
     def sum(self, elements) -> Element:
         total = self.identity()
         for a in elements:
-            total = self.add(total, a)
+            self._check(a)
+            total = tuple((x + y) % m for x, y, m in zip(total, a, self.moduli))
         return total
 
     def element(self, index: int) -> Element:
@@ -129,3 +138,32 @@ def parse_group(literal: str) -> AbelianGroup:
 
 def cyclic_group(n: int) -> AbelianGroup:
     return AbelianGroup((n,))
+
+
+class IndexTable(NamedTuple):
+    """A group's arithmetic on element indices (its fixed enumeration; index 0
+    is the identity).  ``add[a][b]`` is the index of a + b and ``sub[a][b]``
+    that of a - b, so ``sub[0]`` negates; both as nested tuples for Python
+    loops and as read-only arrays for array code."""
+
+    elements: tuple[Element, ...]
+    index: dict[Element, int]
+    add: tuple[tuple[int, ...], ...]
+    sub: tuple[tuple[int, ...], ...]
+    add_array: np.ndarray
+    sub_array: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def index_table(group: AbelianGroup) -> IndexTable:
+    """The group's index arithmetic, built once per group."""
+    elements = tuple(group.elements())
+    comps = np.array(elements, dtype=np.int64)
+    weights = [prod(group.moduli[k + 1 :]) for k in range(group.rank)]  # mixed radix
+    add = ((comps[:, None] + comps) % group.moduli) @ weights
+    sub = ((comps[:, None] - comps) % group.moduli) @ weights
+    add.setflags(write=False)
+    sub.setflags(write=False)
+    index = {e: i for i, e in enumerate(elements)}
+    nested = [tuple(map(tuple, t.tolist())) for t in (add, sub)]
+    return IndexTable(elements, index, *nested, add, sub)

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .groups import AbelianGroup, cyclic_group
+from .groups import AbelianGroup, cyclic_group, index_table
 
 Coords = tuple[int, ...]
 
@@ -98,7 +98,7 @@ def cyclic(group: AbelianGroup, d: int) -> Hypercube:
     if d < 2:
         raise ValueError("dimension must be at least 2")
     n = group.order
-    add_tab = index_add_table(group)
+    add_tab = index_table(group).add_array
     axis = np.arange(n, dtype=np.int64)
     acc = axis.copy()
     for _ in range(d - 1):
@@ -106,17 +106,6 @@ def cyclic(group: AbelianGroup, d: int) -> Hypercube:
     H = Hypercube(acc, group)
     H._latin = True
     return H
-
-
-def index_add_table(group: AbelianGroup) -> np.ndarray:
-    """n x n table of element-index addition for the group's fixed enumeration."""
-    n = group.order
-    tab = np.empty((n, n), dtype=np.int64)
-    elems = [group.element(i) for i in range(n)]
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            tab[i, j] = group.index(group.add(a, b))
-    return tab
 
 
 def is_latin(H: Hypercube) -> bool:

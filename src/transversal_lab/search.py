@@ -52,15 +52,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .delta import profile, suitable_target
-from .groups import AbelianGroup, Element
-from .hypercube import (
-    Coords,
-    Diagonal,
-    Entry,
-    Hypercube,
-    index_add_table,
-    is_latin,
-)
+from .groups import AbelianGroup, Element, IndexTable, index_table
+from .hypercube import Coords, Diagonal, Entry, Hypercube, is_latin
 
 DEFAULT_SEED = 2024
 
@@ -232,29 +225,26 @@ def count_diagonals(
 
 class _TargetSum(NamedTuple):
     """A delta-sum target in index form: the target's index, each cell's delta
-    index, and the group's addition table on indices."""
+    index, and the group's index table."""
 
     index: int
     deltas: np.ndarray
-    add: list[list[int]]
+    table: IndexTable
 
     @classmethod
     def of(cls, H: Hypercube, group: AbelianGroup, target_sum: Element) -> _TargetSum:
-        return cls(
-            group.index(group.reduce(target_sum)),
-            profile(H, group).indices,
-            index_add_table(group).tolist(),
-        )
+        index = group.index(group.reduce(target_sum))
+        return cls(index, profile(H, group).indices, index_table(group))
 
 
 def _dfs_results(
     H: Hypercube, gauge: _Gauge, transversal: bool, target: _TargetSum | None
 ) -> Iterator[tuple[RawEntry, ...]]:
     """The DFS's transversals or diagonals, those with the target sum if given."""
-    found = _listing(_Cells.of(H, transversal), gauge)
+    found = _listing(_cube_cells(H, transversal), gauge)
     if target is None:
         return found
-    dlist, add = target.deltas.tolist(), target.add
+    dlist, add = target.deltas.tolist(), target.table.add
 
     def total(raw: tuple[RawEntry, ...]) -> int:
         t = 0
@@ -378,6 +368,13 @@ class _Cells(NamedTuple):
             allowed.append(ok)
             avoiding.append([ok & ~h for h in holding])
         return cls(entries, positions, allowed, avoiding, n, transversal)
+
+
+@functools.lru_cache(maxsize=4)
+def _cube_cells(H: Hypercube, transversal: bool) -> _Cells:
+    """All the cells of H, memoized per cube and kind as the delta profile is,
+    so that a cube's through-cell searches share one build (they only read it)."""
+    return _Cells.of(H, transversal)
 
 
 def _listing(cells: _Cells, gauge: _Gauge) -> Iterator[tuple[RawEntry, ...]]:
@@ -506,7 +503,7 @@ def transversal_through(
     _require_latin(H)
     budget = budget or SearchBudget()
     [cell] = _checked_cells(H, [cell])
-    raw = _complete(_Cells.of(H, True), [(cell, H[cell])], _Gauge(budget))
+    raw = _complete(_cube_cells(H, True), [(cell, H[cell])], _Gauge(budget))
     return None if raw is None else _raw_to_diagonal(raw, H.n)
 
 
@@ -564,7 +561,7 @@ def _layer_work(H: Hypercube, target: _TargetSum | None) -> tuple[int, int]:
     target-sum layers on H, and its bound."""
     if target is None:
         return _frontier_work(H.n, H.d), _DP_WORK_BOUND
-    return _target_work(H.n, H.d, len(target.add)), _TARGET_WORK_BOUND
+    return _target_work(H.n, H.d, len(target.table.add)), _TARGET_WORK_BOUND
 
 
 # A row's cells for one key, in two forms: grouped by their axis-1 bit in
@@ -652,14 +649,11 @@ def _back_layers(H: Hypercube, gauge: _Gauge, target: _TargetSum | None = None) 
         rows = build = _frontier_rows(H, H.symbols, symbol_bits, full)
         root = 0
     else:
-        add = target.add
         # reading subtracts each delta from what is left of the target
-        minus = [[0] * len(add) for _ in add]
-        for k, sums in enumerate(add):
-            for v, s in enumerate(sums):
-                minus[s][v] = k
-        build = _frontier_rows(H, target.deltas, [[s << width for s in k] for k in add], full)
-        rows = _frontier_rows(H, target.deltas, [[s << width for s in k] for k in minus], full)
+        build, rows = (
+            _frontier_rows(H, target.deltas, [[s << width for s in k] for k in table], full)
+            for table in (target.table.add, target.table.sub)
+        )
         root = target.index << width
     back = [{0: 1}]
     for row in reversed(build):
@@ -777,8 +771,8 @@ def _frontier_scan(H: Hypercube, gauge: _Gauge) -> tuple[Coords, ...]:
 
 def _per_cell_scan(H: Hypercube, gauge: _Gauge) -> tuple[Coords, ...]:
     """The bachelor cells, by one ``_complete`` search per cell that no
-    transversal found so far covers, on cells built once for the scan."""
-    cells = _Cells.of(H, True)
+    transversal found so far covers, on the cube's cells."""
+    cells = _cube_cells(H, True)
     covered: set[Coords] = set()
     bachelors: list[Coords] = []
     for cell in H.cells():
@@ -1040,7 +1034,8 @@ def hitting_set_check(
     _require_latin(H)
     budget = budget or SearchBudget()
     group = H.group if group is None else group
-    target = group.reduce(target)
+    target = group.index(group.reduce(target))
+    add = index_table(group).add
     U = set(_checked_cells(H, cells))
     prof = profile(H, group)
     X = frozenset(prof.support)
@@ -1050,7 +1045,7 @@ def hitting_set_check(
     used: list[set[int]] = [set() for _ in range(H.d)]
     branch: list[RawEntry] = []
 
-    def completes(start: int, total: Element) -> bool:
+    def completes(start: int, total: int) -> bool:
         nonlocal allowed
         gauge.tick()
         if total == target:
@@ -1064,7 +1059,7 @@ def hitting_set_check(
             for v, u in zip(cell, used):
                 u.add(v)
             branch.append((cell, H[cell]))
-            found = completes(i + 1, group.add(total, prof.value_at(cell)))
+            found = completes(i + 1, add[total][prof.indices[cell]])
             branch.pop()
             for v, u in zip(cell, used):
                 u.discard(v)
@@ -1072,7 +1067,7 @@ def hitting_set_check(
                 return True
         return False
 
-    return not completes(0, group.identity())
+    return not completes(0, 0)
 
 
 # -- decompositions ------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -22,7 +23,7 @@ from transversal_lab.delta import (
 )
 from transversal_lab.extension import symbol_classes
 from transversal_lab.groups import cyclic_group, parse_group
-from transversal_lab.hypercube import Diagonal, Entry, Hypercube, cyclic
+from transversal_lab.hypercube import Diagonal, Entry, Hypercube, apply_isotopy, cyclic
 from transversal_lab.oracles import brute_diagonals
 from transversal_lab.search import enumerate_transversals
 
@@ -187,3 +188,23 @@ def test_deviation_sum_invariant_on_enumerated_transversals():
 def test_profile_memoization_returns_same_object():
     H = confirmed_bachelor(4, 4)
     assert profile(H) is profile(H)
+
+
+@pytest.mark.parametrize(
+    "literal, d, seed",
+    [("Z2xZ4", 2, 1), ("Z2xZ2", 3, 2), ("Z3xZ3", 2, 3), ("Z6", 3, 4), ("Z8", 2, 5),
+     ("Z2xZ4", 3, 6)],
+)
+def test_profile_matches_delta_on_seeded_isotopes(literal, d, seed):
+    # the table lookup of profile against the componentwise, checked delta
+    g = parse_group(literal)
+    rng = random.Random(seed)
+    perms = [rng.sample(range(g.order), g.order) for _ in range(d + 1)]
+    H = apply_isotopy(cyclic(g, d), perms)
+    prof = profile(H, g)
+    assert prof.support
+    for cell in H.cells():
+        expect = delta(H, g, H.entry(cell))
+        assert prof.value_at(cell) == expect
+        assert prof.indices[cell] == g.index(expect)
+        assert prof.support.get(cell, g.identity()) == expect

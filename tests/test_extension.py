@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -170,14 +171,16 @@ def test_lift_rejects_unsuitable_diagonal():
         lift_diagonal(L, main, L.group, 4)
 
 
-def test_lift_with_seeded_padding():
+def test_lift_pads_middle_dimensions():
     L = z6_isotope_square()
     D = z6_marked_diagonal()
-    T1 = lift_diagonal(L, D, L.group, 6, rng=random.Random(1))
-    T2 = lift_diagonal(L, D, L.group, 6, rng=random.Random(1))
-    assert T1.cells() == T2.cells()
+    T = lift_diagonal(L, D, L.group, 6)
     ext = g_extension(L, L.group, 6)
-    Diagonal.from_entries(ext, T1.entries, transversal=True)
+    assert Diagonal.from_entries(ext, T.entries, transversal=True).complete
+    # entry i of D gets coordinate i on each middle dimension
+    assert [e.coords[:5] for e in T.entries] == [
+        e.coords + (i,) * 3 for i, e in enumerate(D.entries)
+    ]
 
 
 def test_transversal_through_fibre():
@@ -373,3 +376,47 @@ def test_quasigroup_reads_from_square_file(tmp_path):
     assert q.order == 6 and q.apply(0, 4) == 5
     with pytest.raises(ValueError):
         Quasigroup.from_square(cyclic(cyclic_group(2), 3))
+
+
+# -- golden outputs: digests recorded from the componentwise implementation of
+# the boost and the lifts, which the index-table version must reproduce
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+def _cube_digest(H: Hypercube) -> str:
+    return _digest((str(H.group), H.symbols.tolist()))
+
+
+def _diagonals_digest(diagonals) -> str:
+    return _digest([
+        [(tuple(int(c) for c in e.coords), int(e.symbol)) for e in D.entries]
+        for D in diagonals
+    ])
+
+
+def test_golden_g_extension():
+    assert _cube_digest(g_extension(ord6m_square(1), None, 4)) == "f7f4d7e6597631b3"
+    klein = parse_group("Z2xZ2")
+    assert _cube_digest(g_extension(cyclic(klein, 2), klein, 3)) == "856a35a8469319cc"
+    # the group argument, not the cube's own group, labels the extension
+    ext = g_extension(ord8_square(), parse_group("Z2xZ4"), 3)
+    assert str(ext.group) == "Z2xZ4"
+    assert _cube_digest(ext) == "3d34d3662702775e"
+
+
+def test_golden_lifts():
+    L = ord6m_square(1)
+    family = lift_family(L, ord6m_marked_transversals(), L.group, 4)
+    assert _diagonals_digest(family) == "b0081b333be087c2"
+    L, D = z6_isotope_square(), z6_marked_diagonal()
+    ext = g_extension(L, L.group, 4)
+    through = [
+        transversal_through_fibre(L, D, L.group, 4, ext.entry(e.coords + tail))
+        for e in D.entries
+        for tail in itertools.product(range(6), repeat=2)
+    ]
+    assert _diagonals_digest(through) == "b483b3ce0dff0786"
+    assert _diagonals_digest([lift_diagonal(L, D, L.group, 6)]) == "1fa366951e0b7c5a"

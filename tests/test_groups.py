@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from transversal_lab.groups import AbelianGroup, cyclic_group, parse_group
+from transversal_lab.groups import AbelianGroup, cyclic_group, index_table, parse_group
 
 
 def all_small_groups(max_order=16):
@@ -136,3 +136,49 @@ def test_rejects_bad_moduli():
         AbelianGroup((0,))
     with pytest.raises(ValueError):
         AbelianGroup((-2, 3))
+
+
+def test_sub_and_sum_match_add_and_neg():
+    g = parse_group("Z2xZ4")
+    elems = list(g.elements())
+    for a, b in itertools.product(elems, repeat=2):
+        assert g.sub(a, b) == g.add(a, g.neg(b))
+    assert g.sum(elems) == g.g_plus() == (0, 0)
+    assert g.sum([(1, 3), (1, 2)]) == (0, 1)
+    assert g.sum([]) == g.identity()
+
+
+@pytest.mark.parametrize("bad", [(2, 0), (0, 4), (0, -1), (0,), [0, 1], (0, 1, 0)])
+def test_sub_and_sum_reject_each_bad_operand(bad):
+    g = parse_group("Z2xZ4")
+    with pytest.raises(ValueError):
+        g.sub(bad, (0, 1))
+    with pytest.raises(ValueError):
+        g.sub((0, 1), bad)
+    with pytest.raises(ValueError):
+        g.sum([(1, 1), bad])
+    with pytest.raises(ValueError):
+        g.sum([bad, (1, 1)])
+
+
+def test_index_table_matches_the_tuple_api():
+    for g in SMALL_GROUPS:
+        t = index_table(g)
+        elems = list(g.elements())
+        assert t.elements == tuple(elems)
+        assert [t.index[a] for a in elems] == [g.index(a) for a in elems]
+        assert t.elements[0] == g.identity()
+        for i, a in enumerate(elems):
+            assert t.sub[0][i] == g.index(g.neg(a))
+            for j, b in enumerate(elems):
+                assert t.add[i][j] == t.add_array[i, j] == g.index(g.add(a, b))
+                assert t.sub[i][j] == t.sub_array[i, j] == g.index(g.sub(a, b))
+
+
+def test_index_table_is_read_only_and_shared():
+    g = parse_group("Z3xZ3")
+    t = index_table(g)
+    assert index_table(parse_group("Z3xZ3")) is t
+    for arr in (t.add_array, t.sub_array):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1

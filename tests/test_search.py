@@ -126,6 +126,27 @@ def test_transversal_through_every_cell_of_the_dilated_l8_within_budget():
         assert Diagonal.from_entries(D, T.entries, transversal=True).complete
 
 
+def test_through_cell_searches_on_one_cube_build_its_cells_once(monkeypatch):
+    builds = []
+    build = search._Cells.of
+
+    def counted(*args, **kwargs):
+        builds.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(search._Cells, "of", counted)
+    search._cube_cells.cache_clear()
+    H = third_species_44()
+    for cell in H.cells():
+        T = transversal_through(H, cell)
+        assert T is None or cell in T.cells()
+    assert builds == [H]
+    # an equal cube read again shares the build; another cube gets its own
+    transversal_through(Hypercube(H.symbols), (0, 0, 0, 0))
+    transversal_through(confirmed_bachelor(4, 4), (0, 0, 0, 0))
+    assert len(builds) == 2
+
+
 def test_transversal_through_budget_exhaustion_is_distinct():
     H = confirmed_bachelor(4, 4)
     with pytest.raises(BudgetExhausted):
