@@ -12,14 +12,14 @@ deviation support.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .delta import profile, suitable_target
 from .groups import AbelianGroup, cyclic_group
 from .hypercube import Coords, Diagonal, Entry, Hypercube, is_latin
-from .search import SearchBudget, complete_avoiding, hitting_set_check
+from .search import SearchBudget, hitting_set_check
 
 
 def _require_zn(H: Hypercube) -> None:
@@ -68,33 +68,17 @@ class SupportSpread:
 
 
 def dilrect_condition(H: Hypercube, group: AbelianGroup | None = None) -> SupportSpread:
-    """Check sum of per-axis support projections against (d-1) * n."""
+    """Check sum of per-axis support projections against (d-1) * n.
+
+    When it holds, a partial diagonal inside the support always completes to
+    one meeting the support exactly there (``search.complete_avoiding`` with
+    the support forbidden): give every remaining row one coordinate outside
+    the corresponding support projection, then fill the columns with their
+    unused values."""
     prof = profile(H, group)
     sizes = prof.projection_sizes()
     bound = (H.d - 1) * H.n
     return SupportSpread(sizes, bound, sum(sizes) <= bound)
-
-
-def extend_partial_in_support(
-    H: Hypercube,
-    partial_cells: Sequence[Coords],
-    group: AbelianGroup | None = None,
-    budget: SearchBudget | None = None,
-) -> Diagonal | None:
-    """Complete a partial diagonal inside the support to a diagonal meeting the
-    support exactly there, or None if provably absent.
-
-    This is a completion of the partial cells avoiding the rest of the
-    support (``complete_avoiding``).  When the projection condition holds one
-    always exists: give every remaining row one coordinate outside the
-    corresponding support projection, then fill the columns with their unused
-    values."""
-    X = set(profile(H, group).support)
-    cells = [tuple(int(x) for x in c) for c in partial_cells]
-    for c in cells:
-        if c not in X:
-            raise ValueError(f"cell {c} is not in the nonzero-deviation support")
-    return complete_avoiding(H, cells, X, budget)
 
 
 @dataclass

@@ -116,10 +116,6 @@ class AbelianGroup:
         """Sum of all group elements: the unique involution if one exists, else identity."""
         return self.sum(self.elements())
 
-    def has_noncyclic_sylow2(self) -> bool:
-        """True iff the Sylow 2-subgroup is a product of two or more cyclic factors."""
-        return sum(1 for m in self.moduli if m % 2 == 0) >= 2
-
     def __str__(self) -> str:
         return "x".join(f"Z{m}" for m in self.moduli)
 

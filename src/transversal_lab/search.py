@@ -8,6 +8,10 @@ in one of two orders.  ``_listing`` fills them in increasing order (axis-0
 values) and takes a row's cells in row-major order, which fixes a
 deterministic output order: it lists all diagonals, and lists and counts
 transversals and target-sum diagonals wherever the stored layers do not run.
+A target sum (``_TargetSum``, the one form every search with a target takes)
+rides along as the delta sum of the cells placed, and is checked when the last
+row's cell is placed, so the DFS lists only diagonals with that sum, in the
+same order and with the same nodes as all diagonals.
 ``_complete`` answers whether a diagonal or transversal passes through given
 cells while avoiding others: through-cell searches, per-cell coverage scans,
 completions and the completions of hitting-set checks.  It always fills the
@@ -60,10 +64,6 @@ DEFAULT_SEED = 2024
 
 class BudgetExhausted(RuntimeError):
     """Search budget ran out before the question was decided."""
-
-    def __init__(self, message: str = "search budget exhausted", partial=None):
-        super().__init__(message)
-        self.partial = partial
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,6 @@ def enumerate_diagonals(
     the DFS, in the same order, by the listing rule of ``_results``."""
     _require_latin(H)
     budget = budget or SearchBudget()
-    group = H.group if group is None else group
     target = None if target_sum is None else _TargetSum.of(H, group, target_sum)
     results = _results(H, budget, _Gauge(budget), transversal=False, target=target)
     yield from _listed(H, budget, results)
@@ -219,43 +218,24 @@ def count_diagonals(
     By the rule of ``Census``, with the worst case ``_target_work`` and the
     bound ``_TARGET_WORK_BOUND``."""
     _require_latin(H)
-    group = H.group if group is None else group
     return _census(H, budget or SearchBudget(), keep, _TargetSum.of(H, group, target_sum))
 
 
 class _TargetSum(NamedTuple):
-    """A delta-sum target in index form: the target's index, each cell's delta
-    index, and the group's index table."""
+    """A delta-sum target in index form, the one form every search with a
+    target takes: the target's index, each cell's delta index, and the
+    group's index table."""
 
     index: int
     deltas: np.ndarray
     table: IndexTable
 
     @classmethod
-    def of(cls, H: Hypercube, group: AbelianGroup, target_sum: Element) -> _TargetSum:
+    def of(cls, H: Hypercube, group: AbelianGroup | None, target_sum: Element) -> _TargetSum:
+        """The target in H's group, or in ``group`` if given."""
+        group = H.group if group is None else group
         index = group.index(group.reduce(target_sum))
         return cls(index, profile(H, group).indices, index_table(group))
-
-
-def _dfs_results(
-    H: Hypercube, gauge: _Gauge, transversal: bool, target: _TargetSum | None
-) -> Iterator[tuple[RawEntry, ...]]:
-    """The DFS's transversals or diagonals, those with the target sum if given."""
-    found = _listing(_cube_cells(H, transversal), gauge)
-    if target is None:
-        return found
-    dlist, add = target.deltas.tolist(), target.table.add
-
-    def total(raw: tuple[RawEntry, ...]) -> int:
-        t = 0
-        for coords, _sym in raw:
-            node = dlist
-            for c in coords:
-                node = node[c]
-            t = add[t][node]
-        return t
-
-    return (raw for raw in found if total(raw) == target.index)
 
 
 def _results(
@@ -278,7 +258,7 @@ def _results(
         work, bound = _layer_work(H, target)
         if work <= min(bound, budget.max_nodes) and budget.max_results is None:
             return _layer_listing(_back_layers(H, gauge, target), gauge)
-    return _dfs_results(H, gauge, transversal, target)
+    return _listing(_cube_cells(H, transversal), gauge, target)
 
 
 def _listed(
@@ -287,7 +267,7 @@ def _listed(
     for emitted, raw in enumerate(results, 1):
         yield _raw_to_diagonal(raw, H.n)
         if emitted == budget.max_results:
-            raise BudgetExhausted("result budget reached", partial=emitted)
+            raise BudgetExhausted("result budget reached")
 
 
 def _census(
@@ -301,25 +281,24 @@ def _census(
     gauge = _Gauge(budget)
     witnesses: list[Diagonal] = []
     work, bound = _layer_work(H, target)
-    if work <= bound and budget.max_results is None:
-        try:
-            layers = _back_layers(H, gauge, target)
-            for raw in itertools.islice(_layer_listing(layers, gauge), keep):
-                witnesses.append(_raw_to_diagonal(raw, H.n))
-        except BudgetExhausted:
-            return Census(len(witnesses), tuple(witnesses), False, gauge.nodes)
-        return Census(layers.count, tuple(witnesses), True, gauge.nodes)
+    layers = None
     count = 0
     try:
-        for raw in _dfs_results(H, gauge, target is None, target):
-            if count < keep:
+        # the layers count at the root and list only the witnesses; the DFS
+        # counts every result it lists
+        if work <= bound and budget.max_results is None:
+            layers = _back_layers(H, gauge, target)
+            results = itertools.islice(_layer_listing(layers, gauge), keep)
+        else:
+            results = _listing(_cube_cells(H, target is None), gauge, target)
+        for count, raw in enumerate(results, 1):
+            if count <= keep:
                 witnesses.append(_raw_to_diagonal(raw, H.n))
-            count += 1
             if count == budget.max_results:
                 return Census(count, tuple(witnesses), False, gauge.nodes)
     except BudgetExhausted:
         return Census(count, tuple(witnesses), False, gauge.nodes)
-    return Census(count, tuple(witnesses), True, gauge.nodes)
+    return Census(count if layers is None else layers.count, tuple(witnesses), True, gauge.nodes)
 
 
 # -- depth-first search --------------------------------------------------------
@@ -377,21 +356,31 @@ def _cube_cells(H: Hypercube, transversal: bool) -> _Cells:
     return _Cells.of(H, transversal)
 
 
-def _listing(cells: _Cells, gauge: _Gauge) -> Iterator[tuple[RawEntry, ...]]:
+def _listing(
+    cells: _Cells, gauge: _Gauge, target: _TargetSum | None = None
+) -> Iterator[tuple[RawEntry, ...]]:
     """Every full diagonal (transversal, on cells with symbol positions) on
-    the allowed cells, in deterministic order.
+    the allowed cells, those with the target delta sum if given, in
+    deterministic order.
 
     Rows are filled in increasing order, each row's fitting cells taken lowest
     bit first, which is row-major order; so the results come in lexicographic
     order.  Each cell placed cuts the bit sets of the later rows, and a branch
-    ends as soon as one of them is empty.  The gauge ticks once per cell
-    placed, as in ``_complete``; BudgetExhausted propagates."""
+    ends as soon as one of them is empty.  The delta sum of the cells placed
+    rides along, and a last-row cell completes a result only if it closes the
+    sum to the target.  The gauge ticks once per cell placed, whether or not
+    it closes the sum, as in ``_complete``; BudgetExhausted propagates."""
     n, entries, positions, avoiding = cells.n, cells.entries, cells.positions, cells.avoiding
     if not all(cells.allowed):
         return
+    if target is None:  # every sum is the target 0 of the trivial group
+        deltas, add, goal = [[0] * len(row) for row in entries], [[0]], 0
+    else:  # each row's delta indices in the order of its entries
+        deltas, add, goal = target.deltas.reshape(n, -1).tolist(), target.table.add, target.index
     # todo[r]: row r's fitting cells not yet tried; later[r]: the fitting cells
-    # of rows r+1..n-1, given the cells placed on rows 0..r-1 (those in acc)
-    todo, later = [cells.allowed[0]], [cells.allowed[1:]]
+    # of rows r+1..n-1, given the cells placed on rows 0..r-1 (those in acc,
+    # with delta sum sums[r])
+    todo, later, sums = [cells.allowed[0]], [cells.allowed[1:]], [0]
     acc: list[RawEntry] = []
     while todo:
         r = len(todo) - 1
@@ -399,6 +388,7 @@ def _listing(cells: _Cells, gauge: _Gauge) -> Iterator[tuple[RawEntry, ...]]:
         if not fits:
             todo.pop()
             later.pop()
+            sums.pop()
             if acc:
                 acc.pop()
             continue
@@ -407,7 +397,8 @@ def _listing(cells: _Cells, gauge: _Gauge) -> Iterator[tuple[RawEntry, ...]]:
         i = low.bit_length() - 1
         gauge.tick()
         if r == n - 1:
-            yield (*acc, entries[r][i])
+            if add[sums[r]][deltas[r][i]] == goal:
+                yield (*acc, entries[r][i])
             continue
         nxt = []
         for r2, fits2 in enumerate(later[r], r + 1):
@@ -421,6 +412,7 @@ def _listing(cells: _Cells, gauge: _Gauge) -> Iterator[tuple[RawEntry, ...]]:
             acc.append(entries[r][i])
             todo.append(nxt[0])
             later.append(nxt[1:])
+            sums.append(add[sums[r]][deltas[r][i]])
 
 
 def _complete(
@@ -1033,12 +1025,10 @@ def hitting_set_check(
     never yields True.  A cell outside the cube raises ValueError."""
     _require_latin(H)
     budget = budget or SearchBudget()
-    group = H.group if group is None else group
-    target = group.index(group.reduce(target))
-    add = index_table(group).add
+    goal, deltas, table = _TargetSum.of(H, group, target)
+    add = table.add
     U = set(_checked_cells(H, cells))
-    prof = profile(H, group)
-    X = frozenset(prof.support)
+    X = frozenset(profile(H, group).support)
     free = sorted(X - U)
     allowed: _Cells | None = None  # built for the first completion searched
     gauge = _Gauge(budget)
@@ -1048,7 +1038,7 @@ def hitting_set_check(
     def completes(start: int, total: int) -> bool:
         nonlocal allowed
         gauge.tick()
-        if total == target:
+        if total == goal:
             allowed = allowed or _Cells.of(H, False, X | U)
             if _complete(allowed, branch, gauge) is not None:
                 return True
@@ -1059,7 +1049,7 @@ def hitting_set_check(
             for v, u in zip(cell, used):
                 u.add(v)
             branch.append((cell, H[cell]))
-            found = completes(i + 1, add[total][prof.indices[cell]])
+            found = completes(i + 1, add[total][deltas[cell]])
             branch.pop()
             for v, u in zip(cell, used):
                 u.discard(v)

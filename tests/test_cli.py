@@ -559,3 +559,41 @@ def test_search_rejects_negative_max_witnesses(tmp_path, capsys):
     cube.write_text(out)
     code, out, err = run_cli(["search", "transversals", str(cube), "--max-witnesses", "-1"], capsys)
     assert code == 2 and out == "" and "non-negative" in err
+
+
+# The sha256 of each canonical report (sorted keys, compact separators, no
+# elapsed time) without its `instance`, which holds the input path; recorded
+# before the depth-first search carried the target sum.  The plain searches
+# run on the stored layers, and those with --max-results on the DFS.
+_GOLDEN_REPORTS = {
+    "suitable-ord8": (["ord8"], ["search", "suitable", "--dprime", "4"],
+                      "e1c5f22605ea59f32485c55ac9e335356c3aceda6557c70cfa9a43a04d078196"),
+    "suitable-ord8-dfs": (["ord8"], ["search", "suitable", "--dprime", "4", "--max-results", "20"],
+                          "63a7245c4dd8d6faae12224910f3a3501397620a01d0e5e026ea13f13a4ba64e"),
+    "transversals-z7": (["cyclic", "--group", "Z7", "--d", "2"], ["search", "transversals"],
+                        "34577c7b154a050db666f184d58a76b6481a3c362dff3728a04f6b7ebab72b4f"),
+    "transversals-z7-dfs": (["cyclic", "--group", "Z7", "--d", "2"],
+                            ["search", "transversals", "--max-results", "50"],
+                            "38ddbdc1fb8a5aefa7bc14303f79c28360165bb2e919505835092d4237631ac0"),
+    "bachelors-cb44": (["confirmed-bachelor", "--n", "4", "--d", "4"], ["search", "bachelors"],
+                       "d2afde6b3dbd1064ea05b90def95c4bb55238fa0d0003313170769dae9c89819"),
+    "packing-ord8": (["ord8"], ["search", "packing"],
+                     "c5a5fc12f39a226b94a879cc647d2c413b2a3cdead21e697ea4a11d8cb53a931"),
+    "decompose-z5d3": (["cyclic", "--group", "Z5", "--d", "3"], ["search", "decompose"],
+                       "30c32de2a9d821c7fbd815180f26cd1ef0905a631675d1f41a091669b349662d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_REPORTS))
+def test_canonical_reports_are_unchanged(tmp_path, capsys, name):
+    import hashlib
+
+    construct, search, digest = _GOLDEN_REPORTS[name]
+    cube = tmp_path / "c.lhc"
+    run_cli(["construct", *construct, "--out", str(cube)], capsys)
+    code, out, _ = run_cli([*search, str(cube)], capsys)
+    assert code == (3 if "--max-results" in search else 0)
+    payload = strip_elapsed(report_of(out))
+    del payload["instance"]
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -7,7 +7,6 @@ from transversal_lab.delta import delta_sum, profile, suitable_target
 from transversal_lab.dilation import (
     dilate,
     dilrect_condition,
-    extend_partial_in_support,
     parity_condition,
     psi,
     psi_cell,
@@ -77,18 +76,22 @@ def test_dilrect_condition():
     assert l8.sizes == (4, 7) and l8.bound == 8 and not l8.holds
 
 
+# a partial diagonal inside the support completes to one meeting the support
+# exactly there when the rest of the support is forbidden
+
+
 def test_extend_partial_empty_in_cyclic():
     H = cyclic(cyclic_group(4), 2)
-    D = extend_partial_in_support(H, [])
+    D = complete_avoiding(H, [], profile(H).support)
     assert D is not None and len(D.entries) == 4
 
 
 def test_extend_partial_single_star():
     H = ord6m_square(1)
     star = ord6m_starred_cells(1)[0]
-    D = extend_partial_in_support(H, [star])
-    assert D is not None
     X = set(profile(H).support)
+    D = complete_avoiding(H, [star], X)
+    assert D is not None
     assert set(D.cells()) & X == {star}
 
 
@@ -103,7 +106,7 @@ _SUPPORT_CUBES = {
 
 def _assert_meets_support_exactly(H, cells):
     X = set(profile(H).support)
-    D = extend_partial_in_support(H, cells, budget=SearchBudget(max_nodes=10_000))
+    D = complete_avoiding(H, cells, X, SearchBudget(max_nodes=10_000))
     assert D is not None and set(D.cells()) & X == set(cells)
     assert Diagonal.from_entries(H, D.entries).complete
 
@@ -125,17 +128,11 @@ def test_extend_partial_every_disjoint_support_pair(name):
         _assert_meets_support_exactly(H, cells)
 
 
-def test_extend_partial_rejects_cells_outside_support():
-    H = ord6m_square(1)
-    with pytest.raises(ValueError):
-        extend_partial_in_support(H, [(5, 5)])
-
-
 def test_extend_partial_can_fail_off_the_small_support_regime():
     # rows 3, 5, 7 have deviation zero only in column 0, so a diagonal meeting
     # the support in exactly one row-1 cell cannot exist
     H = l8_square()
-    D = extend_partial_in_support(H, [(1, 1)])
+    D = complete_avoiding(H, [(1, 1)], profile(H).support)
     assert D is None
 
 

@@ -80,14 +80,6 @@ def test_g_plus_is_involution_or_identity():
             assert gp == g.identity()
 
 
-def test_noncyclic_sylow2():
-    assert not cyclic_group(12).has_noncyclic_sylow2()
-    assert parse_group("Z2xZ2").has_noncyclic_sylow2()
-    assert not parse_group("Z2xZ9").has_noncyclic_sylow2()
-    assert parse_group("Z2xZ4").has_noncyclic_sylow2()
-    assert not cyclic_group(7).has_noncyclic_sylow2()
-
-
 def test_group_laws_exhaustive_small():
     for g in SMALL_GROUPS:
         elems = list(g.elements())

@@ -30,6 +30,7 @@ from transversal_lab.hypercube import (
     Hypercube,
     apply_isotopy,
     cyclic,
+    is_latin,
     pairwise_disjoint_family,
 )
 from transversal_lab.oracles import (
@@ -195,6 +196,52 @@ def _random_isotope(H, seed):
     return apply_isotopy(H, perms)
 
 
+def _jacobson_matthews(n, seed, moves=None):
+    """A random Latin square of order n >= 2: the Markov chain of Jacobson and
+    Matthews (J. Combin. Des. 4, 1996), started from the cyclic square, run
+    for ``moves`` moves (n**3 by default) and then until the square is proper.
+
+    The square is its incidence cube M, M[r][c][s] = 1 iff cell (r, c) holds
+    s, with every line summing to 1.  A move picks a 0 at (r, c, s), from a
+    proper cube at random and from an improper one at its -1, and one r', c'
+    and s' whose lines through it hold a 1 (at random among the two when
+    improper); it adds 1 at (r, c, s) and the three points with two primed
+    coordinates, and takes 1 from the three with one and from (r', c', s'),
+    which becomes the next -1 if it held 0."""
+    rng = random.Random(seed)
+    M = [[[int((r + c) % n == s) for s in range(n)] for c in range(n)] for r in range(n)]
+    improper = None
+    for move in itertools.count():
+        if improper is None and move >= (n ** 3 if moves is None else moves):
+            break
+        if improper is None:
+            r, c, s = rng.choice([(r, c, s) for r in range(n) for c in range(n)
+                                  for s in range(n) if not M[r][c][s]])
+        else:
+            r, c, s = improper
+        r2 = rng.choice([x for x in range(n) if M[x][c][s] == 1])
+        c2 = rng.choice([y for y in range(n) if M[r][y][s] == 1])
+        s2 = rng.choice([z for z in range(n) if M[r][c][z] == 1])
+        for (x, y, z), step in (((r, c, s), 1), ((r2, c2, s), 1), ((r2, c, s2), 1),
+                                ((r, c2, s2), 1), ((r2, c, s), -1), ((r, c2, s), -1),
+                                ((r, c, s2), -1), ((r2, c2, s2), -1)):
+            M[x][y][z] += step
+        improper = (r2, c2, s2) if M[r2][c2][s2] < 0 else None
+    return Hypercube(np.array([[row.index(1) for row in plane] for plane in M]))
+
+
+@pytest.mark.parametrize("n", [2, 4, 7])
+def test_jacobson_matthews_squares_are_latin_and_seeded(n):
+    squares = [_jacobson_matthews(n, seed) for seed in range(6)]
+    assert all(is_latin(H) for H in squares)
+    assert _jacobson_matthews(n, 0) == squares[0]
+    if n == 7:
+        # the chain leaves the cyclic square and its isotopes: not every
+        # deviation is zero
+        assert len({H.symbols.tobytes() for H in squares}) == 6
+        assert all(profile(H).support for H in squares)
+
+
 _BACHELOR_CASES = {
     **{f"cyclic-{n}-d{d}": (lambda n=n, d=d: cyclic(cyclic_group(n), d))
        for n in (2, 3) for d in (2, 3, 4)},
@@ -297,6 +344,7 @@ _COUNT_CASES = {
        for name, base in (("l8", l8_square), ("z6-isotope", z6_isotope_square),
                           ("ord6m-1", lambda: ord6m_square(1)))
        for seed in (1, 2)},
+    **{f"jm-7-seed{seed}": (lambda seed=seed: _jacobson_matthews(7, seed)) for seed in (1, 2)},
 }
 
 
@@ -375,6 +423,41 @@ def test_counts_run_the_dfs_above_the_dp_bound():
     assert len(listed) == 436
 
 
+# DFS censuses with a target sum, recorded before the DFS carried the sum (it
+# then listed every diagonal and kept those with the sum): count, exact,
+# nodes, and the column of each row's cell in the first three witnesses
+_DFS_TARGET_CENSUSES = {
+    "z15-seed1-sum0": (2_000, False, 69_471, [(*range(12), 14, 13, 12),
+                                              (*range(11), 12, 14, 13, 11),
+                                              (*range(10), 11, 12, 10, 13, 14)]),
+    "z15-seed1-sum7": (2_000, False, 81_116, [tuple(range(15)),
+                                              (*range(11), 13, 14, 11, 12),
+                                              (*range(11), 14, 11, 13, 12)]),
+    "l8-sum4": (0, True, 109_600, []),
+    "ord8-sum4": (1_920, True, 109_600, [(0, 2, 1, 3, 4, 5, 6, 7), (0, 2, 1, 3, 4, 5, 7, 6),
+                                         (0, 2, 1, 3, 4, 6, 5, 7)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DFS_TARGET_CENSUSES))
+def test_dfs_target_census_is_unchanged(monkeypatch, name):
+    # every diagonal of these cubes is placed whatever its sum, so the nodes
+    # are those of the whole tree (l8 and ord8 alike), and a misplaced sum
+    # check shows in the count or the witnesses
+    if name.startswith("z15"):
+        H = _random_isotope(cyclic(cyclic_group(15), 2), 1)
+        assert search._target_work(15, 2, 15) > search._TARGET_WORK_BOUND
+        budget = SearchBudget(max_results=2_000)
+    else:
+        H = l8_square() if name.startswith("l8") else ord8_square()
+        _dfs_only(monkeypatch)
+        budget = SearchBudget()
+    t = int(name.rpartition("sum")[2])
+    census = count_diagonals(H, None, (t,), budget, keep=3)
+    columns = [tuple(c for _, c in D.cells()) for D in census.witnesses]
+    assert (census.count, census.exact, census.nodes, columns) == _DFS_TARGET_CENSUSES[name]
+
+
 def test_count_under_max_results_stops_where_enumeration_stops():
     # a result budget keeps the count on the DFS, also below the DP bound, so
     # with a node cap as well the count is what `enumerate_*` lists; the DFS
@@ -435,7 +518,8 @@ def _listings(H, target_sum=None):
     target = None if target_sum is None else search._TargetSum.of(H, H.group, (target_sum,))
     gauge = search._Gauge(SearchBudget())
     layers = search._layer_listing(search._back_layers(H, gauge, target), gauge)
-    return layers, search._dfs_results(H, search._Gauge(SearchBudget()), target is None, target)
+    cells = search._cube_cells(H, target is None)
+    return layers, search._listing(cells, search._Gauge(SearchBudget()), target)
 
 
 def _assert_listing_matches_dfs(H, brute=True, target_sum=None):
@@ -497,7 +581,7 @@ def test_target_listing_matches_dfs(name):
         target = search._TargetSum.of(H, H.group, (0,))
         layers = search._layer_listing(search._back_layers(H, search._Gauge(budget), target),
                                        search._Gauge(budget))
-        dfs = search._dfs_results(H, search._Gauge(budget), False, None)
+        dfs = search._listing(search._cube_cells(H, False), search._Gauge(budget), target)
         assert list(itertools.islice(layers, 1000)) == list(itertools.islice(dfs, 1000))
         for t in range(1, H.n):
             assert list(enumerate_diagonals(H, H.group, (t,))) == []
@@ -513,10 +597,16 @@ _SMALL_SIZES = [(n, d) for d in range(2, 8) for n in range(2, 9)
 
 @st.composite
 def _small_cubes(draw):
-    # a seeded random isotope of a cyclic cube, a turned cyclic cube, or a
-    # cyclic cube of even order with one order-2 subcube switched
-    kind = draw(st.sampled_from(["cyclic", "turned", "switched"]))
-    if kind == "turned":
+    # a seeded random isotope of a cyclic cube, a turned cyclic cube, a cyclic
+    # cube of even order with one order-2 subcube switched, or a random square
+    # of order 4 to 8 by Jacobson-Matthews
+    kind = draw(st.sampled_from(["cyclic", "turned", "switched", "jm"]))
+    if kind == "jm":
+        # the seed also picks the order: Hypothesis favours the ends of a
+        # drawn range, and an order-8 example costs ten order-7 ones
+        seed = draw(st.integers(0, 2**32 - 1))
+        H = _jacobson_matthews(4 + seed % 5, seed)
+    elif kind == "turned":
         n, d = draw(st.sampled_from([(n, d) for n, d in _SMALL_SIZES
                                      if n > 2 and n % 2 == 0 and d % 2 == 0]))
         H = turned_cyclic(n, d)
@@ -601,7 +691,7 @@ def test_node_budget_below_the_worst_case_lists_by_the_dfs():
             listed.extend(enumerate_transversals(z11, budget))
         dfs = []
         with pytest.raises(BudgetExhausted):
-            dfs.extend(search._dfs_results(z11, search._Gauge(budget), True, None))
+            dfs.extend(search._listing(search._cube_cells(z11, True), search._Gauge(budget)))
         assert listed == [search._raw_to_diagonal(raw, 11) for raw in dfs]
         assert len(listed) == reached
         result = max_disjoint_transversals(z11, budget=budget)
