@@ -17,11 +17,13 @@ cells while avoiding others: through-cell searches, per-cell coverage scans,
 completions and the completions of hitting-set checks.  It always fills the
 row with the fewest fitting cells.
 
-The frontier layers run row by row over dicts of packed-int states.  One
-builder (``_back_layers``) stores every backward layer, each state with its
-number of ways to complete, for transversals or for diagonals with a target
-delta sum.  Counts are the ways at the root; ``_layer_listing`` reads the
-results off in the DFS's order, taking only branches that complete; and
+The frontier layers run row by row on NumPy arrays: each layer is a sorted
+``uint64`` array of packed states with an ``int64`` array of ways beside it,
+and a whole layer meets all the cells of a row in a few array operations.
+One builder (``_back_layers``) stores every backward layer, each state with
+its number of ways to complete, for transversals or for diagonals with a
+target delta sum.  Counts are the ways at the root; ``_layer_listing`` reads
+the results off in the DFS's order, taking only branches that complete; and
 ``bachelor_cells`` decides every cell at once by a forward sweep over the
 live states.  Each use runs the layers only on cubes whose order and
 dimension (and group order) keep their worst case small, and the DFS (for
@@ -99,11 +101,16 @@ class _Gauge:
         self.max_nodes = budget.max_nodes
         self.deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
 
-    def tick(self) -> None:
-        if self.nodes >= self.max_nodes:
+    def tick(self, count: int = 1) -> None:
+        """Count ``count`` nodes, or fill the budget and raise BudgetExhausted
+        if they do not all fit; the clock is read each time the count passes a
+        multiple of 4,096."""
+        nodes = self.nodes + count
+        if nodes > self.max_nodes:
+            self.nodes = self.max_nodes
             raise BudgetExhausted(f"node budget {self.max_nodes} exhausted")
-        self.nodes += 1
-        if self.deadline is not None and self.nodes % 4096 == 0:
+        self.nodes = nodes
+        if self.deadline is not None and nodes & 4095 < count:
             if time.monotonic() > self.deadline:
                 raise BudgetExhausted("time budget exhausted")
 
@@ -518,18 +525,24 @@ class BachelorScan:
 # transversal layers are left to per-cell existence searches, which a
 # transversal-rich cube ends in a few early exits, and to listing and counting
 # by the DFS.
-# Transversal DP times track the bound at 1e-8 to 3e-8 s a unit (CPython 3.11,
-# one Xeon core), so 2**26 is one or two seconds.  Order 13, d=2 is the first
-# square above it; at order 16 the middle layer alone can hold C(16, 8)**2,
-# about 1.7e8, states.
+# The array layers track the bound at 2e-9 to 3e-9 s a unit to build and 2e-9
+# to 6e-9 s with the bachelor sweep (Z10..Z12 at d=2, confirmed-bachelor 4,6,
+# Z5 d=4, Z8 d=3, Z3 d=8; NumPy 2.4, CPython 3.11, 2-core x86-64 host), so
+# 2**26 is at most about 0.4 s.  Order 13, d=2 is the first square above it;
+# at order 16 the middle layer alone can hold C(16, 8)**2, about 1.7e8,
+# states.
 _DP_WORK_BOUND = 1 << 26
 
 # The same for the target-sum layers, which fill nearly to their worst case:
-# seeded isotopes of Z12..Z15 at d=2 built at 3.3e-7 to 4.3e-7 s a unit and of
-# Z7, Z8 at d=3 at 1.4e-7 s (CPython 3.11, 2-core sandbox), so 2**22 is at
-# most one or two seconds.  With |G| = n, order 15, d=2 (3.2 s) and order 8,
-# d=3 are the first cubes above it.
+# seeded isotopes of Z12..Z15 at d=2 built at 5e-8 to 9e-8 s a unit and of
+# Z7, Z8 at d=3 at 2e-8 to 3e-8 s (same host), so 2**22 is at most about
+# 0.4 s.  With |G| = n, order 15, d=2 (0.7 s) and order 8, d=3 are the first
+# cubes above it.
 _TARGET_WORK_BOUND = 1 << 22
+
+# A layer step tries at most this many (state, cell) pairs in one array
+# operation, which bounds its transient memory to a few MB.
+_CHUNK_PAIRS = 1 << 16
 
 
 def _frontier_work(n: int, d: int) -> int:
@@ -548,53 +561,33 @@ def _target_work(n: int, d: int, order: int) -> int:
     return n ** (d - 1) * order * sum(math.comb(n, r) ** (d - 1) for r in range(n + 1))
 
 
+def _fits_64_bits(n: int, d: int, order: int | None) -> bool:
+    """Whether the layers of a cube of order n and dimension d, for
+    transversals (``order`` None) or for target sums in a group of that
+    order, pack a state into a uint64 and its ways into an int64.
+
+    A state has n bits per field, d fields for transversals and d - 1 plus
+    the bits of a group index for target sums; ways count partial
+    transversals or diagonals, at most (n!)**(d-1)."""
+    bits = d * n if order is None else (d - 1) * n + (order - 1).bit_length()
+    return bits <= 64 and math.factorial(n) ** (d - 1) < 1 << 63
+
+
 def _layer_work(H: Hypercube, target: _TargetSum | None) -> tuple[int, int]:
     """The worst case of the transversal layers (``target`` None) or of the
-    target-sum layers on H, and its bound."""
-    if target is None:
-        return _frontier_work(H.n, H.d), _DP_WORK_BOUND
-    return _target_work(H.n, H.d, len(target.table.add)), _TARGET_WORK_BOUND
+    target-sum layers on H, and its bound: every engine choice reads them.
 
-
-# A row's cells for one key, in two forms: grouped by their axis-1 bit in
-# row-major order, as (bit, [(entry, mask)]), for reading results; and bucketed
-# as (axis-1 bit, [(last-field bit, [masks])]) for extending states, since only
-# buckets whose two bits are free in a state can hold a cell that fits it.
-_RowGroups = list[tuple[int, list[tuple[RawEntry, int]]]]
-_RowBuckets = list[tuple[int, list[tuple[int, list[int]]]]]
-_Row = list[tuple[_RowGroups, _RowBuckets]]
-
-
-def _frontier_rows(
-    H: Hypercube, values: np.ndarray, bits: list[list[int]], full: int
-) -> list[_Row]:
-    """Each row's cells for each key k, with their packed masks.
-
-    A cell of row r (axis-0 value r) gets an n-bit one-hot field for each of
-    axes 1..d-1, so cells from distinct rows share no hyperplane iff those
-    fields are disjoint; for key k its mask adds ``bits[k][v]``, v being
-    ``values`` at the cell.  ``full`` sets every field below the key."""
+    Every cube within its bound fits the layers' 64-bit arrays: n >= 2 needs
+    at most 26 bits a state (Z2, d=13), an order-1 cube needs d bits, at most
+    numpy's 64 dimensions, and (n!)**(d-1) ways stay below 2**63."""
     n, d = H.n, H.d
-    axis1 = (1 << n) - 1
-    top = full ^ (full >> n)
-    rests = list(itertools.product(range(n), repeat=d - 1))
-    axes = [sum(1 << (axis * n + v) for axis, v in enumerate(rest)) for rest in rests]
-    rows = []
-    for r, (syms, vals) in enumerate(zip(H.symbols.reshape(n, -1).tolist(),
-                                         values.reshape(n, -1).tolist())):
-        entries = [((r,) + rest, s) for rest, s in zip(rests, syms)]
-        row: _Row = []
-        for key_bits in bits:
-            cells = [(e, a | key_bits[v]) for e, a, v in zip(entries, axes, vals)]
-            by_bit: dict[int, dict[int, list[int]]] = {}
-            for _, m in cells:
-                by_bit.setdefault(m & axis1, {}).setdefault(m & top, []).append(m)
-            # row-major order groups a row's cells by their axis-1 value
-            groups = itertools.groupby(cells, lambda c: c[1] & axis1)
-            row.append(([(b1, list(g)) for b1, g in groups],
-                        [(b1, list(sub.items())) for b1, sub in by_bit.items()]))
-        rows.append(row)
-    return rows
+    if target is None:
+        order, work, bound = None, _frontier_work(n, d), _DP_WORK_BOUND
+    else:
+        order = len(target.table.add)
+        work, bound = _target_work(n, d, order), _TARGET_WORK_BOUND
+    assert work > bound or _fits_64_bits(n, d, order), (n, d, order)
+    return work, bound
 
 
 class _Layers(NamedTuple):
@@ -603,70 +596,160 @@ class _Layers(NamedTuple):
     A state packs n-bit one-hot fields, all set in ``full``: one per axis
     1..d-1 and, for transversals, one for the symbols.  For target sums the
     index of a delta sum sits above the fields; the state's key is its bits
-    above ``full`` (0 for transversals).  ``back[r]`` maps each state of B_r to
-    its number of ways: the partial transversals (or partial diagonals) on
-    rows r..n-1 whose cells fill its fields, for target sums with its delta
-    sum.  B_n is {0: 1}.
+    above ``full`` (0 for transversals).  ``keys[r]`` holds the states of B_r
+    as a sorted uint64 array and ``ways[r]`` beside it each state's number of
+    ways (int64): the partial transversals (or partial diagonals) on rows
+    r..n-1 whose cells fill its fields, for target sums with its delta sum.
+    B_n is the one state 0 with one way.
 
-    ``rows`` are for reading forward: a forward state holds the fields of rows
-    0..r-1 and, for target sums, the target minus their delta sum, and cell m
-    of row r takes it to state g = (f & ``full``) | m; g completes iff
-    ``full ^ g`` lies in B_{r+1}.  Reading starts at ``root``."""
+    ``masks[r, i]`` holds the fields of cell i of row r in row-major order:
+    its axis bits and, for transversals, its symbol's bit.  Reading goes
+    forward: a forward state holds the fields of rows 0..r-1 and, for target
+    sums, the target minus their delta sum; it completes iff ``full`` XOR it
+    lies in B_r.  Reading starts at ``root``."""
 
-    rows: list[_Row]
-    back: list[dict[int, int]]
+    cube: Hypercube
+    target: _TargetSum | None
+    masks: np.ndarray
+    keys: list[np.ndarray]
+    ways: list[np.ndarray]
     full: int
     root: int
 
     @property
     def count(self) -> int:
         """The number of results: the ways of the state that completes the root."""
-        return self.back[0].get(self.full ^ self.root, 0)
+        keys, goal = self.keys[0], self.full ^ self.root
+        i = int(np.searchsorted(keys, np.uint64(goal)))
+        return int(self.ways[0][i]) if i < len(keys) and keys[i] == goal else 0
+
+
+@functools.lru_cache(maxsize=64)
+def _axis_masks(n: int, d: int) -> np.ndarray:
+    """Each cell's axis fields within its row, in row-major order: value v
+    on axis k (1..d-1) is bit (k-1)*n + v.  Read-only, built once per (n, d)."""
+    masks = np.zeros(1, np.uint64)
+    for k in range(d - 1):
+        bits = np.left_shift(np.uint64(1), np.arange(k * n, (k + 1) * n, dtype=np.uint64))
+        masks = (masks[:, None] | bits).ravel()
+    masks.setflags(write=False)
+    return masks
+
+
+def _fitting(states: np.ndarray, masks: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (state, cell) index pairs whose fields are disjoint, in row-major
+    order of the states x cells block, taken in chunks of at most
+    ``_CHUNK_PAIRS`` pairs."""
+    step = max(1, _CHUNK_PAIRS // len(masks))
+    for lo in range(0, len(states), step):
+        si, ci = ((states[lo:lo + step, None] & masks) == 0).nonzero()
+        yield (si + lo if lo else si), ci
+
+
+# A layer or a part of one: sorted distinct states and their ways.
+_Merged = tuple[np.ndarray, np.ndarray]
+
+
+def _merge(states: np.ndarray, ways: np.ndarray) -> _Merged:
+    """The distinct states in increasing order, each with the sum of its
+    ways: a sort and ``np.add.reduceat``, exact in int64."""
+    order = np.argsort(states)
+    states, ways = states[order], ways[order]
+    first = np.ones(len(states), bool)
+    first[1:] = states[1:] != states[:-1]
+    starts = first.nonzero()[0]
+    return states[starts], np.add.reduceat(ways, starts)
+
+
+def _merged(parts: Iterator[_Merged]) -> _Merged:
+    """``_merge`` of the parts' states and ways, each part merged already.
+    Parts pile up on the last merge until they hold twice its states (and at
+    least ``_CHUNK_PAIRS``), so the pile stays within twice the result
+    however often the parts repeat the same states."""
+    pile: list[_Merged] = []
+    held = 0
+    limit = _CHUNK_PAIRS
+    for part in parts:
+        pile.append(part)
+        held += len(part[0])
+        if held >= limit:
+            pile = [_merge(*map(np.concatenate, zip(*pile)))]
+            held = len(pile[0][0])
+            limit = max(2 * held, _CHUNK_PAIRS)
+    if len(pile) > 1:
+        pile = [_merge(*map(np.concatenate, zip(*pile)))]
+    return pile[0] if pile else (np.zeros(0, np.uint64), np.zeros(0, np.int64))
 
 
 def _back_layers(H: Hypercube, gauge: _Gauge, target: _TargetSum | None = None) -> _Layers:
     """Every backward layer of the transversals (``target`` None) or of the
-    diagonals with the target sum, built from row n-1 down.
+    diagonals with the target sum, built from row n-1 down a layer at a time.
 
-    A state of B_{r+1} with key k extended by a cell of row r (mask m for key
-    k) becomes (f & full) | m, one OR per cell: for target sums m holds the
-    new delta sum, k plus the cell's delta.  The gauge ticks once per state
-    expanded; each expansion adds at most n**(d-1) states, which bounds the
-    states held."""
-    n = H.n
-    width = (H.d if target is None else H.d - 1) * n
+    Each state of B_{r+1} meets every cell of row r in array operations: a
+    fitting pair becomes its fields ORed, for target sums with the key
+    ``add[key, delta]`` of the cell's delta, and equal states merge with their
+    ways summed.  The gauge ticks once per state expanded, a layer's states
+    in one step before it expands; each expansion adds at most n**(d-1)
+    states, which bounds the states held."""
+    n, d = H.n, H.d
+    width = (d if target is None else d - 1) * n
     full = (1 << width) - 1
+    axes = _axis_masks(n, d)
     if target is None:
-        symbol_bits = [[1 << (width - n + s) for s in range(n)]]
-        rows = build = _frontier_rows(H, H.symbols, symbol_bits, full)
-        root = 0
+        symbols = H.symbols.reshape(n, -1).astype(np.uint64) + np.uint64(width - n)
+        masks = axes | np.left_shift(np.uint64(1), symbols)
     else:
-        # reading subtracts each delta from what is left of the target
-        build, rows = (
-            _frontier_rows(H, target.deltas, [[s << width for s in k] for k in table], full)
-            for table in (target.table.add, target.table.sub)
-        )
-        root = target.index << width
-    back = [{0: 1}]
-    for row in reversed(build):
-        ways: dict[int, int] = {}
-        get = ways.get
-        for f, w in back[-1].items():
-            gauge.tick()
-            base = f & full
-            for b1, sub in row[f >> width][1]:
-                if base & b1:
-                    continue
-                for b2, masks in sub:
-                    if base & b2:
-                        continue
-                    for m in masks:
-                        if not base & m:
-                            g = base | m
-                            ways[g] = get(g, 0) + w
-        back.append(ways)
-    back.reverse()
-    return _Layers(rows, back, full, root)
+        masks = np.broadcast_to(axes, (n, len(axes)))
+        deltas, add = target.deltas.reshape(n, -1), target.table.add_array
+    keys, ways = [np.zeros(1, np.uint64)], [np.ones(1, np.int64)]
+
+    def expand(r: int, states: np.ndarray, counts: np.ndarray) -> Iterator[_Merged]:
+        for si, ci in _fitting(states, masks[r]):
+            f = states[si]
+            g = f | masks[r][ci]
+            if target is not None:
+                key = add[(f >> width).astype(np.intp), deltas[r][ci]]
+                g = (g & full) | (key.astype(np.uint64) << width)
+            yield _merge(g, counts[si])
+
+    for r in reversed(range(n)):
+        gauge.tick(len(keys[-1]))
+        layer = _merged(expand(r, keys[-1], ways[-1]))
+        keys.append(layer[0])
+        ways.append(layer[1])
+    keys.reverse()
+    ways.reverse()
+    root = 0 if target is None else target.index << width
+    return _Layers(H, target, masks, keys, ways, full, root)
+
+
+# A row's cells for one key, grouped by their axis-1 bit in row-major order,
+# as (bit, [(entry, mask)]): only groups whose bit is free in a state can hold
+# a cell that fits it.
+_RowGroups = list[tuple[int, list[tuple[RawEntry, int]]]]
+
+
+def _listing_rows(layers: _Layers) -> list[list[_RowGroups]]:
+    """Each row's cells for each key k of a forward state, with their masks:
+    the cell's fields and, for target sums, what is left of the target after
+    its delta, ``sub[k][delta]``, above them."""
+    H, target, shift = layers.cube, layers.target, layers.full.bit_length()
+    n, d = H.n, H.d
+    span = n ** (d - 2)  # row-major order takes each axis-1 value in turn
+    rests = list(itertools.product(range(n), repeat=d - 1))
+    rows = []
+    for r, (syms, masks) in enumerate(zip(H.symbols.reshape(n, -1).tolist(),
+                                          layers.masks.tolist())):
+        entries = [((r,) + rest, s) for rest, s in zip(rests, syms)]
+        if target is None:  # the one key 0
+            keyed = [list(zip(entries, masks))]
+        else:
+            deltas = target.deltas[r].ravel().tolist()
+            keyed = [[(e, m | (left[v] << shift)) for e, m, v in zip(entries, masks, deltas)]
+                     for left in target.table.sub]
+        rows.append([[(1 << v, cells[v * span:(v + 1) * span]) for v in range(n)]
+                     for cells in keyed])
+    return rows
 
 
 def _layer_listing(layers: _Layers, gauge: _Gauge) -> Iterator[tuple[RawEntry, ...]]:
@@ -674,12 +757,16 @@ def _layer_listing(layers: _Layers, gauge: _Gauge) -> Iterator[tuple[RawEntry, .
 
     At row r with forward state f the row's cells are tried in row-major
     order, and a cell is taken iff it fits f and the state g it leads to
-    completes (``full ^ g`` lies in B_{r+1}), so every branch taken completes.
-    The gauge ticks once per partial result extended by a row other than the
-    last; the last row's cell is looked up, not searched."""
-    rows, back, full, root = layers
-    n, shift = len(rows), full.bit_length()
-    groups = [[g for g, _ in row] for row in rows]
+    completes (``full ^ g`` lies in B_{r+1}, each layer read as a set of its
+    keys, built once), so every branch taken completes.  The gauge ticks once
+    per partial result extended by a row other than the last; the last row's
+    cell is looked up, not searched."""
+    if not layers.count:
+        return
+    groups = _listing_rows(layers)
+    back = [set(keys.tolist()) for keys in layers.keys]
+    n, full = len(groups), layers.full
+    shift = full.bit_length()
     # a live state on rows 0..n-2 leaves exactly one cell of the last row
     last = [{m: e for _, cells in g for e, m in cells} for g in groups[-1]]
     acc: list[RawEntry] = []
@@ -700,8 +787,7 @@ def _layer_listing(layers: _Layers, gauge: _Gauge) -> Iterator[tuple[RawEntry, .
                     yield from from_row(r + 1, base | m)
                     acc.pop()
 
-    if layers.count:
-        yield from from_row(0, root)
+    yield from from_row(0, layers.root)
 
 
 def bachelor_cells(H: Hypercube, budget: SearchBudget | None = None) -> BachelorScan:
@@ -719,7 +805,8 @@ def bachelor_cells(H: Hypercube, budget: SearchBudget | None = None) -> Bachelor
     _require_latin(H)
     budget = budget or SearchBudget()
     gauge = _Gauge(budget)
-    scan = _frontier_scan if _frontier_work(H.n, H.d) <= _DP_WORK_BOUND else _per_cell_scan
+    work, bound = _layer_work(H, None)
+    scan = _frontier_scan if work <= bound else _per_cell_scan
     try:
         bachelors = scan(H, gauge)
     except BudgetExhausted:
@@ -730,35 +817,32 @@ def bachelor_cells(H: Hypercube, budget: SearchBudget | None = None) -> Bachelor
 def _frontier_scan(H: Hypercube, gauge: _Gauge) -> tuple[Coords, ...]:
     """The bachelor cells, off the backward transversal layers.
 
-    A forward sweep keeps L_r, the live unions on rows 0..r-1: L_0 is {0} when
-    the cube has a transversal, and L_{r+1} holds f | m for each f in L_r and
-    cell m of row r disjoint from f whose complement ``full ^ (f | m)`` lies in
-    B_{r+1}.  Those cells m are the covered cells of row r; if there is no
-    transversal every cell is a bachelor.  The gauge ticks once per state
-    expanded in either pass."""
+    A forward sweep keeps L_r, the live unions on rows 0..r-1, as a sorted
+    uint64 array: L_0 is {0} when the cube has a transversal, and L_{r+1}
+    holds f | m for each f in L_r and cell m of row r disjoint from f whose
+    complement ``full ^ (f | m)`` lies in B_{r+1} (found by
+    ``searchsorted``), read off as the complements of the states of B_{r+1}
+    reached.  Those cells m are the covered cells of row r, and the others,
+    in flat order, are the bachelor cells; if there is no transversal every
+    cell is one.  The gauge ticks once per state expanded in either pass, a
+    layer's states in one step."""
     layers = _back_layers(H, gauge)
-    full = layers.full
-    live = {0} if layers.count else set()
-    rows = [row[0] for row in layers.rows]  # transversals have the one key 0
-    covered: list[set[int]] = []
-    for (_, buckets), back in zip(rows, layers.back[1:]):
-        cells, nxt = set(), set()
-        for f in live:
-            gauge.tick()
-            for b1, sub in buckets:
-                if f & b1:
-                    continue
-                for b2, masks in sub:
-                    if f & b2:
-                        continue
-                    for m in masks:
-                        if not f & m and full ^ (f | m) in back:
-                            cells.add(m)
-                            nxt.add(f | m)
-        covered.append(cells)
-        live = nxt
-    return tuple(coords for cells, (groups, _) in zip(covered, rows)
-                 for _, group in groups for (coords, _sym), m in group if m not in cells)
+    full = np.uint64(layers.full)
+    live = np.zeros(1 if layers.count else 0, np.uint64)
+    covered = np.zeros(layers.masks.shape, bool)
+    for r, (masks, back) in enumerate(zip(layers.masks, layers.keys[1:])):
+        gauge.tick(len(live))
+        reached = np.zeros(len(back), bool)
+        for si, ci in _fitting(live, masks):
+            rest = full ^ (live[si] | masks[ci])
+            at = np.searchsorted(back, rest)
+            hit = back[np.minimum(at, len(back) - 1)] == rest
+            covered[r, ci[hit]] = True
+            reached[at[hit]] = True
+        # complements of a sorted array come in decreasing order
+        live = (full ^ back[reached])[::-1]
+    bachelors = np.unravel_index(np.flatnonzero(~covered), H.symbols.shape)
+    return tuple(zip(*(axis.tolist() for axis in bachelors)))
 
 
 def _per_cell_scan(H: Hypercube, gauge: _Gauge) -> tuple[Coords, ...]:
@@ -819,17 +903,20 @@ def _cover(H: Hypercube, listed: list[tuple[RawEntry, ...]], gauge: _Gauge) -> _
             for c, _ in raw:
                 yield flat[c]
 
-    cells = np.fromiter(flat_cells(), np.intp, count * n)
-    t = np.repeat(np.arange(count), n)
+    cells = np.fromiter(flat_cells(), np.intp, count * n).reshape(count, n)
+    # transversal t sets bit t & 7 of byte t >> 3 in each of its cells' rows,
+    # the column indices broadcast over its n cells
+    t = np.arange(count)
+    bits = np.left_shift(np.uint8(1), (t & 7).astype(np.uint8))
     packed = np.zeros((H.symbols.size, (count + 7) // 8), np.uint8)
-    np.bitwise_or.at(packed, (cells, t >> 3), np.left_shift(1, t & 7).astype(np.uint8))
+    np.bitwise_or.at(packed, (cells, (t >> 3)[:, None]), bits[:, None])
     masks = []
     for row in packed:
         gauge.tick()
         masks.append(int.from_bytes(row.tobytes(), "little"))
     axes = np.indices(H.symbols.shape).reshape(d, -1)
     lines = np.vstack([axes, H.symbols.reshape(1, -1)]).T + n * np.arange(d + 1)
-    return _Cover(masks, cells.reshape(count, n), lines.tolist())
+    return _Cover(masks, cells, lines.tolist())
 
 
 def _greedy_hitting_set(masks: list[int], gauge: _Gauge) -> list[int]:
