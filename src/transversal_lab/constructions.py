@@ -47,9 +47,11 @@ def _checked_transversal(H: Hypercube, rows: list[tuple[Coords, int]], what: str
 
 
 def _bachelor_base_formula(n: int, d: int) -> np.ndarray:
-    grids = np.indices((n,) * d)
-    sigma = grids.sum(axis=0)
-    m = (grids % 2).sum(axis=0)
+    # one broadcast axis per coordinate, so that only full-size results are
+    # ever allocated, never a grid per axis
+    axes = np.ogrid[(slice(n),) * d]
+    sigma = sum(axes)
+    m = sum(x % 2 for x in axes)
     return np.where(m % 2 == 1, sigma - (m - 1), sigma - m) % n
 
 
@@ -66,11 +68,9 @@ def confirmed_bachelor(n: int, d: int) -> Hypercube:
     if n % 4 != 0:
         raise ConstructionError(f"order must be divisible by 4, got {n}")
     arr = _bachelor_base_formula(n, d)
-    grids = np.indices((n,) * d)
-    inner = np.all(grids <= 1, axis=0)
-    block = arr[inner]
-    arr = arr.copy()
-    arr[inner] = np.where(block == 0, 1, np.where(block == 1, 0, block))
+    corner = np.ix_(*[range(2)] * d)
+    block = arr[corner]
+    arr[corner] = np.where(block == 0, 1, np.where(block == 1, 0, block))
     return _require_latin(Hypercube(arr, cyclic_group(n)), "confirmed_bachelor")
 
 
@@ -118,7 +118,7 @@ def third_species_44() -> Hypercube:
     one parity, then swap symbols 0 and 3 wherever the last two coordinates
     both lie in {2, 3}."""
     n = 4
-    i, j, k, l = np.indices((n,) * 4)
+    i, j, k, l = np.ogrid[:n, :n, :n, :n]
     arr = (i + j + k + l) % n
     bump = ((i + j) % 2 == k % 2) & (k % 2 == l % 2)
     arr = np.where(bump, (arr + 2) % n, arr)
@@ -201,9 +201,8 @@ def turned_cyclic(n: int, d: int) -> Hypercube:
         raise ConstructionError(f"order must be even and greater than 2, got {n}")
     if d % 2 != 0:
         raise ConstructionError(f"dimension must be even, got {d}")
-    grids = np.indices((n,) * d)
-    arr = grids.sum(axis=0) % n
-    region = np.all((grids == 0) | (grids == n // 2), axis=0)
+    arr = sum(np.ogrid[(slice(n),) * d]) % n
+    region = np.ix_(*[(0, n // 2)] * d)
     arr[region] = (arr[region] + n // 2) % n
     return _require_latin(Hypercube(arr, cyclic_group(n)), "turned_cyclic")
 

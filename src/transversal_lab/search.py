@@ -8,6 +8,9 @@ in one of two orders.  ``_listing`` fills them in increasing order (axis-0
 values) and takes a row's cells in row-major order, which fixes a
 deterministic output order: it lists all diagonals, and lists and counts
 transversals and target-sum diagonals wherever the stored layers do not run.
+Both listings give a result as its cell index on each row (cell i of row r is
+the row's i-th in row-major order), and ``_diagonals`` builds the
+``Diagonal`` objects of only the results that are returned.
 A target sum (``_TargetSum``, the one form every search with a target takes)
 rides along as the delta sum of the cells placed, and is checked when the last
 row's cell is placed, so the DFS lists only diagonals with that sum, in the
@@ -22,9 +25,10 @@ The frontier layers run row by row on NumPy arrays: each layer is a sorted
 and a whole layer meets all the cells of a row in a few array operations.
 One builder (``_back_layers``) stores every backward layer, each state with
 its number of ways to complete, for transversals or for diagonals with a
-target delta sum.  Counts are the ways at the root; ``_layer_listing`` reads
-the results off in the DFS's order, taking only branches that complete; and
-``bachelor_cells`` decides every cell at once by a forward sweep over the
+target delta sum.  Counts are the ways at the root; ``_array_listing`` reads
+the results off in the DFS's order, a block of partial results at a time,
+taking only branches that complete (and for a census only the first few);
+and ``bachelor_cells`` decides every cell at once by a forward sweep over the
 live states.  Each use runs the layers only on cubes whose order and
 dimension (and group order) keep their worst case small, and the DFS (for
 ``bachelor_cells``, one existence search per cell) on larger cubes; listing
@@ -32,8 +36,9 @@ also keeps the DFS under a node budget below that worst case, and counting
 and listing keep it under a result budget.
 
 Packings and decompositions run one exact cover (``_packs``) over every
-listed transversal: each cell holds its transversals as one int bit set, and
-a node branches on the cell with the fewest live transversals.
+listed transversal, held as one array of cell indices: each cell holds its
+transversals as one int bit set, and a node branches on the cell with the
+fewest live transversals.
 ``max_disjoint_transversals`` asks it whether g = min(ub, cap), g - 1, ...
 disjoint transversals exist, and ``hill_climb_decomposition`` whether
 n**(d-1) do.
@@ -74,7 +79,8 @@ class SearchBudget:
 
     ``max_nodes`` caps the node expansions of one whole search, in every code
     path: cells placed by the depth-first search, states expanded and partial
-    results extended on the frontier layers, and in the exact cover a
+    results extended on the frontier layers (a layer's states, or a block of
+    partial results, in one step), and in the exact cover a
     transversal or cell read into its bit sets, a greedy hitting-set step, and
     a transversal chosen or a cell left uncovered.  Node-capped runs are
     deterministic; ``time_cap`` is a wall-clock safety valve and is not part
@@ -144,6 +150,23 @@ def _raw_to_diagonal(raw: tuple[RawEntry, ...], n: int) -> Diagonal:
     return Diagonal(entries, complete=len(entries) == n)
 
 
+@functools.lru_cache(maxsize=4)
+def _cell_entries(H: Hypercube) -> list[list[Entry]]:
+    """Each row's entries in row-major order, built once per cube: entry i of
+    row r is the cell with index i on row r."""
+    n, d = H.n, H.d
+    rests = list(itertools.product(range(n), repeat=d - 1))
+    return [[Entry((r,) + rest, s) for rest, s in zip(rests, syms)]
+            for r, syms in enumerate(H.symbols.reshape(n, -1).tolist())]
+
+
+def _diagonals(H: Hypercube, results: Iterable[Sequence[int]]) -> Iterator[Diagonal]:
+    """Each result, given as its cell index on each row, as a Diagonal."""
+    rows = _cell_entries(H)
+    for cells in results:
+        yield Diagonal(tuple(map(list.__getitem__, rows, cells)), complete=True)
+
+
 def enumerate_transversals(
     H: Hypercube,
     budget: SearchBudget | None = None,
@@ -179,17 +202,19 @@ class Census:
     """How many results a search has, and the first ``keep`` of them.
 
     ``witnesses`` are the first results of the matching ``enumerate_*`` call.
-    ``nodes`` counts layer states and listing steps, or DFS nodes (cells
-    placed), the units ``max_nodes`` caps.  ``exact`` is False when a budget
-    cut the search short; ``count`` is then ``max_results`` if that many results exist, and otherwise
-    the number of results listed before the node or time budget ran out: on
-    the stored layers the witnesses listed (0 if the cut came while building
-    them), on the DFS every result it reached.
+    ``nodes`` counts layer states and partial results extended, or DFS nodes
+    (cells placed), the units ``max_nodes`` caps.  ``exact`` is False when a
+    budget cut the search short; ``count`` is then ``max_results`` if that
+    many results exist, and otherwise the number of results listed before the
+    node or time budget ran out: on the stored layers the witnesses listed (0
+    if the cut came while building them), on the DFS every result it reached.
 
     The census runs on the layers, which give the count without listing,
     when their worst case is within its bound and no ``max_results`` is set,
     and on the DFS alone otherwise; a count under ``max_results`` stops at the
-    ``max_results``-th result, as ``enumerate_*`` does."""
+    ``max_results``-th result, as ``enumerate_*`` does.  On the layers the
+    witnesses are listed with a limit of ``keep`` results, so each row holds
+    at most ``keep`` partial results and no layer is read whole."""
 
     count: int
     witnesses: tuple[Diagonal, ...]
@@ -252,27 +277,31 @@ def _results(
     *,
     transversal: bool,
     target: _TargetSum | None = None,
-) -> Iterator[tuple[RawEntry, ...]]:
+) -> Iterator[np.ndarray]:
     """Every transversal, or every diagonal (with the target sum if given), in
-    ``_listing`` order.
+    ``_listing`` order, as blocks: (k, n) arrays of each result's cell index
+    per row.
 
     The listing rule is fixed before either engine runs: transversals and
-    target-sum diagonals are read off the stored layers when their worst case
-    (``_layer_work``) is within its bound and within ``max_nodes``, and no
-    ``max_results`` is set; the DFS lists otherwise, so that a node or result
-    budget below the worst case still lists results."""
+    target-sum diagonals are read off the stored layers (``_array_listing``)
+    when their worst case (``_layer_work``) is within its bound and within
+    ``max_nodes``, and no ``max_results`` is set; the DFS lists otherwise, a
+    result a block, so that a node or result budget below the worst case
+    still lists results."""
     if transversal or target is not None:
         work, bound = _layer_work(H, target)
         if work <= min(bound, budget.max_nodes) and budget.max_results is None:
-            return _layer_listing(_back_layers(H, gauge, target), gauge)
-    return _listing(_cube_cells(H, transversal), gauge, target)
+            return _array_listing(_back_layers(H, gauge, target), gauge)
+    listing = _listing(_cube_cells(H, transversal), gauge, target)
+    return (np.array([cells], np.intp) for cells in listing)
 
 
 def _listed(
-    H: Hypercube, budget: SearchBudget, results: Iterator[tuple[RawEntry, ...]]
+    H: Hypercube, budget: SearchBudget, blocks: Iterator[np.ndarray]
 ) -> Iterator[Diagonal]:
-    for emitted, raw in enumerate(results, 1):
-        yield _raw_to_diagonal(raw, H.n)
+    results = itertools.chain.from_iterable(_diagonals(H, block.tolist()) for block in blocks)
+    for emitted, diagonal in enumerate(results, 1):
+        yield diagonal
         if emitted == budget.max_results:
             raise BudgetExhausted("result budget reached")
 
@@ -288,24 +317,24 @@ def _census(
     gauge = _Gauge(budget)
     witnesses: list[Diagonal] = []
     work, bound = _layer_work(H, target)
-    layers = None
     count = 0
     try:
         # the layers count at the root and list only the witnesses; the DFS
         # counts every result it lists
         if work <= bound and budget.max_results is None:
             layers = _back_layers(H, gauge, target)
-            results = itertools.islice(_layer_listing(layers, gauge), keep)
-        else:
-            results = _listing(_cube_cells(H, target is None), gauge, target)
-        for count, raw in enumerate(results, 1):
+            for block in _array_listing(layers, gauge, keep):
+                witnesses.extend(_diagonals(H, block.tolist()))
+                count = len(witnesses)
+            return Census(layers.count, tuple(witnesses), True, gauge.nodes)
+        for count, cells in enumerate(_listing(_cube_cells(H, target is None), gauge, target), 1):
             if count <= keep:
-                witnesses.append(_raw_to_diagonal(raw, H.n))
+                witnesses.extend(_diagonals(H, [cells]))
             if count == budget.max_results:
                 return Census(count, tuple(witnesses), False, gauge.nodes)
     except BudgetExhausted:
         return Census(count, tuple(witnesses), False, gauge.nodes)
-    return Census(count if layers is None else layers.count, tuple(witnesses), True, gauge.nodes)
+    return Census(count, tuple(witnesses), True, gauge.nodes)
 
 
 # -- depth-first search --------------------------------------------------------
@@ -322,7 +351,7 @@ class _Cells(NamedTuple):
     ``allowed[r]`` holds the cells not forbidden, and ``avoiding[r][b]`` the
     allowed cells without position b."""
 
-    entries: list[list[RawEntry]]
+    entries: list[list[Entry]]
     positions: list[list[tuple[int, ...]]]
     allowed: list[int]
     avoiding: list[list[int]]
@@ -335,13 +364,12 @@ class _Cells(NamedTuple):
     ) -> _Cells:
         """The cells of H, those in ``forbidden`` not allowed."""
         n, d = H.n, H.d
-        rests = list(itertools.product(range(n), repeat=d - 1))
-        axes = [tuple(k * n + v for k, v in enumerate(rest)) for rest in rests]
+        entries = _cell_entries(H)
+        axes = [tuple(k * n + v for k, v in enumerate(c[1:])) for c, _ in entries[0]]
         top = (d - 1) * n
-        entries, positions, allowed, avoiding = [], [], [], []
-        for r, syms in enumerate(H.symbols.reshape(n, -1).tolist()):
-            row = [((r,) + rest, s) for rest, s in zip(rests, syms)]
-            pos = [a + (top + s,) for a, s in zip(axes, syms)] if transversal else axes
+        positions, allowed, avoiding = [], [], []
+        for row in entries:
+            pos = [a + (top + s,) for a, (_, s) in zip(axes, row)] if transversal else axes
             ok = (1 << len(row)) - 1
             if forbidden:
                 ok -= sum(1 << i for i, (c, _) in enumerate(row) if c in forbidden)
@@ -349,7 +377,6 @@ class _Cells(NamedTuple):
             for i, ps in enumerate(pos):
                 for b in ps:
                     holding[b] |= 1 << i
-            entries.append(row)
             positions.append(pos)
             allowed.append(ok)
             avoiding.append([ok & ~h for h in holding])
@@ -365,10 +392,10 @@ def _cube_cells(H: Hypercube, transversal: bool) -> _Cells:
 
 def _listing(
     cells: _Cells, gauge: _Gauge, target: _TargetSum | None = None
-) -> Iterator[tuple[RawEntry, ...]]:
+) -> Iterator[tuple[int, ...]]:
     """Every full diagonal (transversal, on cells with symbol positions) on
     the allowed cells, those with the target delta sum if given, in
-    deterministic order.
+    deterministic order, each as its cell index on each row.
 
     Rows are filled in increasing order, each row's fitting cells taken lowest
     bit first, which is row-major order; so the results come in lexicographic
@@ -377,18 +404,18 @@ def _listing(
     rides along, and a last-row cell completes a result only if it closes the
     sum to the target.  The gauge ticks once per cell placed, whether or not
     it closes the sum, as in ``_complete``; BudgetExhausted propagates."""
-    n, entries, positions, avoiding = cells.n, cells.entries, cells.positions, cells.avoiding
+    n, positions, avoiding = cells.n, cells.positions, cells.avoiding
     if not all(cells.allowed):
         return
     if target is None:  # every sum is the target 0 of the trivial group
-        deltas, add, goal = [[0] * len(row) for row in entries], [[0]], 0
+        deltas, add, goal = [[0] * len(row) for row in positions], [[0]], 0
     else:  # each row's delta indices in the order of its entries
         deltas, add, goal = target.deltas.reshape(n, -1).tolist(), target.table.add, target.index
     # todo[r]: row r's fitting cells not yet tried; later[r]: the fitting cells
     # of rows r+1..n-1, given the cells placed on rows 0..r-1 (those in acc,
     # with delta sum sums[r])
     todo, later, sums = [cells.allowed[0]], [cells.allowed[1:]], [0]
-    acc: list[RawEntry] = []
+    acc: list[int] = []
     while todo:
         r = len(todo) - 1
         fits = todo[r]
@@ -405,7 +432,7 @@ def _listing(
         gauge.tick()
         if r == n - 1:
             if add[sums[r]][deltas[r][i]] == goal:
-                yield (*acc, entries[r][i])
+                yield (*acc, i)
             continue
         nxt = []
         for r2, fits2 in enumerate(later[r], r + 1):
@@ -416,7 +443,7 @@ def _listing(
                 break
             nxt.append(fits2)
         else:
-            acc.append(entries[r][i])
+            acc.append(i)
             todo.append(nxt[0])
             later.append(nxt[1:])
             sums.append(add[sums[r]][deltas[r][i]])
@@ -606,7 +633,9 @@ class _Layers(NamedTuple):
     its axis bits and, for transversals, its symbol's bit.  Reading goes
     forward: a forward state holds the fields of rows 0..r-1 and, for target
     sums, the target minus their delta sum; it completes iff ``full`` XOR it
-    lies in B_r.  Reading starts at ``root``."""
+    lies in B_r.  Reading (``_array_listing`` and the bachelor sweep) starts
+    at ``root`` and looks states up in a layer's sorted keys by
+    ``searchsorted``, so it holds no Python object per state."""
 
     cube: Hypercube
     target: _TargetSum | None
@@ -681,6 +710,19 @@ def _merged(parts: Iterator[_Merged]) -> _Merged:
     return pile[0] if pile else (np.zeros(0, np.uint64), np.zeros(0, np.int64))
 
 
+def _joined(f: np.ndarray, r: int, ci: np.ndarray, masks: np.ndarray, width: int,
+            keyed: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+    """The states f, each with the fields of cell ci of row r (``masks[r]``)
+    set; for target sums, ``keyed`` = (table, deltas), the key k above the
+    ``width`` field bits becomes ``table[k, deltas[r, ci]]``."""
+    g = f | masks[r][ci]
+    if keyed is None:
+        return g
+    table, deltas = keyed
+    key = table[(f >> width).astype(np.intp), deltas[r][ci]]
+    return (g & ((1 << width) - 1)) | (key.astype(np.uint64) << width)
+
+
 def _back_layers(H: Hypercube, gauge: _Gauge, target: _TargetSum | None = None) -> _Layers:
     """Every backward layer of the transversals (``target`` None) or of the
     diagonals with the target sum, built from row n-1 down a layer at a time.
@@ -698,19 +740,15 @@ def _back_layers(H: Hypercube, gauge: _Gauge, target: _TargetSum | None = None) 
     if target is None:
         symbols = H.symbols.reshape(n, -1).astype(np.uint64) + np.uint64(width - n)
         masks = axes | np.left_shift(np.uint64(1), symbols)
+        keyed = None
     else:
         masks = np.broadcast_to(axes, (n, len(axes)))
-        deltas, add = target.deltas.reshape(n, -1), target.table.add_array
+        keyed = target.table.add_array, target.deltas.reshape(n, -1)
     keys, ways = [np.zeros(1, np.uint64)], [np.ones(1, np.int64)]
 
     def expand(r: int, states: np.ndarray, counts: np.ndarray) -> Iterator[_Merged]:
         for si, ci in _fitting(states, masks[r]):
-            f = states[si]
-            g = f | masks[r][ci]
-            if target is not None:
-                key = add[(f >> width).astype(np.intp), deltas[r][ci]]
-                g = (g & full) | (key.astype(np.uint64) << width)
-            yield _merge(g, counts[si])
+            yield _merge(_joined(states[si], r, ci, masks, width, keyed), counts[si])
 
     for r in reversed(range(n)):
         gauge.tick(len(keys[-1]))
@@ -723,71 +761,58 @@ def _back_layers(H: Hypercube, gauge: _Gauge, target: _TargetSum | None = None) 
     return _Layers(H, target, masks, keys, ways, full, root)
 
 
-# A row's cells for one key, grouped by their axis-1 bit in row-major order,
-# as (bit, [(entry, mask)]): only groups whose bit is free in a state can hold
-# a cell that fits it.
-_RowGroups = list[tuple[int, list[tuple[RawEntry, int]]]]
+def _array_listing(
+    layers: _Layers, gauge: _Gauge, limit: int | None = None
+) -> Iterator[np.ndarray]:
+    """The results in ``_listing`` order, read off the backward layers, as
+    blocks: (k, n) arrays of each result's cell index per row; with a
+    ``limit``, only the first ``limit`` results.
 
-
-def _listing_rows(layers: _Layers) -> list[list[_RowGroups]]:
-    """Each row's cells for each key k of a forward state, with their masks:
-    the cell's fields and, for target sums, what is left of the target after
-    its delta, ``sub[k][delta]``, above them."""
-    H, target, shift = layers.cube, layers.target, layers.full.bit_length()
-    n, d = H.n, H.d
-    span = n ** (d - 2)  # row-major order takes each axis-1 value in turn
-    rests = list(itertools.product(range(n), repeat=d - 1))
-    rows = []
-    for r, (syms, masks) in enumerate(zip(H.symbols.reshape(n, -1).tolist(),
-                                          layers.masks.tolist())):
-        entries = [((r,) + rest, s) for rest, s in zip(rests, syms)]
-        if target is None:  # the one key 0
-            keyed = [list(zip(entries, masks))]
-        else:
-            deltas = target.deltas[r].ravel().tolist()
-            keyed = [[(e, m | (left[v] << shift)) for e, m, v in zip(entries, masks, deltas)]
-                     for left in target.table.sub]
-        rows.append([[(1 << v, cells[v * span:(v + 1) * span]) for v in range(n)]
-                     for cells in keyed])
-    return rows
-
-
-def _layer_listing(layers: _Layers, gauge: _Gauge) -> Iterator[tuple[RawEntry, ...]]:
-    """The results in ``_listing`` order, read off the backward layers.
-
-    At row r with forward state f the row's cells are tried in row-major
-    order, and a cell is taken iff it fits f and the state g it leads to
-    completes (``full ^ g`` lies in B_{r+1}, each layer read as a set of its
-    keys, built once), so every branch taken completes.  The gauge ticks once
-    per partial result extended by a row other than the last; the last row's
-    cell is looked up, not searched."""
-    if not layers.count:
+    The rows are walked in order with a block of live partial results: their
+    forward states as a uint64 array and their cell indices on the rows so
+    far.  A block meets row r's cells in the ``_fitting`` chunks, and a child
+    g is kept iff ``full ^ g`` lies in B_{r+1} (found by ``searchsorted``),
+    so every partial kept completes.  Each chunk's children go on to row
+    r + 1 before the next chunk is read, so the results come in order and
+    each row holds at most about ``_CHUNK_PAIRS`` children.  Every live
+    partial completes, so the first k results descend from the first k
+    children a row keeps, and a limit of k keeps no more.  The gauge ticks
+    once per partial result extended by a row other than the last, a block's
+    partials in one step; on the last row each live partial has one cell."""
+    target, full, n = layers.target, np.uint64(layers.full), len(layers.masks)
+    width = layers.full.bit_length()
+    left = limit  # results still to list, None for all
+    if not layers.count or left == 0:
         return
-    groups = _listing_rows(layers)
-    back = [set(keys.tolist()) for keys in layers.keys]
-    n, full = len(groups), layers.full
-    shift = full.bit_length()
-    # a live state on rows 0..n-2 leaves exactly one cell of the last row
-    last = [{m: e for _, cells in g for e, m in cells} for g in groups[-1]]
-    acc: list[RawEntry] = []
+    keyed = None if target is None else (target.table.sub_array, target.deltas.reshape(n, -1))
 
-    def from_row(r: int, f: int) -> Iterator[tuple[RawEntry, ...]]:
-        base = f & full
-        if r == n - 1:
-            yield (*acc, last[f >> shift][full ^ base])
-            return
-        gauge.tick()
-        live = back[r + 1]
-        for b1, cells in groups[r][f >> shift]:
-            if base & b1:
-                continue
-            for entry, m in cells:
-                if not base & m and full ^ (base | m) in live:
-                    acc.append(entry)
-                    yield from from_row(r + 1, base | m)
-                    acc.pop()
+    def grown(r: int, states: np.ndarray, cells: np.ndarray, si: np.ndarray,
+              ci: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The children of the fitting pairs (si, ci) of row r that complete,
+        at most ``left`` of them: their states and their cells."""
+        g = _joined(states[si], r, ci, layers.masks, width, keyed)
+        rest, back = full ^ g, layers.keys[r + 1]
+        hit = back[np.minimum(np.searchsorted(back, rest), len(back) - 1)] == rest
+        kept = hit.nonzero()[0][:left]
+        return g[kept], np.column_stack((cells[si[kept]], ci[kept]))
 
-    yield from from_row(0, layers.root)
+    def from_row(r: int, states: np.ndarray, cells: np.ndarray) -> Iterator[np.ndarray]:
+        nonlocal left
+        if r < n - 1:
+            gauge.tick(len(states))
+        # only each chunk's children are held while the next rows list them
+        chunks = _fitting(states, layers.masks[r])
+        for kids, block in itertools.starmap(functools.partial(grown, r, states, cells), chunks):
+            if r < n - 1:
+                yield from from_row(r + 1, kids, block)
+            else:
+                yield block
+                if left is not None:
+                    left -= len(block)
+            if left == 0:
+                return
+
+    yield from from_row(0, np.array([layers.root], np.uint64), np.zeros((1, 0), np.intp))
 
 
 def bachelor_cells(H: Hypercube, budget: SearchBudget | None = None) -> BachelorScan:
@@ -878,7 +903,10 @@ class PackingResult:
 class _Cover(NamedTuple):
     """Every listed transversal against the cells it passes through.
 
-    Cells are numbered by flat (row-major) index.  Bit t of ``masks[c]`` is
+    Cells are numbered by flat (row-major) index, so cell i of row r is
+    r * n**(d-1) + i, read off the listing's cell indices without a lookup,
+    and the listed transversals are held only as that (count, n) array
+    beside the masks.  Bit t of ``masks[c]`` is
     set iff transversal t passes through cell c, and ``cells[t]`` holds the n
     cells of transversal t.  A line is a hyperplane (axis k, value v: line
     k*n + v) or the cells of one symbol s (line d*n + s); every transversal
@@ -889,21 +917,14 @@ class _Cover(NamedTuple):
     lines: list[list[int]]
 
 
-def _cover(H: Hypercube, listed: list[tuple[RawEntry, ...]], gauge: _Gauge) -> _Cover:
-    """The cover of the listed transversals.  The masks are ORed into one
-    packed row of bytes per cell, never a cells x transversals bool matrix,
-    then read as one int per cell; the gauge ticks once per transversal read
-    and once per cell."""
+def _cover(H: Hypercube, listed: np.ndarray, gauge: _Gauge) -> _Cover:
+    """The cover of the listed transversals, a (count, n) array of each one's
+    cell index per row.  The masks are ORed into one packed row of bytes per
+    cell, never a cells x transversals bool matrix, then read as one int per
+    cell; the gauge ticks once per transversal read and once per cell."""
     n, d, count = H.n, H.d, len(listed)
-    flat = {coords: i for i, coords in enumerate(np.ndindex(H.symbols.shape))}
-
-    def flat_cells() -> Iterator[int]:
-        for raw in listed:
-            gauge.tick()
-            for c, _ in raw:
-                yield flat[c]
-
-    cells = np.fromiter(flat_cells(), np.intp, count * n).reshape(count, n)
+    gauge.tick(count)
+    cells = listed + n ** (d - 1) * np.arange(n)  # row r's cell i is r * n**(d-1) + i
     # transversal t sets bit t & 7 of byte t >> 3 in each of its cells' rows,
     # the column indices broadcast over its n cells
     t = np.arange(count)
@@ -917,6 +938,11 @@ def _cover(H: Hypercube, listed: list[tuple[RawEntry, ...]], gauge: _Gauge) -> _
     axes = np.indices(H.symbols.shape).reshape(d, -1)
     lines = np.vstack([axes, H.symbols.reshape(1, -1)]).T + n * np.arange(d + 1)
     return _Cover(masks, cells, lines.tolist())
+
+
+def _stacked(H: Hypercube, blocks: list[np.ndarray]) -> np.ndarray:
+    """The listed blocks as one (count, n) array of cell indices per row."""
+    return np.concatenate([np.zeros((0, H.n), np.intp), *blocks])
 
 
 def _greedy_hitting_set(masks: list[int], gauge: _Gauge) -> list[int]:
@@ -1029,12 +1055,15 @@ def max_disjoint_transversals(
         raise ValueError(f"cap must be at least 1, got {cap}")
     budget = budget or SearchBudget()
     gauge = _Gauge(budget)
-    listed: list[tuple[RawEntry, ...]] = []
+    blocks: list[np.ndarray] = []
     try:
-        listed.extend(_results(H, budget, gauge, transversal=True))
+        blocks.extend(_results(H, budget, gauge, transversal=True))
     except BudgetExhausted:
-        return PackingResult((), False, None, "enumeration-truncated", True, len(listed))
-    if not listed:
+        listed = sum(map(len, blocks))
+        return PackingResult((), False, None, "enumeration-truncated", True, listed)
+    listed = _stacked(H, blocks)
+    del blocks  # the blocks are copied; only the stacked array goes on
+    if not len(listed):
         return PackingResult((), True, 0, "no transversals", False, 0)
 
     hard_cap = H.n ** (H.d - 1)
@@ -1059,7 +1088,7 @@ def max_disjoint_transversals(
                 g -= 1
     except BudgetExhausted:
         exhausted = True
-    packing = tuple(_raw_to_diagonal(listed[t], H.n) for t in sorted(best))
+    packing = tuple(_diagonals(H, listed[sorted(best)].tolist()))
     optimal = not exhausted and (len(best) == ub or len(best) < goal)
     cert = f"greedy-hitting-set({ub_hit}), hyperplane-cap({hard_cap})"
     if support_ub is not None:
@@ -1166,8 +1195,8 @@ def hill_climb_decomposition(
     _require_latin(H)
     budget = budget or SearchBudget()
     gauge = _Gauge(budget)
-    listed = list(_results(H, budget, gauge, transversal=True))
+    listed = _stacked(H, list(_results(H, budget, gauge, transversal=True)))
     best: list[int] = []
     if not _packs(_cover(H, listed, gauge), H.n ** (H.d - 1), gauge, best):
         return None
-    return tuple(_raw_to_diagonal(listed[t], H.n) for t in sorted(best))
+    return tuple(_diagonals(H, listed[sorted(best)].tolist()))

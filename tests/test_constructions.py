@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from transversal_lab import constructions as cons
@@ -48,6 +49,38 @@ def test_confirmed_bachelor_matches_pre_switch_outside_block():
             assert H[cell] == 1 - base[cell]
         else:
             assert H[cell] == base[cell]
+
+
+def _confirmed_bachelor_by_full_grids(n, d):
+    # the construction on one full np.indices grid per axis, as it was first
+    # written: the even shift, then symbols 0 and 1 swapped inside the corner
+    grids = np.indices((n,) * d)
+    sigma = grids.sum(axis=0)
+    m = (grids % 2).sum(axis=0)
+    base = np.where(m % 2 == 1, sigma - (m - 1), sigma - m) % n
+    arr = base.copy()
+    inner = np.all(grids <= 1, axis=0)
+    block = arr[inner]
+    arr[inner] = np.where(block == 0, 1, np.where(block == 1, 0, block))
+    return base, arr
+
+
+@pytest.mark.parametrize("n,d", [(4, 4), (8, 4), (12, 4), (4, 6), (8, 6)])
+def test_confirmed_bachelor_matches_the_full_grid_construction(n, d):
+    # every (n, d) of the witness family that the paper-claims check builds
+    base, arr = _confirmed_bachelor_by_full_grids(n, d)
+    got = cons._bachelor_base_formula(n, d)
+    assert got.dtype == base.dtype and np.array_equal(got, base)
+    assert np.array_equal(cons.confirmed_bachelor(n, d).symbols, arr)
+
+
+@pytest.mark.parametrize("n,d", [(4, 2), (4, 4), (6, 2), (6, 4), (8, 2), (4, 6)])
+def test_turned_cyclic_matches_the_full_grid_construction(n, d):
+    grids = np.indices((n,) * d)
+    arr = grids.sum(axis=0) % n
+    region = np.all((grids == 0) | (grids == n // 2), axis=0)
+    arr[region] = (arr[region] + n // 2) % n
+    assert np.array_equal(cons.turned_cyclic(n, d).symbols, arr)
 
 
 def test_confirmed_bachelor_rejects_bad_parameters():

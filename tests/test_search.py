@@ -311,14 +311,17 @@ def test_truncated_search_reports_exactly_max_nodes():
     assert gauge.nodes == 10
 
 
-# the layer sizes of two cubes: the backward layers B_n, ..., B_1 (states
+# the layer sizes of three cubes: the backward layers B_n, ..., B_1 (states
 # expanded by a count) and the forward layers L_0, ..., L_{n-1} (the bachelor
-# sweep's), with the full counts of each search
+# sweep's), with the full counts of each search, the number of transversals
+# and the nodes of listing them all off the layers
 _LAYER_CUTS = {
     "confirmed-bachelor-4-4": (lambda: confirmed_bachelor(4, 4),
-                               [1, 64, 320, 120], [1, 56, 272, 64], 505, 898),
+                               [1, 64, 320, 120], [1, 56, 272, 64], 505, 898, 3_840, 1_522),
     "cyclic-7": (lambda: cyclic(cyclic_group(7), 2),
-                 [1, 7, 35, 112, 168, 63, 7], [1, 7, 35, 105, 105, 35, 7], 393, 688),
+                 [1, 7, 35, 112, 168, 63, 7], [1, 7, 35, 105, 105, 35, 7], 393, 688, 133, 807),
+    "turned-cyclic-4-4": (lambda: turned_cyclic(4, 4),
+                          [1, 64, 448, 120], [1, 64, 272, 64], 633, 1_034, 1_280, 1_402),
 }
 
 
@@ -327,7 +330,7 @@ def test_budget_running_out_inside_a_layer(name):
     # a layer's states are ticked in one step, and a budget that ends inside
     # it, at its boundary or one past it cuts the search with exactly
     # max_nodes counted and decides nothing
-    make, back, forward, count_nodes, scan_nodes = _LAYER_CUTS[name]
+    make, back, forward, count_nodes, scan_nodes, _, _ = _LAYER_CUTS[name]
     H = make()
     layers = search._back_layers(H, search._Gauge(SearchBudget()))
     assert [len(keys) for keys in reversed(layers.keys[1:])] == back
@@ -341,6 +344,18 @@ def test_budget_running_out_inside_a_layer(name):
         if cap < count_nodes:
             census = count_transversals(H, SearchBudget(max_nodes=cap))
             assert (census.count, census.exact, census.nodes) == (0, False, cap), cap
+
+
+@pytest.mark.parametrize("name", sorted(_LAYER_CUTS))
+def test_full_layer_listing_keeps_its_node_count(name):
+    # the layers' states plus one node per partial transversal extended by a
+    # row other than the last, however the partials are grouped into blocks
+    make, back, _, _, _, results, nodes = _LAYER_CUTS[name]
+    H = make()
+    gauge = search._Gauge(SearchBudget())
+    listed = search._stacked(H, list(search._results(H, SearchBudget(), gauge, transversal=True)))
+    assert (len(listed), gauge.nodes) == (results, nodes)
+    assert nodes > sum(back)
 
 
 def test_layers_at_the_64_bit_extremes():
@@ -362,14 +377,26 @@ def test_layers_at_the_64_bit_extremes():
 
 def test_layers_do_not_depend_on_the_chunk_size(monkeypatch):
     # one (state, cell) pair per chunk, a few, and the default size give the
-    # same layers, counts and bachelor cells, for transversals and target sums
+    # same layers, counts, bachelor cells, listings (with their nodes) and
+    # census witnesses, for transversals and target sums: the listing goes on
+    # across chunk boundaries, and a census stops at its witnesses
     cubes = [confirmed_bachelor(4, 4), z6_isotope_square(), cyclic(cyclic_group(5), 3)]
 
     def layers_of(H):
         targets = [None] + [search._TargetSum.of(H, None, (t,)) for t in range(H.n)]
-        built = [search._back_layers(H, search._Gauge(SearchBudget()), t) for t in targets]
+        built, listings = [], []
+        for t in targets:
+            gauge = search._Gauge(SearchBudget())
+            built.append(search._back_layers(H, gauge, t))
+            blocks = list(search._array_listing(built[-1], gauge))
+            listings.append((search._stacked(H, blocks).tolist(), gauge.nodes))
+        witnesses = [census.witnesses
+                     for keep in (1, 2, 8)
+                     for census in (count_transversals(H, keep=keep),
+                                    *(count_diagonals(H, None, (t,), keep=keep)
+                                      for t in range(H.n)))]
         return ([(k.tolist(), w.tolist()) for L in built for k, w in zip(L.keys, L.ways)],
-                bachelor_cells(H))
+                bachelor_cells(H), listings, witnesses)
 
     expected = [layers_of(H) for H in cubes]
     for chunk in (1, 7, 64):
@@ -639,18 +666,24 @@ def test_truncated_census_is_never_exact(monkeypatch, dfs_only):
         assert count(SearchBudget(max_nodes=full.nodes)) == full
 
 
+def _array_listing(H, target=None, budget=SearchBudget()):
+    # the array listing off the layers, a result at a time as the tuple of
+    # its cell index on each row, the form the DFS lists in
+    gauge = search._Gauge(budget)
+    blocks = search._array_listing(search._back_layers(H, gauge, target), gauge)
+    return (tuple(cells) for block in blocks for cells in block.tolist())
+
+
 def _listings(H, target_sum=None):
-    # the layer listing and the DFS listing of the transversals, or of the
+    # the array listing and the DFS listing of the transversals, or of the
     # diagonals with the target sum if given
     target = None if target_sum is None else search._TargetSum.of(H, H.group, (target_sum,))
-    gauge = search._Gauge(SearchBudget())
-    layers = search._layer_listing(search._back_layers(H, gauge, target), gauge)
     cells = search._cube_cells(H, target is None)
-    return layers, search._listing(cells, search._Gauge(SearchBudget()), target)
+    return _array_listing(H, target), search._listing(cells, search._Gauge(SearchBudget()), target)
 
 
 def _assert_listing_matches_dfs(H, brute=True, target_sum=None):
-    # the layer listing and the DFS listing yield the same tuples in the same
+    # the array listing and the DFS listing yield the same tuples in the same
     # order, which is the sorted order of the brute-force oracle's row-sorted
     # cell tuples; streamed, so that no list of results is held without brute
     layers, dfs = _listings(H, target_sum)
@@ -661,7 +694,8 @@ def _assert_listing_matches_dfs(H, brute=True, target_sum=None):
     for a, b in itertools.zip_longest(layers, dfs):
         assert a == b
         if brute:
-            assert tuple(c for c, _ in a) == next(oracle)
+            [D] = search._diagonals(H, [a])
+            assert D.cells() == next(oracle)
     assert next(oracle, None) is None
 
 
@@ -706,8 +740,7 @@ def test_target_listing_matches_dfs(name):
         # DFS's order, and every other sum lists nothing
         budget = SearchBudget()
         target = search._TargetSum.of(H, H.group, (0,))
-        layers = search._layer_listing(search._back_layers(H, search._Gauge(budget), target),
-                                       search._Gauge(budget))
+        layers = _array_listing(H, target, budget)
         dfs = search._listing(search._cube_cells(H, False), search._Gauge(budget), target)
         assert list(itertools.islice(layers, 1000)) == list(itertools.islice(dfs, 1000))
         for t in range(1, H.n):
@@ -776,7 +809,9 @@ def test_dfs_layers_and_brute_force_agree_on_random_cubes(H, data):
                 listed = list(enumerate_diagonals(H, H.group, (t,)))
                 count = lambda b: count_diagonals(H, None, (t,), b, keep=2)
             layers, dfs = _listings(H, t)
-            assert [D.entries for D in listed] == list(layers) == list(dfs)
+            layers = list(layers)
+            assert [D.entries for D in listed] == [D.entries for D in search._diagonals(H, layers)]
+            assert layers == list(dfs)
             assert [D.cells() for D in listed] == oracle
             full = count(SearchBudget())
             assert full.exact and full.count == len(oracle)
@@ -830,7 +865,7 @@ def test_node_budget_below_the_worst_case_lists_by_the_dfs():
         dfs = []
         with pytest.raises(BudgetExhausted):
             dfs.extend(search._listing(search._cube_cells(z11, True), search._Gauge(budget)))
-        assert listed == [search._raw_to_diagonal(raw, 11) for raw in dfs]
+        assert listed == list(search._diagonals(z11, dfs))
         assert len(listed) == reached
         result = max_disjoint_transversals(z11, budget=budget)
         assert result.transversal_count == reached
