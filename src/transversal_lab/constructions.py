@@ -62,11 +62,11 @@ def confirmed_bachelor(n: int, d: int) -> Hypercube:
     of odd coordinates, then swapping symbols 0 and 1 inside the corner block,
     which leaves that block's cells with odd deviation values while every
     transversal needs an even deviation sum.  Requires even d > 2 and
-    n divisible by 4."""
+    n a positive multiple of 4."""
     if d <= 2 or d % 2 != 0:
         raise ConstructionError(f"dimension must be even and greater than 2, got {d}")
-    if n % 4 != 0:
-        raise ConstructionError(f"order must be divisible by 4, got {n}")
+    if n < 4 or n % 4 != 0:
+        raise ConstructionError(f"order must be a positive multiple of 4, got {n}")
     arr = _bachelor_base_formula(n, d)
     corner = np.ix_(*[range(2)] * d)
     block = arr[corner]
@@ -86,8 +86,8 @@ def bachelor_transversal(n: int, d: int) -> Diagonal:
     coordinate pairs repeat (d - 4) / 2 times and cancel in the symbol."""
     if d < 4 or d % 2 != 0:
         raise ConstructionError(f"dimension must be even and at least 4, got {d}")
-    if n % 4 != 0:
-        raise ConstructionError(f"order must be divisible by 4, got {n}")
+    if n < 4 or n % 4 != 0:
+        raise ConstructionError(f"order must be a positive multiple of 4, got {n}")
     H = confirmed_bachelor(n, d)
     half = n // 2
     reps = (d - 4) // 2
@@ -196,11 +196,11 @@ def turned_cyclic(n: int, d: int) -> Hypercube:
     """Cyclic cube with n/2 added on the {0, n/2}^d block.
 
     Exactly 2^d cells differ from the cyclic cube, so no family of disjoint
-    transversals can exceed 2^d.  Requires even n > 2 and even d."""
+    transversals can exceed 2^d.  Requires even n > 2 and even d >= 2."""
     if n <= 2 or n % 2 != 0:
         raise ConstructionError(f"order must be even and greater than 2, got {n}")
-    if d % 2 != 0:
-        raise ConstructionError(f"dimension must be even, got {d}")
+    if d < 2 or d % 2 != 0:
+        raise ConstructionError(f"dimension must be even and at least 2, got {d}")
     arr = sum(np.ogrid[(slice(n),) * d]) % n
     region = np.ix_(*[(0, n // 2)] * d)
     arr[region] = (arr[region] + n // 2) % n

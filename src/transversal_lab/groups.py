@@ -11,9 +11,10 @@ tuple operations of ``AbelianGroup`` serve outside input and tests.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 from typing import Iterator, NamedTuple
 
@@ -55,12 +56,16 @@ class AbelianGroup:
             )
         return tuple(int(c) % m for c, m in zip(components, self.moduli))
 
+    @cached_property
+    def _canonical(self) -> frozenset[Element]:
+        """Every canonical element, built from the moduli alone (not from
+        ``index_table``, whose arithmetic the checked operations serve to
+        check)."""
+        return frozenset(itertools.product(*map(range, self.moduli)))
+
     def contains(self, a: Element) -> bool:
-        return (
-            isinstance(a, tuple)
-            and len(a) == len(self.moduli)
-            and all(0 <= c < m for c, m in zip(a, self.moduli))
-        )
+        # lists are unhashable, so the type is tested first
+        return isinstance(a, tuple) and a in self._canonical
 
     def _check(self, a: Element) -> None:
         if not self.contains(a):

@@ -150,5 +150,14 @@ class SearchReport:
         return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
 
+# the schema is checked once, here, and one validator serves every report
+jsonschema.Draft7Validator.check_schema(REPORT_SCHEMA)
+_VALIDATOR = jsonschema.Draft7Validator(REPORT_SCHEMA)
+
+
 def validate_report(obj: dict) -> None:
-    jsonschema.validate(obj, REPORT_SCHEMA)
+    """Raise the schema's best-matching ValidationError unless ``obj`` is a
+    valid report, as ``jsonschema.validate`` does."""
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(obj))
+    if error is not None:
+        raise error

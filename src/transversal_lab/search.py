@@ -1,16 +1,20 @@
 """Exact search over diagonals and transversals.
 
-Three engines share one node gauge.  The depth-first search works on
-``_Cells``: each row's cells as an int bit set, so that a cell placed cuts
-every unfilled row's fitting cells by a few ANDs and a row left with no cell
-ends the branch at once.  One DFS node is one cell placed.  It fills the rows
-in one of two orders.  ``_listing`` fills them in increasing order (axis-0
-values) and takes a row's cells in row-major order, which fixes a
-deterministic output order: it lists all diagonals, and lists and counts
-transversals and target-sum diagonals wherever the stored layers do not run.
-Both listings give a result as its cell index on each row (cell i of row r is
-the row's i-th in row-major order), and ``_diagonals`` builds the
-``Diagonal`` objects of only the results that are returned.
+Every engine reads one cell layout, ``_cell_fields``: cell i of row r (the
+row's i-th in row-major order) holds value v of axis j (1..d-1) as field
+(j-1)*n + v and, for transversals, symbol s as field (d-1)*n + s, so cells of
+distinct rows lie on one diagonal (transversal) iff they share no field.
+Every engine gives a result as its cell index on each row, and ``_diagonals``
+builds the ``Diagonal`` objects of only the results that are returned.
+
+The depth-first search works on ``_Cells``: each row's cells as an int bit
+set, so that a cell placed cuts every unfilled row's fitting cells by a few
+ANDs and a row left with no cell ends the branch at once; it runs at any
+number of fields.  One DFS node is one cell placed.  ``_listing`` fills the
+rows in increasing order and takes a row's cells in row-major order, which
+fixes a deterministic output order: it lists all diagonals, and lists and
+counts transversals and target-sum diagonals wherever the stored layers do
+not run.
 A target sum (``_TargetSum``, the one form every search with a target takes)
 rides along as the delta sum of the cells placed, and is checked when the last
 row's cell is placed, so the DFS lists only diagonals with that sum, in the
@@ -21,19 +25,21 @@ completions and the completions of hitting-set checks.  It always fills the
 row with the fewest fitting cells.
 
 The frontier layers run row by row on NumPy arrays: each layer is a sorted
-``uint64`` array of packed states with an ``int64`` array of ways beside it,
-and a whole layer meets all the cells of a row in a few array operations.
+``uint64`` array of packed states (a cell sets the bits of its fields) with
+an ``int64`` array of ways beside it, and a whole layer meets all the cells
+of a row in a few array operations.
 One builder (``_back_layers``) stores every backward layer, each state with
 its number of ways to complete, for transversals or for diagonals with a
 target delta sum.  Counts are the ways at the root; ``_array_listing`` reads
 the results off in the DFS's order, a block of partial results at a time,
 taking only branches that complete (and for a census only the first few);
 and ``bachelor_cells`` decides every cell at once by a forward sweep over the
-live states.  Each use runs the layers only on cubes whose order and
-dimension (and group order) keep their worst case small, and the DFS (for
-``bachelor_cells``, one existence search per cell) on larger cubes; listing
-also keeps the DFS under a node budget below that worst case, and counting
-and listing keep it under a result budget.
+live states.  Every reader finds states in a layer by ``_lookup``.  Each use
+runs the layers only on cubes whose order and dimension (and group order)
+keep their worst case small, and the DFS (for ``bachelor_cells``, one
+existence search per cell) on larger cubes; listing also keeps the DFS under
+a node budget below that worst case, and counting and listing keep it under
+a result budget.
 
 Packings and decompositions run one exact cover (``_packs``) over every
 listed transversal, held as one array of cell indices: each cell holds its
@@ -126,13 +132,11 @@ def _require_latin(H: Hypercube) -> None:
         raise ValueError("search requires a Latin hypercube")
 
 
-RawEntry = tuple[Coords, int]
-
-
-def _checked_cells(H: Hypercube, cells: Iterable[Coords]) -> list[Coords]:
-    """The cells as int tuples; ValueError unless each is d integer coordinates
-    in [0, n), since a cell outside the cube lies on no diagonal and would
-    read as an absence claim (numpy would even wrap negative coordinates)."""
+def _checked_cells(H: Hypercube, cells: Iterable[Coords]) -> list[tuple[int, int]]:
+    """The cells as (row, index) pairs, cell i of row r being the row's i-th
+    in row-major order; ValueError unless each is d integer coordinates in
+    [0, n), since a cell outside the cube lies on no diagonal and would read
+    as an absence claim (numpy would even wrap negative coordinates)."""
     out = []
     for cell in cells:
         try:
@@ -141,13 +145,26 @@ def _checked_cells(H: Hypercube, cells: Iterable[Coords]) -> list[Coords]:
             raise ValueError(f"cell {cell!r} is not a tuple of integers") from None
         if len(coords) != H.d or not all(0 <= c < H.n for c in coords):
             raise ValueError(f"cell {cell!r} is not a cell of the cube (d={H.d}, n={H.n})")
-        out.append(coords)
+        index = 0
+        for v in coords[1:]:
+            index = index * H.n + v
+        out.append((coords[0], index))
     return out
 
 
-def _raw_to_diagonal(raw: tuple[RawEntry, ...], n: int) -> Diagonal:
-    entries = tuple(Entry(c, s) for c, s in raw)
-    return Diagonal(entries, complete=len(entries) == n)
+@functools.lru_cache(maxsize=8)
+def _cell_fields(H: Hypercube, transversal: bool) -> np.ndarray:
+    """The one cell layout (see the module docstring): an (n, n**(d-1), k)
+    read-only int array, [r, i] the k fields of cell i of row r, k = d for
+    transversals and d - 1 otherwise.  Built once per cube and kind."""
+    n, d = H.n, H.d
+    axes = np.indices((n,) * (d - 1)).reshape(d - 1, -1).T + n * np.arange(d - 1)
+    fields = np.broadcast_to(axes, (n, *axes.shape))
+    if transversal:
+        symbols = H.symbols.reshape(n, -1, 1).astype(np.intp) + (d - 1) * n
+        fields = np.concatenate([fields, symbols], axis=2)
+    fields.setflags(write=False)
+    return fields
 
 
 @functools.lru_cache(maxsize=4)
@@ -255,8 +272,8 @@ def count_diagonals(
 
 class _TargetSum(NamedTuple):
     """A delta-sum target in index form, the one form every search with a
-    target takes: the target's index, each cell's delta index, and the
-    group's index table."""
+    target takes: the target's index, each cell's delta index (``deltas[r, i]``
+    for cell i of row r), and the group's index table."""
 
     index: int
     deltas: np.ndarray
@@ -267,7 +284,7 @@ class _TargetSum(NamedTuple):
         """The target in H's group, or in ``group`` if given."""
         group = H.group if group is None else group
         index = group.index(group.reduce(target_sum))
-        return cls(index, profile(H, group).indices, index_table(group))
+        return cls(index, profile(H, group).indices.reshape(H.n, -1), index_table(group))
 
 
 def _results(
@@ -343,44 +360,37 @@ def _census(
 class _Cells(NamedTuple):
     """A cube's cells, row by row, for the depth-first searches.
 
-    Cell i of row r is the row's i-th in row-major order, ``entries[r][i]``.
-    Its positions ``positions[r][i]`` are bit numbers: value v on axis k
-    (1..d-1) is (k-1)*n + v and, for transversals (``symbols``), symbol s is
-    (d-1)*n + s, so cells of distinct rows fit together iff they share no
-    position.  A set of a row's cells is an int with bit i for cell i:
-    ``allowed[r]`` holds the cells not forbidden, and ``avoiding[r][b]`` the
-    allowed cells without position b."""
+    ``positions[r][i]`` holds the fields of cell i of row r (``_cell_fields``),
+    so cells of distinct rows fit together iff they share no position.  A set
+    of a row's cells is an int with bit i for cell i: ``allowed[r]`` holds the
+    cells not forbidden, and ``avoiding[r][b]`` the allowed cells without
+    position b."""
 
-    entries: list[list[Entry]]
-    positions: list[list[tuple[int, ...]]]
+    positions: list[list[list[int]]]
     allowed: list[int]
     avoiding: list[list[int]]
     n: int
-    symbols: bool
 
     @classmethod
     def of(
-        cls, H: Hypercube, transversal: bool, forbidden: frozenset[Coords] = frozenset()
+        cls, H: Hypercube, transversal: bool, forbidden: frozenset[tuple[int, int]] = frozenset()
     ) -> _Cells:
-        """The cells of H, those in ``forbidden`` not allowed."""
-        n, d = H.n, H.d
-        entries = _cell_entries(H)
-        axes = [tuple(k * n + v for k, v in enumerate(c[1:])) for c, _ in entries[0]]
-        top = (d - 1) * n
-        positions, allowed, avoiding = [], [], []
-        for row in entries:
-            pos = [a + (top + s,) for a, (_, s) in zip(axes, row)] if transversal else axes
-            ok = (1 << len(row)) - 1
-            if forbidden:
-                ok -= sum(1 << i for i, (c, _) in enumerate(row) if c in forbidden)
-            holding = [0] * (top + n)
+        """The cells of H, those in ``forbidden`` ((row, index) pairs) not
+        allowed."""
+        n = H.n
+        fields = _cell_fields(H, transversal)
+        positions = fields.tolist()
+        allowed = [(1 << fields.shape[1]) - 1] * n
+        for r, i in forbidden:
+            allowed[r] &= ~(1 << i)
+        avoiding = []
+        for pos, ok in zip(positions, allowed):
+            holding = [0] * (fields.shape[2] * n)  # one per field
             for i, ps in enumerate(pos):
                 for b in ps:
                     holding[b] |= 1 << i
-            positions.append(pos)
-            allowed.append(ok)
             avoiding.append([ok & ~h for h in holding])
-        return cls(entries, positions, allowed, avoiding, n, transversal)
+        return cls(positions, allowed, avoiding, n)
 
 
 @functools.lru_cache(maxsize=4)
@@ -410,7 +420,7 @@ def _listing(
     if target is None:  # every sum is the target 0 of the trivial group
         deltas, add, goal = [[0] * len(row) for row in positions], [[0]], 0
     else:  # each row's delta indices in the order of its entries
-        deltas, add, goal = target.deltas.reshape(n, -1).tolist(), target.table.add, target.index
+        deltas, add, goal = target.deltas.tolist(), target.table.add, target.index
     # todo[r]: row r's fitting cells not yet tried; later[r]: the fitting cells
     # of rows r+1..n-1, given the cells placed on rows 0..r-1 (those in acc,
     # with delta sum sums[r])
@@ -450,12 +460,13 @@ def _listing(
 
 
 def _complete(
-    cells: _Cells, pre: Sequence[RawEntry], gauge: _Gauge
-) -> tuple[RawEntry, ...] | None:
+    cells: _Cells, pre: Sequence[tuple[int, int]], gauge: _Gauge
+) -> tuple[int, ...] | None:
     """A full diagonal (transversal, on cells with symbol positions) through
-    the ``pre`` entries, on allowed cells elsewhere, or None if provably absent.
+    the ``pre`` cells, given as (row, index) pairs, on allowed cells
+    elsewhere, as its cell index on each row; or None if provably absent.
 
-    Each pre entry fixes its row.  The search places one cell per row: it
+    Each pre cell fixes its row.  The search places one cell per row: it
     always fills the unfilled row with the fewest allowed cells that fit the
     cells placed (the smallest row on ties), trying them in row-major order,
     so a row left with no such cell fails at once.  Each row's fitting cells
@@ -463,27 +474,22 @@ def _complete(
     gauge ticks once per cell placed; BudgetExhausted propagates."""
     n = cells.n
     taken: set[int] = set()
-    fixed: dict[int, RawEntry] = {}
-    for coords, sym in pre:
-        ps = [k * n + v for k, v in enumerate(coords[1:])]
-        if coords[0] in fixed or taken.intersection(ps):
-            raise ValueError("pre-placed entries share a hyperplane")
-        if cells.symbols:
-            ps.append(len(ps) * n + sym)  # the symbol's position
-            if ps[-1] in taken:
-                raise ValueError("pre-placed entries repeat a symbol")
+    placed = [-1] * n
+    for r, i in pre:
+        ps = cells.positions[r][i]
+        if placed[r] >= 0 or taken.intersection(ps):
+            raise ValueError("pre-placed cells share a hyperplane or a symbol")
         taken.update(ps)
-        fixed[coords[0]] = (coords, sym)
+        placed[r] = i
     todo = []
     for r in range(n):
-        if r not in fixed:
+        if placed[r] < 0:
             fits, avoid = cells.allowed[r], cells.avoiding[r]
             for b in taken:
                 fits &= avoid[b]
             if not fits:
                 return None
             todo.append((r, fits))
-    placed: dict[int, RawEntry] = {}
 
     def fill(todo: list[tuple[int, int]]) -> bool:
         if not todo:
@@ -506,14 +512,11 @@ def _complete(
                 nxt.append((r2, fits2))
             else:
                 if fill(nxt):
-                    placed[r] = cells.entries[r][i]
+                    placed[r] = i
                     return True
         return False
 
-    if not fill(todo):
-        return None
-    placed.update(fixed)
-    return tuple(placed[r] for r in range(n))
+    return tuple(placed) if fill(todo) else None
 
 
 def transversal_through(
@@ -528,9 +531,8 @@ def transversal_through(
     when the budget runs out before either outcome."""
     _require_latin(H)
     budget = budget or SearchBudget()
-    [cell] = _checked_cells(H, [cell])
-    raw = _complete(_cube_cells(H, True), [(cell, H[cell])], _Gauge(budget))
-    return None if raw is None else _raw_to_diagonal(raw, H.n)
+    found = _complete(_cube_cells(H, True), _checked_cells(H, [cell]), _Gauge(budget))
+    return None if found is None else next(_diagonals(H, [found]))
 
 
 @dataclass
@@ -629,13 +631,13 @@ class _Layers(NamedTuple):
     r..n-1 whose cells fill its fields, for target sums with its delta sum.
     B_n is the one state 0 with one way.
 
-    ``masks[r, i]`` holds the fields of cell i of row r in row-major order:
-    its axis bits and, for transversals, its symbol's bit.  Reading goes
+    ``masks[r, i]`` sets bit b for each field b of cell i of row r
+    (``_cell_fields``).  Reading goes
     forward: a forward state holds the fields of rows 0..r-1 and, for target
     sums, the target minus their delta sum; it completes iff ``full`` XOR it
     lies in B_r.  Reading (``_array_listing`` and the bachelor sweep) starts
-    at ``root`` and looks states up in a layer's sorted keys by
-    ``searchsorted``, so it holds no Python object per state."""
+    at ``root`` and finds states in a layer's sorted keys by ``_lookup``, so
+    it holds no Python object per state."""
 
     cube: Hypercube
     target: _TargetSum | None
@@ -648,21 +650,17 @@ class _Layers(NamedTuple):
     @property
     def count(self) -> int:
         """The number of results: the ways of the state that completes the root."""
-        keys, goal = self.keys[0], self.full ^ self.root
-        i = int(np.searchsorted(keys, np.uint64(goal)))
-        return int(self.ways[0][i]) if i < len(keys) and keys[i] == goal else 0
+        at = _lookup(self.keys[0], np.uint64(self.full ^ self.root))
+        return int(self.ways[0][at]) if at >= 0 else 0
 
 
-@functools.lru_cache(maxsize=64)
-def _axis_masks(n: int, d: int) -> np.ndarray:
-    """Each cell's axis fields within its row, in row-major order: value v
-    on axis k (1..d-1) is bit (k-1)*n + v.  Read-only, built once per (n, d)."""
-    masks = np.zeros(1, np.uint64)
-    for k in range(d - 1):
-        bits = np.left_shift(np.uint64(1), np.arange(k * n, (k + 1) * n, dtype=np.uint64))
-        masks = (masks[:, None] | bits).ravel()
-    masks.setflags(write=False)
-    return masks
+def _lookup(keys: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Each state's position in the sorted array ``keys``, or -1 where it is
+    not there: the one way every reader finds states in a layer."""
+    if not len(keys):
+        return np.full(np.shape(states), -1, np.intp)
+    at = np.minimum(np.searchsorted(keys, states), len(keys) - 1)
+    return np.where(keys[at] == states, at, -1)
 
 
 def _fitting(states: np.ndarray, masks: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -733,17 +731,13 @@ def _back_layers(H: Hypercube, gauge: _Gauge, target: _TargetSum | None = None) 
     ways summed.  The gauge ticks once per state expanded, a layer's states
     in one step before it expands; each expansion adds at most n**(d-1)
     states, which bounds the states held."""
-    n, d = H.n, H.d
-    width = (d if target is None else d - 1) * n
+    n = H.n
+    fields = _cell_fields(H, target is None)
+    width = fields.shape[2] * n
     full = (1 << width) - 1
-    axes = _axis_masks(n, d)
-    if target is None:
-        symbols = H.symbols.reshape(n, -1).astype(np.uint64) + np.uint64(width - n)
-        masks = axes | np.left_shift(np.uint64(1), symbols)
-        keyed = None
-    else:
-        masks = np.broadcast_to(axes, (n, len(axes)))
-        keyed = target.table.add_array, target.deltas.reshape(n, -1)
+    # the layers run only where a state fits 64 bits (``_layer_work``)
+    masks = np.bitwise_or.reduce(np.left_shift(np.uint64(1), fields.astype(np.uint64)), axis=2)
+    keyed = None if target is None else (target.table.add_array, target.deltas)
     keys, ways = [np.zeros(1, np.uint64)], [np.ones(1, np.int64)]
 
     def expand(r: int, states: np.ndarray, counts: np.ndarray) -> Iterator[_Merged]:
@@ -771,8 +765,8 @@ def _array_listing(
     The rows are walked in order with a block of live partial results: their
     forward states as a uint64 array and their cell indices on the rows so
     far.  A block meets row r's cells in the ``_fitting`` chunks, and a child
-    g is kept iff ``full ^ g`` lies in B_{r+1} (found by ``searchsorted``),
-    so every partial kept completes.  Each chunk's children go on to row
+    g is kept iff ``full ^ g`` lies in B_{r+1} (``_lookup``), so every
+    partial kept completes.  Each chunk's children go on to row
     r + 1 before the next chunk is read, so the results come in order and
     each row holds at most about ``_CHUNK_PAIRS`` children.  Every live
     partial completes, so the first k results descend from the first k
@@ -784,16 +778,14 @@ def _array_listing(
     left = limit  # results still to list, None for all
     if not layers.count or left == 0:
         return
-    keyed = None if target is None else (target.table.sub_array, target.deltas.reshape(n, -1))
+    keyed = None if target is None else (target.table.sub_array, target.deltas)
 
     def grown(r: int, states: np.ndarray, cells: np.ndarray, si: np.ndarray,
               ci: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The children of the fitting pairs (si, ci) of row r that complete,
         at most ``left`` of them: their states and their cells."""
         g = _joined(states[si], r, ci, layers.masks, width, keyed)
-        rest, back = full ^ g, layers.keys[r + 1]
-        hit = back[np.minimum(np.searchsorted(back, rest), len(back) - 1)] == rest
-        kept = hit.nonzero()[0][:left]
+        kept = (_lookup(layers.keys[r + 1], full ^ g) >= 0).nonzero()[0][:left]
         return g[kept], np.column_stack((cells[si[kept]], ci[kept]))
 
     def from_row(r: int, states: np.ndarray, cells: np.ndarray) -> Iterator[np.ndarray]:
@@ -833,24 +825,26 @@ def bachelor_cells(H: Hypercube, budget: SearchBudget | None = None) -> Bachelor
     work, bound = _layer_work(H, None)
     scan = _frontier_scan if work <= bound else _per_cell_scan
     try:
-        bachelors = scan(H, gauge)
+        covered = scan(H, gauge)
     except BudgetExhausted:
         return BachelorScan((), False, 0, gauge.nodes)
-    return BachelorScan(bachelors, True, H.n ** H.d, gauge.nodes)
+    bachelors = np.argwhere(~covered.reshape(H.symbols.shape)).tolist()  # in flat order
+    return BachelorScan(tuple(map(tuple, bachelors)), True, H.n ** H.d, gauge.nodes)
 
 
-def _frontier_scan(H: Hypercube, gauge: _Gauge) -> tuple[Coords, ...]:
-    """The bachelor cells, off the backward transversal layers.
+def _frontier_scan(H: Hypercube, gauge: _Gauge) -> np.ndarray:
+    """Which cells some transversal passes through, off the backward
+    transversal layers: an (n, n**(d-1)) bool array over the cell index on
+    each row.
 
     A forward sweep keeps L_r, the live unions on rows 0..r-1, as a sorted
     uint64 array: L_0 is {0} when the cube has a transversal, and L_{r+1}
     holds f | m for each f in L_r and cell m of row r disjoint from f whose
-    complement ``full ^ (f | m)`` lies in B_{r+1} (found by
-    ``searchsorted``), read off as the complements of the states of B_{r+1}
-    reached.  Those cells m are the covered cells of row r, and the others,
-    in flat order, are the bachelor cells; if there is no transversal every
-    cell is one.  The gauge ticks once per state expanded in either pass, a
-    layer's states in one step."""
+    complement ``full ^ (f | m)`` lies in B_{r+1} (``_lookup``), read off as
+    the complements of the states of B_{r+1} reached.  Those cells m are the
+    covered cells of row r; if there is no transversal no cell is.  The gauge
+    ticks once per state expanded in either pass, a layer's states in one
+    step."""
     layers = _back_layers(H, gauge)
     full = np.uint64(layers.full)
     live = np.zeros(1 if layers.count else 0, np.uint64)
@@ -859,32 +853,30 @@ def _frontier_scan(H: Hypercube, gauge: _Gauge) -> tuple[Coords, ...]:
         gauge.tick(len(live))
         reached = np.zeros(len(back), bool)
         for si, ci in _fitting(live, masks):
-            rest = full ^ (live[si] | masks[ci])
-            at = np.searchsorted(back, rest)
-            hit = back[np.minimum(at, len(back) - 1)] == rest
+            at = _lookup(back, full ^ (live[si] | masks[ci]))
+            hit = at >= 0
             covered[r, ci[hit]] = True
             reached[at[hit]] = True
         # complements of a sorted array come in decreasing order
         live = (full ^ back[reached])[::-1]
-    bachelors = np.unravel_index(np.flatnonzero(~covered), H.symbols.shape)
-    return tuple(zip(*(axis.tolist() for axis in bachelors)))
+    return covered
 
 
-def _per_cell_scan(H: Hypercube, gauge: _Gauge) -> tuple[Coords, ...]:
-    """The bachelor cells, by one ``_complete`` search per cell that no
-    transversal found so far covers, on the cube's cells."""
+def _per_cell_scan(H: Hypercube, gauge: _Gauge) -> np.ndarray:
+    """Which cells some transversal passes through, as ``_frontier_scan``
+    gives them, by one ``_complete`` search per cell that no transversal found
+    so far covers, on the cube's cells."""
     cells = _cube_cells(H, True)
-    covered: set[Coords] = set()
-    bachelors: list[Coords] = []
-    for cell in H.cells():
-        if cell in covered:
+    n, per_row = H.n, H.symbols.size // H.n
+    covered = np.zeros(n * per_row, bool)
+    starts = per_row * np.arange(n)  # flat index of each row's cell 0
+    for c in range(n * per_row):
+        if covered[c]:
             continue
-        raw = _complete(cells, [(cell, H[cell])], gauge)
-        if raw is None:
-            bachelors.append(cell)
-        else:
-            covered.update(c for c, _ in raw)
-    return tuple(bachelors)
+        found = _complete(cells, [divmod(c, per_row)], gauge)
+        if found is not None:
+            covered[starts + found] = True
+    return covered.reshape(n, per_row)
 
 
 # -- disjoint packings: exact cover over the listed transversals ---------------
@@ -909,7 +901,8 @@ class _Cover(NamedTuple):
     beside the masks.  Bit t of ``masks[c]`` is
     set iff transversal t passes through cell c, and ``cells[t]`` holds the n
     cells of transversal t.  A line is a hyperplane (axis k, value v: line
-    k*n + v) or the cells of one symbol s (line d*n + s); every transversal
+    k*n + v) or the cells of one symbol s (line d*n + s), so a cell's lines
+    are its row and its ``_cell_fields`` shifted up by n; every transversal
     meets every line once, and ``lines[c]`` holds the d + 1 lines of cell c."""
 
     masks: list[int]
@@ -935,8 +928,10 @@ def _cover(H: Hypercube, listed: np.ndarray, gauge: _Gauge) -> _Cover:
     for row in packed:
         gauge.tick()
         masks.append(int.from_bytes(row.tobytes(), "little"))
-    axes = np.indices(H.symbols.shape).reshape(d, -1)
-    lines = np.vstack([axes, H.symbols.reshape(1, -1)]).T + n * np.arange(d + 1)
+    # line r of row r, then each of the cell's fields shifted up by n
+    fields = _cell_fields(H, True)
+    rows = np.broadcast_to(np.arange(n)[:, None, None], (*fields.shape[:2], 1))
+    lines = np.concatenate([rows, fields + n], axis=2).reshape(-1, d + 1)
     return _Cover(masks, cells, lines.tolist())
 
 
@@ -1113,10 +1108,10 @@ def complete_avoiding(
     when a cell lies outside the cube or partial cells share a hyperplane, and
     BudgetExhausted when undecided."""
     budget = budget or SearchBudget()
-    pre = [(c, H[c]) for c in _checked_cells(H, partial_cells)]
+    pre = _checked_cells(H, partial_cells)
     cells = _Cells.of(H, False, frozenset(_checked_cells(H, forbidden)))
-    raw = _complete(cells, pre, _Gauge(budget))
-    return None if raw is None else _raw_to_diagonal(raw, H.n)
+    found = _complete(cells, pre, _Gauge(budget))
+    return None if found is None else next(_diagonals(H, [found]))
 
 
 def hitting_set_check(
@@ -1142,38 +1137,37 @@ def hitting_set_check(
     _require_latin(H)
     budget = budget or SearchBudget()
     goal, deltas, table = _TargetSum.of(H, group, target)
-    add = table.add
+    add, n, deltas = table.add, H.n, deltas.tolist()
     U = set(_checked_cells(H, cells))
-    X = frozenset(profile(H, group).support)
+    X = frozenset(_checked_cells(H, profile(H, group).support))
     free = sorted(X - U)
+    # a cell's row as bit r and its fields as bits n and up: two cells of a
+    # partial diagonal share no bit
+    fields = _cell_fields(H, False)
+    bits = [(1 << r) | sum(1 << (n + b) for b in fields[r, i].tolist()) for r, i in free]
     allowed: _Cells | None = None  # built for the first completion searched
     gauge = _Gauge(budget)
-    used: list[set[int]] = [set() for _ in range(H.d)]
-    branch: list[RawEntry] = []
+    branch: list[tuple[int, int]] = []
 
-    def completes(start: int, total: int) -> bool:
+    def completes(start: int, total: int, used: int) -> bool:
         nonlocal allowed
         gauge.tick()
         if total == goal:
             allowed = allowed or _Cells.of(H, False, X | U)
             if _complete(allowed, branch, gauge) is not None:
                 return True
-        for i in range(start, len(free)):
-            cell = free[i]
-            if any(v in u for v, u in zip(cell, used)):
+        for k in range(start, len(free)):
+            if used & bits[k]:
                 continue
-            for v, u in zip(cell, used):
-                u.add(v)
-            branch.append((cell, H[cell]))
-            found = completes(i + 1, add[total][deltas[cell]])
+            r, i = free[k]
+            branch.append(free[k])
+            found = completes(k + 1, add[total][deltas[r][i]], used | bits[k])
             branch.pop()
-            for v, u in zip(cell, used):
-                u.discard(v)
             if found:
                 return True
         return False
 
-    return not completes(0, 0)
+    return not completes(0, 0, 0)
 
 
 # -- decompositions ------------------------------------------------------------

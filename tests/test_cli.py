@@ -430,6 +430,20 @@ def test_exit_code_2_on_malformed_json_cells(tmp_path, capsys, flag, payload):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "turned-cyclic", "--n", "4", "--d", "0"],
+        ["construct", "turned-cyclic", "--n", "4", "--d", "-2"],
+        ["construct", "confirmed-bachelor", "--n", "0", "--d", "4"],
+        ["construct", "confirmed-bachelor", "--n", "-4", "--d", "4"],
+    ],
+)
+def test_exit_code_2_on_construction_parameters_out_of_range(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_verify_subset(capsys):
     code, out, err = run_cli(
         ["verify", "paper-claims", "--suite", "quick", "--only", "1,8"], capsys

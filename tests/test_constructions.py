@@ -192,6 +192,24 @@ def test_turned_cyclic_rejects_bad_parameters():
             cons.turned_cyclic(n, d)
 
 
+@pytest.mark.parametrize(
+    "build, n, d",
+    [
+        (cons.turned_cyclic, 4, 0),
+        (cons.turned_cyclic, 4, -2),
+        (cons.turned_cyclic_transversal, 4, 0),
+        (cons.turned_cyclic_transversal, 4, -2),
+        (cons.confirmed_bachelor, 0, 4),
+        (cons.confirmed_bachelor, -4, 4),
+        (cons.bachelor_transversal, 0, 4),
+        (cons.bachelor_transversal, -4, 4),
+    ],
+)
+def test_constructions_reject_orders_and_dimensions_below_their_least(build, n, d):
+    with pytest.raises(ConstructionError):
+        build(n, d)
+
+
 def test_turned_cyclic_transversal_rows():
     T4 = cons.turned_cyclic_transversal(4, 4)
     assert T4.entries[0].coords == (0, 0, 0, 0) and T4.entries[0].symbol == 2

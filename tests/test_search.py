@@ -172,13 +172,33 @@ def test_bachelor_cells_known_regions():
     assert set(scan.bachelor_cells) == {e.coords for e in third_species_blocked_cells()}
 
 
+def test_dfs_runs_above_64_fields():
+    # cyclic Z33 at d=2 has 66 transversal fields, more than a uint64 holds,
+    # so the through-cell search and the per-cell scan run on the DFS's int
+    # bit sets
+    H = cyclic(cyclic_group(33), 2)
+    assert search._cell_fields(H, True).max() + 1 == 66
+    T = transversal_through(H, (32, 5))
+    assert T is not None and (32, 5) in T.cells()
+    assert Diagonal.from_entries(H, T.entries, transversal=True).complete
+    scan = bachelor_cells(H)
+    assert scan.exhaustive and scan.bachelor_cells == ()
+    assert scan.nodes == 71_883
+
+
+def _uncovered_cells(H, covered):
+    # the cells, in flat order, that a scan's (n, n**(d-1)) covered array leaves
+    # uncovered
+    return tuple(c for c, on in zip(H.cells(), covered.ravel().tolist()) if not on)
+
+
 def _assert_bachelors_agree(H):
     # both scan engines against a DFS per cell and against the cells that the
     # brute-force oracle's transversals cover
     scan = bachelor_cells(H)
     assert scan.exhaustive and scan.checked_cells == H.n ** H.d
-    frontier = search._frontier_scan(H, search._Gauge(SearchBudget()))
-    per_cell = search._per_cell_scan(H, search._Gauge(SearchBudget()))
+    frontier = _uncovered_cells(H, search._frontier_scan(H, search._Gauge(SearchBudget())))
+    per_cell = _uncovered_cells(H, search._per_cell_scan(H, search._Gauge(SearchBudget())))
     dfs = tuple(c for c in H.cells() if transversal_through(H, c) is None)
     on_some = {c for cells in brute_transversals(H.symbols) for c in cells}
     brute = tuple(c for c in H.cells() if c not in on_some)
