@@ -409,6 +409,9 @@ def run_claims(
         raise ValueError(f"unknown suite {suite!r}")
     ctx = ClaimContext(seed=seed, quick=(suite == "quick"))
     wanted = None if only is None else set(only)
+    unknown = sorted((wanted or set()) - {crit.number for crit in CRITERIA})
+    if unknown:
+        raise ValueError(f"unknown criterion numbers: {', '.join(map(str, unknown))}")
     results = []
     for crit in CRITERIA:
         if wanted is not None and crit.number not in wanted:

@@ -34,12 +34,13 @@ target delta sum.  Counts are the ways at the root; ``_array_listing`` reads
 the results off in the DFS's order, a block of partial results at a time,
 taking only branches that complete (and for a census only the first few);
 and ``bachelor_cells`` decides every cell at once by a forward sweep over the
-live states.  Every reader finds states in a layer by ``_lookup``.  Each use
-runs the layers only on cubes whose order and dimension (and group order)
-keep their worst case small, and the DFS (for ``bachelor_cells``, one
-existence search per cell) on larger cubes; listing also keeps the DFS under
-a node budget below that worst case, and counting and listing keep it under
-a result budget.
+live states.  Every reader finds states in a layer by ``_lookup``.  Both
+kinds of layers run only on cubes whose worst case (``_layer_work``, from the
+order, the dimension and the group order) is within the one bound
+``_WORK_BOUND``, and the DFS (for ``bachelor_cells``, one existence search
+per cell) on larger cubes; listing also keeps the DFS under a node budget
+below that worst case, and counting and listing keep it under a result
+budget.
 
 Packings and decompositions run one exact cover (``_packs``) over every
 listed transversal, held as one array of cell indices: each cell holds its
@@ -227,9 +228,10 @@ class Census:
     if the cut came while building them), on the DFS every result it reached.
 
     The census runs on the layers, which give the count without listing,
-    when their worst case is within its bound and no ``max_results`` is set,
-    and on the DFS alone otherwise; a count under ``max_results`` stops at the
-    ``max_results``-th result, as ``enumerate_*`` does.  On the layers the
+    when their worst case (``_layer_work``) is within ``_WORK_BOUND`` and no
+    ``max_results`` is set, and on the DFS alone otherwise; a count under
+    ``max_results`` stops at the ``max_results``-th result, as
+    ``enumerate_*`` does.  On the layers the
     witnesses are listed with a limit of ``keep`` results, so each row holds
     at most ``keep`` partial results and no layer is read whole."""
 
@@ -247,8 +249,7 @@ def count_transversals(
 ) -> Census:
     """The number of transversals, and the first ``keep`` in enumeration order.
 
-    By the rule of ``Census``, with the worst case ``_frontier_work`` and the
-    bound ``_DP_WORK_BOUND``."""
+    By the rule of ``Census``."""
     _require_latin(H)
     return _census(H, budget or SearchBudget(), keep, None)
 
@@ -264,8 +265,8 @@ def count_diagonals(
     """The number of complete diagonals with the given delta sum, and the first
     ``keep`` in enumeration order.
 
-    By the rule of ``Census``, with the worst case ``_target_work`` and the
-    bound ``_TARGET_WORK_BOUND``."""
+    By the rule of ``Census``, the layers' worst case holding one running sum
+    per element of the group."""
     _require_latin(H)
     return _census(H, budget or SearchBudget(), keep, _TargetSum.of(H, group, target_sum))
 
@@ -301,13 +302,13 @@ def _results(
 
     The listing rule is fixed before either engine runs: transversals and
     target-sum diagonals are read off the stored layers (``_array_listing``)
-    when their worst case (``_layer_work``) is within its bound and within
-    ``max_nodes``, and no ``max_results`` is set; the DFS lists otherwise, a
-    result a block, so that a node or result budget below the worst case
-    still lists results."""
+    when their worst case (``_layer_work``) is within ``_WORK_BOUND`` and
+    within ``max_nodes``, and no ``max_results`` is set; the DFS lists
+    otherwise, a result a block, so that a node or result budget below the
+    worst case still lists results."""
     if transversal or target is not None:
-        work, bound = _layer_work(H, target)
-        if work <= min(bound, budget.max_nodes) and budget.max_results is None:
+        work = _layer_work(H.n, H.d, _order(target))
+        if work <= min(_WORK_BOUND, budget.max_nodes) and budget.max_results is None:
             return _array_listing(_back_layers(H, gauge, target), gauge)
     listing = _listing(_cube_cells(H, transversal), gauge, target)
     return (np.array([cells], np.intp) for cells in listing)
@@ -333,12 +334,12 @@ def _census(
         raise ValueError("keep must be non-negative")
     gauge = _Gauge(budget)
     witnesses: list[Diagonal] = []
-    work, bound = _layer_work(H, target)
+    work = _layer_work(H.n, H.d, _order(target))
     count = 0
     try:
         # the layers count at the root and list only the witnesses; the DFS
         # counts every result it lists
-        if work <= bound and budget.max_results is None:
+        if work <= _WORK_BOUND and budget.max_results is None:
             layers = _back_layers(H, gauge, target)
             for block in _array_listing(layers, gauge, keep):
                 witnesses.extend(_diagonals(H, block.tolist()))
@@ -550,44 +551,41 @@ class BachelorScan:
     nodes: int
 
 
-# Above this much worst-case work (states times cells tried per state) the
-# transversal layers are left to per-cell existence searches, which a
-# transversal-rich cube ends in a few early exits, and to listing and counting
-# by the DFS.
-# The array layers track the bound at 2e-9 to 3e-9 s a unit to build and 2e-9
-# to 6e-9 s with the bachelor sweep (Z10..Z12 at d=2, confirmed-bachelor 4,6,
-# Z5 d=4, Z8 d=3, Z3 d=8; NumPy 2.4, CPython 3.11, 2-core x86-64 host), so
-# 2**26 is at most about 0.4 s.  Order 13, d=2 is the first square above it;
-# at order 16 the middle layer alone can hold C(16, 8)**2, about 1.7e8,
-# states.
-_DP_WORK_BOUND = 1 << 26
-
-# The same for the target-sum layers, which fill nearly to their worst case:
-# seeded isotopes of Z12..Z15 at d=2 built at 5e-8 to 9e-8 s a unit and of
-# Z7, Z8 at d=3 at 2e-8 to 3e-8 s (same host), so 2**22 is at most about
-# 0.4 s.  With |G| = n, order 15, d=2 (0.7 s) and order 8, d=3 are the first
-# cubes above it.
-_TARGET_WORK_BOUND = 1 << 22
+# Above this much worst-case work (``_layer_work``) the layers of either kind
+# are left to the DFS, and the transversal layers of ``bachelor_cells`` to
+# per-cell existence searches, which a transversal-rich cube ends in a few
+# early exits.  Measured (NumPy 2.4, CPython 3.11, 2-core x86-64 host): the
+# transversal layers build at 2e-9 to 3e-9 s a unit and run the bachelor
+# sweep at 2e-9 to 6e-9 s (Z10..Z12 at d=2, confirmed-bachelor 4,6, Z5 d=4,
+# Z8 d=3, Z3 d=8), so 2**26 is at most about 0.4 s, and order 13, d=2 is the
+# first square above it.  The target-sum layers, which fill nearly to their
+# worst case, build at 4e-9 s a unit (Z2 d=13, Z3 d=8) to 1.1e-7 s (Z15..Z17
+# at d=2; seeded isotopes of cyclic cubes, target 0, same host); the dearest
+# cube within the bound is order 17, d=2, 3.8e7 units: 4.1 s and 116 MB.
+_WORK_BOUND = 1 << 26
 
 # A layer step tries at most this many (state, cell) pairs in one array
 # operation, which bounds its transient memory to a few MB.
 _CHUNK_PAIRS = 1 << 16
 
 
-def _frontier_work(n: int, d: int) -> int:
-    """Worst-case work of the transversal layers on a cube of order n and
-    dimension d.
-
-    A state of layer r sets r bits in each of its d fields, so layer r holds
-    at most C(n, r)**d states, and each state tries at most n**(d-1) cells."""
-    return n ** (d - 1) * sum(math.comb(n, r) ** d for r in range(n + 1))
+def _order(target: _TargetSum | None) -> int | None:
+    """The group order of a target sum, None for transversals: the form
+    ``_layer_work`` and ``_fits_64_bits`` take the kind of layers in."""
+    return None if target is None else len(target.table.add)
 
 
-def _target_work(n: int, d: int, order: int) -> int:
-    """Worst-case work of the target-sum layers: layer r holds at most
-    C(n, r)**(d-1) axis masks times ``order`` running sums, and each state
-    tries at most n**(d-1) cells."""
-    return n ** (d - 1) * order * sum(math.comb(n, r) ** (d - 1) for r in range(n + 1))
+def _layer_work(n: int, d: int, order: int | None) -> int:
+    """Worst-case work of the layers on a cube of order n and dimension d, for
+    transversals (``order`` None) or for target sums in a group of that
+    order; every engine choice compares it with ``_WORK_BOUND``.
+
+    A state of layer r sets r bits in each of its fields, d of them for
+    transversals and d - 1 for target sums, where it also holds one of
+    ``order`` running sums; so layer r holds at most C(n, r)**fields times
+    sums states, and each state tries at most n**(d-1) cells."""
+    fields, sums = (d, 1) if order is None else (d - 1, order)
+    return n ** (d - 1) * sums * sum(math.comb(n, r) ** fields for r in range(n + 1))
 
 
 def _fits_64_bits(n: int, d: int, order: int | None) -> bool:
@@ -597,26 +595,12 @@ def _fits_64_bits(n: int, d: int, order: int | None) -> bool:
 
     A state has n bits per field, d fields for transversals and d - 1 plus
     the bits of a group index for target sums; ways count partial
-    transversals or diagonals, at most (n!)**(d-1)."""
+    transversals or diagonals, at most (n!)**(d-1).  Every cube within
+    ``_WORK_BOUND`` fits: n >= 2 needs at most 26 bits a state (Z2, d=13), an
+    order-1 cube needs d bits, at most numpy's 64 dimensions, and (n!)**(d-1)
+    ways stay below 2**63."""
     bits = d * n if order is None else (d - 1) * n + (order - 1).bit_length()
     return bits <= 64 and math.factorial(n) ** (d - 1) < 1 << 63
-
-
-def _layer_work(H: Hypercube, target: _TargetSum | None) -> tuple[int, int]:
-    """The worst case of the transversal layers (``target`` None) or of the
-    target-sum layers on H, and its bound: every engine choice reads them.
-
-    Every cube within its bound fits the layers' 64-bit arrays: n >= 2 needs
-    at most 26 bits a state (Z2, d=13), an order-1 cube needs d bits, at most
-    numpy's 64 dimensions, and (n!)**(d-1) ways stay below 2**63."""
-    n, d = H.n, H.d
-    if target is None:
-        order, work, bound = None, _frontier_work(n, d), _DP_WORK_BOUND
-    else:
-        order = len(target.table.add)
-        work, bound = _target_work(n, d, order), _TARGET_WORK_BOUND
-    assert work > bound or _fits_64_bits(n, d, order), (n, d, order)
-    return work, bound
 
 
 class _Layers(NamedTuple):
@@ -639,7 +623,6 @@ class _Layers(NamedTuple):
     at ``root`` and finds states in a layer's sorted keys by ``_lookup``, so
     it holds no Python object per state."""
 
-    cube: Hypercube
     target: _TargetSum | None
     masks: np.ndarray
     keys: list[np.ndarray]
@@ -730,12 +713,14 @@ def _back_layers(H: Hypercube, gauge: _Gauge, target: _TargetSum | None = None) 
     ``add[key, delta]`` of the cell's delta, and equal states merge with their
     ways summed.  The gauge ticks once per state expanded, a layer's states
     in one step before it expands; each expansion adds at most n**(d-1)
-    states, which bounds the states held."""
-    n = H.n
+    states, which bounds the states held.  A cube whose states or ways do
+    not fit 64 bits (``_fits_64_bits``) fails an assertion before any
+    tick."""
+    n, order = H.n, _order(target)
+    assert _fits_64_bits(n, H.d, order), (n, H.d, order)
     fields = _cell_fields(H, target is None)
     width = fields.shape[2] * n
     full = (1 << width) - 1
-    # the layers run only where a state fits 64 bits (``_layer_work``)
     masks = np.bitwise_or.reduce(np.left_shift(np.uint64(1), fields.astype(np.uint64)), axis=2)
     keyed = None if target is None else (target.table.add_array, target.deltas)
     keys, ways = [np.zeros(1, np.uint64)], [np.ones(1, np.int64)]
@@ -752,7 +737,7 @@ def _back_layers(H: Hypercube, gauge: _Gauge, target: _TargetSum | None = None) 
     keys.reverse()
     ways.reverse()
     root = 0 if target is None else target.index << width
-    return _Layers(H, target, masks, keys, ways, full, root)
+    return _Layers(target, masks, keys, ways, full, root)
 
 
 def _array_listing(
@@ -811,10 +796,10 @@ def bachelor_cells(H: Hypercube, budget: SearchBudget | None = None) -> Bachelor
     """Classify every cell by whether some transversal passes through it.
 
     The engine is chosen from the cube's order and dimension alone, before
-    either runs.  Up to ``_DP_WORK_BOUND`` of worst-case work
-    (``_frontier_work``) the stored layers decide every cell at once; above it
-    each cell not yet covered gets one existence search (``_complete``),
-    which on a transversal-rich cube covers every cell in a few searches.
+    either runs.  Up to ``_WORK_BOUND`` of worst-case work (``_layer_work``)
+    the stored layers decide every cell at once; above it each cell not yet
+    covered gets one existence search (``_complete``), which on a
+    transversal-rich cube covers every cell in a few searches.
 
     ``nodes`` counts the frontier states expanded or the cells placed.  When
     the budget runs out the scan is flagged non-exhaustive and lists no
@@ -822,8 +807,7 @@ def bachelor_cells(H: Hypercube, budget: SearchBudget | None = None) -> Bachelor
     _require_latin(H)
     budget = budget or SearchBudget()
     gauge = _Gauge(budget)
-    work, bound = _layer_work(H, None)
-    scan = _frontier_scan if work <= bound else _per_cell_scan
+    scan = _frontier_scan if _layer_work(H.n, H.d, None) <= _WORK_BOUND else _per_cell_scan
     try:
         covered = scan(H, gauge)
     except BudgetExhausted:

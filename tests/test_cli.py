@@ -1,13 +1,16 @@
 import json
 
+import numpy as np
 import pytest
 
 from transversal_lab.cli import main
 from transversal_lab.constructions import ord6m_starred_cells, z6_marked_diagonal
+from transversal_lab.delta import suitable_target
 from transversal_lab.extension import g_extension
 from transversal_lab.groups import cyclic_group
-from transversal_lab.hypercube import cyclic, load
+from transversal_lab.hypercube import Hypercube, cyclic, is_latin, load, save
 from transversal_lab.reports import diagonal_from_json, diagonal_to_json, validate_report
+from transversal_lab.search import Census, count_diagonals, hitting_set_check
 
 
 def run_cli(argv, capsys):
@@ -67,7 +70,6 @@ def test_analyze_delta_json(tmp_path, capsys):
 
 
 def test_search_suitable_counts_match_oracle(tmp_path, capsys):
-    import numpy as np
     from transversal_lab.oracles import brute_target_diagonals
 
     cube = tmp_path / "z6.lhc"
@@ -333,8 +335,12 @@ def test_analyze_text_grid_draws_squares_only(tmp_path, capsys):
 
 
 def test_verify_rejects_malformed_only(capsys):
-    code, out, err = run_cli(["verify", "paper-claims", "--only", "1,x"], capsys)
-    assert code == 2 and out == "" and err.startswith("error:")
+    # a criterion number that names no criterion is rejected before any runs
+    for only in ("1,x", "99", "0,3"):
+        code, out, err = run_cli(["verify", "paper-claims", "--only", only], capsys)
+        assert code == 2 and out == "" and err.startswith("error:"), only
+        if only != "1,x":
+            assert err == f"error: unknown criterion numbers: {only.split(',')[0]}\n"
 
 
 def test_search_decompose_keeps_time_cap(tmp_path, capsys):
@@ -565,6 +571,30 @@ def test_search_suitable_without_results_needs_no_search(tmp_path, capsys):
     payload = report_of(out)
     assert code == 0 and payload["count"] == 0 and payload["exact"]
     assert not payload["exhausted"] and "witnesses" not in payload
+
+
+def test_search_suitable_counts_the_order_16_exhibit(tmp_path, capsys):
+    # cyclic Z16 with a block of rows 4, 5, 8, 14 by columns 3, 6, 7, 8, 9,
+    # 13 refilled: every diagonal with the suitable sum for d'=4 meets cell
+    # (8, 6), and there are 11,496,038,400 of them, counted on the layers
+    # within the default budget
+    Z16 = cyclic_group(16)
+    arr = (np.arange(16)[:, None] + np.arange(16)) % 16
+    arr[np.ix_((4, 5, 8, 14), (3, 6, 7, 8, 9, 13))] = [[11, 10, 12, 13, 7, 1],
+                                                       [8, 14, 11, 12, 13, 2],
+                                                       [1, 11, 15, 0, 14, 5],
+                                                       [7, 4, 5, 6, 1, 11]]
+    H = Hypercube(arr, Z16)
+    assert is_latin(H)
+    target = suitable_target(Z16, 4)
+    assert count_diagonals(H, None, target) == Census(11_496_038_400, (), True, 238_034)
+    assert hitting_set_check(H, None, target, [(8, 6)])
+    cube = tmp_path / "ex16.lhc"
+    save(H, cube)
+    code, out, _ = run_cli(["search", "suitable", "--dprime", "4", str(cube)], capsys)
+    payload = report_of(out)
+    assert code == 0 and payload["count"] == 11_496_038_400 and payload["exact"]
+    assert len(payload["witnesses"]) == 8
 
 
 def test_search_rejects_negative_max_witnesses(tmp_path, capsys):

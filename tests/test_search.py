@@ -383,7 +383,7 @@ def test_layers_at_the_64_bit_extremes():
     # Z2 at d=13 is the widest state (26 bits) of order n >= 2 within the
     # bound, and Z12 has no transversal, so every cell is a bachelor
     H = Hypercube(np.zeros((1,) * 64, dtype=np.int64))
-    assert search._layer_work(H, None)[0] <= search._DP_WORK_BOUND
+    assert search._layer_work(1, 64, None) <= search._WORK_BOUND
     assert count_transversals(H) == search.Census(1, (), True, 1)
     assert bachelor_cells(H) == search.BachelorScan((), True, 1, 2)
     z2 = cyclic(cyclic_group(2), 13)
@@ -426,27 +426,38 @@ def test_layers_do_not_depend_on_the_chunk_size(monkeypatch):
 
 def test_every_cube_within_the_bounds_fits_64_bits(monkeypatch):
     # the array layers hold a state in a uint64 and its ways in an int64:
-    # every (n, d) within either bound fits, the widest state of order
-    # n >= 2 has 26 bits, and the engine choice asserts the fit
+    # every (n, d) within the bound fits, for either kind, the widest state
+    # of order n >= 2 has 26 bits, and the layer builder asserts the fit
     widest = 0
     for n in range(1, 30):
         for d in range(2, 65):
-            if search._frontier_work(n, d) <= search._DP_WORK_BOUND:
+            if search._layer_work(n, d, None) <= search._WORK_BOUND:
                 assert search._fits_64_bits(n, d, None), (n, d)
                 if n > 1:
                     widest = max(widest, d * n)
-            if d > 1 and search._target_work(n, d, n) <= search._TARGET_WORK_BOUND:
+            if d > 1 and search._layer_work(n, d, n) <= search._WORK_BOUND:
                 assert search._fits_64_bits(n, d, n), (n, d)
     assert widest == 26 == 13 * 2
     assert search._fits_64_bits(1, 64, None) and search._fits_64_bits(1, 64, 1)
     assert not search._fits_64_bits(2, 33, None)  # 66 bits
     assert not search._fits_64_bits(21, 2, None)  # 21! ways overflow int64
     assert search._fits_64_bits(20, 2, None)
-    monkeypatch.setattr(search, "_DP_WORK_BOUND", 1 << 200)
+    monkeypatch.setattr(search, "_WORK_BOUND", 1 << 200)
     with pytest.raises(AssertionError):
         count_transversals(cyclic(cyclic_group(21), 2))
     with pytest.raises(AssertionError):
         bachelor_cells(cyclic(cyclic_group(21), 2))
+
+
+def test_layer_builder_asserts_the_64_bit_fit_before_any_tick():
+    # 21! and 22! ways overflow int64: the builder refuses Z21's transversal
+    # layers and Z22's target-sum layers itself, whichever caller reaches it
+    z21, z22 = cyclic(cyclic_group(21), 2), cyclic(cyclic_group(22), 2)
+    for H, target in ((z21, None), (z22, search._TargetSum.of(z22, None, (0,)))):
+        gauge = search._Gauge(SearchBudget(max_nodes=1_000))
+        with pytest.raises(AssertionError):
+            search._back_layers(H, gauge, target)
+        assert gauge.nodes == 0
 
 
 @functools.lru_cache(maxsize=1)
@@ -473,9 +484,8 @@ def test_brute_by_sum_matches_the_oracles():
 
 
 def _dfs_only(monkeypatch):
-    # every cube is above bounds of 0, so both counts run on the DFS alone
-    monkeypatch.setattr(search, "_DP_WORK_BOUND", 0)
-    monkeypatch.setattr(search, "_TARGET_WORK_BOUND", 0)
+    # every cube is above a bound of 0, so both counts run on the DFS alone
+    monkeypatch.setattr(search, "_WORK_BOUND", 0)
 
 
 def _assert_census(census, listed, keep):
@@ -577,24 +587,44 @@ def test_counts_run_the_dfs_above_the_dp_bound():
     # the DP would spend the whole node budget on its first layers and count
     # nothing beyond the (no) witnesses; the DFS counts what it reaches
     z13 = cyclic(cyclic_group(13), 2)
-    assert search._frontier_work(13, 2) > search._DP_WORK_BOUND
+    assert search._layer_work(13, 2, None) > search._WORK_BOUND
     census = count_transversals(z13, SearchBudget(max_nodes=10_000))
     assert (census.count, census.exact) == (716, False)
     listed = []
     with pytest.raises(BudgetExhausted):
         listed.extend(enumerate_transversals(z13, SearchBudget(max_nodes=10_000)))
     assert len(listed) == 716
-    # order 8 at d=3 lies above the target-sum bound but below the
-    # transversal one, so this fails if the two bounds are merged again
-    z8 = cyclic(cyclic_group(8), 3)
-    assert search._target_work(8, 3, 8) > search._TARGET_WORK_BOUND
-    assert search._target_work(8, 3, 8) <= search._DP_WORK_BOUND
-    census = count_diagonals(z8, None, (0,), SearchBudget(max_nodes=1_000))
+    # order 10 at d=3 lies 2.75 times above the bound for target sums
+    z10 = cyclic(cyclic_group(10), 3)
+    assert search._layer_work(10, 3, 10) > 2.75 * search._WORK_BOUND
+    census = count_diagonals(z10, None, (0,), SearchBudget(max_nodes=1_000))
     assert (census.count, census.exact) == (436, False)
     listed = []
     with pytest.raises(BudgetExhausted):
-        listed.extend(enumerate_diagonals(z8, None, (0,), SearchBudget(max_nodes=1_000)))
+        listed.extend(enumerate_diagonals(z10, None, (0,), SearchBudget(max_nodes=1_000)))
     assert len(listed) == 436
+
+
+@pytest.mark.parametrize("n, d", [(15, 2), (8, 3)])
+def test_target_listing_matches_dfs_between_2_22_and_the_bound(n, d):
+    # target-sum cubes whose worst case lies between 2**22 and the bound list
+    # on the layers; their first 2,000 results come in the DFS's order
+    H = _random_isotope(cyclic(cyclic_group(n), d), 1)
+    assert 1 << 22 < search._layer_work(n, d, n) <= search._WORK_BOUND
+    for t in (0, n // 2):
+        layers, dfs = _listings(H, t)
+        assert list(itertools.islice(layers, 2_000)) == list(itertools.islice(dfs, 2_000)), t
+
+
+def test_target_count_on_z3_d8_is_the_same_on_both_engines(monkeypatch):
+    # the layers count in 4,375 states what the DFS counts in 562,059 nodes
+    H = _random_isotope(cyclic(cyclic_group(3), 8), 1)
+    assert 1 << 22 < search._layer_work(3, 8, 3) <= search._WORK_BOUND
+    layers = count_diagonals(H, None, (0,))
+    _dfs_only(monkeypatch)
+    dfs = count_diagonals(H, None, (0,))
+    assert (layers.count, layers.exact, layers.nodes) == (279_936, True, 4_375)
+    assert (dfs.count, dfs.exact, dfs.nodes) == (279_936, True, 562_059)
 
 
 # DFS censuses with a target sum, recorded before the DFS carried the sum (it
@@ -619,8 +649,9 @@ def test_dfs_target_census_is_unchanged(monkeypatch, name):
     # are those of the whole tree (l8 and ord8 alike), and a misplaced sum
     # check shows in the count or the witnesses
     if name.startswith("z15"):
+        # within the bound, but max_results sends the census to the DFS
         H = _random_isotope(cyclic(cyclic_group(15), 2), 1)
-        assert search._target_work(15, 2, 15) > search._TARGET_WORK_BOUND
+        assert search._layer_work(15, 2, 15) <= search._WORK_BOUND
         budget = SearchBudget(max_results=2_000)
     else:
         H = l8_square() if name.startswith("l8") else ord8_square()
@@ -633,11 +664,11 @@ def test_dfs_target_census_is_unchanged(monkeypatch, name):
 
 
 def test_count_under_max_results_stops_where_enumeration_stops():
-    # a result budget keeps the count on the DFS, also below the DP bound, so
-    # with a node cap as well the count is what `enumerate_*` lists; the DFS
+    # a result budget keeps the count on the DFS, also below the work bound,
+    # so with a node cap as well the count is what `enumerate_*` lists; the DFS
     # reaches the 100th result at its 1,115th node
     z11 = cyclic(cyclic_group(11), 2)
-    assert search._frontier_work(11, 2) <= search._DP_WORK_BOUND
+    assert search._layer_work(11, 2, None) <= search._WORK_BOUND
     for max_nodes, reached in ((1_000, False), (1_114, False), (1_115, True), (2_000, True),
                                (5_000, True)):
         budget = SearchBudget(max_results=100, max_nodes=max_nodes)
@@ -813,7 +844,7 @@ _RANDOM_CUBES_SEED = int(
 @seed(_RANDOM_CUBES_SEED)
 @given(H=_small_cubes(), data=st.data())
 def test_dfs_layers_and_brute_force_agree_on_random_cubes(H, data):
-    # with both bounds at 0 every listing and count runs on the DFS; it, the
+    # with the bound at 0 every listing and count runs on the DFS; it, the
     # layers and brute force agree on the transversals and on every target
     # sum, and a census cut by its node cap is never exact
     transversals, by_sum = _brute_by_sum(H)
@@ -845,10 +876,10 @@ def test_dfs_layers_and_brute_force_agree_on_random_cubes(H, data):
 
 
 def test_listing_engine_is_chosen_by_the_budget(monkeypatch):
-    # the layers run iff their worst case is within the DP bound and the node
-    # cap and no result cap is set; otherwise the DFS lists
+    # the layers run iff their worst case is within the work bound and the
+    # node cap and no result cap is set; otherwise the DFS lists
     H = cyclic(cyclic_group(5), 3)
-    work = search._frontier_work(5, 3)
+    work = search._layer_work(5, 3, None)
     dfs = search._listing
     engines = []
 
@@ -867,7 +898,7 @@ def test_listing_engine_is_chosen_by_the_budget(monkeypatch):
         list(enumerate_transversals(H, SearchBudget(max_results=3325)))
     assert engines == ["dfs"] * 2
     with monkeypatch.context() as mp:
-        mp.setattr(search, "_DP_WORK_BOUND", work - 1)
+        mp.setattr(search, "_WORK_BOUND", work - 1)
         assert len(list(enumerate_transversals(H))) == 3325
     assert engines == ["dfs"] * 3
 
@@ -876,7 +907,7 @@ def test_node_budget_below_the_worst_case_lists_by_the_dfs():
     # Z11's worst case is 7,759,752; below it the DFS lists what it reaches:
     # 468 transversals in 5,000 nodes and 9,247 in 100,000
     z11 = cyclic(cyclic_group(11), 2)
-    assert search._frontier_work(11, 2) == 7_759_752
+    assert search._layer_work(11, 2, None) == 7_759_752
     for max_nodes, reached in ((5_000, 468), (100_000, 9_247)):
         budget = SearchBudget(max_nodes=max_nodes)
         listed = []
@@ -910,7 +941,7 @@ def _ticks(monkeypatch, run):
 def _cut_points(monkeypatch, H, run):
     """Node caps around each engine's total ticks for ``run``, with each
     cap's total: the layers list under caps from their worst case up."""
-    work = search._frontier_work(H.n, H.d)
+    work = search._layer_work(H.n, H.d, None)
     layers_total = _ticks(monkeypatch, run)
     with monkeypatch.context() as mp:
         _dfs_only(mp)
