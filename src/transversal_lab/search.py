@@ -34,13 +34,12 @@ target delta sum.  Counts are the ways at the root; ``_array_listing`` reads
 the results off in the DFS's order, a block of partial results at a time,
 taking only branches that complete (and for a census only the first few);
 and ``bachelor_cells`` decides every cell at once by a forward sweep over the
-live states.  Every reader finds states in a layer by ``_lookup``.  Both
-kinds of layers run only on cubes whose worst case (``_layer_work``, from the
-order, the dimension and the group order) is within the one bound
-``_WORK_BOUND``, and the DFS (for ``bachelor_cells``, one existence search
-per cell) on larger cubes; listing also keeps the DFS under a node budget
-below that worst case, and counting and listing keep it under a result
-budget.
+live states.  Every reader finds states in a layer by ``_lookup``.  One rule,
+``_layered``, picks the engine of every search: both kinds of layers run
+exactly on the cubes whose worst case (``_layer_work``, from the order, the
+dimension and the group order) is within the one bound ``_WORK_BOUND``, and
+the DFS (for ``bachelor_cells``, one existence search per cell) on larger
+cubes.  A budget only caps work and results; it never picks the engine.
 
 Packings and decompositions run one exact cover (``_packs``) over every
 listed transversal, held as one array of cell indices: each cell holds its
@@ -89,21 +88,30 @@ class SearchBudget:
     results extended on the frontier layers (a layer's states, or a block of
     partial results, in one step), and in the exact cover a
     transversal or cell read into its bit sets, a greedy hitting-set step, and
-    a transversal chosen or a cell left uncovered.  Node-capped runs are
+    a transversal chosen or a cell left uncovered.  ``max_results`` caps the
+    results listed or counted.  The caps only cut work and results short;
+    none of them picks the engine (``_layered``).  Node-capped runs are
     deterministic; ``time_cap`` is a wall-clock safety valve and is not part
-    of the determinism contract."""
+    of the determinism contract.
+
+    ValueError unless the node and result caps are positive integers and the
+    time cap is positive (``inf`` included): a fractional cap would never be
+    met, and a NaN one never expires."""
 
     max_nodes: int = 2_000_000_000
     max_results: int | None = None
     time_cap: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_nodes <= 0:
-            raise ValueError("max_nodes must be positive")
-        if self.max_results is not None and self.max_results <= 0:
-            raise ValueError("max_results must be positive")
-        if self.time_cap is not None and self.time_cap <= 0:
-            raise ValueError("time_cap must be positive")
+        for name, cap in (("max_nodes", self.max_nodes), ("max_results", self.max_results)):
+            try:
+                if (name == "max_results" and cap is None) or operator.index(cap) > 0:
+                    continue
+            except TypeError:
+                pass
+            raise ValueError(f"{name} must be a positive integer, got {cap!r}")
+        if self.time_cap is not None and not self.time_cap > 0:  # NaN fails it too
+            raise ValueError(f"time_cap must be positive, got {self.time_cap!r}")
 
 
 class _Gauge:
@@ -189,13 +197,13 @@ def enumerate_transversals(
     H: Hypercube,
     budget: SearchBudget | None = None,
 ) -> Iterator[Diagonal]:
-    """All transversals, each exactly once, in deterministic order.
-
-    They are read off stored frontier layers or listed by the DFS, in the same
-    order, by the listing rule of ``_results``."""
+    """All transversals, each exactly once, in deterministic order: read off
+    the stored layers or listed by the DFS, in the same order, as ``_layered``
+    picks.  BudgetExhausted after the ``max_results``-th, or when the node or
+    time cap cuts the listing."""
     _require_latin(H)
     budget = budget or SearchBudget()
-    yield from _listed(H, budget, _results(H, budget, _Gauge(budget), transversal=True))
+    yield from _listed(H, budget, _results(H, _Gauge(budget), transversal=True))
 
 
 def enumerate_diagonals(
@@ -204,15 +212,13 @@ def enumerate_diagonals(
     target_sum: Element | None = None,
     budget: SearchBudget | None = None,
 ) -> Iterator[Diagonal]:
-    """All complete diagonals, optionally filtered to a given delta sum.
-
-    With a target sum they are read off stored frontier layers or listed by
-    the DFS, in the same order, by the listing rule of ``_results``."""
+    """All complete diagonals, optionally filtered to a given delta sum, in
+    deterministic order: with a target sum as ``enumerate_transversals``
+    lists, and without one by the DFS."""
     _require_latin(H)
     budget = budget or SearchBudget()
     target = None if target_sum is None else _TargetSum.of(H, group, target_sum)
-    results = _results(H, budget, _Gauge(budget), transversal=False, target=target)
-    yield from _listed(H, budget, results)
+    yield from _listed(H, budget, _results(H, _Gauge(budget), transversal=False, target=target))
 
 
 @dataclass(frozen=True)
@@ -227,13 +233,12 @@ class Census:
     node or time budget ran out: on the stored layers the witnesses listed (0
     if the cut came while building them), on the DFS every result it reached.
 
-    The census runs on the layers, which give the count without listing,
-    when their worst case (``_layer_work``) is within ``_WORK_BOUND`` and no
-    ``max_results`` is set, and on the DFS alone otherwise; a count under
-    ``max_results`` stops at the ``max_results``-th result, as
-    ``enumerate_*`` does.  On the layers the
-    witnesses are listed with a limit of ``keep`` results, so each row holds
-    at most ``keep`` partial results and no layer is read whole."""
+    The census runs on the engine ``_layered`` picks, whatever the budget.
+    The layers give the count without listing, at most ``max_results``, and
+    list the witnesses with a limit of ``keep`` results, so each row holds at
+    most ``keep`` partial results and no layer is read whole; the DFS counts
+    what it lists and stops at the ``max_results``-th result, as
+    ``enumerate_*`` does."""
 
     count: int
     witnesses: tuple[Diagonal, ...]
@@ -288,28 +293,22 @@ class _TargetSum(NamedTuple):
         return cls(index, profile(H, group).indices.reshape(H.n, -1), index_table(group))
 
 
+def _layered(H: Hypercube, target: _TargetSum | None) -> bool:
+    """Whether the stored layers, not the DFS, search H for transversals
+    (``target`` None) or target-sum diagonals: the one engine rule."""
+    return _layer_work(H.n, H.d, _order(target)) <= _WORK_BOUND
+
+
 def _results(
-    H: Hypercube,
-    budget: SearchBudget,
-    gauge: _Gauge,
-    *,
-    transversal: bool,
-    target: _TargetSum | None = None,
+    H: Hypercube, gauge: _Gauge, *, transversal: bool, target: _TargetSum | None = None
 ) -> Iterator[np.ndarray]:
     """Every transversal, or every diagonal (with the target sum if given), in
     ``_listing`` order, as blocks: (k, n) arrays of each result's cell index
-    per row.
-
-    The listing rule is fixed before either engine runs: transversals and
-    target-sum diagonals are read off the stored layers (``_array_listing``)
-    when their worst case (``_layer_work``) is within ``_WORK_BOUND`` and
-    within ``max_nodes``, and no ``max_results`` is set; the DFS lists
-    otherwise, a result a block, so that a node or result budget below the
-    worst case still lists results."""
-    if transversal or target is not None:
-        work = _layer_work(H.n, H.d, _order(target))
-        if work <= min(_WORK_BOUND, budget.max_nodes) and budget.max_results is None:
-            return _array_listing(_back_layers(H, gauge, target), gauge)
+    per row; read off the stored layers (``_array_listing``) where
+    ``_layered`` holds, and listed by the DFS otherwise (and for all
+    diagonals), a result a block."""
+    if (transversal or target is not None) and _layered(H, target):
+        return _array_listing(_back_layers(H, gauge, target), gauge)
     listing = _listing(_cube_cells(H, transversal), gauge, target)
     return (np.array([cells], np.intp) for cells in listing)
 
@@ -333,26 +332,26 @@ def _census(
     if keep < 0:
         raise ValueError("keep must be non-negative")
     gauge = _Gauge(budget)
+    cap = budget.max_results
     witnesses: list[Diagonal] = []
-    work = _layer_work(H.n, H.d, _order(target))
     count = 0
     try:
         # the layers count at the root and list only the witnesses; the DFS
         # counts every result it lists
-        if work <= _WORK_BOUND and budget.max_results is None:
+        if _layered(H, target):
             layers = _back_layers(H, gauge, target)
-            for block in _array_listing(layers, gauge, keep):
+            for block in _array_listing(layers, gauge, keep if cap is None else min(keep, cap)):
                 witnesses.extend(_diagonals(H, block.tolist()))
                 count = len(witnesses)
-            return Census(layers.count, tuple(witnesses), True, gauge.nodes)
-        for count, cells in enumerate(_listing(_cube_cells(H, target is None), gauge, target), 1):
-            if count <= keep:
-                witnesses.extend(_diagonals(H, [cells]))
-            if count == budget.max_results:
-                return Census(count, tuple(witnesses), False, gauge.nodes)
+            count = layers.count if cap is None else min(layers.count, cap)
+        else:
+            listing = _listing(_cube_cells(H, target is None), gauge, target)
+            for count, cells in enumerate(itertools.islice(listing, cap), 1):
+                if count <= keep:
+                    witnesses.extend(_diagonals(H, [cells]))
     except BudgetExhausted:
-        return Census(count, tuple(witnesses), False, gauge.nodes)
-    return Census(count, tuple(witnesses), True, gauge.nodes)
+        cap = count
+    return Census(count, tuple(witnesses), count != cap, gauge.nodes)
 
 
 # -- depth-first search --------------------------------------------------------
@@ -578,7 +577,7 @@ def _order(target: _TargetSum | None) -> int | None:
 def _layer_work(n: int, d: int, order: int | None) -> int:
     """Worst-case work of the layers on a cube of order n and dimension d, for
     transversals (``order`` None) or for target sums in a group of that
-    order; every engine choice compares it with ``_WORK_BOUND``.
+    order; ``_layered`` compares it with ``_WORK_BOUND``.
 
     A state of layer r sets r bits in each of its fields, d of them for
     transversals and d - 1 for target sums, where it also holds one of
@@ -795,11 +794,10 @@ def _array_listing(
 def bachelor_cells(H: Hypercube, budget: SearchBudget | None = None) -> BachelorScan:
     """Classify every cell by whether some transversal passes through it.
 
-    The engine is chosen from the cube's order and dimension alone, before
-    either runs.  Up to ``_WORK_BOUND`` of worst-case work (``_layer_work``)
-    the stored layers decide every cell at once; above it each cell not yet
-    covered gets one existence search (``_complete``), which on a
-    transversal-rich cube covers every cell in a few searches.
+    Where ``_layered`` holds the stored layers decide every cell at once;
+    elsewhere each cell not yet covered gets one existence search
+    (``_complete``), which on a transversal-rich cube covers every cell in a
+    few searches.
 
     ``nodes`` counts the frontier states expanded or the cells placed.  When
     the budget runs out the scan is flagged non-exhaustive and lists no
@@ -807,7 +805,7 @@ def bachelor_cells(H: Hypercube, budget: SearchBudget | None = None) -> Bachelor
     _require_latin(H)
     budget = budget or SearchBudget()
     gauge = _Gauge(budget)
-    scan = _frontier_scan if _layer_work(H.n, H.d, None) <= _WORK_BOUND else _per_cell_scan
+    scan = _frontier_scan if _layered(H, None) else _per_cell_scan
     try:
         covered = scan(H, gauge)
     except BudgetExhausted:
@@ -1015,20 +1013,20 @@ def max_disjoint_transversals(
 ) -> PackingResult:
     """A maximum-cardinality family of pairwise disjoint transversals.
 
-    Lists all transversals (``_results``: off stored frontier layers when the
-    budget allows their worst case, by the DFS otherwise) and bounds the
-    answer by ub, the least of a greedy hitting set over them (valid because
-    the listing is exhaustive), the nonzero-deviation support when the
-    transversals' deviation sum is nonzero, the hyperplane cap n**(d-1) and
-    their number.  The exact cover (``_packs``) then decides g = min(ub, cap),
-    g - 1, and so on; the first g that packs is the answer, and every larger g
-    up to ub is refuted: each g tried before it exhaustively, and those above
-    the cap by the refutation of the cap.  A refutation of g + 1 that reached
-    g disjoint transversals already packs g.  One gauge covers the listing,
-    the cover, the greedy steps and the search.  The optimality flag is set
-    only when the answer is ub or a larger g was refuted; a run cut by the
-    budget keeps the largest family reached and is flagged exhausted.  A cap
-    below 1 raises ValueError."""
+    Lists all transversals (``_results``, on the engine ``_layered`` picks)
+    and bounds the answer by ub, the least of a greedy hitting set over them
+    (valid because the listing is exhaustive), the nonzero-deviation support
+    when the transversals' deviation sum is nonzero, the hyperplane cap
+    n**(d-1) and their number.  The exact cover (``_packs``) then decides
+    g = min(ub, cap), g - 1, and so on; the first g that packs is the answer,
+    and every larger g up to ub is refuted: each g tried before it
+    exhaustively, and those above the cap by the refutation of the cap.  A
+    refutation of g + 1 that reached g disjoint transversals already packs g.
+    One gauge covers the listing, the cover, the greedy steps and the search.
+    The optimality flag is set only when the answer is ub or a larger g was
+    refuted; a run cut by the budget keeps the largest family reached and is
+    flagged exhausted, and a cut listing counts the transversals it listed
+    (none if the layers were not built).  A cap below 1 raises ValueError."""
     _require_latin(H)
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
@@ -1036,7 +1034,7 @@ def max_disjoint_transversals(
     gauge = _Gauge(budget)
     blocks: list[np.ndarray] = []
     try:
-        blocks.extend(_results(H, budget, gauge, transversal=True))
+        blocks.extend(_results(H, gauge, transversal=True))
     except BudgetExhausted:
         listed = sum(map(len, blocks))
         return PackingResult((), False, None, "enumeration-truncated", True, listed)
@@ -1173,7 +1171,7 @@ def hill_climb_decomposition(
     _require_latin(H)
     budget = budget or SearchBudget()
     gauge = _Gauge(budget)
-    listed = _stacked(H, list(_results(H, budget, gauge, transversal=True)))
+    listed = _stacked(H, list(_results(H, gauge, transversal=True)))
     best: list[int] = []
     if not _packs(_cover(H, listed, gauge), H.n ** (H.d - 1), gauge, best):
         return None

@@ -410,6 +410,27 @@ def test_search_transversals_budgets(tmp_path, capsys):
     assert 0 < payload["count"] < 1_030_367
 
 
+def test_search_rejects_a_nan_time_cap(tmp_path, capsys):
+    # NaN passes a `<= 0` check and would never expire
+    cube = tmp_path / "z5.lhc"
+    run_cli(["construct", "cyclic", "--group", "Z5", "--d", "2", "--out", str(cube)], capsys)
+    code, out, err = run_cli(["search", "transversals", str(cube), "--time-cap", "nan"], capsys)
+    assert code == 2 and out == "" and "time_cap" in err
+
+
+def test_result_cap_never_sends_a_count_to_the_dfs(tmp_path, capsys):
+    # cyclic Z16 has no diagonal with the suitable sum for d'=2; within the
+    # bound the layers prove it in 65,535 states, where a result cap once
+    # sent the count to a DFS over all 16! diagonals
+    cube = tmp_path / "z16.lhc"
+    run_cli(["construct", "cyclic", "--group", "Z16", "--d", "2", "--out", str(cube)], capsys)
+    argv = ["search", "suitable", "--dprime", "2", "--max-results", "10", "--max-nodes", "200000"]
+    code, out, _ = run_cli([*argv, str(cube)], capsys)
+    payload = report_of(out)
+    assert code == 0 and payload["count"] == 0
+    assert payload["exact"] and not payload["exhausted"]
+
+
 @pytest.mark.parametrize(
     "flag, payload",
     [
@@ -607,8 +628,9 @@ def test_search_rejects_negative_max_witnesses(tmp_path, capsys):
 
 # The sha256 of each canonical report (sorted keys, compact separators, no
 # elapsed time) without its `instance`, which holds the input path; recorded
-# before the depth-first search carried the target sum.  The plain searches
-# run on the stored layers, and those with --max-results on the DFS.
+# before the depth-first search carried the target sum.  Every one of these
+# searches runs on the stored layers; those with --max-results were recorded
+# when a result cap sent them to the DFS, and the layers give the same report.
 _GOLDEN_REPORTS = {
     "suitable-ord8": (["ord8"], ["search", "suitable", "--dprime", "4"],
                       "e1c5f22605ea59f32485c55ac9e335356c3aceda6557c70cfa9a43a04d078196"),

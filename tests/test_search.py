@@ -373,7 +373,7 @@ def test_full_layer_listing_keeps_its_node_count(name):
     make, back, _, _, _, results, nodes = _LAYER_CUTS[name]
     H = make()
     gauge = search._Gauge(SearchBudget())
-    listed = search._stacked(H, list(search._results(H, SearchBudget(), gauge, transversal=True)))
+    listed = search._stacked(H, list(search._results(H, gauge, transversal=True)))
     assert (len(listed), gauge.nodes) == (results, nodes)
     assert nodes > sum(back)
 
@@ -649,14 +649,14 @@ def test_dfs_target_census_is_unchanged(monkeypatch, name):
     # are those of the whole tree (l8 and ord8 alike), and a misplaced sum
     # check shows in the count or the witnesses
     if name.startswith("z15"):
-        # within the bound, but max_results sends the census to the DFS
+        # within the bound, so only the bound at 0 sends it to the DFS
         H = _random_isotope(cyclic(cyclic_group(15), 2), 1)
         assert search._layer_work(15, 2, 15) <= search._WORK_BOUND
         budget = SearchBudget(max_results=2_000)
     else:
         H = l8_square() if name.startswith("l8") else ord8_square()
-        _dfs_only(monkeypatch)
         budget = SearchBudget()
+    _dfs_only(monkeypatch)
     t = int(name.rpartition("sum")[2])
     census = count_diagonals(H, None, (t,), budget, keep=3)
     columns = [tuple(c for _, c in D.cells()) for D in census.witnesses]
@@ -664,13 +664,13 @@ def test_dfs_target_census_is_unchanged(monkeypatch, name):
 
 
 def test_count_under_max_results_stops_where_enumeration_stops():
-    # a result budget keeps the count on the DFS, also below the work bound,
-    # so with a node cap as well the count is what `enumerate_*` lists; the DFS
-    # reaches the 100th result at its 1,115th node
+    # the count runs on the same engine as `enumerate_*`, so with a node cap
+    # as well the count is what `enumerate_*` lists; Z11 is within the work
+    # bound, and none of these caps lets its layers finish (47,268 states)
     z11 = cyclic(cyclic_group(11), 2)
     assert search._layer_work(11, 2, None) <= search._WORK_BOUND
-    for max_nodes, reached in ((1_000, False), (1_114, False), (1_115, True), (2_000, True),
-                               (5_000, True)):
+    for max_nodes, reached in ((1_000, False), (1_114, False), (1_115, False), (2_000, False),
+                               (5_000, False)):
         budget = SearchBudget(max_results=100, max_nodes=max_nodes)
         listed = []
         with pytest.raises(BudgetExhausted):
@@ -683,6 +683,7 @@ def test_count_under_max_results_stops_where_enumeration_stops():
 
 @pytest.mark.parametrize("dfs_only", [False, True], ids=["dp", "dfs"])
 def test_count_max_results_caps_the_count(monkeypatch, dfs_only):
+    # both kinds of layers, and the DFS, against `enumerate_*`
     if dfs_only:
         _dfs_only(monkeypatch)
     H = turned_cyclic(4, 4)
@@ -694,6 +695,15 @@ def test_count_max_results_caps_the_count(monkeypatch, dfs_only):
         assert census.witnesses == tuple(listed[:min(cap, 8)])
     census = count_transversals(H, SearchBudget(max_results=1281), keep=8)
     assert (census.count, census.exact) == (1280, True)
+    H6 = z6_isotope_square()
+    listed = list(enumerate_diagonals(H6, None, (3,)))
+    total = len(listed)
+    for cap in (1, 5, 8, 9, total - 1, total):
+        census = count_diagonals(H6, None, (3,), SearchBudget(max_results=cap), keep=8)
+        assert (census.count, census.exact) == (cap, False)
+        assert census.witnesses == tuple(listed[:min(cap, 8)])
+    census = count_diagonals(H6, None, (3,), SearchBudget(max_results=total + 1), keep=8)
+    assert (census.count, census.exact) == (total, True)
 
 
 @pytest.mark.parametrize("dfs_only", [False, True], ids=["dp", "dfs"])
@@ -875,49 +885,67 @@ def test_dfs_layers_and_brute_force_agree_on_random_cubes(H, data):
                 assert cut == full
 
 
-def test_listing_engine_is_chosen_by_the_budget(monkeypatch):
-    # the layers run iff their worst case is within the work bound and the
-    # node cap and no result cap is set; otherwise the DFS lists
+def test_listing_engine_is_chosen_by_the_bound(monkeypatch):
+    # the layers run iff their worst case is within the work bound: no node
+    # or result cap sends a cube within it to the DFS, for listing, counting
+    # or packing, and above it every one of them goes to the DFS; each kind
+    # of layers has its own worst case
     H = cyclic(cyclic_group(5), 3)
-    work = search._layer_work(5, 3, None)
+    work, target_work = search._layer_work(5, 3, None), search._layer_work(5, 3, 5)
+    assert target_work < work
     dfs = search._listing
     engines = []
 
-    def spy(*args, **kwargs):
-        engines.append("dfs")
-        return dfs(*args, **kwargs)
+    def spy(cells, gauge, target=None):
+        engines.append("transversals" if target is None else "target")
+        return dfs(cells, gauge, target)
+
+    def run_all():
+        for budget in (SearchBudget(), SearchBudget(max_nodes=work - 1),
+                       SearchBudget(max_nodes=1), SearchBudget(max_results=5)):
+            try:
+                list(enumerate_transversals(H, budget))
+            except BudgetExhausted:
+                pass
+            try:
+                list(enumerate_diagonals(H, None, (0,), budget))
+            except BudgetExhausted:
+                pass
+            count_transversals(H, budget, keep=2)
+            count_diagonals(H, None, (0,), budget, keep=2)
+            max_disjoint_transversals(H, budget=budget)
 
     monkeypatch.setattr(search, "_listing", spy)
-    listed = list(enumerate_transversals(H, SearchBudget(max_nodes=work)))
-    assert engines == [] and len(listed) == 3325
+    run_all()
+    assert engines == []
+    assert len(list(enumerate_transversals(H))) == 3325
     packing = max_disjoint_transversals(H, budget=SearchBudget(max_nodes=work))
-    assert engines == [] and packing.transversal_count == 3325
-    assert len(list(enumerate_transversals(H, SearchBudget(max_nodes=work - 1)))) == 3325
-    assert engines == ["dfs"]
-    with pytest.raises(BudgetExhausted):
-        list(enumerate_transversals(H, SearchBudget(max_results=3325)))
-    assert engines == ["dfs"] * 2
+    assert packing.transversal_count == 3325
+    assert engines == []
     with monkeypatch.context() as mp:
         mp.setattr(search, "_WORK_BOUND", work - 1)
-        assert len(list(enumerate_transversals(H))) == 3325
-    assert engines == ["dfs"] * 3
+        run_all()
+    assert engines == ["transversals"] * 12
+    engines.clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(search, "_WORK_BOUND", target_work - 1)
+        run_all()
+    assert sorted(engines) == ["target"] * 8 + ["transversals"] * 12
 
 
-def test_node_budget_below_the_worst_case_lists_by_the_dfs():
-    # Z11's worst case is 7,759,752; below it the DFS lists what it reaches:
-    # 468 transversals in 5,000 nodes and 9,247 in 100,000
+def test_node_budget_cuts_the_layer_listing():
+    # Z11 is within the bound, so its layers list under any node cap, and a
+    # cut listing returns only what they reached: nothing in 5,000 nodes,
+    # within their build (47,268 states), and 6,337 transversals in 100,000
     z11 = cyclic(cyclic_group(11), 2)
     assert search._layer_work(11, 2, None) == 7_759_752
-    for max_nodes, reached in ((5_000, 468), (100_000, 9_247)):
+    assert count_transversals(z11).nodes == 47_268
+    for max_nodes, reached in ((5_000, 0), (100_000, 6_337)):
         budget = SearchBudget(max_nodes=max_nodes)
         listed = []
         with pytest.raises(BudgetExhausted):
             listed.extend(enumerate_transversals(z11, budget))
-        dfs = []
-        with pytest.raises(BudgetExhausted):
-            dfs.extend(search._listing(search._cube_cells(z11, True), search._Gauge(budget)))
-        assert listed == list(search._diagonals(z11, dfs))
-        assert len(listed) == reached
+        assert listed == list(itertools.islice(enumerate_transversals(z11), reached))
         result = max_disjoint_transversals(z11, budget=budget)
         assert result.transversal_count == reached
         assert result.exhausted and not result.optimal and result.upper_bound is None
@@ -940,15 +968,14 @@ def _ticks(monkeypatch, run):
 
 def _cut_points(monkeypatch, H, run):
     """Node caps around each engine's total ticks for ``run``, with each
-    cap's total: the layers list under caps from their worst case up."""
-    work = search._layer_work(H.n, H.d, None)
+    cap's total: the layers run under every cap."""
     layers_total = _ticks(monkeypatch, run)
     with monkeypatch.context() as mp:
         _dfs_only(mp)
         dfs_total = _ticks(monkeypatch, run)
     caps = {1, dfs_total // 4, dfs_total // 2, dfs_total - 1, dfs_total,
-            layers_total - 1, layers_total, work - 1, work}
-    return [(cap, layers_total if cap >= work else dfs_total) for cap in sorted(caps)]
+            layers_total - 1, layers_total}
+    return [(cap, layers_total) for cap in sorted(caps)]
 
 
 @pytest.mark.parametrize("make", [lambda: turned_cyclic(4, 4), ord8_square],
@@ -1330,6 +1357,28 @@ def test_budget_validation():
         SearchBudget(max_results=0)
     with pytest.raises(ValueError):
         SearchBudget(time_cap=-1)
+
+
+@pytest.mark.parametrize("caps", [
+    {"max_nodes": float("nan")}, {"max_nodes": 2.5}, {"max_nodes": float("inf")},
+    {"max_nodes": None}, {"max_results": 2.5}, {"max_results": float("nan")},
+    {"max_results": -1}, {"time_cap": float("nan")}, {"time_cap": 0.0},
+], ids=["nodes-nan", "nodes-2.5", "nodes-inf", "nodes-none", "results-2.5", "results-nan",
+        "results-negative", "time-nan", "time-0"])
+def test_budget_rejects_caps_it_cannot_honour(caps):
+    # a fractional or NaN node or result cap is never met, and a NaN time
+    # cap passes a `<= 0` check and never expires
+    with pytest.raises(ValueError, match=next(iter(caps))):
+        SearchBudget(**caps)
+
+
+def test_budget_accepts_integer_caps_and_an_infinite_time_cap():
+    # a numpy integer is an integer cap, and an infinite time cap never cuts
+    H = cyclic(cyclic_group(3), 2)
+    assert len(list(enumerate_transversals(H, SearchBudget(time_cap=float("inf"))))) == 3
+    with pytest.raises(BudgetExhausted, match="node budget 5 "):
+        list(enumerate_transversals(H, SearchBudget(max_nodes=np.int64(5),
+                                                     max_results=np.int8(2))))
 
 
 def test_search_requires_latin():
