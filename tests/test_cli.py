@@ -1,15 +1,31 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import transversal_lab
 from transversal_lab.cli import main
 from transversal_lab.constructions import ord6m_starred_cells, z6_marked_diagonal
 from transversal_lab.delta import suitable_target
 from transversal_lab.extension import g_extension
 from transversal_lab.groups import cyclic_group
 from transversal_lab.hypercube import Hypercube, cyclic, is_latin, load, save
-from transversal_lab.reports import diagonal_from_json, diagonal_to_json, validate_report
+from transversal_lab.reports import (
+    REPORT_SCHEMA,
+    ReportError,
+    SearchReport,
+    diagonal_from_json,
+    diagonal_to_json,
+    validate_report,
+)
 from transversal_lab.search import Census, count_diagonals, hitting_set_check
 
 
@@ -19,9 +35,14 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+# the reference for validate_report: the general Draft 7 validator
+_REFERENCE = jsonschema.Draft7Validator(REPORT_SCHEMA)
+
+
 def report_of(out):
     payload = json.loads(out)
     validate_report(payload)
+    assert _REFERENCE.is_valid(payload)
     return payload
 
 
@@ -663,3 +684,171 @@ def test_canonical_reports_are_unchanged(tmp_path, capsys, name):
     del payload["instance"]
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_report_schema_is_valid_draft_7():
+    jsonschema.Draft7Validator.check_schema(REPORT_SCHEMA)
+
+
+# (construct arguments, search arguments) of one report per search operation
+_SAMPLE_SEARCHES = {
+    "transversals": (["cyclic", "--group", "Z5", "--d", "2"], ["search", "transversals"]),
+    "suitable": (["z6-isotope"], ["search", "suitable", "--dprime", "4"]),
+    "bachelors": (["confirmed-bachelor", "--n", "4", "--d", "4"], ["search", "bachelors"]),
+    "packing": (["turned-cyclic", "--n", "4", "--d", "4"], ["search", "packing"]),
+    "decompose": (["cyclic", "--group", "Z3", "--d", "2"], ["search", "decompose"]),
+}
+
+
+@pytest.fixture(scope="module")
+def sample_reports(tmp_path_factory):
+    """The JSON report of each search operation, as the CLI prints it."""
+    reports = {}
+    for name, (construct, search) in _SAMPLE_SEARCHES.items():
+        cube = tmp_path_factory.mktemp(name) / "c.lhc"
+        assert main(["construct", *construct, "--out", str(cube)]) == 0
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([*search, str(cube)]) == 0
+        reports[name] = report_of(out.getvalue())
+    return reports
+
+
+def _agree(report):
+    """validate_report's verdict, which must be the reference's."""
+    try:
+        validate_report(report)
+        accepted = True
+    except ReportError:
+        accepted = False
+    assert accepted == _REFERENCE.is_valid(report), report
+    return accepted
+
+
+def _replaced(node, path, new):
+    """A copy of ``node`` with the node at ``path`` replaced by ``new``;
+    only the containers along the path are copied."""
+    if not path:
+        return new
+    head, *rest = path
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[head] = _replaced(node[head], rest, new)
+    return copy
+
+
+def _nodes(node, path=()):
+    """(path, node) of the node and its descendants, visiting only the first
+    and last item of each array so every level is drawn often."""
+    yield path, node
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = [(i, node[i]) for i in sorted({0, len(node) - 1})] if node else []
+    else:
+        return
+    for key, child in children:
+        yield from _nodes(child, (*path, key))
+
+
+def _variants(node):
+    """Replacements for a node: Draft 7's edge cases for its type, other
+    types, and keys removed from or added to an object."""
+    if isinstance(node, bool):
+        return [int(node), None, str(node)]
+    if isinstance(node, int):
+        return [True, False, float(node), node + 0.5, np.int64(node), np.float64(node),
+                -1 - node, -node, node + 1, None, str(node)]
+    if isinstance(node, float):
+        return [int(node), True, np.int64(node), None, str(node)]
+    if isinstance(node, str):
+        return [1, None, [node]]
+    if isinstance(node, list):
+        return [tuple(node), [], node + node[:1], {}, None]
+    if isinstance(node, dict):
+        removed = [{k: v for k, v in node.items() if k != key} for key in node]
+        return [*removed, {**node, "extra": 0}, list(node), tuple(node.items()), None]
+    return [None]
+
+
+def test_sample_reports_hold_every_key_of_the_schema(sample_reports):
+    keys = set().union(*sample_reports.values())
+    assert keys == set(REPORT_SCHEMA["properties"])
+    assert all(_agree(report) for report in sample_reports.values())
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_report_check_agrees_with_draft_7_on_mutations(sample_reports, data):
+    report = sample_reports[data.draw(st.sampled_from(sorted(sample_reports)))]
+    path, node = data.draw(st.sampled_from(list(_nodes(report))))
+    _agree(_replaced(report, path, data.draw(st.sampled_from(_variants(node)))))
+
+
+# (operation, path, replacement, whether Draft 7 accepts the result)
+_MUTATIONS = [
+    ("transversals", ("seed",), True, False),
+    ("transversals", ("seed",), 2024.0, True),
+    ("transversals", ("seed",), np.int64(2024), False),
+    ("transversals", ("count",), None, True),
+    ("transversals", ("count",), 15.5, False),
+    ("transversals", ("schema_version",), True, False),
+    ("transversals", ("schema_version",), 1.0, True),
+    ("transversals", ("schema_version",), 2, False),
+    ("transversals", ("params",), [], False),
+    ("transversals", ("witnesses", 0, 0, "symbol"), -1, False),
+    ("transversals", ("witnesses", 0, 0, "symbol"), 2.0, True),
+    ("transversals", ("witnesses", 0, 0, "symbol"), False, False),
+    ("transversals", ("witnesses", 0, 0, "symbol"), np.int64(2), False),
+    ("transversals", ("witnesses", 0, 0, "coords"), (0, 0), False),
+    ("transversals", ("witnesses", 0, 0, "coords", 1), -1, False),
+    ("transversals", ("witnesses", 0), (), False),
+    ("bachelors", ("bachelor_cells", 0, 0), -1, False),
+    ("bachelors", ("bachelor_cells", 0), (0, 0, 0, 0), False),
+    ("packing", ("certificates",), None, False),
+    ("packing", ("packing", 0, 0), {"coords": [0, 0, 0, 0]}, False),
+    ("packing", ("packing", 0, 0), {"coords": [0, 0, 0, 0], "symbol": 0, "cell": 0}, False),
+]
+
+
+@pytest.mark.parametrize("operation, path, new, accepted", _MUTATIONS)
+def test_report_check_verdicts_on_edge_cases(sample_reports, operation, path, new, accepted):
+    assert _agree(_replaced(sample_reports[operation], path, new)) == accepted
+
+
+def test_report_check_rejects_extra_and_missing_keys(sample_reports):
+    report = sample_reports["decompose"]
+    assert not _agree({**report, "extra": 0})
+    assert not _agree({k: v for k, v in report.items() if k != "exact"})
+    assert _agree({k: v for k, v in report.items() if k != "elapsed_s"})
+
+
+def test_report_error_names_the_json_path(sample_reports):
+    report = _replaced(sample_reports["transversals"], ("witnesses", 1, 2, "symbol"), -3)
+    with pytest.raises(ReportError, match=r"\$\.witnesses\[1\]\[2\]\.symbol"):
+        validate_report(report)
+
+
+def test_report_error_is_a_fault_not_malformed_input(tmp_path, monkeypatch):
+    # cli.run maps ValueError, KeyError and OSError to exit code 2
+    assert not issubclass(ReportError, (ValueError, KeyError, OSError))
+    cube = tmp_path / "z3.lhc"
+    assert main(["construct", "cyclic", "--group", "Z3", "--d", "2", "--out", str(cube)]) == 0
+    to_dict = SearchReport.to_dict
+
+    def negative_symbol(self, **kwargs):
+        out = to_dict(self, **kwargs)
+        out["witnesses"][0][0]["symbol"] = -1
+        return out
+
+    monkeypatch.setattr(SearchReport, "to_dict", negative_symbol)
+    with pytest.raises(ReportError):
+        main(["search", "transversals", str(cube)])
+
+
+def test_jsonschema_stays_off_the_run_time_path():
+    src = Path(transversal_lab.__file__).resolve().parent.parent
+    code = ("import sys, transversal_lab.cli, transversal_lab.claims; "
+            "print('jsonschema' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert proc.stdout.strip() == "False"
