@@ -34,12 +34,9 @@ def dilate(H: Hypercube, factor: int) -> Hypercube:
         raise ValueError("dilation factor must be at least 2")
     n, d = H.n, H.d
     N = n * factor
-    grids = np.indices((N,) * d)
-    arr = grids.sum(axis=0) % N
-    embedded = np.all(grids % factor == 0, axis=0)
-    scaled = (factor * H.symbols) % N
+    arr = sum(np.ogrid[(slice(N),) * d]) % N
     # coordinates of embedded cells are factor * (base coordinates)
-    arr[embedded] = scaled.reshape(-1)
+    arr[np.ix_(*[range(0, N, factor)] * d)] = (factor * H.symbols) % N
     out = Hypercube(arr, cyclic_group(N))
     if not is_latin(out):
         raise RuntimeError("dilation failed the Latin check")
@@ -90,7 +87,6 @@ class DilationCertificate:
     the conclusion may instead be established directly on the dilation by the
     same hitting-set check; ``direct_ok`` records that outcome."""
 
-    base_instance: str
     factor: int
     cells: tuple[Coords, ...]
     parity_ok: bool
@@ -140,7 +136,6 @@ def transfer_hitting_set(
         big_target = suitable_target(big.group, H.d)
         direct_ok = hitting_set_check(big, big.group, big_target, image, budget)
     return DilationCertificate(
-        base_instance=H.content_id(),
         factor=factor,
         cells=cells,
         parity_ok=parity_ok,

@@ -364,7 +364,6 @@ class ExtensionHittingCertificate:
     extension's target deviation sum meets the cell set, then every transversal
     of the extension meets the fibre of that cell set."""
 
-    base_instance: str
     group: str
     d_prime: int
     cells: tuple[Coords, ...]
@@ -388,7 +387,6 @@ def extension_hitting_certificate(
     target = suitable_target(group, d_prime)
     ok = hitting_set_check(L, group, target, cells, budget)
     return ExtensionHittingCertificate(
-        base_instance=L.content_id(),
         group=str(group),
         d_prime=d_prime,
         cells=tuple(tuple(c) for c in cells),

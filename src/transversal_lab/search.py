@@ -7,22 +7,22 @@ distinct rows lie on one diagonal (transversal) iff they share no field.
 Every engine gives a result as its cell index on each row, and ``_diagonals``
 builds the ``Diagonal`` objects of only the results that are returned.
 
-The depth-first search works on ``_Cells``: each row's cells as an int bit
-set, so that a cell placed cuts every unfilled row's fitting cells by a few
-ANDs and a row left with no cell ends the branch at once; it runs at any
-number of fields.  One DFS node is one cell placed.  ``_listing`` fills the
-rows in increasing order and takes a row's cells in row-major order, which
-fixes a deterministic output order: it lists all diagonals, and lists and
-counts transversals and target-sum diagonals wherever the stored layers do
-not run.
+The one depth-first search, ``_dfs``, works on ``_Cells``: each row's cells
+as an int bit set, so that a cell placed cuts every unfilled row's fitting
+cells by a few ANDs and a row left with no cell ends the branch at once; it
+runs at any number of fields.  One DFS node is one cell placed, a row's cells
+taken in row-major order.  Which row it fills next is its one rule, set by
+the caller.  Listing fills the lowest unfilled row, which fixes a
+deterministic output order: it lists all diagonals, and lists and counts
+transversals and target-sum diagonals wherever the stored layers do not run.
+Existence searches (through-cell searches, per-cell coverage scans,
+completions and the completions of hitting-set checks) take its first result
+and fill the row with the fewest fitting cells first, which ends a branch
+with no result soonest.
 A target sum (``_TargetSum``, the one form every search with a target takes)
 rides along as the delta sum of the cells placed, and is checked when the last
 row's cell is placed, so the DFS lists only diagonals with that sum, in the
 same order and with the same nodes as all diagonals.
-``_complete`` answers whether a diagonal or transversal passes through given
-cells while avoiding others: through-cell searches, per-cell coverage scans,
-completions and the completions of hitting-set checks.  It always fills the
-row with the fewest fitting cells.
 
 The frontier layers run row by row on NumPy arrays: each layer is a sorted
 ``uint64`` array of packed states (a cell sets the bits of its fields) with
@@ -303,13 +303,13 @@ def _results(
     H: Hypercube, gauge: _Gauge, *, transversal: bool, target: _TargetSum | None = None
 ) -> Iterator[np.ndarray]:
     """Every transversal, or every diagonal (with the target sum if given), in
-    ``_listing`` order, as blocks: (k, n) arrays of each result's cell index
+    ``_dfs`` listing order, as blocks: (k, n) arrays of each result's cell index
     per row; read off the stored layers (``_array_listing``) where
     ``_layered`` holds, and listed by the DFS otherwise (and for all
     diagonals), a result a block."""
     if (transversal or target is not None) and _layered(H, target):
         return _array_listing(_back_layers(H, gauge, target), gauge)
-    listing = _listing(_cube_cells(H, transversal), gauge, target)
+    listing = _dfs(_cube_cells(H, transversal), gauge, target)
     return (np.array([cells], np.intp) for cells in listing)
 
 
@@ -345,7 +345,7 @@ def _census(
                 count = len(witnesses)
             count = layers.count if cap is None else min(layers.count, cap)
         else:
-            listing = _listing(_cube_cells(H, target is None), gauge, target)
+            listing = _dfs(_cube_cells(H, target is None), gauge, target)
             for count, cells in enumerate(itertools.islice(listing, cap), 1):
                 if count <= keep:
                     witnesses.extend(_diagonals(H, [cells]))
@@ -358,7 +358,7 @@ def _census(
 
 
 class _Cells(NamedTuple):
-    """A cube's cells, row by row, for the depth-first searches.
+    """A cube's cells, row by row, for the depth-first search ``_dfs``.
 
     ``positions[r][i]`` holds the fields of cell i of row r (``_cell_fields``),
     so cells of distinct rows fit together iff they share no position.  A set
@@ -400,123 +400,99 @@ def _cube_cells(H: Hypercube, transversal: bool) -> _Cells:
     return _Cells.of(H, transversal)
 
 
-def _listing(
-    cells: _Cells, gauge: _Gauge, target: _TargetSum | None = None
+def _dfs(
+    cells: _Cells,
+    gauge: _Gauge,
+    target: _TargetSum | None = None,
+    pre: Sequence[tuple[int, int]] = (),
+    constrained: bool = False,
 ) -> Iterator[tuple[int, ...]]:
-    """Every full diagonal (transversal, on cells with symbol positions) on
-    the allowed cells, those with the target delta sum if given, in
-    deterministic order, each as its cell index on each row.
+    """Every full diagonal (transversal, on cells with symbol positions)
+    through the ``pre`` cells, given as (row, index) pairs, on allowed cells
+    elsewhere, those with the target delta sum if given, each as its cell
+    index on each row: the one depth-first search.
 
-    Rows are filled in increasing order, each row's fitting cells taken lowest
-    bit first, which is row-major order; so the results come in lexicographic
-    order.  Each cell placed cuts the bit sets of the later rows, and a branch
-    ends as soon as one of them is empty.  The delta sum of the cells placed
-    rides along, and a last-row cell completes a result only if it closes the
-    sum to the target.  The gauge ticks once per cell placed, whether or not
-    it closes the sum, as in ``_complete``; BudgetExhausted propagates."""
+    Each pre cell fixes its row and adds its delta to the starting sum; pre
+    cells that share a hyperplane or a symbol raise ValueError.  The search
+    places one cell per unfilled row, trying the row's fitting cells lowest
+    bit first, which is row-major order.  Which row it fills next is the only
+    choice it makes: the lowest unfilled row, so that the results come in
+    lexicographic order (the order ``_array_listing`` reproduces), or with
+    ``constrained`` the row with the fewest fitting cells, the lowest on
+    ties, which fails first where no result exists (the rule of existence
+    searches).  Each cell placed cuts the bit sets of the unfilled rows by its
+    fields, and a branch ends as soon as one of them is empty.  The delta sum
+    of the cells placed rides along, and a last cell completes a result only
+    if it closes the sum to the target.  The gauge ticks once per cell placed,
+    whether or not it closes the sum; BudgetExhausted propagates."""
     n, positions, avoiding = cells.n, cells.positions, cells.avoiding
-    if not all(cells.allowed):
-        return
-    if target is None:  # every sum is the target 0 of the trivial group
-        deltas, add, goal = [[0] * len(row) for row in positions], [[0]], 0
+    if target is None:  # every delta 0 (a bytes object of zeros indexes to 0)
+        deltas, add, goal = [bytes(len(positions[0]))] * n, [[0]], 0
     else:  # each row's delta indices in the order of its entries
         deltas, add, goal = target.deltas.tolist(), target.table.add, target.index
-    # todo[r]: row r's fitting cells not yet tried; later[r]: the fitting cells
-    # of rows r+1..n-1, given the cells placed on rows 0..r-1 (those in acc,
-    # with delta sum sums[r])
-    todo, later, sums = [cells.allowed[0]], [cells.allowed[1:]], [0]
-    acc: list[int] = []
-    while todo:
-        r = len(todo) - 1
-        fits = todo[r]
-        if not fits:
-            todo.pop()
-            later.pop()
-            sums.pop()
-            if acc:
-                acc.pop()
-            continue
-        low = fits & -fits
-        todo[r] = fits ^ low
-        i = low.bit_length() - 1
-        gauge.tick()
-        if r == n - 1:
-            if add[sums[r]][deltas[r][i]] == goal:
-                yield (*acc, i)
-            continue
-        nxt = []
-        for r2, fits2 in enumerate(later[r], r + 1):
-            avoid = avoiding[r2]
-            for b in positions[r][i]:
-                fits2 &= avoid[b]
-            if not fits2:
-                break
-            nxt.append(fits2)
-        else:
-            acc.append(i)
-            todo.append(nxt[0])
-            later.append(nxt[1:])
-            sums.append(add[sums[r]][deltas[r][i]])
-
-
-def _complete(
-    cells: _Cells, pre: Sequence[tuple[int, int]], gauge: _Gauge
-) -> tuple[int, ...] | None:
-    """A full diagonal (transversal, on cells with symbol positions) through
-    the ``pre`` cells, given as (row, index) pairs, on allowed cells
-    elsewhere, as its cell index on each row; or None if provably absent.
-
-    Each pre cell fixes its row.  The search places one cell per row: it
-    always fills the unfilled row with the fewest allowed cells that fit the
-    cells placed (the smallest row on ties), trying them in row-major order,
-    so a row left with no such cell fails at once.  Each row's fitting cells
-    are kept as a bit set and cut by the positions of every cell placed.  The
-    gauge ticks once per cell placed; BudgetExhausted propagates."""
-    n = cells.n
-    taken: set[int] = set()
     placed = [-1] * n
+    taken: set[int] = set()
+    total = 0
     for r, i in pre:
-        ps = cells.positions[r][i]
+        ps = positions[r][i]
         if placed[r] >= 0 or taken.intersection(ps):
             raise ValueError("pre-placed cells share a hyperplane or a symbol")
         taken.update(ps)
         placed[r] = i
-    todo = []
+        total = add[total][deltas[r][i]]
+    # the unfilled rows in increasing order, each with its fitting cells
+    rows: list[tuple[int, int]] = []
     for r in range(n):
         if placed[r] < 0:
-            fits, avoid = cells.allowed[r], cells.avoiding[r]
+            fits, avoid = cells.allowed[r], avoiding[r]
             for b in taken:
                 fits &= avoid[b]
             if not fits:
-                return None
-            todo.append((r, fits))
-
-    def fill(todo: list[tuple[int, int]]) -> bool:
-        if not todo:
-            return True
-        r, fits = min(todo, key=lambda t: t[1].bit_count())
-        rest = [t for t in todo if t[0] != r]
-        positions = cells.positions[r]
-        while fits:
-            low = fits & -fits
-            fits ^= low
+                return
+            rows.append((r, fits))
+    if not rows:
+        if total == goal:
+            yield tuple(placed)
+        return
+    # the row r being filled has its fitting cells not yet tried in todo, the
+    # other unfilled rows in rows and the delta sum of the cells placed in s;
+    # the stack holds that state for each row being filled above r
+    stack: list[tuple[int, int, list[tuple[int, int]], int]] = []
+    while True:
+        j = 0
+        if constrained and len(rows) > 1:
+            counts = [fits.bit_count() for _, fits in rows]
+            j = counts.index(min(counts))
+        (r, todo), s = rows.pop(j), total
+        while True:
+            if not todo:
+                if not stack:
+                    return
+                r, todo, rows, s = stack.pop()
+                continue
+            low = todo & -todo
+            todo ^= low
             i = low.bit_length() - 1
             gauge.tick()
-            nxt = []
-            for r2, fits2 in rest:
-                avoid = cells.avoiding[r2]
-                for b in positions[i]:
-                    fits2 &= avoid[b]
-                if not fits2:
-                    break
-                nxt.append((r2, fits2))
-            else:
-                if fill(nxt):
+            if not rows:
+                if add[s][deltas[r][i]] == goal:
                     placed[r] = i
-                    return True
-        return False
-
-    return tuple(placed) if fill(todo) else None
+                    yield tuple(placed)
+                continue
+            nxt = []
+            ps = positions[r][i]
+            for r2, fits in rows:
+                avoid = avoiding[r2]
+                for b in ps:
+                    fits &= avoid[b]
+                if not fits:
+                    break
+                nxt.append((r2, fits))
+            else:
+                stack.append((r, todo, rows, s))
+                placed[r] = i
+                rows, total = nxt, add[s][deltas[r][i]]
+                break
 
 
 def transversal_through(
@@ -524,14 +500,16 @@ def transversal_through(
     cell: Coords,
     budget: SearchBudget | None = None,
 ) -> Diagonal | None:
-    """A transversal containing the cell, or None if provably absent, by the
-    most-constrained-row search of ``_complete``.
+    """A transversal containing the cell, or None if provably absent: the
+    first result of ``_dfs`` through the cell, filling the row with the
+    fewest fitting cells first.
 
     Raises ValueError when the cell lies outside the cube, and BudgetExhausted
     when the budget runs out before either outcome."""
     _require_latin(H)
     budget = budget or SearchBudget()
-    found = _complete(_cube_cells(H, True), _checked_cells(H, [cell]), _Gauge(budget))
+    pre = _checked_cells(H, [cell])
+    found = next(_dfs(_cube_cells(H, True), _Gauge(budget), pre=pre, constrained=True), None)
     return None if found is None else next(_diagonals(H, [found]))
 
 
@@ -742,7 +720,7 @@ def _back_layers(H: Hypercube, gauge: _Gauge, target: _TargetSum | None = None) 
 def _array_listing(
     layers: _Layers, gauge: _Gauge, limit: int | None = None
 ) -> Iterator[np.ndarray]:
-    """The results in ``_listing`` order, read off the backward layers, as
+    """The results in ``_dfs`` listing order, read off the backward layers, as
     blocks: (k, n) arrays of each result's cell index per row; with a
     ``limit``, only the first ``limit`` results.
 
@@ -796,7 +774,7 @@ def bachelor_cells(H: Hypercube, budget: SearchBudget | None = None) -> Bachelor
 
     Where ``_layered`` holds the stored layers decide every cell at once;
     elsewhere each cell not yet covered gets one existence search
-    (``_complete``), which on a transversal-rich cube covers every cell in a
+    (``_dfs``), which on a transversal-rich cube covers every cell in a
     few searches.
 
     ``nodes`` counts the frontier states expanded or the cells placed.  When
@@ -846,8 +824,9 @@ def _frontier_scan(H: Hypercube, gauge: _Gauge) -> np.ndarray:
 
 def _per_cell_scan(H: Hypercube, gauge: _Gauge) -> np.ndarray:
     """Which cells some transversal passes through, as ``_frontier_scan``
-    gives them, by one ``_complete`` search per cell that no transversal found
-    so far covers, on the cube's cells."""
+    gives them, by one existence search (``_dfs``, filling the row with the
+    fewest fitting cells first) per cell that no transversal found so far
+    covers, on the cube's cells."""
     cells = _cube_cells(H, True)
     n, per_row = H.n, H.symbols.size // H.n
     covered = np.zeros(n * per_row, bool)
@@ -855,7 +834,7 @@ def _per_cell_scan(H: Hypercube, gauge: _Gauge) -> np.ndarray:
     for c in range(n * per_row):
         if covered[c]:
             continue
-        found = _complete(cells, [divmod(c, per_row)], gauge)
+        found = next(_dfs(cells, gauge, pre=[divmod(c, per_row)], constrained=True), None)
         if found is not None:
             covered[starts + found] = True
     return covered.reshape(n, per_row)
@@ -1083,8 +1062,9 @@ def complete_avoiding(
     budget: SearchBudget | None = None,
 ) -> Diagonal | None:
     """Extend a partial diagonal to a complete one avoiding the forbidden cells,
-    by the most-constrained-row search of ``_complete``; the partial cells
-    themselves may be forbidden.
+    as the first result of ``_dfs`` through the partial cells, filling the row
+    with the fewest fitting cells first; the partial cells themselves may be
+    forbidden.
 
     Returns None when no completion exists (exhaustive); raises ValueError
     when a cell lies outside the cube or partial cells share a hyperplane, and
@@ -1092,7 +1072,7 @@ def complete_avoiding(
     budget = budget or SearchBudget()
     pre = _checked_cells(H, partial_cells)
     cells = _Cells.of(H, False, frozenset(_checked_cells(H, forbidden)))
-    found = _complete(cells, pre, _Gauge(budget))
+    found = next(_dfs(cells, _Gauge(budget), pre=pre, constrained=True), None)
     return None if found is None else next(_diagonals(H, [found]))
 
 
@@ -1109,7 +1089,8 @@ def hitting_set_check(
     avoids the cells U has the delta sum of D & X, and the rest of D avoids
     X | U.  The check branches over the partial diagonals P inside X - U; for
     each P with the target sum it searches for a completion of P avoiding
-    X | U (``_complete``, on cells built at most once for the check), and
+    X | U (the first result of ``_dfs``, filling the row with the fewest
+    fitting cells first, on cells built at most once for the check), and
     answers True iff no branch completes.  When U covers X the only branch is the empty
     one, whose sum is zero, so a nonzero target is decided without search.
 
@@ -1136,7 +1117,7 @@ def hitting_set_check(
         gauge.tick()
         if total == goal:
             allowed = allowed or _Cells.of(H, False, X | U)
-            if _complete(allowed, branch, gauge) is not None:
+            if next(_dfs(allowed, gauge, pre=branch, constrained=True), None) is not None:
                 return True
         for k in range(start, len(free)):
             if used & bits[k]:

@@ -79,12 +79,62 @@ def test_construct_bachelors_pipeline(tmp_path, capsys):
     assert all(all(v in (0, 1) for v in cell) for cell in payload["bachelor_cells"])
 
 
+def _is_int(v):
+    return type(v) is int  # a bool is no integer
+
+
+def _is_ints(v):
+    return type(v) is list and all(map(_is_int, v))
+
+
+def _is_cells(v):
+    return type(v) is list and all(map(_is_ints, v))
+
+
+def _is_support(v):
+    return type(v) is list and all(
+        type(r) is dict and r.keys() == {"coords", "delta"}
+        and _is_ints(r["coords"]) and _is_ints(r["delta"]) for r in v)
+
+
+# the plain JSON objects that `analyze delta` and `certify-dilation` print,
+# as the README lists them: every key, each with the test its value passes
+_ANALYZE_DELTA_OUTPUT = {
+    "instance": lambda v: type(v) is str,
+    "group": lambda v: type(v) is str,
+    "support": _is_support,
+    "projections": _is_cells,
+    "projection_sizes": _is_ints,
+}
+_CERTIFY_DILATION_OUTPUT = {
+    "instance": lambda v: type(v) is str,
+    "factor": _is_int,
+    "cells": _is_cells,
+    "image_cells": _is_cells,
+    "parity_ok": lambda v: type(v) is bool,
+    "base_hitting_ok": lambda v: type(v) is bool,
+    "spread_ok": lambda v: type(v) is bool,
+    "direct_ok": lambda v: v is None or type(v) is bool,
+    "projection_sizes": _is_ints,
+    "projection_bound": _is_int,
+    "holds": lambda v: type(v) is bool,
+}
+
+
+def _output_of(out, contract):
+    payload = json.loads(out)
+    assert payload.keys() == contract.keys()
+    for key, ok in contract.items():
+        assert ok(payload[key]), (key, payload[key])
+    return payload
+
+
 def test_analyze_delta_json(tmp_path, capsys):
     cube = tmp_path / "m1.lhc"
     run_cli(["construct", "ord6m", "--m", "1", "--out", str(cube)], capsys)
     code, out, err = run_cli(["analyze", "delta", str(cube)], capsys)
     assert code == 0
-    payload = json.loads(out)
+    payload = _output_of(out, _ANALYZE_DELTA_OUTPUT)
     assert len(payload["support"]) == 9
     assert payload["projection_sizes"] == [3, 4]
     assert {"coords": [1, 1], "delta": [5]} in payload["support"]
@@ -213,9 +263,19 @@ def test_certify_dilation_command(tmp_path, capsys):
         ["certify-dilation", str(cube), "--lambda", "2", "--hitting-set", str(cells)], capsys
     )
     assert code == 0
-    payload = json.loads(out)
+    payload = _output_of(out, _CERTIFY_DILATION_OUTPUT)
     assert payload["holds"] is True
     assert payload["image_cells"] == [[2, 0], [2, 2]]
+    # the starred pair fails the projection bound, so the dilation is checked
+    # directly; an empty set fails on the base, and nothing is checked directly
+    assert (payload["spread_ok"], payload["direct_ok"]) == (False, True)
+    cells.write_text("[]")
+    code, out, err = run_cli(
+        ["certify-dilation", str(cube), "--lambda", "2", "--hitting-set", str(cells)], capsys
+    )
+    assert code == 0
+    payload = _output_of(out, _CERTIFY_DILATION_OUTPUT)
+    assert (payload["base_hitting_ok"], payload["direct_ok"], payload["holds"]) == (False, None, False)
 
 
 def test_exit_code_2_on_validation_errors(tmp_path, capsys):
@@ -512,7 +572,7 @@ def test_round_trip_between_commands(tmp_path, capsys):
     assert code == 0
     code, out, _ = run_cli(["analyze", "delta", str(dil)], capsys)
     assert code == 0
-    assert len(json.loads(out)["support"]) == 9
+    assert len(_output_of(out, _ANALYZE_DELTA_OUTPUT)["support"]) == 9
 
 
 def test_canonical_report_form_is_deterministic():

@@ -128,6 +128,18 @@ def test_transversal_through_every_cell_of_the_dilated_l8_within_budget():
         assert Diagonal.from_entries(D, T.entries, transversal=True).complete
 
 
+def test_existence_searches_keep_their_node_counts(monkeypatch):
+    # the existence searches fill the row with the fewest fitting cells first:
+    # the 256 through-cell searches of the dilated l8 place 15,981 cells in
+    # all (298,960 filling rows in order), and the per-cell scan of
+    # third-species 4,4 places 6,392
+    D = dilate(l8_square(), 2)
+    assert _ticks(monkeypatch, lambda: [transversal_through(D, c) for c in D.cells()]) == 15_981
+    gauge = search._Gauge(SearchBudget())
+    search._per_cell_scan(third_species_44(), gauge)
+    assert gauge.nodes == 6_392
+
+
 def test_through_cell_searches_on_one_cube_build_its_cells_once(monkeypatch):
     builds = []
     build = search._Cells.of
@@ -740,7 +752,7 @@ def _listings(H, target_sum=None):
     # diagonals with the target sum if given
     target = None if target_sum is None else search._TargetSum.of(H, H.group, (target_sum,))
     cells = search._cube_cells(H, target is None)
-    return _array_listing(H, target), search._listing(cells, search._Gauge(SearchBudget()), target)
+    return _array_listing(H, target), search._dfs(cells, search._Gauge(SearchBudget()), target)
 
 
 def _assert_listing_matches_dfs(H, brute=True, target_sum=None):
@@ -802,7 +814,7 @@ def test_target_listing_matches_dfs(name):
         budget = SearchBudget()
         target = search._TargetSum.of(H, H.group, (0,))
         layers = _array_listing(H, target, budget)
-        dfs = search._listing(search._cube_cells(H, False), search._Gauge(budget), target)
+        dfs = search._dfs(search._cube_cells(H, False), search._Gauge(budget), target)
         assert list(itertools.islice(layers, 1000)) == list(itertools.islice(dfs, 1000))
         for t in range(1, H.n):
             assert list(enumerate_diagonals(H, H.group, (t,))) == []
@@ -889,16 +901,18 @@ def test_listing_engine_is_chosen_by_the_bound(monkeypatch):
     # the layers run iff their worst case is within the work bound: no node
     # or result cap sends a cube within it to the DFS, for listing, counting
     # or packing, and above it every one of them goes to the DFS; each kind
-    # of layers has its own worst case
+    # of layers has its own worst case.  The spy counts the DFS's listings,
+    # not its existence searches (constrained)
     H = cyclic(cyclic_group(5), 3)
     work, target_work = search._layer_work(5, 3, None), search._layer_work(5, 3, 5)
     assert target_work < work
-    dfs = search._listing
+    dfs = search._dfs
     engines = []
 
-    def spy(cells, gauge, target=None):
-        engines.append("transversals" if target is None else "target")
-        return dfs(cells, gauge, target)
+    def spy(cells, gauge, target=None, pre=(), constrained=False):
+        if not constrained:
+            engines.append("transversals" if target is None else "target")
+        return dfs(cells, gauge, target, pre, constrained)
 
     def run_all():
         for budget in (SearchBudget(), SearchBudget(max_nodes=work - 1),
@@ -915,7 +929,7 @@ def test_listing_engine_is_chosen_by_the_bound(monkeypatch):
             count_diagonals(H, None, (0,), budget, keep=2)
             max_disjoint_transversals(H, budget=budget)
 
-    monkeypatch.setattr(search, "_listing", spy)
+    monkeypatch.setattr(search, "_dfs", spy)
     run_all()
     assert engines == []
     assert len(list(enumerate_transversals(H))) == 3325
@@ -1278,9 +1292,13 @@ def test_hitting_set_check_budget_covers_the_whole_check(monkeypatch):
 
 
 def _assert_completions_match_brute_force(H, rng, trials):
-    # random partial diagonals and forbidden sets: a completion exists iff
-    # some diagonal holds the partial cells and avoids the forbidden ones
-    diagonals = [frozenset(cells) for cells in brute_diagonals(H.symbols)]
+    # random partial diagonals, forbidden sets and target sums (none, or a
+    # random element), against the diagonals that hold the partial cells,
+    # avoid the forbidden ones and have the sum: the DFS through the partial
+    # cells lists exactly those, in sorted order, filling the lowest row
+    # first, and finds one of them iff there is one filling the row with the
+    # fewest fitting cells first, as complete_avoiding does without a target
+    _, by_sum = _brute_by_sum(H)
     every = list(H.cells())
     for _ in range(trials):
         size, partial = rng.randrange(H.n), []
@@ -1289,13 +1307,23 @@ def _assert_completions_match_brute_force(H, rng, trials):
                 partial.append(cell)
         rate = rng.choice((0.1, 0.3, 0.6))
         forbidden = {c for c in every if c not in partial and rng.random() < rate}
-        exists = any(set(partial) <= D and not D & forbidden for D in diagonals)
-        found = complete_avoiding(H, partial, forbidden)
-        assert (found is not None) == exists
-        if found is not None:
-            cells = set(found.cells())
-            assert set(partial) <= cells and not cells & forbidden
-            assert Diagonal.from_entries(H, found.entries).complete
+        t = rng.choice((None, rng.randrange(H.n)))
+        pool = itertools.chain.from_iterable(by_sum) if t is None else by_sum[t]
+        matching = sorted(D for D in pool if set(partial) <= set(D) and not set(D) & forbidden)
+        target = None if t is None else search._TargetSum.of(H, H.group, (t,))
+        cells = search._Cells.of(H, False, frozenset(search._checked_cells(H, forbidden)))
+        pre = search._checked_cells(H, partial)
+        listed = search._dfs(cells, search._Gauge(SearchBudget()), target, pre)
+        assert [D.cells() for D in search._diagonals(H, listed)] == matching
+        first = search._dfs(cells, search._Gauge(SearchBudget()), target, pre, constrained=True)
+        found = next(search._diagonals(H, first), None)
+        assert (found is None) == (not matching)
+        assert found is None or found.cells() in matching
+        if t is None:
+            found = complete_avoiding(H, partial, forbidden)
+            assert (found is None) == (not matching)
+            assert found is None or found.cells() in matching
+            assert found is None or Diagonal.from_entries(H, found.entries).complete
 
 
 def test_complete_avoiding_matches_brute_force_on_every_small_square(square_catalogue):
