@@ -26,8 +26,10 @@ same order and with the same nodes as all diagonals.
 
 The frontier layers run row by row on NumPy arrays: each layer is a sorted
 ``uint64`` array of packed states (a cell sets the bits of its fields) with
-an ``int64`` array of ways beside it, and a whole layer meets all the cells
-of a row in a few array operations.
+an ``int64`` array of ways beside it, and a whole layer meets a row in a few
+array operations (``_fitting``): a state with k free values on each axis
+tries only the k**(d-1) cells of the row whose axis values are all free in
+it, where that is cheaper than trying all n**(d-1).
 One builder (``_back_layers``) stores every backward layer, each state with
 its number of ways to complete, for transversals or for diagonals with a
 target delta sum.  Counts are the ways at the root; ``_array_listing`` reads
@@ -532,17 +534,20 @@ class BachelorScan:
 # are left to the DFS, and the transversal layers of ``bachelor_cells`` to
 # per-cell existence searches, which a transversal-rich cube ends in a few
 # early exits.  Measured (NumPy 2.4, CPython 3.11, 2-core x86-64 host): the
-# transversal layers build at 2e-9 to 3e-9 s a unit and run the bachelor
-# sweep at 2e-9 to 6e-9 s (Z10..Z12 at d=2, confirmed-bachelor 4,6, Z5 d=4,
-# Z8 d=3, Z3 d=8), so 2**26 is at most about 0.4 s, and order 13, d=2 is the
-# first square above it.  The target-sum layers, which fill nearly to their
-# worst case, build at 4e-9 s a unit (Z2 d=13, Z3 d=8) to 1.1e-7 s (Z15..Z17
-# at d=2; seeded isotopes of cyclic cubes, target 0, same host); the dearest
-# cube within the bound is order 17, d=2, 3.8e7 units: 4.1 s and 116 MB.
+# transversal layers build at 6e-10 to 2e-9 s a unit and run the bachelor
+# sweep at 7e-10 to 3e-9 s (Z10..Z12 at d=2, confirmed-bachelor 4,6, Z5 d=4,
+# Z8 d=3, Z3 d=8; the low end where ``_fitting`` tries a state's free cells
+# only), so 2**26 takes at most about 0.35 s for both, and order 13, d=2 is
+# the first square above it.  The target-sum layers, which fill nearly to
+# their worst case, build at 5e-10 s a unit (Z2 d=13) and 9e-10 s (Z3 d=8)
+# to 1.1e-7 s (Z15..Z17 at d=2; seeded isotopes of cyclic cubes, target 0,
+# same host); the dearest cube within the bound is order 17, d=2, 3.8e7
+# units: 4.1 s and 116 MB.
 _WORK_BOUND = 1 << 26
 
 # A layer step tries at most this many (state, cell) pairs in one array
-# operation, which bounds its transient memory to a few MB.
+# operation (``_fitting``, counting a state's axis bits too where it tries
+# only its free cells), which bounds its transient memory to a few MB.
 _CHUNK_PAIRS = 1 << 16
 
 
@@ -560,7 +565,9 @@ def _layer_work(n: int, d: int, order: int | None) -> int:
     A state of layer r sets r bits in each of its fields, d of them for
     transversals and d - 1 for target sums, where it also holds one of
     ``order`` running sums; so layer r holds at most C(n, r)**fields times
-    sums states, and each state tries at most n**(d-1) cells."""
+    sums states, and each state tries at most n**(d-1) cells: the worst case,
+    met at d = 2, since ``_fitting`` tries only the k**(d-1) cells whose axis
+    values are free in a state with k free values on each axis."""
     fields, sums = (d, 1) if order is None else (d - 1, order)
     return n ** (d - 1) * sums * sum(math.comb(n, r) ** fields for r in range(n + 1))
 
@@ -592,13 +599,14 @@ class _Layers(NamedTuple):
     r..n-1 whose cells fill its fields, for target sums with its delta sum.
     B_n is the one state 0 with one way.
 
-    ``masks[r, i]`` sets bit b for each field b of cell i of row r
-    (``_cell_fields``).  Reading goes
-    forward: a forward state holds the fields of rows 0..r-1 and, for target
-    sums, the target minus their delta sum; it completes iff ``full`` XOR it
-    lies in B_r.  Reading (``_array_listing`` and the bachelor sweep) starts
-    at ``root`` and finds states in a layer's sorted keys by ``_lookup``, so
-    it holds no Python object per state."""
+    ``masks`` has the cube's shape, and ``masks[c]`` sets bit b for each
+    field b of cell c (``_cell_fields``): ``masks[r]`` is row r on the grid
+    of its cells, cell i at flat index i.  Reading goes forward: a forward
+    state holds the fields of rows 0..r-1 and, for target sums, the target
+    minus their delta sum; it completes iff ``full`` XOR it lies in B_r.
+    Reading (``_array_listing`` and the bachelor sweep) starts at ``root``
+    and finds states in a layer's sorted keys by ``_lookup``, so it holds no
+    Python object per state."""
 
     target: _TargetSum | None
     masks: np.ndarray
@@ -625,12 +633,60 @@ def _lookup(keys: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 def _fitting(states: np.ndarray, masks: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The (state, cell) index pairs whose fields are disjoint, in row-major
-    order of the states x cells block, taken in chunks of at most
-    ``_CHUNK_PAIRS`` pairs."""
-    step = max(1, _CHUNK_PAIRS // len(masks))
-    for lo in range(0, len(states), step):
-        si, ci = ((states[lo:lo + step, None] & masks) == 0).nonzero()
-        yield (si + lo if lo else si), ci
+    order of the states x cells block, in chunks of ``_CHUNK_PAIRS //
+    n**(d-1)`` states (at least one); ``masks`` is one row's cell masks on
+    the row's (n,)*(d-1) grid, cell i at flat index i.
+
+    Every state has the same number k of free values (bits clear) in each
+    axis field: k = r + 1 in B_{r+1}, and n - r in a forward state of row r.
+    So a state need only try the k**(d-1) cells whose axis values are all
+    free in it, the product of its free values per axis, which comes in
+    increasing cell index with the first axis outermost and each axis's
+    values in increasing order; only the symbol field is left to test.  A
+    batch of whole chunks tries at most ``_CHUNK_PAIRS`` axis bits and cells
+    this way, and is cut into its chunks again.  A state whose free values
+    on some axis are not k in number would mix up the candidates, so the
+    product raises ValueError on it.
+
+    The product costs two to five times as much per axis bit or cell as the
+    AND of a state with all n**(d-1) cells of the row does per cell (NumPy
+    2.4, 2-core x86-64 host).  Where four times its (d-1)*n + k**(d-1)
+    exceeds n**(d-1), as at d = 2 and at k = n, each state meets every cell
+    in that one AND instead."""
+    flat = masks.reshape(-1)
+    step = max(1, _CHUNK_PAIRS // len(flat))
+    if not len(states):
+        return
+    n, axes = masks.shape[0], masks.ndim
+    k = n - (int(states[0]) & ((1 << n) - 1)).bit_count()
+    tried = axes * n + k ** axes  # the axis bits and cells of a state's product
+    if 4 * tried > len(flat):
+        for lo in range(0, len(states), step):
+            si, ci = ((states[lo:lo + step, None] & flat) == 0).nonzero()
+            yield (si + lo if lo else si), ci
+        return
+    bits = np.left_shift(np.uint64(1), np.arange(axes * n, dtype=np.uint64))
+    place = n ** np.arange(axes - 1, -1, -1)  # of each axis in the cell index
+    batch = max(1, _CHUNK_PAIRS // tried // step) * step
+    for lo in range(0, len(states), batch):
+        block = states[lo:lo + batch]
+        slots = len(block) * axes
+        # a free bit i * n + v of the block's rows is value v in slot i, the
+        # slot being (state, axis) = divmod(i, axes): k values to a slot
+        slot, value = np.divmod(np.flatnonzero((block[:, None] & bits) == 0), n)
+        if len(slot) != slots * k or (slot.reshape(slots, k) != np.arange(slots)[:, None]).any():
+            raise ValueError(f"states do not all have {k} free values on each axis")
+        # each axis's free values at their place value, (axes, k, states), and
+        # their sums over the axes, first axis outermost: (k**axes, states)
+        terms = (value.reshape(len(block), axes, k) * place[:, None]).transpose(1, 2, 0)
+        cells = terms[0]
+        for term in terms[1:]:
+            cells = (cells[:, None] + term).reshape(-1, len(block))
+        cells = np.ascontiguousarray(cells.T)
+        fit = np.flatnonzero((block[:, None] & flat[cells]) == 0)
+        si, ci = fit // cells.shape[1] + lo, cells.reshape(-1)[fit]
+        cuts = np.searchsorted(si, np.arange(lo + step, lo + len(block), step))
+        yield from zip(np.split(si, cuts), np.split(ci, cuts))
 
 
 # A layer or a part of one: sorted distinct states and their ways.
@@ -673,7 +729,7 @@ def _joined(f: np.ndarray, r: int, ci: np.ndarray, masks: np.ndarray, width: int
     """The states f, each with the fields of cell ci of row r (``masks[r]``)
     set; for target sums, ``keyed`` = (table, deltas), the key k above the
     ``width`` field bits becomes ``table[k, deltas[r, ci]]``."""
-    g = f | masks[r][ci]
+    g = f | masks[r].reshape(-1)[ci]
     if keyed is None:
         return g
     table, deltas = keyed
@@ -685,8 +741,9 @@ def _back_layers(H: Hypercube, gauge: _Gauge, target: _TargetSum | None = None) 
     """Every backward layer of the transversals (``target`` None) or of the
     diagonals with the target sum, built from row n-1 down a layer at a time.
 
-    Each state of B_{r+1} meets every cell of row r in array operations: a
-    fitting pair becomes its fields ORed, for target sums with the key
+    Each state of B_{r+1} meets the cells of row r in array operations
+    (``_fitting``, which tries only the cells whose axis values are free in
+    it): a fitting pair becomes its fields ORed, for target sums with the key
     ``add[key, delta]`` of the cell's delta, and equal states merge with their
     ways summed.  The gauge ticks once per state expanded, a layer's states
     in one step before it expands; each expansion adds at most n**(d-1)
@@ -699,6 +756,7 @@ def _back_layers(H: Hypercube, gauge: _Gauge, target: _TargetSum | None = None) 
     width = fields.shape[2] * n
     full = (1 << width) - 1
     masks = np.bitwise_or.reduce(np.left_shift(np.uint64(1), fields.astype(np.uint64)), axis=2)
+    masks = masks.reshape(H.symbols.shape)
     keyed = None if target is None else (target.table.add_array, target.deltas)
     keys, ways = [np.zeros(1, np.uint64)], [np.ones(1, np.int64)]
 
@@ -808,12 +866,12 @@ def _frontier_scan(H: Hypercube, gauge: _Gauge) -> np.ndarray:
     layers = _back_layers(H, gauge)
     full = np.uint64(layers.full)
     live = np.zeros(1 if layers.count else 0, np.uint64)
-    covered = np.zeros(layers.masks.shape, bool)
+    covered = np.zeros((H.n, H.symbols.size // H.n), bool)
     for r, (masks, back) in enumerate(zip(layers.masks, layers.keys[1:])):
         gauge.tick(len(live))
         reached = np.zeros(len(back), bool)
         for si, ci in _fitting(live, masks):
-            at = _lookup(back, full ^ (live[si] | masks[ci]))
+            at = _lookup(back, full ^ (live[si] | masks.reshape(-1)[ci]))
             hit = at >= 0
             covered[r, ci[hit]] = True
             reached[at[hit]] = True

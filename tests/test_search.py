@@ -9,6 +9,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from transversal_lab import search
 from transversal_lab.constructions import (
+    bachelor_forbidden_region,
     confirmed_bachelor,
     l8_square,
     ord6m_square,
@@ -182,6 +183,14 @@ def test_bachelor_cells_known_regions():
     scan = bachelor_cells(third_species_44())
     assert scan.exhaustive
     assert set(scan.bachelor_cells) == {e.coords for e in third_species_blocked_cells()}
+    # the paper's order-4 cube of dimension 6: its 2**6 corner cells, decided
+    # on the layers B_0..B_4 in 28,234 states of both passes
+    H = confirmed_bachelor(4, 6)
+    scan = bachelor_cells(H)
+    assert scan.exhaustive and scan.bachelor_cells == bachelor_forbidden_region(6)
+    assert scan.nodes == 28_234
+    layers = search._back_layers(H, search._Gauge(SearchBudget()))
+    assert [len(keys) for keys in layers.keys] == [1, 2_016, 11_648, 1_024, 1]
 
 
 def test_dfs_runs_above_64_fields():
@@ -436,6 +445,71 @@ def test_layers_do_not_depend_on_the_chunk_size(monkeypatch):
         assert [layers_of(H) for H in cubes] == expected, chunk
 
 
+# the cubes of the pair-finding test, on both sides of its rule for trying only
+# the cells whose axis values are free: every call at d = 2 and on small rows
+# takes the AND with all the cells of the row, the large rows of the d >= 3
+# cubes take the product of the free values
+_FITTING_CUBES = {
+    "order-1-d64": lambda: Hypercube(np.zeros((1,) * 64, dtype=np.int64)),
+    "cyclic-2-d13": lambda: cyclic(cyclic_group(2), 13),
+    "cyclic-3-d8": lambda: cyclic(cyclic_group(3), 8),
+    "cyclic-10": lambda: cyclic(cyclic_group(10), 2),
+    "cyclic-5-d3": lambda: cyclic(cyclic_group(5), 3),
+    "confirmed-bachelor-4-4": lambda: confirmed_bachelor(4, 4),
+    "confirmed-bachelor-4-6": lambda: confirmed_bachelor(4, 6),
+    "turned-cyclic-4-4": lambda: turned_cyclic(4, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FITTING_CUBES))
+def test_fitting_yields_the_pairs_of_the_and_with_every_cell(monkeypatch, name):
+    # every call of the layer builder, the bachelor sweep and the block
+    # listing, for transversals and target sums, yields the pairs of the AND
+    # of each state with every cell of the row, in its order, chunk by chunk
+    H = _FITTING_CUBES[name]()
+    fitting, calls = search._fitting, []
+
+    def checked(states, masks):
+        chunks = list(fitting(states, masks))
+        step = max(1, search._CHUNK_PAIRS // masks.size)
+        assert len(chunks) == -(-len(states) // step)
+        for j, (si, ci) in enumerate(chunks):
+            assert ((j * step <= si) & (si < (j + 1) * step)).all()
+        want = ((states[:, None] & masks.reshape(-1)) == 0).nonzero()
+        got = [np.concatenate(part) for part in zip(*chunks)] or want
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        calls.append(len(states))
+        yield from chunks
+
+    monkeypatch.setattr(search, "_fitting", checked)
+    scan = bachelor_cells(H)
+    assert scan.exhaustive and len(calls) == 2 * H.n
+    for target in (None, search._TargetSum.of(H, None, (0,))):
+        gauge = search._Gauge(SearchBudget())
+        layers = search._back_layers(H, gauge, target)
+        if layers.count:  # cyclic Z10 has no transversal to list
+            before = len(calls)
+            listed = sum(map(len, search._array_listing(layers, gauge, 3_000)))
+            assert listed == min(layers.count, 3_000) and len(calls) >= before + H.n
+
+
+def test_fitting_refuses_states_with_unequal_free_counts():
+    # B_2 of confirmed-bachelor 4,6 has two free values on each axis; moving
+    # one taken bit of a state from axis 1 to axis 2 keeps its free bits in
+    # number but leaves three values on axis 1 and one on axis 2, which the
+    # product of its free values would mix up
+    H = confirmed_bachelor(4, 6)
+    layers = search._back_layers(H, search._Gauge(SearchBudget()))
+    states, masks = layers.keys[2].copy(), layers.masks[1]
+    assert sum(len(si) for si, _ in search._fitting(states, masks)) > 0
+    state = int(states[-1])
+    taken = next(b for b in range(4) if state >> b & 1)
+    free = next(b for b in range(4, 8) if not state >> b & 1)
+    states[-1] = state ^ (1 << taken) ^ (1 << free)
+    with pytest.raises(ValueError):
+        list(search._fitting(states, masks))
+
+
 def test_every_cube_within_the_bounds_fits_64_bits(monkeypatch):
     # the array layers hold a state in a uint64 and its ways in an int64:
     # every (n, d) within the bound fits, for either kind, the widest state
@@ -577,6 +651,9 @@ def test_count_transversals_runs_the_dp_where_its_worst_case_is_small():
     # DFS needs 63,250 nodes
     census = count_transversals(cyclic(cyclic_group(10), 2), SearchBudget(max_nodes=20_000))
     assert census == search.Census(0, (), True, 13_606)
+    # cyclic Z3 d=8: 185,895 transversals in 4,375 states
+    census = count_transversals(cyclic(cyclic_group(3), 8))
+    assert census == search.Census(185_895, (), True, 4_375)
 
 
 def test_count_diagonals_runs_the_dp_where_its_worst_case_is_small():
