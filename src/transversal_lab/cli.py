@@ -4,11 +4,16 @@ Exit codes: 0 success, 2 validation error (bad parameters, malformed files),
 3 budget exhaustion with partial results flagged.  Reports are deterministic
 for a fixed seed and budget.  Each subcommand registers only the flags its
 handler reads; the handler takes the parsed namespace.
+
+``main`` builds one parser per process, on its first call, and reuses it for
+every later call; ``build_parser()`` returns a new parser on each call, which
+a caller may extend.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -309,6 +314,7 @@ def _add_budget(p: argparse.ArgumentParser, *, results: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the whole command line."""
     parser = argparse.ArgumentParser(
         prog="transversal-lab",
         description="Latin hypercube constructions, deviation analysis and exact transversal search",
@@ -391,8 +397,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """This process's parser, built on the first ``main`` call.  Parsing
+    leaves it unchanged: every default is immutable and each call parses
+    into a fresh namespace."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    return run(build_parser().parse_args(argv))
+    return run(_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

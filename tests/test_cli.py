@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import transversal_lab
+from transversal_lab import cli
 from transversal_lab.cli import main
 from transversal_lab.constructions import ord6m_starred_cells, z6_marked_diagonal
 from transversal_lab.delta import suitable_target
@@ -912,3 +913,78 @@ def test_jsonschema_stays_off_the_run_time_path():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def _outcome(call, argv, capsys):
+    """Exit code, stdout (a report without its elapsed time) and stderr of one call."""
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    try:
+        out = strip_elapsed(json.loads(captured.out))
+    except ValueError:
+        out = captured.out
+    return code, out, captured.err
+
+
+def test_reused_parser_answers_as_a_fresh_one(tmp_path, capsys):
+    cube = tmp_path / "z5.lhc"
+    assert main(["construct", "cyclic", "--group", "Z5", "--d", "2", "--out", str(cube)]) == 0
+    assert cli._parser() is cli._parser()
+    path = str(cube)
+    calls = [
+        ["search", "packing", path, "--cap", "2"],
+        ["search", "packing", path],
+        ["search", "transversals", path, "--max-witnesses", "1"],
+        ["search", "transversals", path],
+        ["search", "transversals", path, "--format", "text-grid"],
+        ["search", "transversals", path],
+        ["search", "transversals", path, "--no-such-flag"],
+        ["search", "transversals", path],
+        ["search", "--help"],
+        ["search", "transversals", path],
+    ]
+    outcomes = []
+    for argv in calls:
+        got = _outcome(main, argv, capsys)
+        fresh = _outcome(lambda a: cli.run(cli.build_parser().parse_args(a)), argv, capsys)
+        assert got == fresh, argv
+        outcomes.append(got)
+    codes = [code for code, _, _ in outcomes]
+    assert codes == [0, 0, 0, 0, 0, 0, 2, 0, 0, 0]
+    assert outcomes[0][1]["params"] == {"cap": 2} and outcomes[1][1]["params"] == {}
+    assert [len(outcomes[i][1]["witnesses"]) for i in (2, 3)] == [1, 8]
+    assert outcomes[4][1].startswith("# search transversals") and "*" in outcomes[4][1]
+    assert isinstance(outcomes[5][1], dict)
+    assert "--no-such-flag" in outcomes[6][2]
+    assert outcomes[8][1].startswith("usage: transversal-lab search")
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    build_parser, built = cli.build_parser, []
+
+    def spy():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    cli._parser.cache_clear()
+    try:
+        cube = tmp_path / "z3.lhc"
+        assert main(["construct", "cyclic", "--group", "Z3", "--d", "2", "--out", str(cube)]) == 0
+        assert main(["analyze", "delta", str(cube)]) == 0
+        assert main(["search", "transversals", str(cube)]) == 0
+        assert len(built) == 1
+        assert build_parser() is not build_parser()
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = Path(transversal_lab.__file__).resolve().parent.parent
+    code = "import transversal_lab.cli as c; print(c._parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert proc.stdout.strip() == "0"
