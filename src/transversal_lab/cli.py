@@ -263,8 +263,17 @@ def cmd_certify_dilation(args: argparse.Namespace, stdout) -> int:
 def cmd_verify(args: argparse.Namespace, stdout) -> int:
     from .claims import run_claims
 
-    only = [int(x) for x in args.only.split(",") if x.strip()] if args.only else []
-    results = run_claims(args.suite, seed=args.seed, only=only or None)
+    only = None
+    if args.only is not None:
+        try:
+            only = [int(x) for x in args.only.split(",") if x.strip()]
+        except ValueError:
+            only = []
+        if not only:
+            raise ValueError(
+                f"--only {args.only!r} is not a comma-separated list of criterion numbers"
+            )
+    results = run_claims(args.suite, seed=args.seed, only=only)
     total = len(results)
     for i, res in enumerate(results, start=1):
         status = "PASS" if res.passed else "FAIL"

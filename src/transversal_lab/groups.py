@@ -5,8 +5,10 @@ tuples, one component per factor.  Every group carries a fixed enumeration of
 its elements (mixed-radix, last factor fastest) so that symbols 0..n-1 of a
 hypercube can be identified with group elements.  ``index_table`` holds the
 arithmetic on those indices, built once per group; every boost, deviation
-profile, pairing, lift and hitting check adds through it, while the checked
-tuple operations of ``AbelianGroup`` serve outside input and tests.
+profile, pairing, lift and hitting check adds through it.  The checked tuple
+operations of ``AbelianGroup`` serve outside input and tests, and check that
+arithmetic: they read their own element table, built once per group from the
+moduli alone and never from ``index_table``, and add component by component.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class AbelianGroup:
         if any(not isinstance(m, int) or m < 1 for m in self.moduli):
             raise ValueError(f"moduli must be positive integers, got {self.moduli}")
 
-    @property
+    @cached_property
     def order(self) -> int:
         return prod(self.moduli)
 
@@ -54,68 +56,78 @@ class AbelianGroup:
             raise ValueError(
                 f"element has {len(components)} components, group has {len(self.moduli)} factors"
             )
-        return tuple(int(c) % m for c, m in zip(components, self.moduli))
+        return tuple([int(c) % m for c, m in zip(components, self.moduli)])
 
     @cached_property
-    def _canonical(self) -> frozenset[Element]:
-        """Every canonical element, built from the moduli alone (not from
-        ``index_table``, whose arithmetic the checked operations serve to
-        check)."""
-        return frozenset(itertools.product(*map(range, self.moduli)))
+    def _table(self) -> tuple[tuple[Element, ...], dict[Element, int]]:
+        """Every canonical element in enumeration order, and each one's index.
+
+        Built once per group from the moduli alone (mixed radix, last factor
+        fastest), never from ``index_table``, whose arithmetic the checked
+        operations serve to check.  The index map is also the membership test:
+        a tuple is canonical exactly when it is one of its keys."""
+        elements = tuple(itertools.product(*map(range, self.moduli)))
+        return elements, {a: i for i, a in enumerate(elements)}
 
     def contains(self, a: Element) -> bool:
         # lists are unhashable, so the type is tested first
-        return isinstance(a, tuple) and a in self._canonical
+        return isinstance(a, tuple) and a in self._table[1]
 
     def _check(self, a: Element) -> None:
         if not self.contains(a):
             raise ValueError(f"{a!r} is not a canonical element of {self}")
 
+    # Each checked operation repeats the test of ``contains`` inline, which
+    # saves a method call per operand, and leaves the error to ``_check``.
+
     def add(self, a: Element, b: Element) -> Element:
-        self._check(a)
-        self._check(b)
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
+        known = self._table[1]
+        if not (isinstance(a, tuple) and a in known):
+            self._check(a)
+        if not (isinstance(b, tuple) and b in known):
+            self._check(b)
+        return tuple([(x + y) % m for x, y, m in zip(a, b, self.moduli)])
 
     def neg(self, a: Element) -> Element:
-        self._check(a)
-        return tuple((-x) % m for x, m in zip(a, self.moduli))
+        if not (isinstance(a, tuple) and a in self._table[1]):
+            self._check(a)
+        return tuple([-x % m for x, m in zip(a, self.moduli)])
 
     def sub(self, a: Element, b: Element) -> Element:
-        self._check(a)
-        self._check(b)
-        return tuple((x - y) % m for x, y, m in zip(a, b, self.moduli))
+        known = self._table[1]
+        if not (isinstance(a, tuple) and a in known):
+            self._check(a)
+        if not (isinstance(b, tuple) and b in known):
+            self._check(b)
+        return tuple([(x - y) % m for x, y, m in zip(a, b, self.moduli)])
 
     def scalar_mul(self, k: int, a: Element) -> Element:
-        self._check(a)
-        return tuple((k * x) % m for x, m in zip(a, self.moduli))
+        if not (isinstance(a, tuple) and a in self._table[1]):
+            self._check(a)
+        return tuple([k * x % m for x, m in zip(a, self.moduli)])
 
     def sum(self, elements) -> Element:
-        total = self.identity()
+        known = self._table[1]
+        total = [0] * len(self.moduli)
         for a in elements:
-            self._check(a)
-            total = tuple((x + y) % m for x, y, m in zip(total, a, self.moduli))
-        return total
+            if not (isinstance(a, tuple) and a in known):
+                self._check(a)
+            total = [x + y for x, y in zip(total, a)]
+        return tuple([x % m for x, m in zip(total, self.moduli)])
 
     def element(self, index: int) -> Element:
         """Element with the given enumeration index (mixed radix, last factor fastest)."""
         if not 0 <= index < self.order:
             raise ValueError(f"index {index} out of range for group of order {self.order}")
-        comps = []
-        for m in reversed(self.moduli):
-            comps.append(index % m)
-            index //= m
-        return tuple(reversed(comps))
+        return self._table[0][index]
 
     def index(self, a: Element) -> int:
-        self._check(a)
-        idx = 0
-        for c, m in zip(a, self.moduli):
-            idx = idx * m + c
-        return idx
+        if not (isinstance(a, tuple) and a in self._table[1]):
+            self._check(a)
+        return self._table[1][a]
 
     def elements(self) -> Iterator[Element]:
-        for i in range(self.order):
-            yield self.element(i)
+        return iter(self._table[0])
 
     def g_plus(self) -> Element:
         """Sum of all group elements: the unique involution if one exists, else identity."""

@@ -417,12 +417,16 @@ def test_analyze_text_grid_draws_squares_only(tmp_path, capsys):
 
 
 def test_verify_rejects_malformed_only(capsys):
-    # a criterion number that names no criterion is rejected before any runs
-    for only in ("1,x", "99", "0,3"):
+    # a criterion number that names no criterion is rejected before any runs,
+    # and so is an --only that is no list of numbers or names none at all
+    for only in ("1,x", "99", "0,3", "", ",", " , "):
         code, out, err = run_cli(["verify", "paper-claims", "--only", only], capsys)
-        assert code == 2 and out == "" and err.startswith("error:"), only
-        if only != "1,x":
+        assert code == 2 and out == "", only
+        if only in ("99", "0,3"):
             assert err == f"error: unknown criterion numbers: {only.split(',')[0]}\n"
+        else:
+            assert err == (f"error: --only {only!r} is not a comma-separated list "
+                           "of criterion numbers\n")
 
 
 def test_search_decompose_keeps_time_cap(tmp_path, capsys):

@@ -1,4 +1,7 @@
 import itertools
+import random
+import re
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -174,3 +177,70 @@ def test_index_table_is_read_only_and_shared():
     for arr in (t.add_array, t.sub_array):
         with pytest.raises(ValueError):
             arr[0, 0] = 1
+
+
+def _plain_elements(moduli):
+    """The enumeration by plain mixed-radix division, last factor fastest."""
+    out = []
+    for i in range(prod(moduli)):
+        comps = []
+        for m in reversed(moduli):
+            comps.append(i % m)
+            i //= m
+        out.append(tuple(reversed(comps)))
+    return out
+
+
+def _non_members(g):
+    # a list, too few and too many components, and each component out of
+    # range above and below
+    a = g.identity()
+    bad = [list(a), a + (0,), a[:-1]]
+    for k, m in enumerate(g.moduli):
+        bad.append(a[:k] + (m,) + a[k + 1:])
+        bad.append(a[:k] + (-1,) + a[k + 1:])
+    return bad
+
+
+def test_tuple_api_matches_plain_component_arithmetic():
+    # the element table and every checked operation against arithmetic done
+    # component by component, on every small group
+    rng = random.Random(23)
+    for g in SMALL_GROUPS:
+        mods = g.moduli
+        elems = _plain_elements(mods)
+        assert g.order == len(elems) == prod(mods)
+        assert list(g.elements()) == elems
+        for i, a in enumerate(elems):
+            assert g.element(i) == a and g.index(a) == i and g.contains(a)
+            assert g.neg(a) == tuple((-x) % m for x, m in zip(a, mods))
+            for k in (-3, 0, 1, 2, 5):
+                assert g.scalar_mul(k, a) == tuple((k * x) % m for x, m in zip(a, mods))
+            for b in elems:
+                assert g.add(a, b) == tuple((x + y) % m for x, y, m in zip(a, b, mods))
+                assert g.sub(a, b) == tuple((x - y) % m for x, y, m in zip(a, b, mods))
+        for seq in ([], elems, rng.choices(elems, k=7), rng.choices(elems, k=30)):
+            want = tuple(sum(c) % m for c, m in zip(zip(*seq), mods)) if seq else g.identity()
+            assert g.sum(seq) == g.sum(iter(seq)) == want
+
+
+def test_tuple_api_rejects_non_members_with_one_error():
+    # every operand position of every checked operation raises the same
+    # ValueError for a list, a wrong arity or a component out of range
+    for g in SMALL_GROUPS:
+        e = g.element(g.order - 1)
+        for bad in _non_members(g):
+            assert not g.contains(bad)
+            msg = re.escape(f"{bad!r} is not a canonical element of {g}")
+            calls = [
+                lambda: g.add(bad, e), lambda: g.add(e, bad),
+                lambda: g.sub(bad, e), lambda: g.sub(e, bad),
+                lambda: g.neg(bad), lambda: g.scalar_mul(2, bad), lambda: g.index(bad),
+                lambda: g.sum([bad]), lambda: g.sum([e, bad]), lambda: g.sum(iter([e, e, bad])),
+            ]
+            for call in calls:
+                with pytest.raises(ValueError, match=f"^{msg}$"):
+                    call()
+        for i in (-1, g.order, g.order + 5):
+            with pytest.raises(ValueError, match=f"^index {i} out of range for group of order {g.order}$"):
+                g.element(i)
