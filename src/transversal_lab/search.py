@@ -32,21 +32,27 @@ tries only the k**(d-1) cells of the row whose axis values are all free in
 it, where that is cheaper than trying all n**(d-1).
 One builder (``_back_layers``) stores every backward layer, each state with
 its number of ways to complete, for transversals or for diagonals with a
-target delta sum.  Counts are the ways at the root; ``_array_listing`` reads
-the results off in the DFS's order, a block of partial results at a time,
-taking only branches that complete (and for a census only the first few);
-and ``bachelor_cells`` decides every cell at once by a forward sweep over the
-live states.  Every reader finds states in a layer by ``_lookup``.  One rule,
-``_layered``, picks the engine of every search: both kinds of layers run
-exactly on the cubes whose worst case (``_layer_work``, from the order, the
-dimension and the group order) is within the one bound ``_WORK_BOUND``, and
-the DFS (for ``bachelor_cells``, one existence search per cell) on larger
-cubes.  A budget only caps work and results; it never picks the engine.
+target delta sum.  Counts are the ways at the root.  Both readers step
+forward by one helper, ``_children`` (the completing children of some
+forward states on a row): ``_array_listing`` reads the results off in the
+DFS's order, a block of partial results at a time, taking only branches
+that complete (and for a census only the first few), each partial held as
+its state's index in the layer and a pointer to its parent; a full listing
+finds each distinct state's children once per row, when it first meets the
+state, and keeps at most as many as the layers have states.
+``bachelor_cells`` decides every cell at once by a forward sweep
+over the live states.  Every reader finds states in a layer by ``_lookup``.
+One rule, ``_layered``, picks the engine of every search: both kinds of
+layers run exactly on the cubes whose worst case (``_layer_work``, from the
+order, the dimension and the group order) is within the one bound
+``_WORK_BOUND``, and the DFS (for ``bachelor_cells``, one existence search
+per cell) on larger cubes.  A budget only caps work and results; it never
+picks the engine.
 
 Packings and decompositions run one exact cover (``_packs``) over every
-listed transversal, held as one array of cell indices: each cell holds its
-transversals as one int bit set, and a node branches on the cell with the
-fewest live transversals.
+listed transversal, held as one array of cell indices filled in place
+(``_Table``) and never copied: each cell holds its transversals as one int
+bit set, and a node branches on the cell with the fewest live transversals.
 ``max_disjoint_transversals`` asks it whether g = min(ub, cap), g - 1, ...
 disjoint transversals exist, and ``hill_climb_decomposition`` whether
 n**(d-1) do.
@@ -302,15 +308,20 @@ def _layered(H: Hypercube, target: _TargetSum | None) -> bool:
 
 
 def _results(
-    H: Hypercube, gauge: _Gauge, *, transversal: bool, target: _TargetSum | None = None
+    H: Hypercube, gauge: _Gauge, *, transversal: bool, target: _TargetSum | None = None,
+    table: _Table | None = None,
 ) -> Iterator[np.ndarray]:
     """Every transversal, or every diagonal (with the target sum if given), in
     ``_dfs`` listing order, as blocks: (k, n) arrays of each result's cell index
     per row; read off the stored layers (``_array_listing``) where
     ``_layered`` holds, and listed by the DFS otherwise (and for all
-    diagonals), a result a block."""
+    diagonals), a result a block.  A ``table`` that will hold the results is
+    allocated at their number where the layers give it."""
     if (transversal or target is not None) and _layered(H, target):
-        return _array_listing(_back_layers(H, gauge, target), gauge)
+        layers = _back_layers(H, gauge, target)
+        if table is not None:
+            table.rows = np.empty((layers.count, H.n), np.intp)
+        return _array_listing(layers, gauge)
     listing = _dfs(_cube_cells(H, transversal), gauge, target)
     return (np.array([cells], np.intp) for cells in listing)
 
@@ -618,17 +629,25 @@ class _Layers(NamedTuple):
     @property
     def count(self) -> int:
         """The number of results: the ways of the state that completes the root."""
-        at = _lookup(self.keys[0], np.uint64(self.full ^ self.root))
+        (at,) = _lookup(self.keys[0], np.full(1, self.full ^ self.root, np.uint64))
         return int(self.ways[0][at]) if at >= 0 else 0
 
 
 def _lookup(keys: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Each state's position in the sorted array ``keys``, or -1 where it is
-    not there: the one way every reader finds states in a layer."""
-    if not len(keys):
-        return np.full(np.shape(states), -1, np.intp)
-    at = np.minimum(np.searchsorted(keys, states), len(keys) - 1)
-    return np.where(keys[at] == states, at, -1)
+    not there: the one way every reader finds states in a layer.  The states
+    are searched in increasing order and put back, which NumPy's binary
+    search runs faster than the same states unsorted, sort included: it
+    takes about 2.5 ms off the 18 ms bachelor sweep of cyclic Z11 and 3 ms
+    off its 53 ms packing, and costs nothing measurable on criterion 13's
+    tiny listings (CPU time, best of 7; NumPy 2.4, 2-core x86-64 host)."""
+    found = np.full(len(states), -1, np.intp)
+    if len(keys):
+        order = np.argsort(states)
+        probe = states[order]
+        at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+        found[order] = np.where(keys[at] == probe, at, -1)
+    return found
 
 
 def _fitting(states: np.ndarray, masks: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -691,6 +710,8 @@ def _fitting(states: np.ndarray, masks: np.ndarray) -> Iterator[tuple[np.ndarray
 
 # A layer or a part of one: sorted distinct states and their ways.
 _Merged = tuple[np.ndarray, np.ndarray]
+# Children of forward states: their parents, cells and indices in the layer.
+_Kids = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _merge(states: np.ndarray, ways: np.ndarray) -> _Merged:
@@ -775,6 +796,76 @@ def _back_layers(H: Hypercube, gauge: _Gauge, target: _TargetSum | None = None) 
     return _Layers(target, masks, keys, ways, full, root)
 
 
+def _children(layers: _Layers, r: int, states: np.ndarray) -> Iterator[_Kids]:
+    """The completing children of the forward states on row r, in the
+    ``_fitting`` chunks: each child's parent (its index in ``states``), its
+    cell of row r and the index in B_{r+1} of its complement, in row-major
+    order of the states x cells block.  A child g of a state f joins f with a
+    cell m of row r disjoint from it (for target sums the key becomes
+    ``sub[key, delta]``), and it completes iff ``full ^ g`` lies in B_{r+1}
+    (``_lookup``).  The one step forward that the listing and the bachelor
+    sweep share."""
+    target, width = layers.target, layers.full.bit_length()
+    keyed = None if target is None else (target.table.sub_array, target.deltas)
+    for si, ci in _fitting(states, layers.masks[r]):
+        g = _joined(states[si], r, ci, layers.masks, width, keyed)
+        at = _lookup(layers.keys[r + 1], np.uint64(layers.full) ^ g)
+        hit = (at >= 0).nonzero()[0]
+        yield si[hit], ci[hit], at[hit]
+
+
+class _Kept:
+    """The completing children (``_children``) of the states of layers B_2 to
+    B_{n-2} that a listing has met, each state's found once and kept while
+    all rows together keep at most ``room`` children: the layers' number of
+    states, or ``_CHUNK_PAIRS`` if more, so that the kept children and their
+    index hold at most about the layers' size.  State p of B_r has its
+    children in columns ``first[r][p]`` to ``first[r][p] + count[r][p] - 1``
+    of ``edges``, whose rows hold their cells of row r and their indices in
+    B_{r+1}, in cell order; ``count[r][p]`` is -1 until p is kept.  Once the
+    room is full, the children of a state met anew are found again at each
+    meeting, in the columns past the room; ``edges`` grows by doubling, to
+    the room and one chunk's children past it."""
+
+    def __init__(self, layers: _Layers):
+        self.layers, self.size = layers, 0
+        self.room = max(_CHUNK_PAIRS, sum(map(len, layers.keys)))
+        self.first = [np.zeros(len(keys), np.int32) for keys in layers.keys]
+        self.count = [np.full(len(keys), -1, np.int32) for keys in layers.keys]
+        self.edges = np.zeros((2, 0), np.int32)
+
+    def of(self, r: int, at: np.ndarray) -> _Kids:
+        """``_children`` of the states at B_r indices ``at`` (at most a
+        ``_fitting`` chunk of them), each one's parent its position in
+        ``at``."""
+        first, count, size = self.first[r], self.count[r], self.size
+        new = at[count[at] < 0]
+        forget = new[:0]  # states whose children are read once, not kept
+        if len(new):
+            first[new] = np.arange(len(new))  # keep the copy whose position stays
+            new = new[first[new] == np.arange(len(new))]
+            states = np.uint64(self.layers.full) ^ self.layers.keys[r][new]
+            ((si, ci, ki),) = _children(self.layers, r, states)
+            end = size + len(si)
+            if end > self.edges.shape[1]:
+                grown = np.empty((2, max(end, min(2 * self.edges.shape[1], self.room))), np.int32)
+                grown[:, :size] = self.edges[:, :size]
+                self.edges = grown
+            self.edges[:, size:end] = ci, ki
+            count[new] = np.bincount(si, minlength=len(new))
+            first[new] = size + np.cumsum(count[new]) - count[new]
+            if end <= self.room:
+                self.size = end
+            else:
+                forget = new
+        found = count[at]
+        ends = np.cumsum(found)
+        parent = np.repeat(np.arange(len(at), dtype=np.int32), found)
+        kids = parent, *self.edges[:, np.arange(ends[-1]) + (first[at] - ends + found)[parent]]
+        count[forget] = -1
+        return kids
+
+
 def _array_listing(
     layers: _Layers, gauge: _Gauge, limit: int | None = None
 ) -> Iterator[np.ndarray]:
@@ -782,49 +873,69 @@ def _array_listing(
     blocks: (k, n) arrays of each result's cell index per row; with a
     ``limit``, only the first ``limit`` results.
 
-    The rows are walked in order with a block of live partial results: their
-    forward states as a uint64 array and their cell indices on the rows so
-    far.  A block meets row r's cells in the ``_fitting`` chunks, and a child
-    g is kept iff ``full ^ g`` lies in B_{r+1} (``_lookup``), so every
-    partial kept completes.  Each chunk's children go on to row
-    r + 1 before the next chunk is read, so the results come in order and
-    each row holds at most about ``_CHUNK_PAIRS`` children.  Every live
-    partial completes, so the first k results descend from the first k
-    children a row keeps, and a limit of k keeps no more.  The gauge ticks
-    once per partial result extended by a row other than the last, a block's
-    partials in one step; on the last row each live partial has one cell."""
-    target, full, n = layers.target, np.uint64(layers.full), len(layers.masks)
-    width = layers.full.bit_length()
+    The rows are walked in order with a block of live partial results, each
+    held as the index in B_r of its forward state's complement, the cell it
+    took on the row before and a pointer to its parent partial; a yielded
+    block is rebuilt from the pointers.  A block is read in chunks of
+    ``_CHUNK_PAIRS // n**(d-1)`` partials, one ``_fitting`` chunk each, and
+    each chunk's completing children (``_children``) go on to row r + 1
+    before the next chunk is read, so the results come in order and each row
+    holds at most about ``_CHUNK_PAIRS`` children.  Partials that share a
+    state share its children, so a listing of more than a chunk of results
+    finds each distinct state's once on rows 2 to n - 2, when a chunk first
+    meets it, and keeps them while they number at most the layers' states
+    (``_Kept``); rows 0 and 1 hold no state twice, and each state of B_{n-1}
+    completes by one cell, found for all n**(d-1) of them at the start.  No
+    row is swept whole before its first result.  Every live partial
+    completes, so the first k results descend from the first k children a
+    row keeps, and a limit of k keeps no more.  The gauge ticks once per
+    partial result extended by a row other than the last, a block's partials
+    in one step."""
+    n, keys, full = len(layers.masks), layers.keys, np.uint64(layers.full)
     left = limit  # results still to list, None for all
-    if not layers.count or left == 0:
+    root = _lookup(keys[0], np.full(1, full ^ np.uint64(layers.root)))
+    if root[0] < 0 or left == 0:
         return
-    keyed = None if target is None else (target.table.sub_array, target.deltas)
+    step = max(1, _CHUNK_PAIRS // layers.masks[0].size)
+    last = np.zeros(len(keys[n - 1]), np.intp)
+    for si, ci, _ in _children(layers, n - 1, full ^ keys[n - 1]):
+        last[si] = ci
+    # a row holds at most as many partials as results are listed, so a
+    # listing of at most a chunk of results reads each row in one chunk and
+    # meets no state in a later one; a longer listing keeps the children of
+    # rows 2 to n - 2 (``_Kept``)
+    results = int(layers.ways[0][root[0]])
+    kept = _Kept(layers) if min(results, limit or results) > step else None
+    # per row r, the cell each partial of row r + 1 took on it and the
+    # position of its parent among the partials of row r
+    trail: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def grown(r: int, states: np.ndarray, cells: np.ndarray, si: np.ndarray,
-              ci: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The children of the fitting pairs (si, ci) of row r that complete,
-        at most ``left`` of them: their states and their cells."""
-        g = _joined(states[si], r, ci, layers.masks, width, keyed)
-        kept = (_lookup(layers.keys[r + 1], full ^ g) >= 0).nonzero()[0][:left]
-        return g[kept], np.column_stack((cells[si[kept]], ci[kept]))
-
-    def from_row(r: int, states: np.ndarray, cells: np.ndarray) -> Iterator[np.ndarray]:
+    def from_row(r: int, at: np.ndarray) -> Iterator[np.ndarray]:
         nonlocal left
         if r < n - 1:
-            gauge.tick(len(states))
-        # only each chunk's children are held while the next rows list them
-        chunks = _fitting(states, layers.masks[r])
-        for kids, block in itertools.starmap(functools.partial(grown, r, states, cells), chunks):
+            gauge.tick(len(at))
+        for lo in range(0, len(at), step):
+            chunk = at[lo:lo + step][:left]
             if r < n - 1:
-                yield from from_row(r + 1, kids, block)
-            else:
+                if kept is not None and r >= 2:
+                    found = kept.of(r, chunk)
+                else:  # a chunk's states are one _fitting chunk
+                    (found,) = _children(layers, r, full ^ keys[r][chunk])
+                parent, cell, kids = (part[:left] for part in found)
+                trail[r:] = [(cell, parent + lo)]
+                yield from from_row(r + 1, kids)
+            else:  # rebuilt from the pointers, last row first
+                block = np.empty((len(chunk), n), np.intp)
+                block[:, r], up = last[chunk], np.arange(lo, lo + len(chunk))
+                for row in reversed(range(r)):
+                    block[:, row], up = trail[row][0][up], trail[row][1][up]
                 yield block
                 if left is not None:
-                    left -= len(block)
+                    left -= len(chunk)
             if left == 0:
                 return
 
-    yield from from_row(0, np.array([layers.root], np.uint64), np.zeros((1, 0), np.intp))
+    yield from from_row(0, root)
 
 
 def bachelor_cells(H: Hypercube, budget: SearchBudget | None = None) -> BachelorScan:
@@ -857,9 +968,10 @@ def _frontier_scan(H: Hypercube, gauge: _Gauge) -> np.ndarray:
 
     A forward sweep keeps L_r, the live unions on rows 0..r-1, as a sorted
     uint64 array: L_0 is {0} when the cube has a transversal, and L_{r+1}
-    holds f | m for each f in L_r and cell m of row r disjoint from f whose
-    complement ``full ^ (f | m)`` lies in B_{r+1} (``_lookup``), read off as
-    the complements of the states of B_{r+1} reached.  Those cells m are the
+    holds the completing children (``_children``) of the states of L_r: f | m
+    for each f in L_r and cell m of row r disjoint from f whose complement
+    ``full ^ (f | m)`` lies in B_{r+1}, read off as the complements of the
+    states of B_{r+1} reached.  Those cells m are the
     covered cells of row r; if there is no transversal no cell is.  The gauge
     ticks once per state expanded in either pass, a layer's states in one
     step."""
@@ -867,14 +979,12 @@ def _frontier_scan(H: Hypercube, gauge: _Gauge) -> np.ndarray:
     full = np.uint64(layers.full)
     live = np.zeros(1 if layers.count else 0, np.uint64)
     covered = np.zeros((H.n, H.symbols.size // H.n), bool)
-    for r, (masks, back) in enumerate(zip(layers.masks, layers.keys[1:])):
+    for r, back in enumerate(layers.keys[1:]):
         gauge.tick(len(live))
         reached = np.zeros(len(back), bool)
-        for si, ci in _fitting(live, masks):
-            at = _lookup(back, full ^ (live[si] | masks.reshape(-1)[ci]))
-            hit = at >= 0
-            covered[r, ci[hit]] = True
-            reached[at[hit]] = True
+        for _, ci, at in _children(layers, r, live):
+            covered[r, ci] = True
+            reached[at] = True
         # complements of a sorted array come in decreasing order
         live = (full ^ back[reached])[::-1]
     return covered
@@ -915,34 +1025,41 @@ class _Cover(NamedTuple):
     """Every listed transversal against the cells it passes through.
 
     Cells are numbered by flat (row-major) index, so cell i of row r is
-    r * n**(d-1) + i, read off the listing's cell indices without a lookup,
-    and the listed transversals are held only as that (count, n) array
-    beside the masks.  Bit t of ``masks[c]`` is
-    set iff transversal t passes through cell c, and ``cells[t]`` holds the n
-    cells of transversal t.  A line is a hyperplane (axis k, value v: line
-    k*n + v) or the cells of one symbol s (line d*n + s), so a cell's lines
-    are its row and its ``_cell_fields`` shifted up by n; every transversal
-    meets every line once, and ``lines[c]`` holds the d + 1 lines of cell c."""
+    r * n**(d-1) + i, read off the listing's cell indices without a lookup;
+    ``listed`` is the listing as it stands, a (count, n) array of each
+    transversal's cell index per row, held beside the masks and never copied.
+    Bit t of ``masks[c]`` is set iff transversal t passes through cell c.  A
+    line is a hyperplane (axis k, value v: line k*n + v) or the cells of one
+    symbol s (line d*n + s), so a cell's lines are its row and its
+    ``_cell_fields`` shifted up by n; every transversal meets every line
+    once, and ``lines[c]`` holds the d + 1 lines of cell c."""
 
     masks: list[int]
-    cells: np.ndarray
+    listed: np.ndarray
     lines: list[list[int]]
 
 
 def _cover(H: Hypercube, listed: np.ndarray, gauge: _Gauge) -> _Cover:
     """The cover of the listed transversals, a (count, n) array of each one's
-    cell index per row.  The masks are ORed into one packed row of bytes per
-    cell, never a cells x transversals bool matrix, then read as one int per
-    cell; the gauge ticks once per transversal read and once per cell."""
+    cell index per row, read as it stands.  Transversal t sets bit t & 7 of
+    byte t >> 3 in one packed row of bytes per cell, never a cells x
+    transversals bool matrix.  The bits are set one bit plane at a time: the
+    transversals t with t & 7 equal own distinct bytes and pass through
+    distinct cells on distinct rows, so one plane's (cell, byte) places are
+    distinct and a plain fancy-indexed OR sets them all, with an index
+    temporary of an eighth of the listing's size.  The rows are then read as
+    one int per cell; the gauge ticks once per transversal read and once per
+    cell."""
     n, d, count = H.n, H.d, len(listed)
     gauge.tick(count)
-    cells = listed + n ** (d - 1) * np.arange(n)  # row r's cell i is r * n**(d-1) + i
-    # transversal t sets bit t & 7 of byte t >> 3 in each of its cells' rows,
-    # the column indices broadcast over its n cells
-    t = np.arange(count)
-    bits = np.left_shift(np.uint8(1), (t & 7).astype(np.uint8))
-    packed = np.zeros((H.symbols.size, (count + 7) // 8), np.uint8)
-    np.bitwise_or.at(packed, (cells, (t >> 3)[:, None]), bits[:, None])
+    width = (count + 7) // 8  # bytes per cell
+    starts = H.symbols.size // n * np.arange(n)  # flat index of each row's cell 0
+    packed = np.zeros((H.symbols.size, width), np.uint8)
+    flat = packed.reshape(-1)
+    for bit in range(8):
+        # transversals bit, bit + 8, ... each own one byte, in distinct cells
+        ts = listed[bit::8]
+        flat[(ts + starts) * width + np.arange(len(ts))[:, None]] |= np.uint8(1 << bit)
     masks = []
     for row in packed:
         gauge.tick()
@@ -951,12 +1068,31 @@ def _cover(H: Hypercube, listed: np.ndarray, gauge: _Gauge) -> _Cover:
     fields = _cell_fields(H, True)
     rows = np.broadcast_to(np.arange(n)[:, None, None], (*fields.shape[:2], 1))
     lines = np.concatenate([rows, fields + n], axis=2).reshape(-1, d + 1)
-    return _Cover(masks, cells, lines.tolist())
+    return _Cover(masks, listed, lines.tolist())
 
 
-def _stacked(H: Hypercube, blocks: list[np.ndarray]) -> np.ndarray:
-    """The listed blocks as one (count, n) array of cell indices per row."""
-    return np.concatenate([np.zeros((0, H.n), np.intp), *blocks])
+class _Table:
+    """Listed results held as one (count, n) array of each one's cell index
+    per row, ``rows[:size]``, filled in place block by block: ``_results``
+    allocates it at its length, the layers' count, where the layers run, and
+    on the DFS it grows by doubling."""
+
+    def __init__(self, n: int):
+        self.rows, self.size = np.zeros((0, n), np.intp), 0
+
+    def fill(self, blocks: Iterable[np.ndarray]) -> np.ndarray:
+        """The rows held once ``blocks`` are added.  A BudgetExhausted from
+        the blocks propagates, and ``size`` then counts the rows added
+        before it."""
+        for block in blocks:
+            end = self.size + len(block)
+            if end > len(self.rows):
+                grown = np.empty((2 * end, self.rows.shape[1]), np.intp)
+                grown[:self.size] = self.rows[:self.size]
+                self.rows = grown
+            self.rows[self.size:end] = block
+            self.size = end
+        return self.rows[:self.size]
 
 
 def _greedy_hitting_set(masks: list[int], gauge: _Gauge) -> list[int]:
@@ -998,13 +1134,15 @@ def _packs(cover: _Cover, g: int, gauge: _Gauge, best: list[int]) -> bool:
     The gauge ticks once per branch taken.  ``best`` is left holding the
     largest family reached, the g found on success.  The path is kept on a
     list, not the call stack, since it can be one level per cell deep."""
-    masks, cells, lines = cover
-    line_count = len(lines[0]) * cells.shape[1]
+    masks, listed, lines = cover
+    n = listed.shape[1]
+    line_count = len(lines[0]) * n
+    starts = len(masks) // n * np.arange(n)  # flat index of each row's cell 0
     chosen: list[int] = []
     # per node on the path: [live, open cells, pivot, untried transversals,
     # number chosen above it]; the pivot is -1 once left uncovered
     path: list[list] = []
-    live, todo = (1 << len(cells)) - 1, list(range(len(masks)))
+    live, todo = (1 << len(listed)) - 1, list(range(len(masks)))
     while True:
         if len(chosen) > len(best):
             best[:] = chosen
@@ -1030,7 +1168,8 @@ def _packs(cover: _Cover, g: int, gauge: _Gauge, best: list[int]) -> bool:
                 t = (untried & -untried).bit_length() - 1
                 node[3] = untried ^ (1 << t)
                 chosen.append(t)
-                live &= ~functools.reduce(operator.or_, (masks[c] for c in cells[t].tolist()))
+                cells = (listed[t] + starts).tolist()
+                live &= ~functools.reduce(operator.or_, (masks[c] for c in cells))
             elif pivot >= 0:
                 node[2] = -1
                 live &= ~masks[pivot]
@@ -1050,9 +1189,9 @@ def max_disjoint_transversals(
 ) -> PackingResult:
     """A maximum-cardinality family of pairwise disjoint transversals.
 
-    Lists all transversals (``_results``, on the engine ``_layered`` picks)
-    and bounds the answer by ub, the least of a greedy hitting set over them
-    (valid because the listing is exhaustive), the nonzero-deviation support
+    Lists all transversals (``_results``, on the engine ``_layered`` picks,
+    into one ``_Table``) and bounds the answer by ub, the least of a greedy
+    hitting set over them (valid because the listing is exhaustive), the nonzero-deviation support
     when the transversals' deviation sum is nonzero, the hyperplane cap
     n**(d-1) and their number.  The exact cover (``_packs``) then decides
     g = min(ub, cap), g - 1, and so on; the first g that packs is the answer,
@@ -1069,14 +1208,11 @@ def max_disjoint_transversals(
         raise ValueError(f"cap must be at least 1, got {cap}")
     budget = budget or SearchBudget()
     gauge = _Gauge(budget)
-    blocks: list[np.ndarray] = []
+    table = _Table(H.n)
     try:
-        blocks.extend(_results(H, gauge, transversal=True))
+        listed = table.fill(_results(H, gauge, transversal=True, table=table))
     except BudgetExhausted:
-        listed = sum(map(len, blocks))
-        return PackingResult((), False, None, "enumeration-truncated", True, listed)
-    listed = _stacked(H, blocks)
-    del blocks  # the blocks are copied; only the stacked array goes on
+        return PackingResult((), False, None, "enumeration-truncated", True, table.size)
     if not len(listed):
         return PackingResult((), True, 0, "no transversals", False, 0)
 
@@ -1210,7 +1346,8 @@ def hill_climb_decomposition(
     _require_latin(H)
     budget = budget or SearchBudget()
     gauge = _Gauge(budget)
-    listed = _stacked(H, list(_results(H, gauge, transversal=True)))
+    table = _Table(H.n)
+    listed = table.fill(_results(H, gauge, transversal=True, table=table))
     best: list[int] = []
     if not _packs(_cover(H, listed, gauge), H.n ** (H.d - 1), gauge, best):
         return None

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -394,7 +395,7 @@ def test_full_layer_listing_keeps_its_node_count(name):
     make, back, _, _, _, results, nodes = _LAYER_CUTS[name]
     H = make()
     gauge = search._Gauge(SearchBudget())
-    listed = search._stacked(H, list(search._results(H, gauge, transversal=True)))
+    listed = search._Table(H.n).fill(search._results(H, gauge, transversal=True))
     assert (len(listed), gauge.nodes) == (results, nodes)
     assert nodes > sum(back)
 
@@ -430,7 +431,7 @@ def test_layers_do_not_depend_on_the_chunk_size(monkeypatch):
             gauge = search._Gauge(SearchBudget())
             built.append(search._back_layers(H, gauge, t))
             blocks = list(search._array_listing(built[-1], gauge))
-            listings.append((search._stacked(H, blocks).tolist(), gauge.nodes))
+            listings.append((search._Table(H.n).fill(blocks).tolist(), gauge.nodes))
         witnesses = [census.witnesses
                      for keep in (1, 2, 8)
                      for census in (count_transversals(H, keep=keep),
@@ -443,6 +444,139 @@ def test_layers_do_not_depend_on_the_chunk_size(monkeypatch):
     for chunk in (1, 7, 64):
         monkeypatch.setattr(search, "_CHUNK_PAIRS", chunk)
         assert [layers_of(H) for H in cubes] == expected, chunk
+
+
+# block lengths and nodes of listings off the layers, recorded before a full
+# listing found each distinct state's completions once per row: the full
+# listing's blocks (the layers' nodes included) and, for census limits of 1, 7
+# and 8, the census nodes (each such listing is one block of that length)
+_LISTING_BLOCKS = {
+    "cyclic-11": (lambda: cyclic(cyclic_group(11), 2), 207_946,
+                  [5957, 54, 326, 1441, 5957, 52, 293, 201, 5957, 64, 337,
+                   1291, 5957, 67, 347, 332, 5957, 72, 386, 1326, 1477],
+                  {1: 47_278, 7: 47_332, 8: 47_341}),
+    "cyclic-5-d3": (lambda: cyclic(cyclic_group(5), 3), 2_627, [2621, 704],
+                    {1: 455, 7: 473, 8: 476}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LISTING_BLOCKS))
+def test_listing_blocks_and_nodes_are_unchanged(name):
+    make, nodes, blocks, census_nodes = _LISTING_BLOCKS[name]
+    H = make()
+    gauge = search._Gauge(SearchBudget())
+    layers = search._back_layers(H, gauge)
+    assert [len(block) for block in search._array_listing(layers, gauge)] == blocks
+    assert gauge.nodes == nodes
+    for keep, expected in census_nodes.items():
+        gauge = search._Gauge(SearchBudget())
+        listed = list(search._array_listing(search._back_layers(H, gauge), gauge, keep))
+        assert ([len(block) for block in listed], gauge.nodes) == ([keep], expected)
+        census = count_transversals(H, keep=keep)
+        assert (len(census.witnesses), census.nodes) == (keep, expected)
+
+
+def _looked_up(monkeypatch, run):
+    # the number of states that ``run`` looks up in the layers
+    looked, lookup = 0, search._lookup
+
+    def counting(keys, states):
+        nonlocal looked
+        looked += np.size(states)
+        return lookup(keys, states)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(search, "_lookup", counting)
+        run()
+    return looked
+
+
+def test_full_listing_looks_up_no_more_states_than_the_sweep(monkeypatch):
+    # each distinct state's completing children are found once per row, so
+    # listing all 37,851 transversals of cyclic Z11 looks up no more states
+    # than the bachelor sweep over the same layers (it looked up 318,154 when
+    # each partial result found its own)
+    z11 = cyclic(cyclic_group(11), 2)
+    layers = search._back_layers(z11, search._Gauge(SearchBudget()))
+    listing = _looked_up(monkeypatch, lambda: sum(
+        map(len, search._array_listing(layers, search._Gauge(SearchBudget())))))
+    sweep = _looked_up(monkeypatch, lambda: search._frontier_scan(
+        z11, search._Gauge(SearchBudget())))
+    assert listing == 91_037 <= sweep
+
+
+def test_kept_children_stay_within_the_layers_states(monkeypatch):
+    # a full listing keeps at most as many children as its layers have
+    # states (the room; _CHUNK_PAIRS when that is more) and finds the
+    # children of the states met after the room is full again at each
+    # meeting: with 200 pairs a chunk, listing cyclic Z11 (60,885 children in
+    # its forward sweep, 47,269 states) fills the room and lists the same
+    # results as with the default chunk
+    z11 = cyclic(cyclic_group(11), 2)
+    expected = search._Table(11).fill(search._results(z11, search._Gauge(SearchBudget()),
+                                                       transversal=True))
+    made = []
+
+    class Spied(search._Kept):
+        def __init__(self, layers):
+            super().__init__(layers)
+            made.append(self)
+
+    monkeypatch.setattr(search, "_Kept", Spied)
+    monkeypatch.setattr(search, "_CHUNK_PAIRS", 200)
+    listed = search._Table(11).fill(search._results(z11, search._Gauge(SearchBudget()),
+                                                     transversal=True))
+    assert np.array_equal(listed, expected)
+    (kept,) = made
+    states = sum(map(len, kept.layers.keys))
+    assert kept.room == states == 47_269
+    assert states - 200 < kept.size <= states
+    assert kept.edges.shape[1] <= states + 200
+
+
+def test_cover_masks_match_a_plain_reference():
+    # bit t of mask c is set iff transversal t passes through cell c, for
+    # transversal counts that are not multiples of 8 and at d = 3; the cover
+    # holds the listing itself, not a copy; the table that holds it is
+    # allocated once, at the layers' count
+    for H in (cyclic(cyclic_group(5), 3), turned_cyclic(4, 4), cyclic(cyclic_group(7), 2)):
+        table = search._Table(H.n)
+        every = table.fill(search._results(H, search._Gauge(SearchBudget()),
+                                           transversal=True, table=table))
+        assert len(table.rows) == len(every) == count_transversals(H).count
+        per_row = H.symbols.size // H.n
+        for count in (1, 5, 8, 13, 100, len(every)):
+            listed = every[:count]
+            cover = search._cover(H, listed, search._Gauge(SearchBudget()))
+            assert cover.listed is listed
+            masks = [0] * H.symbols.size
+            for t, cells in enumerate(listed.tolist()):
+                for r, i in enumerate(cells):
+                    masks[r * per_row + i] |= 1 << t
+            assert cover.masks == masks, count
+
+
+def test_listing_the_first_results_builds_no_more_than_the_layers():
+    # the first 2,000 target-sum diagonals of a Z15 isotope wait for no whole
+    # row or whole sweep: listing them adds at most about the size of the
+    # layers to the traced peak of building them (a full forward sweep of
+    # this cube's layers holds about 41 MB of edges, the layers 7.7 MB)
+    H = _random_isotope(cyclic(cyclic_group(15), 2), 1)
+    target = search._TargetSum.of(H, None, (0,))
+    layers = search._back_layers(H, search._Gauge(SearchBudget()), target)
+    size = sum(keys.nbytes + ways.nbytes for keys, ways in zip(layers.keys, layers.ways))
+    del layers
+    tracemalloc.start()
+    try:
+        search._back_layers(H, search._Gauge(SearchBudget()), target)
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        first = list(itertools.islice(enumerate_diagonals(H, None, (0,)), 2_000))
+        listing = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(first) == 2_000
+    assert listing <= build + size
 
 
 # the cubes of the pair-finding test, on both sides of its rule for trying only
