@@ -21,7 +21,7 @@ def main() -> None:
     args = parser.parse_args()
 
     base = l8_square()
-    bare = count_diagonals(base, base.group, (4,))
+    bare = count_diagonals(base, (4,))
     assert bare.exact
     print(f"base square: {bare.count} diagonals reach the transversal deviation sum")
 

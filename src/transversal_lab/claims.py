@@ -169,7 +169,7 @@ def claim_05_turned_block(ctx: ClaimContext) -> str:
             results.append(f"(4,4): {len(hits)} transversals all hit block, packing 16 "
                            f"[{packing.certificate}]")
         else:
-            ok = hitting_set_check(H, H.group, suitable_target(H.group, 4), region)
+            ok = hitting_set_check(H, suitable_target(H.group, 4), region)
             assert ok, "deviation-sum certificate failed at (6,4)"
             results.append("(6,4): certificate + 16 disjoint translates")
     return "; ".join(results)
@@ -196,7 +196,7 @@ def claim_06_ord8_exhibit(ctx: ClaimContext) -> str:
     ta, tb = cons.ord8_marked_transversals()
     assert not (ta.cell_set() & tb.cell_set())
     pair = cons.ord8_blocking_cells()
-    ok = hitting_set_check(H, H.group, (4,), pair)
+    ok = hitting_set_check(H, (4,), pair)
     assert ok, "a sum-4 diagonal avoided both blocking cells"
     packing = max_disjoint_transversals(H)
     assert packing.optimal and len(packing.packing) == 2, (
@@ -226,7 +226,7 @@ def claim_07_ord6m_exhibit(ctx: ClaimContext) -> str:
         assert got == _ord6m_expected_support(m), f"support differs at m={m}"
         stars = cons.ord6m_starred_cells(m)
         target = (3 * m,)
-        ok = hitting_set_check(H, H.group, target, stars)
+        ok = hitting_set_check(H, target, stars)
         if m == 1:
             ta, tb = cons.ord6m_marked_transversals()
             assert set(ta.cells()) & set(stars) and set(tb.cells()) & set(stars)
@@ -268,7 +268,7 @@ def claim_09_lifting(ctx: ClaimContext) -> str:
     lifted_counts = []
     for H in (cons.z6_isotope_square(), cons.ord6m_square(1)):
         count = 0
-        for D in enumerate_diagonals(H, group, target):
+        for D in enumerate_diagonals(H, target):
             T = lift_diagonal(H, D, group, 4)
             assert {e.coords[:2] for e in T.entries} == set(D.cells())
             count += 1
@@ -338,7 +338,7 @@ def claim_12_dilation(ctx: ClaimContext) -> str:
     assert len(prof2.support) == len(prof.support)
 
     L = cons.l8_square()
-    census = count_diagonals(L, L.group, (4,))
+    census = count_diagonals(L, (4,))
     assert census.exact and census.count == 0, f"expected no sum-4 diagonals, found {census}"
 
     D = dilate(L, 2)

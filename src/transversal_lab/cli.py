@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 import time
@@ -66,8 +67,8 @@ def render_grid(H: Hypercube, highlights: dict[Coords, str] | None = None) -> st
     highlights = highlights or {}
     width = len(str(H.n - 1)) + (1 if highlights else 0)
     lines = []
-
-    def square(prefix: Coords) -> None:
+    # a square's one prefix is (), so it prints without a slice label
+    for prefix in itertools.product(range(H.n), repeat=H.d - 2):
         if prefix:
             lines.append("slice " + ",".join(str(p) for p in prefix) + ",*,*:")
         for r in range(H.n):
@@ -78,14 +79,6 @@ def render_grid(H: Hypercube, highlights: dict[Coords, str] | None = None) -> st
                 row.append(f"{H[coords]}{mark}".rjust(width))
             lines.append(" ".join(row))
         lines.append("")
-
-    if H.d == 2:
-        square(())
-    else:
-        import itertools as _it
-
-        for prefix in _it.product(range(H.n), repeat=H.d - 2):
-            square(prefix)
     return "\n".join(lines).rstrip() + "\n"
 
 
@@ -154,7 +147,7 @@ def cmd_search(args: argparse.Namespace, stdout) -> int:
     if op in ("transversals", "suitable"):
         if op == "suitable":
             target = suitable_target(H.group, args.d_prime)
-            census = count_diagonals(H, H.group, target, budget, keep=args.max_witnesses)
+            census = count_diagonals(H, target, budget, keep=args.max_witnesses)
             report.certificates["target_sum"] = list(target)
         else:
             census = count_transversals(H, budget, keep=args.max_witnesses)

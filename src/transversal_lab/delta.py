@@ -1,9 +1,12 @@
 """Deviation-from-cyclic analysis.
 
-For a cube indexed by a group G, each entry (x_1,...,x_d; s) gets the value
-delta = s - x_1 - ... - x_d computed in G (coordinates and symbols identified
-with group elements through G's fixed enumeration).  The set of cells with
-nonzero delta, and its per-axis projections, drive most restriction arguments.
+For a cube labeled by its group G (``Hypercube.group``), each entry
+(x_1,...,x_d; s) gets the value delta = s - x_1 - ... - x_d computed in G
+(coordinates and symbols identified with group elements through G's fixed
+enumeration).  The set of cells with nonzero delta, and its per-axis
+projections, drive most restriction arguments.  Every function here reads the
+cube's own group; to read one array under another labeling, build the cube
+with that group (``Hypercube(H.symbols, group)``).
 """
 
 from __future__ import annotations
@@ -18,16 +21,15 @@ from .hypercube import Coords, Diagonal, Entry, Hypercube, cyclic
 
 
 class DeltaProfile:
-    """Delta values of one cube under one group labeling."""
+    """Delta values of one cube under its own group labeling."""
 
-    __slots__ = ("host", "group", "indices", "support", "projections")
+    __slots__ = ("host", "indices", "support", "projections")
 
-    def __init__(self, host: Hypercube, group: AbelianGroup, indices: np.ndarray):
+    def __init__(self, host: Hypercube, indices: np.ndarray):
         self.host = host
-        self.group = group
         indices.setflags(write=False)
         self.indices = indices
-        elements = index_table(group).elements
+        elements = index_table(host.group).elements
         nz = np.argwhere(indices != 0)
         # np.argwhere returns row-major order, keeping support iteration deterministic
         self.support: dict[Coords, Element] = {
@@ -36,6 +38,10 @@ class DeltaProfile:
         self.projections: tuple[frozenset[int], ...] = tuple(
             frozenset(cell[axis] for cell in self.support) for axis in range(host.d)
         )
+
+    @property
+    def group(self) -> AbelianGroup:
+        return self.host.group
 
     def value_at(self, coords) -> Element:
         return index_table(self.group).elements[self.indices[tuple(coords)]]
@@ -50,32 +56,26 @@ class DeltaProfile:
         )
 
 
-def _check_group(H: Hypercube, group: AbelianGroup | None) -> AbelianGroup:
-    group = H.group if group is None else group
-    if group.order != H.n:
-        raise ValueError(f"group order {group.order} does not match cube order {H.n}")
-    return group
-
-
 @lru_cache(maxsize=256)
 def _profile_cached(H: Hypercube, group: AbelianGroup) -> DeltaProfile:
+    # keyed on the group too: cubes compare equal whatever their labeling;
     # the cyclic cube of the group holds x_1 + ... + x_d at every cell
     sub = index_table(group).sub_array
-    return DeltaProfile(H, group, sub[H.symbols, cyclic(group, H.d).symbols])
+    return DeltaProfile(H, sub[H.symbols, cyclic(group, H.d).symbols])
 
 
-def profile(H: Hypercube, group: AbelianGroup | None = None) -> DeltaProfile:
-    """Full delta profile (memoized per cube and group): each cell's symbol
-    minus its coordinate sum, one lookup in the group's subtraction table."""
-    return _profile_cached(H, _check_group(H, group))
+def profile(H: Hypercube) -> DeltaProfile:
+    """Full delta profile in H's group (memoized per cube and group): each
+    cell's symbol minus its coordinate sum, one subtraction table lookup."""
+    return _profile_cached(H, H.group)
 
 
-def delta(H: Hypercube, group: AbelianGroup | None, e: Entry) -> Element:
-    """Delta value of a single entry; the entry must belong to the host.
+def delta(H: Hypercube, e: Entry) -> Element:
+    """Delta value of a single entry in H's group; the entry must belong to H.
 
     Computed componentwise with the checked group operations: the reference
     that ``profile`` is tested against."""
-    group = _check_group(H, group)
+    group = H.group
     coords = tuple(int(c) for c in e.coords)
     if len(coords) != H.d or H[coords] != e.symbol:
         raise ValueError(f"entry {e} does not belong to the host cube")
@@ -83,11 +83,10 @@ def delta(H: Hypercube, group: AbelianGroup | None, e: Entry) -> Element:
     return group.sub(group.element(e.symbol), coord_sum)
 
 
-def delta_sum(H: Hypercube, group: AbelianGroup | None, D: Diagonal | Sequence[Entry]) -> Element:
-    """Group sum of delta over the entries of a (possibly partial) diagonal."""
-    group = _check_group(H, group)
+def delta_sum(H: Hypercube, D: Diagonal | Sequence[Entry]) -> Element:
+    """Sum in H's group of delta over a (possibly partial) diagonal's entries."""
     entries = D.entries if isinstance(D, Diagonal) else D
-    return group.sum(delta(H, group, e) for e in entries)
+    return H.group.sum(delta(H, e) for e in entries)
 
 
 def suitable_target(group: AbelianGroup, d_prime: int) -> Element:
@@ -98,14 +97,11 @@ def suitable_target(group: AbelianGroup, d_prime: int) -> Element:
     return group.scalar_mul(1 - d_prime, group.g_plus())
 
 
-def is_suitable(
-    H: Hypercube, group: AbelianGroup | None, D: Diagonal, d_prime: int
-) -> bool:
-    """True iff the complete diagonal D has the target delta sum for d_prime."""
-    group = _check_group(H, group)
+def is_suitable(H: Hypercube, D: Diagonal, d_prime: int) -> bool:
+    """True iff the complete diagonal D has H's target delta sum for d_prime."""
     if len(D.entries) != H.n:
         raise ValueError(f"diagonal has {len(D.entries)} entries, need {H.n} (complete)")
-    return delta_sum(H, group, D) == suitable_target(group, d_prime)
+    return delta_sum(H, D) == suitable_target(H.group, d_prime)
 
 
 def support_as_json(prof: DeltaProfile) -> list[dict]:

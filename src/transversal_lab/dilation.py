@@ -17,8 +17,8 @@ from typing import Iterable
 import numpy as np
 
 from .delta import profile, suitable_target
-from .groups import AbelianGroup, cyclic_group
-from .hypercube import Coords, Diagonal, Entry, Hypercube, is_latin
+from .groups import cyclic_group
+from .hypercube import Coords, Entry, Hypercube, is_latin
 from .search import SearchBudget, hitting_set_check
 
 
@@ -64,7 +64,7 @@ class SupportSpread:
     holds: bool
 
 
-def dilrect_condition(H: Hypercube, group: AbelianGroup | None = None) -> SupportSpread:
+def dilrect_condition(H: Hypercube) -> SupportSpread:
     """Check sum of per-axis support projections against (d-1) * n.
 
     When it holds, a partial diagonal inside the support always completes to
@@ -72,7 +72,7 @@ def dilrect_condition(H: Hypercube, group: AbelianGroup | None = None) -> Suppor
     the support forbidden): give every remaining row one coordinate outside
     the corresponding support projection, then fill the columns with their
     unused values."""
-    prof = profile(H, group)
+    prof = profile(H)
     sizes = prof.projection_sizes()
     bound = (H.d - 1) * H.n
     return SupportSpread(sizes, bound, sum(sizes) <= bound)
@@ -128,13 +128,13 @@ def transfer_hitting_set(
     parity_ok = parity_condition(H.n, H.d, factor)
     spread = dilrect_condition(H)
     target = suitable_target(H.group, H.d)
-    base_ok = hitting_set_check(H, H.group, target, cells, budget)
+    base_ok = hitting_set_check(H, target, cells, budget)
     direct_ok = None
     if parity_ok and base_ok and not spread.holds:
         big = dilate(H, factor)
         image = [psi_cell(c, factor) for c in cells]
         big_target = suitable_target(big.group, H.d)
-        direct_ok = hitting_set_check(big, big.group, big_target, image, budget)
+        direct_ok = hitting_set_check(big, big_target, image, budget)
     return DilationCertificate(
         factor=factor,
         cells=cells,

@@ -2,12 +2,14 @@
 
 A d'-dimensional extension of a d-dimensional cube L adds the extra
 coordinates into the symbol: L'(x_1..x_{d'}) = L(x_1..x_d) + x_{d+1} + ... +
-x_{d'} in the index group.  Deviation values are preserved by the projection
-onto the first d coordinates, which makes diagonals with the right deviation
-sum in L exactly the shadows of transversals in L'.  The lift itself is
-constructive: pad the middle dimensions with the natural enumeration, then
-solve a zero-sum pairing problem in the group for the last dimension.  All of
-it runs on element indices, through the group's ``index_table``.
+x_{d'} in the index group: the ``group`` argument (L's own when None), which
+the extension carries and whose relabeling of L (``_labeled``) deviations
+are read on.  Deviation values are preserved by the projection onto the first
+d coordinates, which makes diagonals with the right deviation sum in L exactly
+the shadows of transversals in L'.  The lift itself is constructive: pad the
+middle dimensions with the natural enumeration, then solve a zero-sum pairing
+problem in the group for the last dimension.  All of it runs on element
+indices, through the group's ``index_table``.
 """
 
 from __future__ import annotations
@@ -30,17 +32,24 @@ from .hypercube import (
 )
 
 
-def g_extension(L: Hypercube, group: AbelianGroup | None = None, d_prime: int = 3) -> Hypercube:
-    """Extension of L to dimension d_prime over the given group labeling: one
-    ``quasi_extend`` step per added dimension over the group's addition."""
-    group = L.group if group is None else group
-    if group.order != L.n:
-        raise ValueError(f"group order {group.order} does not match cube order {L.n}")
-    if d_prime <= L.d:
-        raise ValueError(f"target dimension {d_prime} must exceed base dimension {L.d}")
-    Q = Quasigroup.from_group(group)
+def _labeled(L: Hypercube, group: AbelianGroup | None) -> Hypercube:
+    """L labeled by ``group`` (L itself if None or L's own): the cube whose
+    deviations a boost over ``group`` reads.  ValueError if the orders differ."""
+    if group is None or group == L.group:
+        return L
     out = Hypercube(L.symbols, group)
     out._latin = L._latin
+    return out
+
+
+def g_extension(L: Hypercube, group: AbelianGroup | None = None, d_prime: int = 3) -> Hypercube:
+    """Extension of L to dimension d_prime over the given group labeling (L's
+    own when None), which the extension carries: one ``quasi_extend`` step per
+    added dimension over the group's addition."""
+    out = _labeled(L, group)
+    if d_prime <= L.d:
+        raise ValueError(f"target dimension {d_prime} must exceed base dimension {L.d}")
+    Q = Quasigroup.from_group(out.group)
     for _ in range(d_prime - L.d):
         out = quasi_extend(out, Q)
     return out
@@ -107,18 +116,18 @@ def lift_diagonal(
 ) -> Diagonal:
     """Transversal of the extension that projects exactly onto D.
 
-    D must have the deviation sum matching d_prime.  Middle dimensions are
-    padded with the natural enumeration (entry i of D gets coordinate i on
-    each); the last dimension comes from the zero-sum pairing, on element
-    indices."""
-    group = L.group if group is None else group
-    if not is_suitable(L, group, D, d_prime):
+    D must have the deviation sum matching d_prime, read on L labeled by
+    ``group``.  Middle dimensions are padded with the natural enumeration
+    (entry i of D gets coordinate i on each); the last dimension comes from
+    the zero-sum pairing, on element indices."""
+    L = _labeled(L, group)
+    if not is_suitable(L, D, d_prime):
         raise ValueError(
-            f"diagonal deviation sum {delta_sum(L, group, D)} does not match the"
-            f" target {suitable_target(group, d_prime)} for dimension {d_prime}"
+            f"diagonal deviation sum {delta_sum(L, D)} does not match the"
+            f" target {suitable_target(L.group, d_prime)} for dimension {d_prime}"
         )
-    add = index_table(group).add
-    extension = g_extension(L, group, d_prime)
+    add = index_table(L.group).add
+    extension = g_extension(L, None, d_prime)
     middle = d_prime - L.d - 1
     syms = [e.symbol for e in D.entries]
     for _ in range(middle):
@@ -381,13 +390,14 @@ def extension_hitting_certificate(
     cells: Sequence[Coords],
     budget=None,
 ) -> ExtensionHittingCertificate:
+    """Check the base condition of the transfer: every diagonal of L, labeled
+    by ``group``, with the target deviation sum for d_prime meets ``cells``."""
     from .search import hitting_set_check
 
-    group = L.group if group is None else group
-    target = suitable_target(group, d_prime)
-    ok = hitting_set_check(L, group, target, cells, budget)
+    L = _labeled(L, group)
+    ok = hitting_set_check(L, suitable_target(L.group, d_prime), cells, budget)
     return ExtensionHittingCertificate(
-        group=str(group),
+        group=str(L.group),
         d_prime=d_prime,
         cells=tuple(tuple(c) for c in cells),
         base_checked=ok,

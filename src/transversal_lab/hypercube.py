@@ -1,8 +1,10 @@
 """Dense d-dimensional Latin hypercubes with validation, slicing and a text format.
 
 Storage is a flat row-major array (last coordinate fastest).  The index set is
-always {0, ..., n-1}; a group labeling is carried alongside the array so the
-same cube can be analyzed under different labelings.
+always {0, ..., n-1}; a group labeling is carried alongside the array, the one
+every deviation and target sum reads, so the same array is analyzed under
+another labeling as a cube built with that group (``Hypercube(H.symbols, g)``
+or ``load(path, g)``).  Cubes compare and hash by their arrays alone.
 """
 
 from __future__ import annotations

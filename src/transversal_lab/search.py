@@ -13,16 +13,17 @@ cells by a few ANDs and a row left with no cell ends the branch at once; it
 runs at any number of fields.  One DFS node is one cell placed, a row's cells
 taken in row-major order.  Which row it fills next is its one rule, set by
 the caller.  Listing fills the lowest unfilled row, which fixes a
-deterministic output order: it lists all diagonals, and lists and counts
-transversals and target-sum diagonals wherever the stored layers do not run.
+deterministic output order: it lists and counts transversals and
+target-sum diagonals wherever the stored layers do not run.
 Existence searches (through-cell searches, per-cell coverage scans,
 completions and the completions of hitting-set checks) take its first result
 and fill the row with the fewest fitting cells first, which ends a branch
 with no result soonest.
-A target sum (``_TargetSum``, the one form every search with a target takes)
-rides along as the delta sum of the cells placed, and is checked when the last
-row's cell is placed, so the DFS lists only diagonals with that sum, in the
-same order and with the same nodes as all diagonals.
+A target sum (``_TargetSum``, the one form every search with a target takes,
+always in the cube's own group) rides along as the delta sum of the cells
+placed, and is checked when the last row's cell is placed, so the DFS lists
+only diagonals with that sum, in the same order and with the same nodes as
+all diagonals.
 
 The frontier layers run row by row on NumPy arrays: each layer is a sorted
 ``uint64`` array of packed states (a cell sets the bits of its fields) with
@@ -77,7 +78,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .delta import profile, suitable_target
-from .groups import AbelianGroup, Element, IndexTable, index_table
+from .groups import Element, IndexTable, index_table
 from .hypercube import Coords, Diagonal, Entry, Hypercube, is_latin
 
 DEFAULT_SEED = 2024
@@ -211,22 +212,20 @@ def enumerate_transversals(
     time cap cuts the listing."""
     _require_latin(H)
     budget = budget or SearchBudget()
-    yield from _listed(H, budget, _results(H, _Gauge(budget), transversal=True))
+    yield from _listed(H, budget, _results(H, _Gauge(budget)))
 
 
 def enumerate_diagonals(
     H: Hypercube,
-    group: AbelianGroup | None = None,
-    target_sum: Element | None = None,
+    target_sum: Element,
     budget: SearchBudget | None = None,
 ) -> Iterator[Diagonal]:
-    """All complete diagonals, optionally filtered to a given delta sum, in
-    deterministic order: with a target sum as ``enumerate_transversals``
-    lists, and without one by the DFS."""
+    """All complete diagonals with the given delta sum in H's group, in
+    deterministic order, as ``enumerate_transversals`` lists."""
     _require_latin(H)
     budget = budget or SearchBudget()
-    target = None if target_sum is None else _TargetSum.of(H, group, target_sum)
-    yield from _listed(H, budget, _results(H, _Gauge(budget), transversal=False, target=target))
+    target = _TargetSum.of(H, target_sum)
+    yield from _listed(H, budget, _results(H, _Gauge(budget), target))
 
 
 @dataclass(frozen=True)
@@ -269,19 +268,18 @@ def count_transversals(
 
 def count_diagonals(
     H: Hypercube,
-    group: AbelianGroup | None,
     target_sum: Element,
     budget: SearchBudget | None = None,
     *,
     keep: int = 0,
 ) -> Census:
-    """The number of complete diagonals with the given delta sum, and the first
-    ``keep`` in enumeration order.
+    """The number of complete diagonals with the given delta sum in H's group,
+    and the first ``keep`` in enumeration order.
 
     By the rule of ``Census``, the layers' worst case holding one running sum
     per element of the group."""
     _require_latin(H)
-    return _census(H, budget or SearchBudget(), keep, _TargetSum.of(H, group, target_sum))
+    return _census(H, budget or SearchBudget(), keep, _TargetSum.of(H, target_sum))
 
 
 class _TargetSum(NamedTuple):
@@ -294,11 +292,10 @@ class _TargetSum(NamedTuple):
     table: IndexTable
 
     @classmethod
-    def of(cls, H: Hypercube, group: AbelianGroup | None, target_sum: Element) -> _TargetSum:
-        """The target in H's group, or in ``group`` if given."""
-        group = H.group if group is None else group
-        index = group.index(group.reduce(target_sum))
-        return cls(index, profile(H, group).indices.reshape(H.n, -1), index_table(group))
+    def of(cls, H: Hypercube, target_sum: Element) -> _TargetSum:
+        """The target in H's group."""
+        index = H.group.index(H.group.reduce(target_sum))
+        return cls(index, profile(H).indices.reshape(H.n, -1), index_table(H.group))
 
 
 def _layered(H: Hypercube, target: _TargetSum | None) -> bool:
@@ -308,21 +305,21 @@ def _layered(H: Hypercube, target: _TargetSum | None) -> bool:
 
 
 def _results(
-    H: Hypercube, gauge: _Gauge, *, transversal: bool, target: _TargetSum | None = None,
+    H: Hypercube, gauge: _Gauge, target: _TargetSum | None = None,
     table: _Table | None = None,
 ) -> Iterator[np.ndarray]:
-    """Every transversal, or every diagonal (with the target sum if given), in
-    ``_dfs`` listing order, as blocks: (k, n) arrays of each result's cell index
-    per row; read off the stored layers (``_array_listing``) where
-    ``_layered`` holds, and listed by the DFS otherwise (and for all
-    diagonals), a result a block.  A ``table`` that will hold the results is
-    allocated at their number where the layers give it."""
-    if (transversal or target is not None) and _layered(H, target):
+    """Every transversal (``target`` None) or every diagonal with the target
+    sum, in ``_dfs`` listing order, as blocks: (k, n) arrays of each result's
+    cell index per row; read off the stored layers (``_array_listing``) where
+    ``_layered`` holds, and listed by the DFS otherwise, a result a block.  A
+    ``table`` that will hold the results is allocated at their number where
+    the layers give it."""
+    if _layered(H, target):
         layers = _back_layers(H, gauge, target)
         if table is not None:
             table.rows = np.empty((layers.count, H.n), np.intp)
         return _array_listing(layers, gauge)
-    listing = _dfs(_cube_cells(H, transversal), gauge, target)
+    listing = _dfs(_cube_cells(H, target is None), gauge, target)
     return (np.array([cells], np.intp) for cells in listing)
 
 
@@ -1210,7 +1207,7 @@ def max_disjoint_transversals(
     gauge = _Gauge(budget)
     table = _Table(H.n)
     try:
-        listed = table.fill(_results(H, gauge, transversal=True, table=table))
+        listed = table.fill(_results(H, gauge, table=table))
     except BudgetExhausted:
         return PackingResult((), False, None, "enumeration-truncated", True, table.size)
     if not len(listed):
@@ -1219,10 +1216,9 @@ def max_disjoint_transversals(
     hard_cap = H.n ** (H.d - 1)
     # every transversal has the target deviation sum, so when that target is
     # nonzero the nonzero-deviation support is itself a hitting set
-    group = H.group
     support_ub = None
-    if suitable_target(group, H.d) != group.identity():
-        support_ub = len(profile(H, group).support)
+    if suitable_target(H.group, H.d) != H.group.identity():
+        support_ub = len(profile(H).support)
     try:
         cover = _cover(H, listed, gauge)
         ub_hit = len(_greedy_hitting_set(cover.masks, gauge))
@@ -1272,12 +1268,12 @@ def complete_avoiding(
 
 def hitting_set_check(
     H: Hypercube,
-    group: AbelianGroup | None,
     target: Element,
     cells: Iterable[Coords],
     budget: SearchBudget | None = None,
 ) -> bool:
-    """True iff every complete diagonal with the given delta sum meets ``cells``.
+    """True iff every complete diagonal with the given delta sum in H's group
+    meets ``cells``.
 
     Off the nonzero-delta support X every delta is zero, so a diagonal D that
     avoids the cells U has the delta sum of D & X, and the rest of D avoids
@@ -1293,10 +1289,10 @@ def hitting_set_check(
     never yields True.  A cell outside the cube raises ValueError."""
     _require_latin(H)
     budget = budget or SearchBudget()
-    goal, deltas, table = _TargetSum.of(H, group, target)
+    goal, deltas, table = _TargetSum.of(H, target)
     add, n, deltas = table.add, H.n, deltas.tolist()
     U = set(_checked_cells(H, cells))
-    X = frozenset(_checked_cells(H, profile(H, group).support))
+    X = frozenset(_checked_cells(H, profile(H).support))
     free = sorted(X - U)
     # a cell's row as bit r and its fields as bits n and up: two cells of a
     # partial diagonal share no bit
@@ -1347,7 +1343,7 @@ def hill_climb_decomposition(
     budget = budget or SearchBudget()
     gauge = _Gauge(budget)
     table = _Table(H.n)
-    listed = table.fill(_results(H, gauge, transversal=True, table=table))
+    listed = table.fill(_results(H, gauge, table=table))
     best: list[int] = []
     if not _packs(_cover(H, listed, gauge), H.n ** (H.d - 1), gauge, best):
         return None

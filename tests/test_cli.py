@@ -694,8 +694,8 @@ def test_search_suitable_counts_the_order_16_exhibit(tmp_path, capsys):
     H = Hypercube(arr, Z16)
     assert is_latin(H)
     target = suitable_target(Z16, 4)
-    assert count_diagonals(H, None, target) == Census(11_496_038_400, (), True, 238_034)
-    assert hitting_set_check(H, None, target, [(8, 6)])
+    assert count_diagonals(H, target) == Census(11_496_038_400, (), True, 238_034)
+    assert hitting_set_check(H, target, [(8, 6)])
     cube = tmp_path / "ex16.lhc"
     save(H, cube)
     code, out, _ = run_cli(["search", "suitable", "--dprime", "4", str(cube)], capsys)

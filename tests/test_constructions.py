@@ -256,8 +256,8 @@ def test_ord8_square_cells():
 
 def test_ord8_marked_transversals():
     ta, tb = cons.ord8_marked_transversals()
-    assert delta_sum(cons.ord8_square(), cyclic_group(8), ta) == (4,)
-    assert delta_sum(cons.ord8_square(), cyclic_group(8), tb) == (4,)
+    assert delta_sum(cons.ord8_square(), ta) == (4,)
+    assert delta_sum(cons.ord8_square(), tb) == (4,)
     assert not (ta.cell_set() & tb.cell_set())
 
 
@@ -305,7 +305,7 @@ def test_z6_isotope_square_is_symbol_swap_of_cyclic():
 
 def test_z6_marked_diagonal():
     D = cons.z6_marked_diagonal()
-    assert delta_sum(cons.z6_isotope_square(), cyclic_group(6), D) == (3,)
+    assert delta_sum(cons.z6_isotope_square(), D) == (3,)
     assert not D.has_distinct_symbols()
     assert D.complete
 

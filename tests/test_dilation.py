@@ -148,7 +148,7 @@ def test_transfer_hitting_set_certifies_small_square():
     big = dilate(H, 2)
     image = [psi_cell(c, 2) for c in ord6m_starred_cells(1)]
     target = suitable_target(big.group, 2)
-    assert hitting_set_check(big, big.group, target, image)
+    assert hitting_set_check(big, target, image)
 
 
 def test_transfer_hitting_set_via_projection_bound():
@@ -160,7 +160,7 @@ def test_transfer_hitting_set_via_projection_bound():
     big = dilate(H, 2)
     image = [psi_cell(c, 2) for c in ord6m_starred_cells(2)]
     target = suitable_target(big.group, 2)
-    assert hitting_set_check(big, big.group, target, image)
+    assert hitting_set_check(big, target, image)
 
 
 def test_transfer_hitting_set_vacuous_and_failing_cases():
@@ -189,10 +189,10 @@ def test_suitable_image_extends_in_dilation():
     target_big = suitable_target(big.group, 2)
     prof_big = profile(big)
     count = 0
-    for D in enumerate_diagonals(H, H.group, suitable_target(H.group, 2)):
+    for D in enumerate_diagonals(H, suitable_target(H.group, 2)):
         image_cells = [psi_cell(c, 2) for c in D.cells()]
         E = complete_avoiding(big, image_cells, [])
         assert E is not None
-        assert delta_sum(big, big.group, E) == target_big
+        assert delta_sum(big, E) == target_big
         count += 1
     assert count > 0

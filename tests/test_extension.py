@@ -358,7 +358,7 @@ def test_extension_hitting_certificate_order8():
     assert cert.holds
 
     ta, tb = ord8_marked_transversals()
-    assert delta_sum(L, g, ta) == suitable_target(g, 4)
+    assert delta_sum(L, ta) == suitable_target(g, 4)
     family = lift_family(L, [ta, tb], g, 4)
     assert len(family) == 128
     assert pairwise_disjoint_family(family)

@@ -60,18 +60,13 @@ from transversal_lab.search import (
 
 def test_enumerate_diagonals_counts_match_oracle():
     H = cyclic(cyclic_group(3), 2)
-    engine = list(enumerate_diagonals(H))
-    assert len(engine) == 6
-    assert {frozenset(D.cells()) for D in engine} == {
-        frozenset(c) for c in brute_diagonals(H.symbols)
-    }
-    with_target = list(enumerate_diagonals(H, H.group, (0,)))
+    with_target = list(enumerate_diagonals(H, (0,)))
     assert len(with_target) == 6
 
 
 def test_enumerate_diagonals_with_nonzero_target():
     H = ord6m_square(1)
-    listed = [frozenset(D.cells()) for D in enumerate_diagonals(H, H.group, (3,))]
+    listed = [frozenset(D.cells()) for D in enumerate_diagonals(H, (3,))]
     assert len(listed) == len(set(listed))
     oracle = {frozenset(c) for c in brute_target_diagonals(H.symbols, 3)}
     assert set(listed) == oracle and listed
@@ -100,7 +95,7 @@ def test_ord8_target_diagonals_hit_blocking_pair():
     H = ord8_square()
     pair = set(ord8_blocking_cells())
     count = 0
-    for D in enumerate_diagonals(H, H.group, (4,)):
+    for D in enumerate_diagonals(H, (4,)):
         assert set(D.cells()) & pair
         count += 1
     assert count > 0
@@ -395,7 +390,7 @@ def test_full_layer_listing_keeps_its_node_count(name):
     make, back, _, _, _, results, nodes = _LAYER_CUTS[name]
     H = make()
     gauge = search._Gauge(SearchBudget())
-    listed = search._Table(H.n).fill(search._results(H, gauge, transversal=True))
+    listed = search._Table(H.n).fill(search._results(H, gauge))
     assert (len(listed), gauge.nodes) == (results, nodes)
     assert nodes > sum(back)
 
@@ -425,7 +420,7 @@ def test_layers_do_not_depend_on_the_chunk_size(monkeypatch):
     cubes = [confirmed_bachelor(4, 4), z6_isotope_square(), cyclic(cyclic_group(5), 3)]
 
     def layers_of(H):
-        targets = [None] + [search._TargetSum.of(H, None, (t,)) for t in range(H.n)]
+        targets = [None] + [search._TargetSum.of(H, (t,)) for t in range(H.n)]
         built, listings = [], []
         for t in targets:
             gauge = search._Gauge(SearchBudget())
@@ -435,7 +430,7 @@ def test_layers_do_not_depend_on_the_chunk_size(monkeypatch):
         witnesses = [census.witnesses
                      for keep in (1, 2, 8)
                      for census in (count_transversals(H, keep=keep),
-                                    *(count_diagonals(H, None, (t,), keep=keep)
+                                    *(count_diagonals(H, (t,), keep=keep)
                                       for t in range(H.n)))]
         return ([(k.tolist(), w.tolist()) for L in built for k, w in zip(L.keys, L.ways)],
                 bachelor_cells(H), listings, witnesses)
@@ -513,8 +508,7 @@ def test_kept_children_stay_within_the_layers_states(monkeypatch):
     # its forward sweep, 47,269 states) fills the room and lists the same
     # results as with the default chunk
     z11 = cyclic(cyclic_group(11), 2)
-    expected = search._Table(11).fill(search._results(z11, search._Gauge(SearchBudget()),
-                                                       transversal=True))
+    expected = search._Table(11).fill(search._results(z11, search._Gauge(SearchBudget())))
     made = []
 
     class Spied(search._Kept):
@@ -524,8 +518,7 @@ def test_kept_children_stay_within_the_layers_states(monkeypatch):
 
     monkeypatch.setattr(search, "_Kept", Spied)
     monkeypatch.setattr(search, "_CHUNK_PAIRS", 200)
-    listed = search._Table(11).fill(search._results(z11, search._Gauge(SearchBudget()),
-                                                     transversal=True))
+    listed = search._Table(11).fill(search._results(z11, search._Gauge(SearchBudget())))
     assert np.array_equal(listed, expected)
     (kept,) = made
     states = sum(map(len, kept.layers.keys))
@@ -542,7 +535,7 @@ def test_cover_masks_match_a_plain_reference():
     for H in (cyclic(cyclic_group(5), 3), turned_cyclic(4, 4), cyclic(cyclic_group(7), 2)):
         table = search._Table(H.n)
         every = table.fill(search._results(H, search._Gauge(SearchBudget()),
-                                           transversal=True, table=table))
+                                           table=table))
         assert len(table.rows) == len(every) == count_transversals(H).count
         per_row = H.symbols.size // H.n
         for count in (1, 5, 8, 13, 100, len(every)):
@@ -562,7 +555,7 @@ def test_listing_the_first_results_builds_no_more_than_the_layers():
     # layers to the traced peak of building them (a full forward sweep of
     # this cube's layers holds about 41 MB of edges, the layers 7.7 MB)
     H = _random_isotope(cyclic(cyclic_group(15), 2), 1)
-    target = search._TargetSum.of(H, None, (0,))
+    target = search._TargetSum.of(H, (0,))
     layers = search._back_layers(H, search._Gauge(SearchBudget()), target)
     size = sum(keys.nbytes + ways.nbytes for keys, ways in zip(layers.keys, layers.ways))
     del layers
@@ -571,7 +564,7 @@ def test_listing_the_first_results_builds_no_more_than_the_layers():
         search._back_layers(H, search._Gauge(SearchBudget()), target)
         build = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        first = list(itertools.islice(enumerate_diagonals(H, None, (0,)), 2_000))
+        first = list(itertools.islice(enumerate_diagonals(H, (0,)), 2_000))
         listing = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -618,7 +611,7 @@ def test_fitting_yields_the_pairs_of_the_and_with_every_cell(monkeypatch, name):
     monkeypatch.setattr(search, "_fitting", checked)
     scan = bachelor_cells(H)
     assert scan.exhaustive and len(calls) == 2 * H.n
-    for target in (None, search._TargetSum.of(H, None, (0,))):
+    for target in (None, search._TargetSum.of(H, (0,))):
         gauge = search._Gauge(SearchBudget())
         layers = search._back_layers(H, gauge, target)
         if layers.count:  # cyclic Z10 has no transversal to list
@@ -673,7 +666,7 @@ def test_layer_builder_asserts_the_64_bit_fit_before_any_tick():
     # 21! and 22! ways overflow int64: the builder refuses Z21's transversal
     # layers and Z22's target-sum layers itself, whichever caller reaches it
     z21, z22 = cyclic(cyclic_group(21), 2), cyclic(cyclic_group(22), 2)
-    for H, target in ((z21, None), (z22, search._TargetSum.of(z22, None, (0,)))):
+    for H, target in ((z21, None), (z22, search._TargetSum.of(z22, (0,)))):
         gauge = search._Gauge(SearchBudget(max_nodes=1_000))
         with pytest.raises(AssertionError):
             search._back_layers(H, gauge, target)
@@ -725,14 +718,14 @@ def _assert_counts_agree(H, targets, keep=3):
         _dfs_only(mp)
         _assert_census(count_transversals(H, keep=keep), listed, keep)
     for t in targets:
-        listed = list(enumerate_diagonals(H, H.group, (t,)))
-        target = search._TargetSum.of(H, H.group, (t,))
+        listed = list(enumerate_diagonals(H, (t,)))
+        target = search._TargetSum.of(H, (t,))
         layers = search._back_layers(H, search._Gauge(SearchBudget()), target)
         assert layers.count == len(listed) == len(by_sum[t]), t
-        _assert_census(count_diagonals(H, None, (t,), keep=keep), listed, keep)
+        _assert_census(count_diagonals(H, (t,), keep=keep), listed, keep)
         with pytest.MonkeyPatch.context() as mp:
             _dfs_only(mp)
-            _assert_census(count_diagonals(H, None, (t,), keep=keep), listed, keep)
+            _assert_census(count_diagonals(H, (t,), keep=keep), listed, keep)
 
 
 def test_counts_match_dfs_and_brute_force_on_every_small_square(square_catalogue):
@@ -761,7 +754,7 @@ def test_counts_match_dfs_and_brute_force(name):
         # diagonals have sum 0 and none has another sum; the DFS and the
         # oracle then check one target of each kind
         gauge = search._Gauge(SearchBudget())
-        counts = [search._back_layers(H, gauge, search._TargetSum.of(H, H.group, (t,))).count
+        counts = [search._back_layers(H, gauge, search._TargetSum.of(H, (t,))).count
                   for t in targets]
         assert counts == [math.factorial(H.n) ** (H.d - 1)] + [0] * (H.n - 1)
         targets = (0, 1)
@@ -793,7 +786,7 @@ def test_count_transversals_runs_the_dp_where_its_worst_case_is_small():
 def test_count_diagonals_runs_the_dp_where_its_worst_case_is_small():
     # L8 has no diagonal with sum 4: 506 states count them, where the DFS
     # needs 109,600 nodes
-    census = count_diagonals(l8_square(), None, (4,), SearchBudget(max_nodes=1_000))
+    census = count_diagonals(l8_square(), (4,), SearchBudget(max_nodes=1_000))
     assert census == search.Census(0, (), True, 506)
 
 
@@ -820,11 +813,11 @@ def test_counts_run_the_dfs_above_the_dp_bound():
     # order 10 at d=3 lies 2.75 times above the bound for target sums
     z10 = cyclic(cyclic_group(10), 3)
     assert search._layer_work(10, 3, 10) > 2.75 * search._WORK_BOUND
-    census = count_diagonals(z10, None, (0,), SearchBudget(max_nodes=1_000))
+    census = count_diagonals(z10, (0,), SearchBudget(max_nodes=1_000))
     assert (census.count, census.exact) == (436, False)
     listed = []
     with pytest.raises(BudgetExhausted):
-        listed.extend(enumerate_diagonals(z10, None, (0,), SearchBudget(max_nodes=1_000)))
+        listed.extend(enumerate_diagonals(z10, (0,), SearchBudget(max_nodes=1_000)))
     assert len(listed) == 436
 
 
@@ -843,9 +836,9 @@ def test_target_count_on_z3_d8_is_the_same_on_both_engines(monkeypatch):
     # the layers count in 4,375 states what the DFS counts in 562,059 nodes
     H = _random_isotope(cyclic(cyclic_group(3), 8), 1)
     assert 1 << 22 < search._layer_work(3, 8, 3) <= search._WORK_BOUND
-    layers = count_diagonals(H, None, (0,))
+    layers = count_diagonals(H, (0,))
     _dfs_only(monkeypatch)
-    dfs = count_diagonals(H, None, (0,))
+    dfs = count_diagonals(H, (0,))
     assert (layers.count, layers.exact, layers.nodes) == (279_936, True, 4_375)
     assert (dfs.count, dfs.exact, dfs.nodes) == (279_936, True, 562_059)
 
@@ -881,7 +874,7 @@ def test_dfs_target_census_is_unchanged(monkeypatch, name):
         budget = SearchBudget()
     _dfs_only(monkeypatch)
     t = int(name.rpartition("sum")[2])
-    census = count_diagonals(H, None, (t,), budget, keep=3)
+    census = count_diagonals(H, (t,), budget, keep=3)
     columns = [tuple(c for _, c in D.cells()) for D in census.witnesses]
     assert (census.count, census.exact, census.nodes, columns) == _DFS_TARGET_CENSUSES[name]
 
@@ -919,13 +912,13 @@ def test_count_max_results_caps_the_count(monkeypatch, dfs_only):
     census = count_transversals(H, SearchBudget(max_results=1281), keep=8)
     assert (census.count, census.exact) == (1280, True)
     H6 = z6_isotope_square()
-    listed = list(enumerate_diagonals(H6, None, (3,)))
+    listed = list(enumerate_diagonals(H6, (3,)))
     total = len(listed)
     for cap in (1, 5, 8, 9, total - 1, total):
-        census = count_diagonals(H6, None, (3,), SearchBudget(max_results=cap), keep=8)
+        census = count_diagonals(H6, (3,), SearchBudget(max_results=cap), keep=8)
         assert (census.count, census.exact) == (cap, False)
         assert census.witnesses == tuple(listed[:min(cap, 8)])
-    census = count_diagonals(H6, None, (3,), SearchBudget(max_results=total + 1), keep=8)
+    census = count_diagonals(H6, (3,), SearchBudget(max_results=total + 1), keep=8)
     assert (census.count, census.exact) == (total, True)
 
 
@@ -936,7 +929,7 @@ def test_truncated_census_is_never_exact(monkeypatch, dfs_only):
     H = turned_cyclic(4, 4)
     H6 = z6_isotope_square()
     for count in (lambda b: count_transversals(H, b, keep=8),
-                  lambda b: count_diagonals(H6, None, (3,), b, keep=8)):
+                  lambda b: count_diagonals(H6, (3,), b, keep=8)):
         full = count(SearchBudget())
         assert full.exact and full.count > 8
         for max_nodes in (1, full.nodes // 4, full.nodes // 2, full.nodes - 1):
@@ -961,7 +954,7 @@ def _array_listing(H, target=None, budget=SearchBudget()):
 def _listings(H, target_sum=None):
     # the array listing and the DFS listing of the transversals, or of the
     # diagonals with the target sum if given
-    target = None if target_sum is None else search._TargetSum.of(H, H.group, (target_sum,))
+    target = None if target_sum is None else search._TargetSum.of(H, (target_sum,))
     cells = search._cube_cells(H, target is None)
     return _array_listing(H, target), search._dfs(cells, search._Gauge(SearchBudget()), target)
 
@@ -1023,12 +1016,12 @@ def test_target_listing_matches_dfs(name):
         # all 1.7 million diagonals have sum 0: the first thousand come in the
         # DFS's order, and every other sum lists nothing
         budget = SearchBudget()
-        target = search._TargetSum.of(H, H.group, (0,))
+        target = search._TargetSum.of(H, (0,))
         layers = _array_listing(H, target, budget)
         dfs = search._dfs(search._cube_cells(H, False), search._Gauge(budget), target)
         assert list(itertools.islice(layers, 1000)) == list(itertools.islice(dfs, 1000))
         for t in range(1, H.n):
-            assert list(enumerate_diagonals(H, H.group, (t,))) == []
+            assert list(enumerate_diagonals(H, (t,))) == []
         return
     for t in range(H.n):
         _assert_listing_matches_dfs(H, target_sum=t)
@@ -1090,8 +1083,8 @@ def test_dfs_layers_and_brute_force_agree_on_random_cubes(H, data):
                 count = lambda b: count_transversals(H, b, keep=2)
             else:
                 oracle = sorted(by_sum[t])
-                listed = list(enumerate_diagonals(H, H.group, (t,)))
-                count = lambda b: count_diagonals(H, None, (t,), b, keep=2)
+                listed = list(enumerate_diagonals(H, (t,)))
+                count = lambda b: count_diagonals(H, (t,), b, keep=2)
             layers, dfs = _listings(H, t)
             layers = list(layers)
             assert [D.entries for D in listed] == [D.entries for D in search._diagonals(H, layers)]
@@ -1133,11 +1126,11 @@ def test_listing_engine_is_chosen_by_the_bound(monkeypatch):
             except BudgetExhausted:
                 pass
             try:
-                list(enumerate_diagonals(H, None, (0,), budget))
+                list(enumerate_diagonals(H, (0,), budget))
             except BudgetExhausted:
                 pass
             count_transversals(H, budget, keep=2)
-            count_diagonals(H, None, (0,), budget, keep=2)
+            count_diagonals(H, (0,), budget, keep=2)
             max_disjoint_transversals(H, budget=budget)
 
     monkeypatch.setattr(search, "_dfs", spy)
@@ -1418,7 +1411,7 @@ def test_hill_climb_determinism():
 
 def test_hitting_set_check_empty_set_is_false():
     H = cyclic(cyclic_group(3), 2)
-    assert not hitting_set_check(H, H.group, (0,), [])
+    assert not hitting_set_check(H, (0,), [])
 
 
 _SMALL_SQUARES = {
@@ -1449,7 +1442,7 @@ def test_hitting_set_check_matches_brute_force(name):
         assert U - support, "every cell set includes cells outside the support"
         for t in range(n):
             expected = all(D & U for D in by_target[t])
-            assert hitting_set_check(H, H.group, (t,), U) == expected, (sorted(U), t)
+            assert hitting_set_check(H, (t,), U) == expected, (sorted(U), t)
             outcomes.add(expected)
     assert outcomes == {True, False}
 
@@ -1457,9 +1450,9 @@ def test_hitting_set_check_matches_brute_force(name):
 def test_hitting_set_check_ord6m_starred_pair():
     H = ord6m_square(1)
     stars = ord6m_starred_cells(1)
-    assert hitting_set_check(H, H.group, (3,), stars)
+    assert hitting_set_check(H, (3,), stars)
     # dropping one starred cell must break the property
-    assert not hitting_set_check(H, H.group, (3,), stars[:1])
+    assert not hitting_set_check(H, (3,), stars[:1])
 
 
 def test_hitting_set_check_covering_the_support_needs_no_search():
@@ -1468,7 +1461,7 @@ def test_hitting_set_check_covering_the_support_needs_no_search():
     H = turned_cyclic(6, 4)
     region = turned_region(6, 4)
     target = suitable_target(H.group, 4)
-    assert hitting_set_check(H, H.group, target, region, SearchBudget(max_nodes=1))
+    assert hitting_set_check(H, target, region, SearchBudget(max_nodes=1))
 
 
 def test_hitting_set_check_prunes_a_row_with_no_allowed_cell():
@@ -1477,7 +1470,7 @@ def test_hitting_set_check_prunes_a_row_with_no_allowed_cell():
     # when the forbidden row is row 2
     H = ord8_square()
     last_row = [c for c in H.cells() if c[0] == H.n - 1]
-    assert hitting_set_check(H, H.group, (0,), last_row, SearchBudget(max_nodes=814))
+    assert hitting_set_check(H, (0,), last_row, SearchBudget(max_nodes=814))
 
 
 def test_hitting_set_check_budget_covers_the_whole_check(monkeypatch):
@@ -1494,12 +1487,12 @@ def test_hitting_set_check_budget_covers_the_whole_check(monkeypatch):
         tick(gauge)
 
     monkeypatch.setattr(search._Gauge, "tick", counting_tick)
-    assert hitting_set_check(H, H.group, (5,), anti)
+    assert hitting_set_check(H, (5,), anti)
     total = ticks
     for max_nodes in (1, total // 2, total - 1):
         with pytest.raises(BudgetExhausted):
-            hitting_set_check(H, H.group, (5,), anti, SearchBudget(max_nodes=max_nodes))
-    assert hitting_set_check(H, H.group, (5,), anti, SearchBudget(max_nodes=total))
+            hitting_set_check(H, (5,), anti, SearchBudget(max_nodes=max_nodes))
+    assert hitting_set_check(H, (5,), anti, SearchBudget(max_nodes=total))
 
 
 def _assert_completions_match_brute_force(H, rng, trials):
@@ -1521,7 +1514,7 @@ def _assert_completions_match_brute_force(H, rng, trials):
         t = rng.choice((None, rng.randrange(H.n)))
         pool = itertools.chain.from_iterable(by_sum) if t is None else by_sum[t]
         matching = sorted(D for D in pool if set(partial) <= set(D) and not set(D) & forbidden)
-        target = None if t is None else search._TargetSum.of(H, H.group, (t,))
+        target = None if t is None else search._TargetSum.of(H, (t,))
         cells = search._Cells.of(H, False, frozenset(search._checked_cells(H, forbidden)))
         pre = search._checked_cells(H, partial)
         listed = search._dfs(cells, search._Gauge(SearchBudget()), target, pre)
@@ -1572,11 +1565,11 @@ def test_cells_outside_the_cube_are_rejected_not_claimed_absent():
         with pytest.raises(ValueError):
             complete_avoiding(H, [], [bad])
         with pytest.raises(ValueError):
-            hitting_set_check(H, H.group, (0,), [(0, 0), bad])
+            hitting_set_check(H, (0,), [(0, 0), bad])
     with pytest.raises(ValueError):
         complete_avoiding(H6, [(-1, 2)], [])
     with pytest.raises(ValueError):
-        hitting_set_check(H6, H6.group, (3,), [*ord6m_starred_cells(1), (6, 0)])
+        hitting_set_check(H6, (3,), [*ord6m_starred_cells(1), (6, 0)])
     assert transversal_through(H, (4, 0)).cells()[4] == (4, 0)
 
 
