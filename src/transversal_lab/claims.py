@@ -63,7 +63,8 @@ class ClaimResult:
 
 
 def random_zero_sum(group: AbelianGroup, rng: random.Random) -> list:
-    vals = [group.element(rng.randrange(group.order)) for _ in range(group.order - 1)]
+    elements = tuple(group.elements())
+    vals = [elements[rng.randrange(group.order)] for _ in range(group.order - 1)]
     vals.append(group.neg(group.sum(vals)))
     return vals
 

@@ -70,7 +70,10 @@ def hall_pair(
     b_j with the last b and repairs j next.  Hall's argument closes every
     chain within n exchanges."""
     table = index_table(group)
-    a, b = _hall_indices(table.add, [table.index[group.reduce(s)] for s in sigmas])
+    index = table.index  # a canonical tuple is a key; anything else is reduced first
+    want = [index[s] if isinstance(s, tuple) and s in index else index[group.reduce(s)]
+            for s in sigmas]
+    a, b = _hall_indices(table.add, want)
     return [table.elements[x] for x in a], [table.elements[x] for x in b]
 
 

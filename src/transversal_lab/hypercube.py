@@ -113,14 +113,12 @@ def cyclic(group: AbelianGroup, d: int) -> Hypercube:
 def is_latin(H: Hypercube) -> bool:
     """True iff every line contains each symbol exactly once.  Cached."""
     if H._latin is None:
-        want = np.arange(H.n, dtype=np.int64)
-        ok = True
-        for axis in range(H.d):
-            lines = np.moveaxis(H.symbols, axis, -1).reshape(-1, H.n)
-            if not np.all(np.sort(lines, axis=1) == want):
-                ok = False
-                break
-        H._latin = ok
+        # sorted along an axis, every line reads 0..n-1 along it
+        want = np.arange(H.n)
+        H._latin = all(
+            (np.sort(H.symbols, axis) == want.reshape(-1, *[1] * (H.d - 1 - axis))).all()
+            for axis in range(H.d)
+        )
     return H._latin
 
 

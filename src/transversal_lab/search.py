@@ -3,7 +3,9 @@
 Every engine reads one cell layout, ``_cell_fields``: cell i of row r (the
 row's i-th in row-major order) holds value v of axis j (1..d-1) as field
 (j-1)*n + v and, for transversals, symbol s as field (d-1)*n + s, so cells of
-distinct rows lie on one diagonal (transversal) iff they share no field.
+distinct rows lie on one diagonal (transversal) iff they share no field.  The
+axis fields and their bits, the same on every row, are one read-only table
+per (n, d) (``_shape``), so a cube adds only its symbol field.
 Every engine gives a result as its cell index on each row, and ``_diagonals``
 builds the ``Diagonal`` objects of only the results that are returned.
 
@@ -28,27 +30,18 @@ all diagonals.
 The frontier layers run row by row on NumPy arrays: each layer is a sorted
 ``uint64`` array of packed states (a cell sets the bits of its fields) with
 an ``int64`` array of ways beside it, and a whole layer meets a row in a few
-array operations (``_fitting``): a state with k free values on each axis
-tries only the k**(d-1) cells of the row whose axis values are all free in
-it, where that is cheaper than trying all n**(d-1).
-One builder (``_back_layers``) stores every backward layer, each state with
-its number of ways to complete, for transversals or for diagonals with a
-target delta sum.  Counts are the ways at the root.  Both readers step
-forward by one helper, ``_children`` (the completing children of some
-forward states on a row): ``_array_listing`` reads the results off in the
-DFS's order, a block of partial results at a time, taking only branches
-that complete (and for a census only the first few), each partial held as
-its state's index in the layer and a pointer to its parent; a full listing
-finds each distinct state's children once per row, when it first meets the
-state, and keeps at most as many as the layers have states.
-``bachelor_cells`` decides every cell at once by a forward sweep
-over the live states.  Every reader finds states in a layer by ``_lookup``.
-One rule, ``_layered``, picks the engine of every search: both kinds of
-layers run exactly on the cubes whose worst case (``_layer_work``, from the
-order, the dimension and the group order) is within the one bound
-``_WORK_BOUND``, and the DFS (for ``bachelor_cells``, one existence search
-per cell) on larger cubes.  A budget only caps work and results; it never
-picks the engine.
+array operations (``_fitting``).  One builder (``_back_layers``) stores
+every backward layer, each state with its number of ways to complete, for
+transversals or for diagonals with a target delta sum; counts are the ways
+at the root.  Both readers step forward by one helper, ``_children``:
+``_array_listing`` reads the results off in the DFS's order, taking only
+branches that complete, and ``bachelor_cells`` decides every cell at once
+by a forward sweep over the live states.  One rule, ``_layered``, picks the
+engine of every search: both kinds of layers run exactly on the cubes whose
+worst case (``_layer_work``, from the order, the dimension and the group
+order) is within the one bound ``_WORK_BOUND``, and the DFS (for
+``bachelor_cells``, one existence search per cell) on larger cubes.  A
+budget only caps work and results; it never picks the engine.
 
 Packings and decompositions run one exact cover (``_packs``) over every
 listed transversal, held as one array of cell indices filled in place
@@ -170,18 +163,36 @@ def _checked_cells(H: Hypercube, cells: Iterable[Coords]) -> list[tuple[int, int
     return out
 
 
-@functools.lru_cache(maxsize=8)
+class _Shape(NamedTuple):
+    """The read-only parts of the cell layout that depend on the order n and
+    the dimension d alone, built once per (n, d) by ``_shape``."""
+
+    axes: np.ndarray  # [i]: the d - 1 axis fields of cell i of any row
+    masks: np.ndarray  # their bits, on a row's (n,)*(d-1) grid: cell i at flat index i
+    bits: np.ndarray  # 1 << b for each of the (d-1)*n axis bits b, for ``_fitting``
+    place: np.ndarray  # each axis's place value in a cell index, for ``_fitting``
+
+
+@functools.lru_cache(maxsize=16)
+def _shape(n: int, d: int) -> _Shape:
+    axes = np.indices((n,) * (d - 1)).reshape(d - 1, -1).T + n * np.arange(d - 1)
+    bits = np.left_shift(np.uint64(1), np.arange((d - 1) * n, dtype=np.uint64))
+    masks = np.bitwise_or.reduce(bits[axes], axis=1).reshape((n,) * (d - 1))
+    shape = _Shape(axes, masks, bits, n ** np.arange(d - 2, -1, -1))
+    for part in shape:
+        part.setflags(write=False)
+    return shape
+
+
 def _cell_fields(H: Hypercube, transversal: bool) -> np.ndarray:
     """The one cell layout (see the module docstring): an (n, n**(d-1), k)
-    read-only int array, [r, i] the k fields of cell i of row r, k = d for
-    transversals and d - 1 otherwise.  Built once per cube and kind."""
-    n, d = H.n, H.d
-    axes = np.indices((n,) * (d - 1)).reshape(d - 1, -1).T + n * np.arange(d - 1)
+    read-only int array, [r, i] the k fields of cell i of row r: the axes of
+    ``_shape`` on every row and, for transversals only (k = d), the symbol's."""
+    n, axes = H.n, _shape(H.n, H.d).axes
     fields = np.broadcast_to(axes, (n, *axes.shape))
     if transversal:
-        symbols = H.symbols.reshape(n, -1, 1).astype(np.intp) + (d - 1) * n
-        fields = np.concatenate([fields, symbols], axis=2)
-    fields.setflags(write=False)
+        fields = np.concatenate([fields, H.symbols.reshape(n, -1, 1) + (H.d - 1) * n], axis=2)
+        fields.setflags(write=False)
     return fields
 
 
@@ -301,7 +312,8 @@ class _TargetSum(NamedTuple):
 def _layered(H: Hypercube, target: _TargetSum | None) -> bool:
     """Whether the stored layers, not the DFS, search H for transversals
     (``target`` None) or target-sum diagonals: the one engine rule."""
-    return _layer_work(H.n, H.d, _order(target)) <= _WORK_BOUND
+    order = None if target is None else len(target.table.add)
+    return _layer_work(H.n, H.d, order) <= _WORK_BOUND
 
 
 def _results(
@@ -559,12 +571,6 @@ _WORK_BOUND = 1 << 26
 _CHUNK_PAIRS = 1 << 16
 
 
-def _order(target: _TargetSum | None) -> int | None:
-    """The group order of a target sum, None for transversals: the form
-    ``_layer_work`` and ``_fits_64_bits`` take the kind of layers in."""
-    return None if target is None else len(target.table.add)
-
-
 def _layer_work(n: int, d: int, order: int | None) -> int:
     """Worst-case work of the layers on a cube of order n and dimension d, for
     transversals (``order`` None) or for target sums in a group of that
@@ -626,7 +632,7 @@ class _Layers(NamedTuple):
     @property
     def count(self) -> int:
         """The number of results: the ways of the state that completes the root."""
-        (at,) = _lookup(self.keys[0], np.full(1, self.full ^ self.root, np.uint64))
+        (at,) = _lookup(self.keys[0], np.array([self.full ^ self.root], np.uint64))
         return int(self.ways[0][at]) if at >= 0 else 0
 
 
@@ -640,9 +646,9 @@ def _lookup(keys: np.ndarray, states: np.ndarray) -> np.ndarray:
     tiny listings (CPU time, best of 7; NumPy 2.4, 2-core x86-64 host)."""
     found = np.full(len(states), -1, np.intp)
     if len(keys):
-        order = np.argsort(states)
+        order = states.argsort()
         probe = states[order]
-        at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+        at = np.minimum(keys.searchsorted(probe), len(keys) - 1)
         found[order] = np.where(keys[at] == probe, at, -1)
     return found
 
@@ -681,8 +687,7 @@ def _fitting(states: np.ndarray, masks: np.ndarray) -> Iterator[tuple[np.ndarray
             si, ci = ((states[lo:lo + step, None] & flat) == 0).nonzero()
             yield (si + lo if lo else si), ci
         return
-    bits = np.left_shift(np.uint64(1), np.arange(axes * n, dtype=np.uint64))
-    place = n ** np.arange(axes - 1, -1, -1)  # of each axis in the cell index
+    _, _, bits, place = _shape(n, axes + 1)
     batch = max(1, _CHUNK_PAIRS // tried // step) * step
     for lo in range(0, len(states), batch):
         block = states[lo:lo + batch]
@@ -714,12 +719,13 @@ _Kids = tuple[np.ndarray, np.ndarray, np.ndarray]
 def _merge(states: np.ndarray, ways: np.ndarray) -> _Merged:
     """The distinct states in increasing order, each with the sum of its
     ways: a sort and ``np.add.reduceat``, exact in int64."""
-    order = np.argsort(states)
-    states, ways = states[order], ways[order]
-    first = np.ones(len(states), bool)
-    first[1:] = states[1:] != states[:-1]
+    order = states.argsort()
+    states = states[order]
+    first = np.empty(len(states), bool)
+    first[:1] = True
+    np.not_equal(states[1:], states[:-1], out=first[1:])
     starts = first.nonzero()[0]
-    return states[starts], np.add.reduceat(ways, starts)
+    return states[starts], np.add.reduceat(ways[order], starts)
 
 
 def _merged(parts: Iterator[_Merged]) -> _Merged:
@@ -728,8 +734,7 @@ def _merged(parts: Iterator[_Merged]) -> _Merged:
     least ``_CHUNK_PAIRS``), so the pile stays within twice the result
     however often the parts repeat the same states."""
     pile: list[_Merged] = []
-    held = 0
-    limit = _CHUNK_PAIRS
+    held, limit = 0, _CHUNK_PAIRS
     for part in parts:
         pile.append(part)
         held += len(part[0])
@@ -768,29 +773,24 @@ def _back_layers(H: Hypercube, gauge: _Gauge, target: _TargetSum | None = None) 
     states, which bounds the states held.  A cube whose states or ways do
     not fit 64 bits (``_fits_64_bits``) fails an assertion before any
     tick."""
-    n, order = H.n, _order(target)
-    assert _fits_64_bits(n, H.d, order), (n, H.d, order)
-    fields = _cell_fields(H, target is None)
-    width = fields.shape[2] * n
-    full = (1 << width) - 1
-    masks = np.bitwise_or.reduce(np.left_shift(np.uint64(1), fields.astype(np.uint64)), axis=2)
-    masks = masks.reshape(H.symbols.shape)
+    n, d, order = H.n, H.d, None if target is None else len(target.table.add)
+    assert _fits_64_bits(n, d, order), (n, d, order)
+    masks, width = _shape(n, d).masks, (d - 1) * n
+    if target is None:  # each cell's symbol bit above the axis fields
+        masks = masks | np.left_shift(np.uint64(1), (H.symbols + width).astype(np.uint64))
+        width += n
+    else:
+        masks = np.broadcast_to(masks, H.symbols.shape)
     keyed = None if target is None else (target.table.add_array, target.deltas)
-    keys, ways = [np.zeros(1, np.uint64)], [np.ones(1, np.int64)]
-
-    def expand(r: int, states: np.ndarray, counts: np.ndarray) -> Iterator[_Merged]:
-        for si, ci in _fitting(states, masks[r]):
-            yield _merge(_joined(states[si], r, ci, masks, width, keyed), counts[si])
-
+    layers = [(np.zeros(1, np.uint64), np.ones(1, np.int64))]  # B_n
     for r in reversed(range(n)):
-        gauge.tick(len(keys[-1]))
-        layer = _merged(expand(r, keys[-1], ways[-1]))
-        keys.append(layer[0])
-        ways.append(layer[1])
-    keys.reverse()
-    ways.reverse()
+        states, counts = layers[-1]
+        gauge.tick(len(states))
+        layers.append(_merged(_merge(_joined(states[si], r, ci, masks, width, keyed), counts[si])
+                              for si, ci in _fitting(states, masks[r])))
+    keys, ways = map(list, zip(*layers[::-1]))
     root = 0 if target is None else target.index << width
-    return _Layers(target, masks, keys, ways, full, root)
+    return _Layers(target, masks, keys, ways, (1 << width) - 1, root)
 
 
 def _children(layers: _Layers, r: int, states: np.ndarray) -> Iterator[_Kids]:
@@ -890,7 +890,7 @@ def _array_listing(
     in one step."""
     n, keys, full = len(layers.masks), layers.keys, np.uint64(layers.full)
     left = limit  # results still to list, None for all
-    root = _lookup(keys[0], np.full(1, full ^ np.uint64(layers.root)))
+    root = _lookup(keys[0], np.array([layers.full ^ layers.root], np.uint64))
     if root[0] < 0 or left == 0:
         return
     step = max(1, _CHUNK_PAIRS // layers.masks[0].size)

@@ -7,13 +7,7 @@ from transversal_lab import constructions as cons
 from transversal_lab.constructions import ConstructionError
 from transversal_lab.delta import delta_sum, profile
 from transversal_lab.groups import cyclic_group
-from transversal_lab.hypercube import (
-    Diagonal,
-    Hypercube,
-    cyclic,
-    is_latin,
-    pairwise_disjoint_family,
-)
+from transversal_lab.hypercube import cyclic, is_latin, pairwise_disjoint_family
 
 from test_hypercube import bachelor_pre_switch
 

@@ -187,7 +187,6 @@ def test_suitable_image_extends_in_dilation():
     H = ord6m_square(1)
     big = dilate(H, 2)
     target_big = suitable_target(big.group, 2)
-    prof_big = profile(big)
     count = 0
     for D in enumerate_diagonals(H, suitable_target(H.group, 2)):
         image_cells = [psi_cell(c, 2) for c in D.cells()]

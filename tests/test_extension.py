@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from transversal_lab.constructions import (
     ord6m_marked_transversals,
     ord6m_square,
-    ord6m_starred_cells,
     ord8_blocking_cells,
     ord8_marked_transversals,
     ord8_square,
@@ -35,7 +34,6 @@ from transversal_lab.extension import (
 from transversal_lab.groups import cyclic_group, parse_group
 from transversal_lab.hypercube import (
     Diagonal,
-    Entry,
     Hypercube,
     cyclic,
     is_latin,
@@ -105,6 +103,26 @@ def test_hall_pair_rejects_bad_input():
         hall_pair(g, [(1,), (0,), (0,), (0,)])
     with pytest.raises(ValueError):
         hall_pair(g, [(0,)] * 3)
+
+
+def test_hall_pair_reduces_sigmas_that_are_not_canonical_tuples():
+    # canonical tuples are looked up directly; lists, out-of-range components
+    # and NumPy integers give the pair of their reductions, and an element
+    # of the wrong length is refused whatever its form
+    for g, canonical in ((cyclic_group(5), [(2,), (4,), (0,), (1,), (3,)]),
+                         (parse_group("Z2xZ4"), [(1, 3), (0, 2), (1, 1), (0, 2),
+                                                 (0, 0), (1, 0), (1, 3), (0, 1)])):
+        assert g.sum(canonical) == g.identity()
+        want = hall_pair(g, canonical)
+        shifted = [tuple(c + m for c, m in zip(s, g.moduli)) for s in canonical]
+        assert shifted[0] == ((7,) if g.order == 5 else (3, 7))
+        for sigmas in ([list(s) for s in canonical], shifted,
+                       [tuple(map(np.int64, s)) for s in canonical],
+                       [np.array(s) - g.moduli for s in canonical]):
+            assert hall_pair(g, sigmas) == want
+        for wrong in ((*canonical[0], 0), [*canonical[0], 0], canonical[0][1:]):
+            with pytest.raises(ValueError):
+                hall_pair(g, [wrong, *canonical[1:]])
 
 
 def test_hall_pair_every_zero_sum_sequence_of_small_groups():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,6 +56,31 @@ def test_is_latin_examples():
     assert is_latin(cyclic(cyclic_group(6), 3))
     assert not is_latin(Hypercube(np.array([[0, 0], [1, 1]])))
     assert is_latin(confirmed_bachelor(8, 4))
+
+
+def _latin_axes(H):
+    """The axes along which every line holds each symbol once, by a loop over
+    the lines."""
+    n, d = H.n, H.d
+    return [a for a in range(d)
+            if all(sorted(H[c[:a] + (v,) + c[a:]] for v in range(n)) == list(range(n))
+                   for c in itertools.product(range(n), repeat=d - 1))]
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_is_latin_fails_on_cubes_broken_along_one_axis(axis):
+    # symbol = sum of the other coordinates plus f(x_axis) mod 4 is Latin
+    # along every other axis, and along ``axis`` exactly when f is a
+    # permutation: constant f, and f folding 0 onto 1, break that axis alone
+    n = 4
+    grid = np.indices((n,) * 3)
+    rest = grid.sum(axis=0) - grid[axis]
+    for f in ([0] * n, [1, 1, 2, 3]):
+        H = Hypercube((rest + np.array(f)[grid[axis]]) % n)
+        assert _latin_axes(H) == [a for a in range(3) if a != axis]
+        assert not is_latin(H) and not is_latin(H)  # the second from the cache
+    H = Hypercube((rest + grid[axis]) % n)
+    assert _latin_axes(H) == [0, 1, 2] and is_latin(H)
 
 
 def test_line_of_exhibit_squares():

@@ -37,6 +37,7 @@ from transversal_lab.hypercube import (
     pairwise_disjoint_family,
 )
 from transversal_lab.oracles import (
+    all_latin_squares,
     brute_diagonals,
     brute_max_disjoint,
     brute_target_diagonals,
@@ -618,6 +619,33 @@ def test_fitting_yields_the_pairs_of_the_and_with_every_cell(monkeypatch, name):
             before = len(calls)
             listed = sum(map(len, search._array_listing(layers, gauge, 3_000)))
             assert listed == min(layers.count, 3_000) and len(calls) >= before + H.n
+
+
+def test_shape_tables_are_shared_safely_between_cubes():
+    # one read-only table per (n, d) serves every cube of that shape: listings
+    # of squares and cubes of one shape and of several, interleaved in one
+    # process, each equal brute force, and no cached array can be written
+    squares = all_latin_squares(4)[::45] + all_latin_squares(3)[::4]
+    cubes = [cyclic(cyclic_group(3), 3), turned_cyclic(4, 4), confirmed_bachelor(4, 4),
+             cyclic(cyclic_group(2), 4), third_species_44()]
+    order = [*squares, *cubes]
+    random.Random(5).shuffle(order)
+    hits = search._shape.cache_info().hits
+    for _ in range(2):
+        for H in order:
+            H = Hypercube(H) if isinstance(H, np.ndarray) else H
+            naive = {frozenset(c) for c in brute_transversals(H.symbols)}
+            assert {D.cell_set() for D in enumerate_transversals(H)} == naive
+    assert search._shape.cache_info().hits > hits + len(order)
+    for H in (Hypercube(squares[0]), *cubes):
+        fields = (search._cell_fields(H, True), search._cell_fields(H, False))
+        target = search._TargetSum.of(H, (0,))
+        masks = search._back_layers(H, search._Gauge(SearchBudget()), target).masks
+        for part in (*search._shape(H.n, H.d), *fields, masks):
+            with pytest.raises(ValueError):
+                part[(0,) * part.ndim] = 0
+    assert search._shape(4, 4).bits.tolist() == [1 << b for b in range(12)]
+    assert search._shape(4, 4).place.tolist() == [16, 4, 1]
 
 
 def test_fitting_refuses_states_with_unequal_free_counts():
