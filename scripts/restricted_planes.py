@@ -35,8 +35,8 @@ def main() -> None:
     ]
     for name, base, pair, marked in cases:
         t0 = time.perf_counter()
-        cert = extension_hitting_certificate(base, base.group, d_prime, pair)
-        family = lift_family(base, list(marked), base.group, d_prime)
+        cert = extension_hitting_certificate(base, d_prime, pair)
+        family = lift_family(base, list(marked), d_prime)
         assert cert.holds and pairwise_disjoint_family(family)
         n = base.n
         print(

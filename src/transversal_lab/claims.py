@@ -22,7 +22,6 @@ from .dilation import dilate, psi
 from .extension import (
     Quasigroup,
     extension_hitting_certificate,
-    g_extension,
     hall_pair,
     iterated_decomposition,
     iterated_hypercube,
@@ -35,7 +34,6 @@ from .hypercube import Hypercube, cyclic, is_latin, pairwise_disjoint_family
 from .oracles import all_latin_squares, brute_target_diagonals, brute_transversals
 from .search import (
     DEFAULT_SEED,
-    SearchBudget,
     bachelor_cells,
     count_diagonals,
     count_transversals,
@@ -270,7 +268,7 @@ def claim_09_lifting(ctx: ClaimContext) -> str:
     for H in (cons.z6_isotope_square(), cons.ord6m_square(1)):
         count = 0
         for D in enumerate_diagonals(H, target):
-            T = lift_diagonal(H, D, group, 4)
+            T = lift_diagonal(H, D, 4)
             assert {e.coords[:2] for e in T.entries} == set(D.cells())
             count += 1
         assert count > 0, "no suitable diagonals found"
@@ -289,7 +287,7 @@ def claim_09_lifting(ctx: ClaimContext) -> str:
 def claim_10_lifted_decompositions(ctx: ClaimContext) -> str:
     L = cyclic(cyclic_group(3), 2)
     classes = symbol_classes(L)
-    family = lift_family(L, classes, cyclic_group(3), 3)
+    family = lift_family(L, classes, 3)
     assert len(family) == 9 and pairwise_disjoint_family(family)
     covered = set().union(*(D.cell_set() for D in family))
     assert len(covered) == 27, "lifted family does not partition the extension"
@@ -312,12 +310,11 @@ def claim_10_lifted_decompositions(ctx: ClaimContext) -> str:
 
 def claim_11_boosted_witness_order6(ctx: ClaimContext) -> str:
     H = cons.ord6m_square(1)
-    group = cyclic_group(6)
     stars = cons.ord6m_starred_cells(1)
-    cert = extension_hitting_certificate(H, group, 4, stars)
+    cert = extension_hitting_certificate(H, 4, stars)
     assert cert.holds, "the base hitting check failed to certify the starred pair"
     ta, tb = cons.ord6m_marked_transversals()
-    family = lift_family(H, [ta, tb], group, 4)
+    family = lift_family(H, [ta, tb], 4)
     assert len(family) == 72 and pairwise_disjoint_family(family)
     return "every extension transversal meets the starred fibre; 72 disjoint built"
 

@@ -196,7 +196,7 @@ def cmd_search(args: argparse.Namespace, stdout) -> int:
 
 def cmd_extend(args: argparse.Namespace, stdout) -> int:
     H = _load_cube(args)
-    _emit(args, serialize(g_extension(H, H.group, args.d_prime)), stdout)
+    _emit(args, serialize(g_extension(H, d_prime=args.d_prime)), stdout)
     return 0
 
 
@@ -208,7 +208,7 @@ def cmd_lift(args: argparse.Namespace, stdout) -> int:
     D = diagonal_from_json(records, H)
     t0 = time.perf_counter()
     # no RNG: the middle dimensions are padded with the natural enumeration
-    T = lift_diagonal(H, D, H.group, args.d_prime)
+    T = lift_diagonal(H, D, args.d_prime)
     report = SearchReport(
         instance=args.input_path,
         operation="lift",
@@ -219,7 +219,7 @@ def cmd_lift(args: argparse.Namespace, stdout) -> int:
         witnesses=[T],
     )
     # the witness is a transversal of the extension, so the grid shows that
-    extension = g_extension(H, H.group, args.d_prime) if args.fmt == "text-grid" else None
+    extension = g_extension(H, d_prime=args.d_prime) if args.fmt == "text-grid" else None
     return _finish_report(args, report, extension, stdout, t0)
 
 

@@ -68,10 +68,9 @@ def dilrect_condition(H: Hypercube) -> SupportSpread:
     """Check sum of per-axis support projections against (d-1) * n.
 
     When it holds, a partial diagonal inside the support always completes to
-    one meeting the support exactly there (``search.complete_avoiding`` with
-    the support forbidden): give every remaining row one coordinate outside
-    the corresponding support projection, then fill the columns with their
-    unused values."""
+    one meeting the support exactly there: give every remaining row one
+    coordinate outside the corresponding support projection, then fill the
+    columns with their unused values."""
     prof = profile(H)
     sizes = prof.projection_sizes()
     bound = (H.d - 1) * H.n

@@ -2,14 +2,14 @@
 
 A d'-dimensional extension of a d-dimensional cube L adds the extra
 coordinates into the symbol: L'(x_1..x_{d'}) = L(x_1..x_d) + x_{d+1} + ... +
-x_{d'} in the index group: the ``group`` argument (L's own when None), which
-the extension carries and whose relabeling of L (``_labeled``) deviations
-are read on.  Deviation values are preserved by the projection onto the first
-d coordinates, which makes diagonals with the right deviation sum in L exactly
-the shadows of transversals in L'.  The lift itself is constructive: pad the
-middle dimensions with the natural enumeration, then solve a zero-sum pairing
-problem in the group for the last dimension.  All of it runs on element
-indices, through the group's ``index_table``.
+x_{d'} in L's own group, which the extension carries (``g_extension`` alone
+may boost over another labeling of L).  Deviation values are preserved by
+the projection onto the first d coordinates, which makes diagonals with the
+right deviation sum in L exactly the shadows of transversals in L'.  The lift
+itself is constructive: pad the middle dimensions with the natural
+enumeration, then solve a zero-sum pairing problem in the group for the last
+dimension.  All of it runs on element indices, through the group's
+``index_table``.
 """
 
 from __future__ import annotations
@@ -32,21 +32,15 @@ from .hypercube import (
 )
 
 
-def _labeled(L: Hypercube, group: AbelianGroup | None) -> Hypercube:
-    """L labeled by ``group`` (L itself if None or L's own): the cube whose
-    deviations a boost over ``group`` reads.  ValueError if the orders differ."""
-    if group is None or group == L.group:
-        return L
-    out = Hypercube(L.symbols, group)
-    out._latin = L._latin
-    return out
-
-
 def g_extension(L: Hypercube, group: AbelianGroup | None = None, d_prime: int = 3) -> Hypercube:
     """Extension of L to dimension d_prime over the given group labeling (L's
     own when None), which the extension carries: one ``quasi_extend`` step per
-    added dimension over the group's addition."""
-    out = _labeled(L, group)
+    added dimension over the group's addition.  ValueError if the group's
+    order is not L's."""
+    out = L
+    if group is not None and group != L.group:
+        out = Hypercube(L.symbols, group)
+        out._latin = L._latin
     if d_prime <= L.d:
         raise ValueError(f"target dimension {d_prime} must exceed base dimension {L.d}")
     Q = Quasigroup.from_group(out.group)
@@ -111,26 +105,20 @@ def _hall_indices(
     return a, b
 
 
-def lift_diagonal(
-    L: Hypercube,
-    D: Diagonal,
-    group: AbelianGroup | None = None,
-    d_prime: int = 3,
-) -> Diagonal:
+def lift_diagonal(L: Hypercube, D: Diagonal, d_prime: int = 3) -> Diagonal:
     """Transversal of the extension that projects exactly onto D.
 
-    D must have the deviation sum matching d_prime, read on L labeled by
-    ``group``.  Middle dimensions are padded with the natural enumeration
-    (entry i of D gets coordinate i on each); the last dimension comes from
-    the zero-sum pairing, on element indices."""
-    L = _labeled(L, group)
+    D must have the deviation sum matching d_prime.  Middle dimensions are
+    padded with the natural enumeration (entry i of D gets coordinate i on
+    each); the last dimension comes from the zero-sum pairing, on element
+    indices."""
     if not is_suitable(L, D, d_prime):
         raise ValueError(
             f"diagonal deviation sum {delta_sum(L, D)} does not match the"
             f" target {suitable_target(L.group, d_prime)} for dimension {d_prime}"
         )
     add = index_table(L.group).add
-    extension = g_extension(L, None, d_prime)
+    extension = g_extension(L, d_prime=d_prime)
     middle = d_prime - L.d - 1
     syms = [e.symbol for e in D.entries]
     for _ in range(middle):
@@ -145,13 +133,11 @@ def lift_diagonal(
     return T
 
 
-def _translated(
-    T: Diagonal, d: int, tail: Sequence[int], group: AbelianGroup
-) -> list[Entry]:
-    """T's entries moved inside their fibre: the coordinates past the first d
-    by ``tail`` and every symbol by the group sum of ``tail`` (indices), which
-    keeps each entry on the extension."""
-    add = index_table(group).add
+def _translated(T: Diagonal, L: Hypercube, tail: Sequence[int]) -> list[Entry]:
+    """T's entries moved inside their fibre over L: the coordinates past L's
+    d by ``tail`` and every symbol by the sum of ``tail`` (indices) in L's
+    group, which keeps each entry on the extension."""
+    add, d = index_table(L.group).add, L.d
     total = 0
     for t in tail:
         total = add[total][t]
@@ -162,54 +148,41 @@ def _translated(
     ]
 
 
-def transversal_through_fibre(
-    L: Hypercube,
-    D: Diagonal,
-    group: AbelianGroup | None,
-    d_prime: int,
-    alpha: Entry,
-) -> Diagonal:
+def transversal_through_fibre(L: Hypercube, D: Diagonal, d_prime: int, alpha: Entry) -> Diagonal:
     """Transversal of the extension containing alpha, whose shadow is D.
 
     alpha's first coordinates must match some entry of D; the lifted
     transversal is translated inside the fibre until it passes through alpha,
     shifting every symbol by the group sum of the translation."""
-    group = L.group if group is None else group
-    extension = g_extension(L, group, d_prime)
+    extension = g_extension(L, d_prime=d_prime)
     head = alpha.coords[: L.d]
     if head not in D.cell_set():
         raise ValueError("alpha does not project into the diagonal")
     if extension[alpha.coords] != alpha.symbol:
         raise ValueError("alpha is not an entry of the extension")
-    T = lift_diagonal(L, D, group, d_prime)
+    T = lift_diagonal(L, D, d_prime)
     anchor = next(e for e in T.entries if e.coords[: L.d] == head)
-    sub = index_table(group).sub
+    sub = index_table(L.group).sub
     tail = [sub[y][x] for y, x in zip(alpha.coords[L.d :], anchor.coords[L.d :])]
-    out = Diagonal.from_entries(extension, _translated(T, L.d, tail, group), transversal=True)
+    out = Diagonal.from_entries(extension, _translated(T, L, tail), transversal=True)
     if alpha not in out.entries:
         raise RuntimeError("translated lift missed the requested entry")
     return out
 
 
-def lift_family(
-    L: Hypercube,
-    diagonals: Sequence[Diagonal],
-    group: AbelianGroup | None = None,
-    d_prime: int = 3,
-) -> list[Diagonal]:
+def lift_family(L: Hypercube, diagonals: Sequence[Diagonal], d_prime: int = 3) -> list[Diagonal]:
     """Disjoint transversal family of size m * n^(d'-d) from m disjoint diagonals.
 
     Each diagonal is lifted once, then translated over every tuple of extra
     coordinates (symbols shifted by the tuple's group sum)."""
-    group = L.group if group is None else group
     if not pairwise_disjoint_family(diagonals):
         raise ValueError("input diagonals are not pairwise disjoint")
-    extension = g_extension(L, group, d_prime)
+    extension = g_extension(L, d_prime=d_prime)
     out: list[Diagonal] = []
     for D in diagonals:
-        T = lift_diagonal(L, D, group, d_prime)
+        T = lift_diagonal(L, D, d_prime)
         for tail in itertools.product(range(L.n), repeat=d_prime - L.d):
-            entries = _translated(T, L.d, tail, group)
+            entries = _translated(T, L, tail)
             out.append(Diagonal.from_entries(extension, entries, transversal=True))
     if not pairwise_disjoint_family(out):
         raise RuntimeError("lifted family is not pairwise disjoint")
@@ -387,17 +360,12 @@ class ExtensionHittingCertificate:
 
 
 def extension_hitting_certificate(
-    L: Hypercube,
-    group: AbelianGroup | None,
-    d_prime: int,
-    cells: Sequence[Coords],
-    budget=None,
+    L: Hypercube, d_prime: int, cells: Sequence[Coords], budget=None
 ) -> ExtensionHittingCertificate:
-    """Check the base condition of the transfer: every diagonal of L, labeled
-    by ``group``, with the target deviation sum for d_prime meets ``cells``."""
+    """Check the base condition of the transfer: every diagonal of L with the
+    target deviation sum for d_prime meets ``cells``."""
     from .search import hitting_set_check
 
-    L = _labeled(L, group)
     ok = hitting_set_check(L, suitable_target(L.group, d_prime), cells, budget)
     return ExtensionHittingCertificate(
         group=str(L.group),

@@ -65,7 +65,11 @@ class Hypercube:
         return int(self._arr[tuple(coords)])
 
     def entry(self, coords) -> Entry:
+        """The entry at a cell; ValueError unless the cell is d coordinates in
+        [0, n), since numpy would wrap a negative one onto another cell."""
         coords = tuple(int(c) for c in coords)
+        if len(coords) != self.d or not all(0 <= c < self.n for c in coords):
+            raise ValueError(f"cell {coords} is not a cell of the host (d={self.d}, n={self.n})")
         return Entry(coords, self[coords])
 
     def cells(self) -> Iterator[Coords]:
@@ -182,22 +186,21 @@ class Diagonal:
     ) -> "Diagonal":
         """Validate entries against a host cube and wrap them.
 
-        Checks membership (symbol matches the stored value), the pairwise
-        hyperplane-disjointness property, and distinct symbols when a
-        transversal is requested.
+        Checks membership (a cell of the host, ``H.entry``, whose symbol
+        matches the stored value), the pairwise hyperplane-disjointness
+        property, and distinct symbols when a transversal is requested.
         """
         norm = []
         for e in entries:
             if isinstance(e, Entry):
                 coords, symbol = e.coords, e.symbol
             else:
-                coords, symbol = tuple(e[0]), int(e[1])
-            coords = tuple(int(c) for c in coords)
-            if len(coords) != H.d:
-                raise ValueError(f"entry {coords} has wrong dimension for host (d={H.d})")
-            if H[coords] != symbol:
-                raise ValueError(f"entry {(coords, symbol)} does not match host value {H[coords]}")
-            norm.append(Entry(coords, symbol))
+                coords, symbol = e[0], int(e[1])
+            entry = H.entry(coords)
+            if entry.symbol != symbol:
+                raise ValueError(f"entry {(entry.coords, symbol)} does not match host value"
+                                 f" {entry.symbol}")
+            norm.append(entry)
         check_pairwise_disjoint(norm)
         if transversal:
             syms = [e.symbol for e in norm]

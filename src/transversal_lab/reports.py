@@ -84,7 +84,7 @@ def cell_from_json(obj, H: Hypercube) -> Coords:
     return tuple(obj)
 
 
-def diagonal_from_json(obj, H: Hypercube, *, transversal: bool = False) -> Diagonal:
+def diagonal_from_json(obj, H: Hypercube) -> Diagonal:
     """Rebuild and revalidate a diagonal from its JSON form against a host cube."""
     if not isinstance(obj, list):
         raise ValueError(f"diagonal {obj!r} is not a list of entries")
@@ -94,7 +94,7 @@ def diagonal_from_json(obj, H: Hypercube, *, transversal: bool = False) -> Diago
                 and _is_int(rec["symbol"])):
             raise ValueError(f"diagonal entry {rec!r} needs coords and an integer symbol")
         entries.append(Entry(cell_from_json(rec["coords"], H), rec["symbol"]))
-    return Diagonal.from_entries(H, entries, transversal=transversal)
+    return Diagonal.from_entries(H, entries)
 
 
 @dataclass

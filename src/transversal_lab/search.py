@@ -17,10 +17,10 @@ taken in row-major order.  Which row it fills next is its one rule, set by
 the caller.  Listing fills the lowest unfilled row, which fixes a
 deterministic output order: it lists and counts transversals and
 target-sum diagonals wherever the stored layers do not run.
-Existence searches (through-cell searches, per-cell coverage scans,
-completions and the completions of hitting-set checks) take its first result
-and fill the row with the fewest fitting cells first, which ends a branch
-with no result soonest.
+Existence searches (through-cell searches, per-cell coverage scans and the
+completions of hitting-set checks) take its first result and fill the row
+with the fewest fitting cells first, which ends a branch with no result
+soonest.
 A target sum (``_TargetSum``, the one form every search with a target takes,
 always in the cube's own group) rides along as the delta sum of the cells
 placed, and is checked when the last row's cell is placed, so the DFS lists
@@ -1243,27 +1243,6 @@ def max_disjoint_transversals(
 
 
 # -- hitting-set certification ------------------------------------------------
-
-
-def complete_avoiding(
-    H: Hypercube,
-    partial_cells: Sequence[Coords],
-    forbidden: Iterable[Coords],
-    budget: SearchBudget | None = None,
-) -> Diagonal | None:
-    """Extend a partial diagonal to a complete one avoiding the forbidden cells,
-    as the first result of ``_dfs`` through the partial cells, filling the row
-    with the fewest fitting cells first; the partial cells themselves may be
-    forbidden.
-
-    Returns None when no completion exists (exhaustive); raises ValueError
-    when a cell lies outside the cube or partial cells share a hyperplane, and
-    BudgetExhausted when undecided."""
-    budget = budget or SearchBudget()
-    pre = _checked_cells(H, partial_cells)
-    cells = _Cells.of(H, False, frozenset(_checked_cells(H, forbidden)))
-    found = next(_dfs(cells, _Gauge(budget), pre=pre, constrained=True), None)
-    return None if found is None else next(_diagonals(H, [found]))
 
 
 def hitting_set_check(

@@ -226,8 +226,8 @@ def test_lift_command(tmp_path, capsys):
     payload = report_of(out)
     H = load(cube)
     ext = g_extension(H, H.group, 4)
-    T = diagonal_from_json(payload["witnesses"][0], ext, transversal=True)
-    assert T.complete
+    T = diagonal_from_json(payload["witnesses"][0], ext)
+    assert T.complete and T.has_distinct_symbols()
 
 
 def test_lift_text_grid_marks_the_extension(tmp_path, capsys):

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from transversal_lab import search
 from transversal_lab.constructions import l8_square, ord6m_square, ord6m_starred_cells
 from transversal_lab.delta import delta_sum, profile, suitable_target
 from transversal_lab.dilation import (
@@ -14,12 +15,7 @@ from transversal_lab.dilation import (
 )
 from transversal_lab.groups import cyclic_group, parse_group
 from transversal_lab.hypercube import Diagonal, cyclic, is_latin
-from transversal_lab.search import (
-    SearchBudget,
-    complete_avoiding,
-    enumerate_diagonals,
-    hitting_set_check,
-)
+from transversal_lab.search import SearchBudget, enumerate_diagonals, hitting_set_check
 
 
 def test_dilated_cyclic_is_cyclic():
@@ -80,9 +76,19 @@ def test_dilrect_condition():
 # exactly there when the rest of the support is forbidden
 
 
+def _completion(H, cells, forbidden, budget=None):
+    """A complete diagonal through ``cells`` on the cells not ``forbidden``
+    (``cells`` may be), or None if none exists: the first result of the
+    existence search, which fills the row with the fewest fitting cells first."""
+    allowed = search._Cells.of(H, False, frozenset(search._checked_cells(H, forbidden)))
+    pre = search._checked_cells(H, cells)
+    found = search._dfs(allowed, search._Gauge(budget or SearchBudget()), pre=pre, constrained=True)
+    return next(search._diagonals(H, found), None)
+
+
 def test_extend_partial_empty_in_cyclic():
     H = cyclic(cyclic_group(4), 2)
-    D = complete_avoiding(H, [], profile(H).support)
+    D = _completion(H, [], profile(H).support)
     assert D is not None and len(D.entries) == 4
 
 
@@ -90,7 +96,7 @@ def test_extend_partial_single_star():
     H = ord6m_square(1)
     star = ord6m_starred_cells(1)[0]
     X = set(profile(H).support)
-    D = complete_avoiding(H, [star], X)
+    D = _completion(H, [star], X)
     assert D is not None
     assert set(D.cells()) & X == {star}
 
@@ -106,7 +112,7 @@ _SUPPORT_CUBES = {
 
 def _assert_meets_support_exactly(H, cells):
     X = set(profile(H).support)
-    D = complete_avoiding(H, cells, X, SearchBudget(max_nodes=10_000))
+    D = _completion(H, cells, X, SearchBudget(max_nodes=10_000))
     assert D is not None and set(D.cells()) & X == set(cells)
     assert Diagonal.from_entries(H, D.entries).complete
 
@@ -132,7 +138,7 @@ def test_extend_partial_can_fail_off_the_small_support_regime():
     # rows 3, 5, 7 have deviation zero only in column 0, so a diagonal meeting
     # the support in exactly one row-1 cell cannot exist
     H = l8_square()
-    D = complete_avoiding(H, [(1, 1)], profile(H).support)
+    D = _completion(H, [(1, 1)], profile(H).support)
     assert D is None
 
 
@@ -190,7 +196,7 @@ def test_suitable_image_extends_in_dilation():
     count = 0
     for D in enumerate_diagonals(H, suitable_target(H.group, 2)):
         image_cells = [psi_cell(c, 2) for c in D.cells()]
-        E = complete_avoiding(big, image_cells, [])
+        E = _completion(big, image_cells, [])
         assert E is not None
         assert delta_sum(big, E) == target_big
         count += 1

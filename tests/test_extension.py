@@ -39,6 +39,7 @@ from transversal_lab.hypercube import (
     is_latin,
     pairwise_disjoint_family,
 )
+from transversal_lab.search import count_diagonals
 
 def test_extension_of_cyclic_is_cyclic():
     for g in [cyclic_group(4), parse_group("Z2xZ2")]:
@@ -168,7 +169,7 @@ def test_hall_pair_property(data, gi):
 def test_lift_marked_diagonal_to_dimension_four():
     L = z6_isotope_square()
     D = z6_marked_diagonal()
-    T = lift_diagonal(L, D, L.group, 4)
+    T = lift_diagonal(L, D, 4)
     assert len(T.entries) == 6
     assert {e.coords[:2] for e in T.entries} == set(D.cells())
     ext = g_extension(L, L.group, 4)
@@ -178,7 +179,7 @@ def test_lift_marked_diagonal_to_dimension_four():
 def test_lift_constant_diagonal_one_dimension():
     L = cyclic(cyclic_group(3), 2)
     D = symbol_classes(L)[0]
-    T = lift_diagonal(L, D, L.group, 3)
+    T = lift_diagonal(L, D, 3)
     assert {e.coords[:2] for e in T.entries} == set(D.cells())
 
 
@@ -186,13 +187,13 @@ def test_lift_rejects_unsuitable_diagonal():
     L = cyclic(cyclic_group(4), 2)
     main = Diagonal.from_cells(L, [(i, i) for i in range(4)])
     with pytest.raises(ValueError):
-        lift_diagonal(L, main, L.group, 4)
+        lift_diagonal(L, main, 4)
 
 
 def test_lift_pads_middle_dimensions():
     L = z6_isotope_square()
     D = z6_marked_diagonal()
-    T = lift_diagonal(L, D, L.group, 6)
+    T = lift_diagonal(L, D, 6)
     ext = g_extension(L, L.group, 6)
     assert Diagonal.from_entries(ext, T.entries, transversal=True).complete
     # entry i of D gets coordinate i on each middle dimension
@@ -206,14 +207,14 @@ def test_transversal_through_fibre():
     D = z6_marked_diagonal()
     g = L.group
     ext = g_extension(L, g, 4)
-    T = lift_diagonal(L, D, g, 4)
+    T = lift_diagonal(L, D, 4)
 
     anchor = T.entries[2]
-    again = transversal_through_fibre(L, D, g, 4, anchor)
+    again = transversal_through_fibre(L, D, 4, anchor)
     assert again.cell_set() == T.cell_set()
 
     alpha = ext.entry(D.entries[3].coords + (2, 5))
-    through = transversal_through_fibre(L, D, g, 4, alpha)
+    through = transversal_through_fibre(L, D, 4, alpha)
     assert alpha in through.entries
     assert Diagonal.from_entries(ext, through.entries, transversal=True).complete
 
@@ -225,12 +226,12 @@ def test_transversal_through_fibre():
 
     outside = ext.entry((5, 5, 0, 0))
     with pytest.raises(ValueError):
-        transversal_through_fibre(L, D, g, 4, outside)
+        transversal_through_fibre(L, D, 4, outside)
 
 
 def test_lift_family_decomposes_boosted_square():
     L = cyclic(cyclic_group(3), 2)
-    family = lift_family(L, symbol_classes(L), L.group, 3)
+    family = lift_family(L, symbol_classes(L), 3)
     assert len(family) == 9
     assert pairwise_disjoint_family(family)
     assert len(set().union(*(d.cell_set() for d in family))) == 27
@@ -238,7 +239,7 @@ def test_lift_family_decomposes_boosted_square():
 
 def test_lift_family_from_one_diagonal():
     L = z6_isotope_square()
-    family = lift_family(L, [z6_marked_diagonal()], L.group, 4)
+    family = lift_family(L, [z6_marked_diagonal()], 4)
     assert len(family) == 36
     assert pairwise_disjoint_family(family)
 
@@ -247,7 +248,7 @@ def test_lift_family_rejects_overlapping_input():
     L = cyclic(cyclic_group(3), 2)
     D = symbol_classes(L)[0]
     with pytest.raises(ValueError):
-        lift_family(L, [D, D], L.group, 3)
+        lift_family(L, [D, D], 3)
 
 
 def test_symbol_classes():
@@ -272,7 +273,7 @@ def test_decomposition_exists_under_each_sufficient_condition():
     ]
     for g, d_prime, expected in cases:
         L = cyclic(g, 2)
-        family = lift_family(L, symbol_classes(L), g, d_prime)
+        family = lift_family(L, symbol_classes(L), d_prime)
         assert len(family) == expected
         assert pairwise_disjoint_family(family)
         covered = set().union(*(D.cell_set() for D in family))
@@ -372,12 +373,12 @@ def test_extension_hitting_certificate_order8():
     L = ord8_square()
     g = L.group
     pair = ord8_blocking_cells()
-    cert = extension_hitting_certificate(L, g, 4, pair)
+    cert = extension_hitting_certificate(L, 4, pair)
     assert cert.holds
 
     ta, tb = ord8_marked_transversals()
     assert delta_sum(L, ta) == suitable_target(g, 4)
-    family = lift_family(L, [ta, tb], g, 4)
+    family = lift_family(L, [ta, tb], 4)
     assert len(family) == 128
     assert pairwise_disjoint_family(family)
     image = {c + extra for c in pair for extra in itertools.product(range(8), repeat=2)}
@@ -425,16 +426,30 @@ def test_golden_g_extension():
     assert _cube_digest(ext) == "3d34d3662702775e"
 
 
+def test_lift_over_another_labeling():
+    # the lift reads the cube's own group, so a boost over another labeling
+    # is lifted from the cube built with that labeling
+    g = parse_group("Z2xZ4")
+    L = Hypercube(ord8_square().symbols, g)
+    census = count_diagonals(L, suitable_target(g, 3), keep=1)
+    assert census.count == 6000 and census.exact
+    (D,) = census.witnesses
+    T = lift_diagonal(L, D, 3)
+    ext = g_extension(ord8_square(), g, 3)
+    assert Diagonal.from_entries(ext, T.entries, transversal=True).complete
+    assert {e.coords[:2] for e in T.entries} == D.cell_set()
+
+
 def test_golden_lifts():
     L = ord6m_square(1)
-    family = lift_family(L, ord6m_marked_transversals(), L.group, 4)
+    family = lift_family(L, ord6m_marked_transversals(), 4)
     assert _diagonals_digest(family) == "b0081b333be087c2"
     L, D = z6_isotope_square(), z6_marked_diagonal()
     ext = g_extension(L, L.group, 4)
     through = [
-        transversal_through_fibre(L, D, L.group, 4, ext.entry(e.coords + tail))
+        transversal_through_fibre(L, D, 4, ext.entry(e.coords + tail))
         for e in D.entries
         for tail in itertools.product(range(6), repeat=2)
     ]
     assert _diagonals_digest(through) == "b483b3ce0dff0786"
-    assert _diagonals_digest([lift_diagonal(L, D, L.group, 6)]) == "1fa366951e0b7c5a"
+    assert _diagonals_digest([lift_diagonal(L, D, 6)]) == "1fa366951e0b7c5a"

@@ -216,6 +216,17 @@ def test_diagonal_validation():
     assert T.complete and T.has_distinct_symbols()
 
 
+def test_diagonal_rejects_cells_outside_the_host():
+    # numpy would wrap (-1, 0) onto (2, 0), which shares row 2 with (2, 1),
+    # and index 3 would raise IndexError
+    H = cyclic(cyclic_group(3), 2)
+    for bad in [((-1, 0), 2), ((3, 0), 0)]:
+        with pytest.raises(ValueError, match="not a cell of the host"):
+            Diagonal.from_entries(H, [bad, ((2, 1), 0), ((0, 2), 2)])
+        with pytest.raises(ValueError, match="not a cell of the host"):
+            Diagonal.from_cells(H, [bad[0], (2, 1), (0, 2)])
+
+
 def test_partial_diagonal_not_complete():
     H = cyclic(cyclic_group(3), 2)
     D = Diagonal.from_cells(H, [(0, 0), (1, 1)])

@@ -1,0 +1,39 @@
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# the package's __init__ imports names to export them, so it is left out
+SOURCES = [
+    *sorted(p for p in (ROOT / "src" / "transversal_lab").glob("*.py") if p.name != "__init__.py"),
+    *sorted((ROOT / "scripts").glob("*.py")),
+]
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names a module imports and never references."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_unused_imports_are_detected():
+    source = "from __future__ import annotations\nimport os.path\nimport numpy as np\n" \
+             "from typing import Iterable, Sequence\n\ndef f(x: Sequence) -> None:\n" \
+             "    return np.sum(x)\n"
+    assert _unused_imports(source) == ["Iterable", "os"]
+
+
+def test_no_module_or_script_imports_a_name_it_does_not_use():
+    assert len(SOURCES) > 10
+    unused = {}
+    for path in SOURCES:
+        names = _unused_imports(path.read_text(encoding="utf-8"))
+        if names:
+            unused[str(path.relative_to(ROOT))] = names
+    assert unused == {}

@@ -47,7 +47,6 @@ from transversal_lab.search import (
     BudgetExhausted,
     SearchBudget,
     bachelor_cells,
-    complete_avoiding,
     count_diagonals,
     count_transversals,
     enumerate_diagonals,
@@ -1529,7 +1528,7 @@ def _assert_completions_match_brute_force(H, rng, trials):
     # avoid the forbidden ones and have the sum: the DFS through the partial
     # cells lists exactly those, in sorted order, filling the lowest row
     # first, and finds one of them iff there is one filling the row with the
-    # fewest fitting cells first, as complete_avoiding does without a target
+    # fewest fitting cells first
     _, by_sum = _brute_by_sum(H)
     every = list(H.cells())
     for _ in range(trials):
@@ -1551,14 +1550,9 @@ def _assert_completions_match_brute_force(H, rng, trials):
         found = next(search._diagonals(H, first), None)
         assert (found is None) == (not matching)
         assert found is None or found.cells() in matching
-        if t is None:
-            found = complete_avoiding(H, partial, forbidden)
-            assert (found is None) == (not matching)
-            assert found is None or found.cells() in matching
-            assert found is None or Diagonal.from_entries(H, found.entries).complete
 
 
-def test_complete_avoiding_matches_brute_force_on_every_small_square(square_catalogue):
+def test_dfs_completions_match_brute_force_on_every_small_square(square_catalogue):
     rng = random.Random(2024)
     for squares in square_catalogue.values():
         for arr in squares:
@@ -1566,18 +1560,23 @@ def test_complete_avoiding_matches_brute_force_on_every_small_square(square_cata
 
 
 @pytest.mark.parametrize("name", ["z6-isotope", "ord6m-1"])
-def test_complete_avoiding_matches_brute_force(name):
+def test_dfs_completions_match_brute_force(name):
     H = {"z6-isotope": z6_isotope_square, "ord6m-1": lambda: ord6m_square(1)}[name]()
     _assert_completions_match_brute_force(H, random.Random(name), 200)
 
 
-def test_complete_avoiding():
-    H = ord6m_square(1)
-    stars = ord6m_starred_cells(1)
-    D = complete_avoiding(H, [stars[0]], [c for c in map(tuple, [])])
-    assert D is not None and stars[0] in D.cells()
+def test_dfs_rejects_pre_cells_that_conflict():
+    # (0, 0) and (0, 1) share row 0; (0, 0) and (1, 2) share symbol 0, which
+    # conflicts on transversal cells only
+    H = cyclic(cyclic_group(3), 2)
+    gauge = search._Gauge(SearchBudget())
+    diagonal_cells, transversal_cells = search._Cells.of(H, False), search._Cells.of(H, True)
     with pytest.raises(ValueError):
-        complete_avoiding(H, [(0, 0), (0, 1)], [])
+        next(search._dfs(diagonal_cells, gauge, pre=search._checked_cells(H, [(0, 0), (0, 1)])))
+    with pytest.raises(ValueError):
+        next(search._dfs(transversal_cells, gauge, pre=search._checked_cells(H, [(0, 0), (1, 2)])))
+    found = search._dfs(diagonal_cells, gauge, pre=search._checked_cells(H, [(0, 0), (1, 2)]))
+    assert [D.cells() for D in search._diagonals(H, found)] == [((0, 0), (1, 2), (2, 1))]
 
 
 def test_cells_outside_the_cube_are_rejected_not_claimed_absent():
@@ -1589,13 +1588,9 @@ def test_cells_outside_the_cube_are_rejected_not_claimed_absent():
         with pytest.raises(ValueError):
             transversal_through(H, bad)
         with pytest.raises(ValueError):
-            complete_avoiding(H, [bad], [])
-        with pytest.raises(ValueError):
-            complete_avoiding(H, [], [bad])
-        with pytest.raises(ValueError):
             hitting_set_check(H, (0,), [(0, 0), bad])
     with pytest.raises(ValueError):
-        complete_avoiding(H6, [(-1, 2)], [])
+        transversal_through(H6, (-1, 2))
     with pytest.raises(ValueError):
         hitting_set_check(H6, (3,), [*ord6m_starred_cells(1), (6, 0)])
     assert transversal_through(H, (4, 0)).cells()[4] == (4, 0)
