@@ -14,6 +14,7 @@ dimension.  All of it runs on element indices, through the group's
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -47,6 +48,15 @@ def g_extension(L: Hypercube, group: AbelianGroup | None = None, d_prime: int = 
     for _ in range(d_prime - L.d):
         out = quasi_extend(out, Q)
     return out
+
+
+@functools.lru_cache(maxsize=4)
+def _extension(L: Hypercube, group: AbelianGroup, d_prime: int) -> Hypercube:
+    """The extension the lifts check their results on, L's own
+    (``L.group``), built once per cube, labeling and dimension and shared by
+    every lift of a call tree and every call on one cube.  Cubes hash and
+    compare by their arrays alone, so the group is part of the key."""
+    return g_extension(L, group, d_prime)
 
 
 def hall_pair(
@@ -118,7 +128,7 @@ def lift_diagonal(L: Hypercube, D: Diagonal, d_prime: int = 3) -> Diagonal:
             f" target {suitable_target(L.group, d_prime)} for dimension {d_prime}"
         )
     add = index_table(L.group).add
-    extension = g_extension(L, d_prime=d_prime)
+    extension = _extension(L, L.group, d_prime)
     middle = d_prime - L.d - 1
     syms = [e.symbol for e in D.entries]
     for _ in range(middle):
@@ -154,7 +164,7 @@ def transversal_through_fibre(L: Hypercube, D: Diagonal, d_prime: int, alpha: En
     alpha's first coordinates must match some entry of D; the lifted
     transversal is translated inside the fibre until it passes through alpha,
     shifting every symbol by the group sum of the translation."""
-    extension = g_extension(L, d_prime=d_prime)
+    extension = _extension(L, L.group, d_prime)
     head = alpha.coords[: L.d]
     if head not in D.cell_set():
         raise ValueError("alpha does not project into the diagonal")
@@ -177,7 +187,7 @@ def lift_family(L: Hypercube, diagonals: Sequence[Diagonal], d_prime: int = 3) -
     coordinates (symbols shifted by the tuple's group sum)."""
     if not pairwise_disjoint_family(diagonals):
         raise ValueError("input diagonals are not pairwise disjoint")
-    extension = g_extension(L, d_prime=d_prime)
+    extension = _extension(L, L.group, d_prime)
     out: list[Diagonal] = []
     for D in diagonals:
         T = lift_diagonal(L, D, d_prime)

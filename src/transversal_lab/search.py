@@ -45,8 +45,9 @@ budget only caps work and results; it never picks the engine.
 
 Packings and decompositions run one exact cover (``_packs``) over every
 listed transversal, held as one array of cell indices filled in place
-(``_Table``) and never copied: each cell holds its transversals as one int
-bit set, and a node branches on the cell with the fewest live transversals.
+(``_Table``) and never copied: one read-only ``uint64`` matrix holds each
+cell's transversals as a row of bits, a node holds its live transversals
+and each cell's count of them, and it branches on the cell with the fewest.
 ``max_disjoint_transversals`` asks it whether g = min(ub, cap), g - 1, ...
 disjoint transversals exist, and ``hill_climb_decomposition`` whether
 n**(d-1) do.
@@ -89,7 +90,7 @@ class SearchBudget:
     path: cells placed by the depth-first search, states expanded and partial
     results extended on the frontier layers (a layer's states, or a block of
     partial results, in one step), and in the exact cover a
-    transversal or cell read into its bit sets, a greedy hitting-set step, and
+    transversal or cell read into its matrix, a greedy hitting-set step, and
     a transversal chosen or a cell left uncovered.  ``max_results`` caps the
     results listed or counted.  The caps only cut work and results short;
     none of them picks the engine (``_layered``).  Node-capped runs are
@@ -1024,32 +1025,34 @@ class _Cover(NamedTuple):
     Cells are numbered by flat (row-major) index, so cell i of row r is
     r * n**(d-1) + i, read off the listing's cell indices without a lookup;
     ``listed`` is the listing as it stands, a (count, n) array of each
-    transversal's cell index per row, held beside the masks and never copied.
-    Bit t of ``masks[c]`` is set iff transversal t passes through cell c.  A
-    line is a hyperplane (axis k, value v: line k*n + v) or the cells of one
-    symbol s (line d*n + s), so a cell's lines are its row and its
-    ``_cell_fields`` shifted up by n; every transversal meets every line
-    once, and ``lines[c]`` holds the d + 1 lines of cell c."""
+    transversal's cell index per row, held beside the matrix and never copied.
+    ``matrix`` is one read-only (cells, words) array of little-endian
+    ``uint64`` words: bit t of row c (bit t & 63 of word t >> 6) is set iff
+    transversal t passes through cell c.  A line is a hyperplane (axis k,
+    value v: line k*n + v) or the cells of one symbol s (line d*n + s), so a
+    cell's lines are its row and its ``_cell_fields`` shifted up by n; every
+    transversal meets every line once, and ``lines[c]`` holds the d + 1 lines
+    of cell c."""
 
-    masks: list[int]
+    matrix: np.ndarray
     listed: np.ndarray
-    lines: list[list[int]]
+    lines: np.ndarray
 
 
 def _cover(H: Hypercube, listed: np.ndarray, gauge: _Gauge) -> _Cover:
     """The cover of the listed transversals, a (count, n) array of each one's
     cell index per row, read as it stands.  Transversal t sets bit t & 7 of
-    byte t >> 3 in one packed row of bytes per cell, never a cells x
-    transversals bool matrix.  The bits are set one bit plane at a time: the
-    transversals t with t & 7 equal own distinct bytes and pass through
-    distinct cells on distinct rows, so one plane's (cell, byte) places are
-    distinct and a plain fancy-indexed OR sets them all, with an index
-    temporary of an eighth of the listing's size.  The rows are then read as
-    one int per cell; the gauge ticks once per transversal read and once per
-    cell."""
+    byte t >> 3 in one packed row of bytes per cell, padded to whole words,
+    never a cells x transversals bool matrix.  The bits are set one bit plane
+    at a time: the transversals t with t & 7 equal own distinct bytes and pass
+    through distinct cells on distinct rows, so one plane's (cell, byte)
+    places are distinct and a plain fancy-indexed OR sets them all, with an
+    index temporary of an eighth of the listing's size.  The bytes are then
+    viewed as the words of ``matrix`` in place; the gauge ticks once per
+    transversal read and once per cell."""
     n, d, count = H.n, H.d, len(listed)
-    gauge.tick(count)
-    width = (count + 7) // 8  # bytes per cell
+    gauge.tick(count + H.symbols.size)
+    width = (count + 63) // 64 * 8  # bytes per cell, whole words
     starts = H.symbols.size // n * np.arange(n)  # flat index of each row's cell 0
     packed = np.zeros((H.symbols.size, width), np.uint8)
     flat = packed.reshape(-1)
@@ -1057,15 +1060,30 @@ def _cover(H: Hypercube, listed: np.ndarray, gauge: _Gauge) -> _Cover:
         # transversals bit, bit + 8, ... each own one byte, in distinct cells
         ts = listed[bit::8]
         flat[(ts + starts) * width + np.arange(len(ts))[:, None]] |= np.uint8(1 << bit)
-    masks = []
-    for row in packed:
-        gauge.tick()
-        masks.append(int.from_bytes(row.tobytes(), "little"))
+    matrix = packed.view("<u8")
+    matrix.setflags(write=False)
     # line r of row r, then each of the cell's fields shifted up by n
     fields = _cell_fields(H, True)
     rows = np.broadcast_to(np.arange(n)[:, None, None], (*fields.shape[:2], 1))
     lines = np.concatenate([rows, fields + n], axis=2).reshape(-1, d + 1)
-    return _Cover(masks, listed, lines.tolist())
+    return _Cover(matrix, listed, lines)
+
+
+def _live_counts(matrix: np.ndarray, words, bits: np.ndarray) -> np.ndarray:
+    """Per cell c, the bits of ``bits`` set in ``matrix[c]``, read on the
+    words ``words`` (an index array or a slice) only, a block of rows at a
+    time so that no temporary holds more than about 2**20 words."""
+    step, bits = max(1, (1 << 20) // (1 + matrix.shape[1])), bits[words]
+    return np.concatenate([np.add.reduce(np.bitwise_count(matrix[lo:lo + step, words] & bits),
+                                         axis=1, dtype=np.int64)
+                           for lo in range(0, len(matrix), step)])
+
+
+def _set_bits(words: np.ndarray) -> list[int]:
+    """The set bits of a little-endian word array, highest first."""
+    at = words.nonzero()[0]
+    hi, lo = np.unpackbits(words[at].view(np.uint8), bitorder="little").reshape(-1, 64).nonzero()
+    return (at[hi] * 64 + lo)[::-1].tolist()
 
 
 class _Table:
@@ -1092,26 +1110,27 @@ class _Table:
         return self.rows[:self.size]
 
 
-def _greedy_hitting_set(masks: list[int], gauge: _Gauge) -> list[int]:
-    """Greedy cover: cells chosen so that every transversal passes through one
-    of them.  Each step, one gauge tick, takes the smallest of the cells on
-    most transversals not yet hit.  A cell's count only falls from step to
-    step, so the cells wait in a heap keyed on an earlier count and the top
-    is recounted until it still leads."""
-    unhit = functools.reduce(operator.or_, masks, 0)
-    heap = [(-m.bit_count(), c) for c, m in enumerate(masks) if m]
+def _greedy_hitting_set(matrix: np.ndarray, gauge: _Gauge) -> list[int]:
+    """Greedy cover: cells (rows of the cover's matrix) chosen so that every
+    transversal passes through one of them.  Each step, one gauge tick, takes
+    the smallest of the cells on most transversals not yet hit.  A cell's
+    count only falls from step to step, so the cells wait in a heap keyed on
+    an earlier count and the top is recounted until it still leads."""
+    unhit = np.bitwise_or.reduce(matrix)
+    counts = _live_counts(matrix, slice(None), unhit).tolist()
+    heap = [(-k, c) for c, k in enumerate(counts) if k]
     heapq.heapify(heap)
     chosen: list[int] = []
-    while unhit:
+    while unhit.any():
         gauge.tick()
         while True:
             _, c = heapq.heappop(heap)
-            key = (-(masks[c] & unhit).bit_count(), c)
+            key = (-int(np.bitwise_count(matrix[c] & unhit).sum()), c)
             if not heap or key <= heap[0]:
                 break
             heapq.heappush(heap, key)
         chosen.append(c)
-        unhit &= ~masks[c]
+        unhit &= ~matrix[c]
     return chosen
 
 
@@ -1119,61 +1138,61 @@ def _packs(cover: _Cover, g: int, gauge: _Gauge, best: list[int]) -> bool:
     """Whether g pairwise disjoint transversals exist, by exhaustive search.
 
     A node holds the live transversals, those disjoint from every one chosen,
-    and branches on the cell with the fewest live transversals (the first
-    such cell): each of them in index order is chosen, which kills every
-    transversal sharing a cell with it, and last the cell is left uncovered,
-    which kills the cell's transversals.  A cell with no live transversal
-    drops out.  Each transversal chosen on the way to g covers one open cell
-    of every line (``_Cover``), so a node whose chosen count plus its fewest
-    open cells on one line falls short of g is pruned; at g = n**(d-1) no
-    cell may be left uncovered and the search is an exact cover.
+    as a word array, and each cell's number of live transversals, and
+    branches on the cell with the fewest (the first such cell): each of them
+    in index order is chosen, which kills every transversal sharing a cell
+    with it, and last the cell is left uncovered, which kills the cell's
+    transversals.  A cell with no live transversal drops out.  A child's
+    counts are its parent's less the killed transversals through each cell,
+    read on the words that hold a killed one (Dancing Links' column sizes,
+    Knuth, arXiv cs/0011047), or recounted on the words that hold a live one
+    where those are fewer.  Each transversal chosen on the way to g covers
+    one open cell of every line (``_Cover``), so a node whose chosen count
+    plus its fewest open cells on one line falls short of g is pruned; at
+    g = n**(d-1) no cell may be left uncovered and the search is an exact
+    cover.
 
     The gauge ticks once per branch taken.  ``best`` is left holding the
     largest family reached, the g found on success.  The path is kept on a
     list, not the call stack, since it can be one level per cell deep."""
-    masks, listed, lines = cover
+    matrix, listed, lines = cover
     n = listed.shape[1]
-    line_count = len(lines[0]) * n
-    starts = len(masks) // n * np.arange(n)  # flat index of each row's cell 0
+    line_count = lines.shape[1] * n
+    starts = len(matrix) // n * np.arange(n)  # flat index of each row's cell 0
     chosen: list[int] = []
-    # per node on the path: [live, open cells, pivot, untried transversals,
-    # number chosen above it]; the pivot is -1 once left uncovered
+    # per node on the path: [live, their counts per cell, pivot, untried
+    # transversals, number chosen above it]; the pivot is -1 once left uncovered
     path: list[list] = []
-    live, todo = (1 << len(listed)) - 1, list(range(len(masks)))
+    live = np.bitwise_or.reduce(matrix)
+    counts = _live_counts(matrix, slice(None), live)
     while True:
         if len(chosen) > len(best):
             best[:] = chosen
         if len(chosen) == g:
             return True
-        open_cells, on_line = [], [0] * line_count
-        pivot, fewest = -1, 0
-        for c in todo:
-            k = (masks[c] & live).bit_count()
-            if k:
-                open_cells.append(c)
-                for x in lines[c]:
-                    on_line[x] += 1
-                if pivot < 0 or k < fewest:
-                    pivot, fewest = c, k
-        if len(chosen) + min(on_line) >= g:
-            path.append([live, open_cells, pivot, masks[pivot] & live, len(chosen)])
+        open_cells = counts.nonzero()[0]
+        if len(chosen) + np.bincount(lines[open_cells].ravel(), minlength=line_count).min() >= g:
+            pivot = open_cells[counts[open_cells].argmin()]
+            path.append([live, counts, pivot, _set_bits(matrix[pivot] & live), len(chosen)])
         while path:
             node = path[-1]
-            live, todo, pivot, untried, above = node
+            live, counts, pivot, untried, above = node
             del chosen[above:]
             if untried:
-                t = (untried & -untried).bit_length() - 1
-                node[3] = untried ^ (1 << t)
+                t = untried.pop()
                 chosen.append(t)
-                cells = (listed[t] + starts).tolist()
-                live &= ~functools.reduce(operator.or_, (masks[c] for c in cells))
+                kill = np.bitwise_or.reduce(matrix[listed[t] + starts]) & live
             elif pivot >= 0:
                 node[2] = -1
-                live &= ~masks[pivot]
+                kill = matrix[pivot] & live
             else:
                 path.pop()
                 continue
             gauge.tick()
+            live = live ^ kill
+            killed, alive = kill.nonzero()[0], live.nonzero()[0]
+            counts = (_live_counts(matrix, alive, live) if len(alive) < len(killed)
+                      else counts - _live_counts(matrix, killed, kill))
             break
         else:
             return False
@@ -1221,7 +1240,7 @@ def max_disjoint_transversals(
         support_ub = len(profile(H).support)
     try:
         cover = _cover(H, listed, gauge)
-        ub_hit = len(_greedy_hitting_set(cover.masks, gauge))
+        ub_hit = len(_greedy_hitting_set(cover.matrix, gauge))
     except BudgetExhausted:
         return PackingResult((), False, None, "bounds-truncated", True, len(listed))
     ub = min(ub_hit, hard_cap, len(listed), *(x for x in (support_ub,) if x is not None))

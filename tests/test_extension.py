@@ -16,6 +16,7 @@ from transversal_lab.constructions import (
     z6_marked_diagonal,
 )
 from transversal_lab.delta import delta_sum, profile, suitable_target
+from transversal_lab import extension
 from transversal_lab.extension import (
     Quasigroup,
     constant_to_transversal_fibre,
@@ -438,6 +439,32 @@ def test_lift_over_another_labeling():
     ext = g_extension(ord8_square(), g, 3)
     assert Diagonal.from_entries(ext, T.entries, transversal=True).complete
     assert {e.coords[:2] for e in T.entries} == D.cell_set()
+
+
+def test_lifts_build_each_extension_once(monkeypatch):
+    # every lift of one cube, labeling and dimension checks its result on one
+    # extension; the same arrays over another labeling get their own
+    built = []
+    real = extension.g_extension
+
+    def counting(L, group=None, d_prime=3):
+        built.append((group, d_prime))
+        return real(L, group, d_prime)
+
+    monkeypatch.setattr(extension, "g_extension", counting)
+    extension._extension.cache_clear()
+    L = ord8_square()
+    relabeled = Hypercube(L.symbols, parse_group("Z2xZ4"))
+    for H in (L, relabeled, L):
+        witnesses = count_diagonals(H, suitable_target(H.group, 3), keep=3).witnesses
+        assert len(witnesses) == 3
+        for D in witnesses:
+            T = lift_diagonal(H, D, 3)
+            assert {e.coords[:2] for e in T.entries} == D.cell_set()
+    family = lift_family(L, list(ord8_marked_transversals()), 4)
+    assert len(family) == 2 * 8 ** 2 and pairwise_disjoint_family(family)
+    assert built == [(L.group, 3), (relabeled.group, 3), (L.group, 4)]
+    extension._extension.cache_clear()
 
 
 def test_golden_lifts():

@@ -528,10 +528,10 @@ def test_kept_children_stay_within_the_layers_states(monkeypatch):
 
 
 def test_cover_masks_match_a_plain_reference():
-    # bit t of mask c is set iff transversal t passes through cell c, for
-    # transversal counts that are not multiples of 8 and at d = 3; the cover
-    # holds the listing itself, not a copy; the table that holds it is
-    # allocated once, at the layers' count
+    # bit t of the matrix's row c is set iff transversal t passes through
+    # cell c, for transversal counts on and off byte boundaries, within one
+    # word and past it, and at d = 3; the cover holds the listing itself, not
+    # a copy; the table that holds it is allocated once, at the layers' count
     for H in (cyclic(cyclic_group(5), 3), turned_cyclic(4, 4), cyclic(cyclic_group(7), 2)):
         table = search._Table(H.n)
         every = table.fill(search._results(H, search._Gauge(SearchBudget()),
@@ -546,7 +546,8 @@ def test_cover_masks_match_a_plain_reference():
             for t, cells in enumerate(listed.tolist()):
                 for r, i in enumerate(cells):
                     masks[r * per_row + i] |= 1 << t
-            assert cover.masks == masks, count
+            rows = [int.from_bytes(row.tobytes(), "little") for row in cover.matrix]
+            assert rows == masks, count
 
 
 def test_listing_the_first_results_builds_no_more_than_the_layers():
@@ -1290,7 +1291,9 @@ def test_greedy_hitting_set_picks_the_smallest_most_frequent_cell(seed):
     rng = random.Random(seed)
     cells = [(r, c) for r in range(5) for c in range(5)]
     sets = [frozenset(rng.sample(cells, rng.randrange(1, 6))) for _ in range(60)]
-    masks = [sum(1 << i for i, cs in enumerate(sets) if cell in cs) for cell in cells]
+    # one word per cell: bit i of cell c's word is set iff set i holds c
+    matrix = np.array([[sum(1 << i for i, cs in enumerate(sets) if cell in cs)] for cell in cells],
+                      np.uint64)
     remaining, expected = list(sets), []
     while remaining:
         freq = {}
@@ -1300,7 +1303,7 @@ def test_greedy_hitting_set_picks_the_smallest_most_frequent_cell(seed):
         best = min(freq, key=lambda c: (-freq[c], c))
         expected.append(best)
         remaining = [cs for cs in remaining if best not in cs]
-    chosen = search._greedy_hitting_set(masks, search._Gauge(SearchBudget()))
+    chosen = search._greedy_hitting_set(matrix, search._Gauge(SearchBudget()))
     assert [divmod(c, 5) for c in chosen] == expected
 
 
@@ -1388,6 +1391,133 @@ def test_packing_is_proven_where_a_line_limits_it():
     lines = [on_some.take(v, axis=k) for k in range(H.d) for v in range(H.n)]
     lines += [on_some[H.symbols == s] for s in range(H.n)]
     assert min(int(line.sum()) for line in lines) == 48
+
+
+def _reference_packs(cover, g, gauge, best):
+    """``search._packs`` as it ran on one int bit set per cell, rescanning
+    every open cell's live transversals at every node: the reference that the
+    word-matrix search with per-cell live counts must match node for node."""
+    listed, lines = cover.listed, cover.lines.tolist()
+    masks = [int.from_bytes(row.tobytes(), "little") for row in cover.matrix]
+    n = listed.shape[1]
+    line_count = len(lines[0]) * n
+    starts = len(masks) // n * np.arange(n)
+    chosen = []
+    path = []
+    live, todo = (1 << len(listed)) - 1, list(range(len(masks)))
+    while True:
+        if len(chosen) > len(best):
+            best[:] = chosen
+        if len(chosen) == g:
+            return True
+        open_cells, on_line = [], [0] * line_count
+        pivot, fewest = -1, 0
+        for c in todo:
+            k = (masks[c] & live).bit_count()
+            if k:
+                open_cells.append(c)
+                for x in lines[c]:
+                    on_line[x] += 1
+                if pivot < 0 or k < fewest:
+                    pivot, fewest = c, k
+        if len(chosen) + min(on_line) >= g:
+            path.append([live, open_cells, pivot, masks[pivot] & live, len(chosen)])
+        while path:
+            node = path[-1]
+            live, todo, pivot, untried, above = node
+            del chosen[above:]
+            if untried:
+                t = (untried & -untried).bit_length() - 1
+                node[3] = untried ^ (1 << t)
+                chosen.append(t)
+                cells = (listed[t] + starts).tolist()
+                live &= ~functools.reduce(lambda a, b: a | b, (masks[c] for c in cells))
+            elif pivot >= 0:
+                node[2] = -1
+                live &= ~masks[pivot]
+            else:
+                path.pop()
+                continue
+            gauge.tick()
+            break
+        else:
+            return False
+
+
+def _packing_cover(H):
+    gauge = search._Gauge(SearchBudget())
+    table = search._Table(H.n)
+    listed = table.fill(search._results(H, gauge, table=table))
+    return search._cover(H, listed, gauge)
+
+
+def _packs_run(packs, cover, g, max_nodes=2_000_000_000):
+    gauge, best = search._Gauge(SearchBudget(max_nodes=max_nodes)), []
+    try:
+        found = packs(cover, g, gauge, best)
+    except BudgetExhausted:
+        found = None
+    return found, best, gauge.nodes
+
+
+@pytest.mark.parametrize("make", [lambda: cyclic(cyclic_group(5), 3),
+                                  lambda: cyclic(cyclic_group(7), 2),
+                                  lambda: turned_cyclic(4, 4), third_species_44],
+                         ids=["cyclic-5-d3", "cyclic-7", "turned-cyclic-4-4",
+                              "third-species-4-4"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_packs_matches_the_int_bit_set_reference(make, seed):
+    # every g from the greedy bound down to the answer: the same answer, the
+    # same largest family and the same ticks, on seeded isotopes (whose
+    # listing orders differ from the cube's own), over every transversal and
+    # over a seeded fifth of them, which backtracks far more; a search cut at
+    # 2,000 ticks must be cut in both, holding the same family
+    H = _random_isotope(make(), seed)
+    every = _packing_cover(H).listed
+    fifth = sorted(random.Random(seed).sample(range(len(every)), len(every) // 5))
+    for listed in (every, every[fifth]):
+        cover = search._cover(H, listed, search._Gauge(SearchBudget()))
+        g = min(len(search._greedy_hitting_set(cover.matrix, search._Gauge(SearchBudget()))),
+                H.n ** (H.d - 1), len(listed))
+        while True:
+            found, best, ticks = _packs_run(search._packs, cover, g, 2_000)
+            assert (found, best, ticks) == _packs_run(_reference_packs, cover, g, 2_000), g
+            if found is not False:
+                break
+            g -= 1
+
+
+def test_packs_ticks_are_pinned():
+    # the node counts of the int bit set search this one replaced
+    z11 = _packing_cover(cyclic(cyclic_group(11), 2))
+    found, best, ticks = _packs_run(search._packs, z11, 11)
+    assert found and len(best) == 11 and ticks == 117
+    H = cyclic(cyclic_group(5), 4)
+    z5d4 = _packing_cover(H)
+    found, best, ticks = _packs_run(search._packs, z5d4, 125)
+    assert found and len(best) == 125 and ticks == 831
+    assert pairwise_disjoint_family(list(search._diagonals(H, z5d4.listed[best].tolist())))
+
+
+@pytest.mark.parametrize("make", [lambda: cyclic(cyclic_group(11), 2),
+                                  lambda: _random_isotope(turned_cyclic(4, 4), 3)],
+                         ids=["cyclic-11", "turned-cyclic-4-4-isotope"])
+def test_cut_packings_are_disjoint_transversals_and_never_shrink(monkeypatch, make):
+    # a packing cut by max_nodes keeps the largest family reached: pairwise
+    # disjoint transversals of the cube, never fewer under a larger cap
+    H = make()
+    full = max_disjoint_transversals(H)
+    total = _ticks(monkeypatch, lambda: max_disjoint_transversals(H))
+    transversals = set(enumerate_transversals(H))
+    sizes = []
+    for max_nodes in sorted({total - k for k in range(0, 120, 6)} | {total // 2, 1}):
+        result = max_disjoint_transversals(H, budget=SearchBudget(max_nodes=max_nodes))
+        assert result.exhausted == (max_nodes < total), max_nodes
+        assert set(result.packing) <= transversals
+        assert pairwise_disjoint_family(result.packing)
+        sizes.append(len(result.packing))
+    assert sizes == sorted(sizes) and sizes[-1] == len(full.packing)
+    assert len(set(sizes) - {0, sizes[-1]}) > 1, sizes
 
 
 def test_packing_and_decomposition_run_deeper_than_the_recursion_limit():
