@@ -19,6 +19,7 @@ from .hypercube import (
     Diagonal,
     Entry,
     Hypercube,
+    checked_int,
     cyclic,
     is_latin,
     serialize,
@@ -155,16 +156,17 @@ def third_species_example_transversal() -> Diagonal:
 def turn_subcube(H: Hypercube, corner: Coords, offsets: Coords) -> Hypercube:
     """Swap the two symbols on an order-2 two-symbol Latin block of H.
 
-    The block is the product of {corner_i, corner_i + offset_i} over all axes.
-    Every line of H meets the block in 0 or 2 cells carrying both symbols, so
-    the swap preserves the Latin property."""
-    corner = tuple(int(c) for c in corner)
-    offsets = tuple(int(o) for o in offsets)
-    if len(corner) != H.d or len(offsets) != H.d:
-        raise ConstructionError("corner and offsets must have one component per axis")
+    The block is the product of {corner_i, corner_i + offset_i mod n} over all
+    axes, the corner being a cell of H (``Hypercube.entry``) and the offsets
+    integers (``checked_int``).  Every line of H meets the block in 0 or 2
+    cells carrying both symbols, so the swap preserves the Latin property."""
+    corner = H.entry(corner).coords
+    offsets = tuple(map(checked_int, offsets))
+    if len(offsets) != H.d:
+        raise ConstructionError("offsets must have one component per axis")
     pairs = []
-    for c, o in zip(corner, offsets):
-        lo, hi = c % H.n, (c + o) % H.n
+    for lo, o in zip(corner, offsets):
+        hi = (lo + o) % H.n
         if lo == hi:
             raise ConstructionError("offsets must select two distinct values per axis")
         pairs.append((lo, hi))
@@ -235,7 +237,7 @@ def translated_transversals(
     Diagonal.from_entries(H, T.entries, transversal=True)
     out: list[Diagonal] = []
     for vec in vectors:
-        vec = tuple(int(v) for v in vec)
+        vec = tuple(map(checked_int, vec))
         if len(vec) != H.d:
             raise ConstructionError("translation vector has wrong dimension")
         cells = [tuple((c + v) % H.n for c, v in zip(e.coords, vec)) for e in T.entries]

@@ -30,11 +30,9 @@ class DeltaProfile:
         indices.setflags(write=False)
         self.indices = indices
         elements = index_table(host.group).elements
-        nz = np.argwhere(indices != 0)
         # np.argwhere returns row-major order, keeping support iteration deterministic
-        self.support: dict[Coords, Element] = {
-            tuple(int(c) for c in cell): elements[indices[tuple(cell)]] for cell in nz
-        }
+        cells = map(tuple, np.argwhere(indices != 0).tolist())
+        self.support: dict[Coords, Element] = {c: elements[indices[c]] for c in cells}
         self.projections: tuple[frozenset[int], ...] = tuple(
             frozenset(cell[axis] for cell in self.support) for axis in range(host.d)
         )
@@ -44,7 +42,8 @@ class DeltaProfile:
         return self.host.group
 
     def value_at(self, coords) -> Element:
-        return index_table(self.group).elements[self.indices[tuple(coords)]]
+        """The delta at a caller's cell, checked by ``Hypercube.entry``."""
+        return index_table(self.group).elements[self.indices[self.host.entry(coords).coords]]
 
     def projection_sizes(self) -> tuple[int, ...]:
         return tuple(len(p) for p in self.projections)
@@ -71,20 +70,20 @@ def profile(H: Hypercube) -> DeltaProfile:
 
 
 def delta(H: Hypercube, e: Entry) -> Element:
-    """Delta value of a single entry in H's group; the entry must belong to H.
+    """Delta value of a single entry in H's group; ValueError unless the
+    entry is one of H's (``Hypercube.member``).
 
     Computed componentwise with the checked group operations: the reference
     that ``profile`` is tested against."""
     group = H.group
-    coords = tuple(int(c) for c in e.coords)
-    if len(coords) != H.d or H[coords] != e.symbol:
-        raise ValueError(f"entry {e} does not belong to the host cube")
+    coords, symbol = H.member(e)
     coord_sum = group.sum(group.element(c) for c in coords)
-    return group.sub(group.element(e.symbol), coord_sum)
+    return group.sub(group.element(symbol), coord_sum)
 
 
 def delta_sum(H: Hypercube, D: Diagonal | Sequence[Entry]) -> Element:
-    """Sum in H's group of delta over a (possibly partial) diagonal's entries."""
+    """Sum in H's group of delta over a (possibly partial) diagonal's entries,
+    each checked by ``delta``."""
     entries = D.entries if isinstance(D, Diagonal) else D
     return H.group.sum(delta(H, e) for e in entries)
 

@@ -90,9 +90,12 @@ class DilationCertificate:
     cells: tuple[Coords, ...]
     parity_ok: bool
     base_hitting_ok: bool
-    spread_ok: bool
     spread: SupportSpread
     direct_ok: bool | None = None
+
+    @property
+    def spread_ok(self) -> bool:
+        return self.spread.holds
 
     @property
     def transferred(self) -> bool:
@@ -121,9 +124,10 @@ def transfer_hitting_set(
     support projection condition.  When only the projection condition fails,
     the hitting property is instead checked directly on the dilation; the
     dilated support is the image of the base support, so the check branches
-    over exactly as many partial diagonals as on the base."""
+    over exactly as many partial diagonals as on the base.  ValueError unless
+    each of ``cells`` is a cell of H (``Hypercube.entry``)."""
     _require_zn(H)
-    cells = tuple(tuple(int(x) for x in c) for c in cells)
+    cells = tuple(H.entry(c).coords for c in cells)
     parity_ok = parity_condition(H.n, H.d, factor)
     spread = dilrect_condition(H)
     target = suitable_target(H.group, H.d)
@@ -139,7 +143,6 @@ def transfer_hitting_set(
         cells=cells,
         parity_ok=parity_ok,
         base_hitting_ok=base_ok,
-        spread_ok=spread.holds,
         spread=spread,
         direct_ok=direct_ok,
     )

@@ -161,15 +161,14 @@ def _translated(T: Diagonal, L: Hypercube, tail: Sequence[int]) -> list[Entry]:
 def transversal_through_fibre(L: Hypercube, D: Diagonal, d_prime: int, alpha: Entry) -> Diagonal:
     """Transversal of the extension containing alpha, whose shadow is D.
 
-    alpha's first coordinates must match some entry of D; the lifted
-    transversal is translated inside the fibre until it passes through alpha,
-    shifting every symbol by the group sum of the translation."""
+    alpha, an entry of the extension (``Hypercube.member``), must project into
+    D; the lifted transversal is translated inside the fibre until it passes
+    through alpha, shifting every symbol by the group sum of the translation."""
     extension = _extension(L, L.group, d_prime)
+    alpha = extension.member(alpha)
     head = alpha.coords[: L.d]
     if head not in D.cell_set():
         raise ValueError("alpha does not project into the diagonal")
-    if extension[alpha.coords] != alpha.symbol:
-        raise ValueError("alpha is not an entry of the extension")
     T = lift_diagonal(L, D, d_prime)
     anchor = next(e for e in T.entries if e.coords[: L.d] == head)
     sub = index_table(L.group).sub
@@ -205,12 +204,7 @@ def symbol_classes(L: Hypercube) -> list[Diagonal]:
         raise ValueError("symbol classes require a square")
     if not is_latin(L):
         raise ValueError("symbol classes require a Latin square")
-    out = []
-    for s in range(L.n):
-        rows, cols = np.nonzero(L.symbols == s)
-        entries = [Entry((int(r), int(c)), s) for r, c in zip(rows, cols)]
-        out.append(Diagonal.from_entries(L, entries))
-    return out
+    return [Diagonal.from_cells(L, np.argwhere(L.symbols == s)) for s in range(L.n)]
 
 
 # -- quasigroup extension ------------------------------------------------------
@@ -373,13 +367,15 @@ def extension_hitting_certificate(
     L: Hypercube, d_prime: int, cells: Sequence[Coords], budget=None
 ) -> ExtensionHittingCertificate:
     """Check the base condition of the transfer: every diagonal of L with the
-    target deviation sum for d_prime meets ``cells``."""
+    target deviation sum for d_prime meets ``cells``.  ValueError unless each
+    is a cell of L (``Hypercube.entry``)."""
     from .search import hitting_set_check
 
+    cells = tuple(L.entry(c).coords for c in cells)
     ok = hitting_set_check(L, suitable_target(L.group, d_prime), cells, budget)
     return ExtensionHittingCertificate(
         group=str(L.group),
         d_prime=d_prime,
-        cells=tuple(tuple(c) for c in cells),
+        cells=cells,
         base_checked=ok,
     )

@@ -5,12 +5,18 @@ always {0, ..., n-1}; a group labeling is carried alongside the array, the one
 every deviation and target sum reads, so the same array is analyzed under
 another labeling as a cube built with that group (``Hypercube(H.symbols, g)``
 or ``load(path, g)``).  Cubes compare and hash by their arrays alone.
+
+One integer rule covers what callers hand a cube: ``checked_int`` for a
+scalar, a NumPy integer dtype for symbols and permutations, ``Hypercube.entry``
+for a cell and ``Hypercube.member`` for an entry.  ``H[coords]`` wraps negative
+coordinates, as NumPy does, so it is for checked coordinates only.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -30,13 +36,33 @@ class Entry(NamedTuple):
     symbol: int
 
 
+def checked_int(x) -> int:
+    """x as an int: ValueError unless ``operator.index`` accepts it and it is
+    not a bool, so 1.0, '1', True and None are refused and NumPy ints pass."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"{x!r} is not an integer")
+
+
+def _integer_array(values, what: str) -> np.ndarray:
+    """values as an array of integer dtype, a list's items checked for bools too."""
+    arr = np.array(values)
+    items = () if isinstance(values, np.ndarray) else np.array(values, dtype=object).flat
+    if arr.dtype.kind not in "iu" or not {bool, np.bool_}.isdisjoint(map(type, items)):
+        raise ValueError(f"{what} must be integers, none of them a bool")
+    return arr
+
+
 class Hypercube:
-    """Immutable order-n dimension-d symbol array."""
+    """Immutable order-n dimension-d symbol array, of an integer dtype."""
 
     __slots__ = ("d", "n", "group", "_arr", "_latin", "_hash")
 
     def __init__(self, symbols, group: AbelianGroup | None = None):
-        arr = np.array(symbols, dtype=np.int64)
+        arr = _integer_array(symbols, "symbols")
         if arr.ndim < 2:
             raise ValueError("hypercube dimension must be at least 2")
         n = arr.shape[0]
@@ -44,6 +70,7 @@ class Hypercube:
             raise ValueError(f"all axes must have equal length, got shape {arr.shape}")
         if n > 0 and (arr.min() < 0 or arr.max() >= n):
             raise ValueError(f"symbols must lie in [0, {n})")
+        arr = arr.astype(np.int64, copy=False)
         if group is None:
             group = cyclic_group(n)
         elif group.order != n:
@@ -65,12 +92,24 @@ class Hypercube:
         return int(self._arr[tuple(coords)])
 
     def entry(self, coords) -> Entry:
-        """The entry at a cell; ValueError unless the cell is d coordinates in
-        [0, n), since numpy would wrap a negative one onto another cell."""
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != self.d or not all(0 <= c < self.n for c in coords):
-            raise ValueError(f"cell {coords} is not a cell of the host (d={self.d}, n={self.n})")
-        return Entry(coords, self[coords])
+        """The entry at a caller's cell: ValueError unless the cell is d
+        integers (``checked_int``) in [0, n)."""
+        try:
+            cell = tuple(map(checked_int, coords))
+        except (TypeError, ValueError):
+            cell = ()
+        if len(cell) != self.d or min(cell) < 0 or max(cell) >= self.n:
+            raise ValueError(f"cell {coords!r} is not a cell of the host (d={self.d}, n={self.n})")
+        return Entry(cell, int(self._arr[cell]))
+
+    def member(self, entry) -> Entry:
+        """The host's entry for a caller's (coords, symbol) pair: ValueError unless
+        coords is a cell (``entry``) holding the integer symbol."""
+        coords, symbol = entry
+        own = self.entry(coords)
+        if own.symbol != checked_int(symbol):
+            raise ValueError(f"entry {entry!r} does not match the host symbol {own.symbol}")
+        return own
 
     def cells(self) -> Iterator[Coords]:
         """All coordinate tuples in row-major order."""
@@ -133,9 +172,8 @@ def subcube(H: Hypercube, index_sets: Sequence[Sequence[int]]) -> np.ndarray:
     for s in index_sets:
         if len(s) == 0:
             raise ValueError("index sets must be nonempty")
-        for v in s:
-            if not 0 <= v < H.n:
-                raise ValueError(f"index {v} out of range [0, {H.n})")
+        if not all(0 <= checked_int(v) < H.n for v in s):
+            raise ValueError(f"index set {s!r} leaves [0, {H.n})")
     return H.symbols[np.ix_(*index_sets)].copy()
 
 
@@ -143,19 +181,19 @@ def apply_isotopy(H: Hypercube, perms: Sequence[Sequence[int]]) -> Hypercube:
     """Permute coordinates axiswise and relabel symbols.
 
     perms holds d coordinate permutations followed by one symbol permutation;
-    entry (x_1,...,x_d; s) maps to (p_1(x_1),...,p_d(x_d); p_{d+1}(s)).
+    entry (x_1,...,x_d; s) maps to (p_1(x_1),...,p_d(x_d); p_{d+1}(s)).  Each
+    must read as an array of integer dtype.
     """
     if len(perms) != H.d + 1:
         raise ValueError(f"need {H.d + 1} permutations, got {len(perms)}")
     arrs = []
     for p in perms:
-        a = np.asarray(p, dtype=np.int64)
+        a = _integer_array(p, "permutations")
         if sorted(a.tolist()) != list(range(H.n)):
             raise ValueError("each permutation must be a bijection of the index set")
         arrs.append(a)
-    sym_perm = arrs[-1]
     out = np.empty_like(H.symbols)
-    out[np.ix_(*arrs[:-1])] = sym_perm[H.symbols]
+    out[np.ix_(*arrs[:-1])] = arrs[-1][H.symbols]
     result = Hypercube(out, H.group)
     if H._latin:
         result._latin = True
@@ -177,40 +215,27 @@ class Diagonal:
     complete: bool = field(default=False)
 
     @classmethod
-    def from_entries(
-        cls,
-        H: Hypercube,
-        entries: Iterable[Entry | tuple],
-        *,
-        transversal: bool = False,
-    ) -> "Diagonal":
-        """Validate entries against a host cube and wrap them.
-
-        Checks membership (a cell of the host, ``H.entry``, whose symbol
-        matches the stored value), the pairwise hyperplane-disjointness
-        property, and distinct symbols when a transversal is requested.
-        """
-        norm = []
-        for e in entries:
-            if isinstance(e, Entry):
-                coords, symbol = e.coords, e.symbol
-            else:
-                coords, symbol = e[0], int(e[1])
-            entry = H.entry(coords)
-            if entry.symbol != symbol:
-                raise ValueError(f"entry {(entry.coords, symbol)} does not match host value"
-                                 f" {entry.symbol}")
-            norm.append(entry)
-        check_pairwise_disjoint(norm)
-        if transversal:
-            syms = [e.symbol for e in norm]
-            if len(set(syms)) != len(syms):
-                raise ValueError("entries repeat a symbol; not a transversal")
-        return cls(tuple(norm), complete=len(norm) == H.n)
+    def from_entries(cls, H: Hypercube, entries: Iterable[Entry | tuple], *,
+                     transversal: bool = False) -> "Diagonal":
+        """Validate (coords, symbol) pairs against a host cube and wrap them:
+        each is an entry of the host (``H.member``), no two share a
+        hyperplane, and a transversal repeats no symbol."""
+        return cls._of(H, [H.member(e) for e in entries], transversal)
 
     @classmethod
-    def from_cells(cls, H: Hypercube, cells: Iterable[Coords], **kw) -> "Diagonal":
-        return cls.from_entries(H, (H.entry(c) for c in cells), **kw)
+    def from_cells(cls, H: Hypercube, cells: Iterable[Coords], *,
+                   transversal: bool = False) -> "Diagonal":
+        """``from_entries`` on the host's entries at the cells (``H.entry``)."""
+        return cls._of(H, [H.entry(c) for c in cells], transversal)
+
+    @classmethod
+    def _of(cls, H: Hypercube, entries: list[Entry], transversal: bool) -> "Diagonal":
+        for axis in range(H.d):
+            if len({e.coords[axis] for e in entries}) != len(entries):
+                raise ValueError(f"two entries share a hyperplane on axis {axis}")
+        if transversal and len({e.symbol for e in entries}) != len(entries):
+            raise ValueError("entries repeat a symbol; not a transversal")
+        return cls(tuple(entries), complete=len(entries) == H.n)
 
     def cells(self) -> tuple[Coords, ...]:
         return tuple(e.coords for e in self.entries)
@@ -229,17 +254,6 @@ class Diagonal:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-def check_pairwise_disjoint(entries: Sequence[Entry]) -> None:
-    """Raise unless no two entries agree in any coordinate."""
-    if not entries:
-        return
-    d = len(entries[0].coords)
-    for axis in range(d):
-        vals = [e.coords[axis] for e in entries]
-        if len(set(vals)) != len(vals):
-            raise ValueError(f"two entries share a hyperplane on axis {axis}")
 
 
 def pairwise_disjoint_family(diagonals: Sequence[Diagonal]) -> bool:

@@ -13,7 +13,7 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Any, NoReturn
 
-from .hypercube import Coords, Diagonal, Entry, Hypercube
+from .hypercube import Coords, Diagonal, Hypercube
 
 SCHEMA_VERSION = 1
 
@@ -69,31 +69,24 @@ def diagonal_to_json(D: Diagonal) -> list[dict]:
     return [{"coords": list(e.coords), "symbol": e.symbol} for e in D.entries]
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def cell_from_json(obj, H: Hypercube) -> Coords:
-    """A cell of the host cube from its JSON form: a list of d integers in [0, n)."""
-    if not (
-        isinstance(obj, list)
-        and len(obj) == H.d
-        and all(_is_int(c) and 0 <= c < H.n for c in obj)
-    ):
+    """A cell of the host cube from its JSON form: an array of d integers in
+    [0, n), checked by ``Hypercube.entry``."""
+    if not isinstance(obj, list):
         raise ValueError(f"cell {obj!r} is not a list of {H.d} integers in [0, {H.n})")
-    return tuple(obj)
+    return H.entry(obj).coords
 
 
 def diagonal_from_json(obj, H: Hypercube) -> Diagonal:
-    """Rebuild and revalidate a diagonal from its JSON form against a host cube."""
+    """Rebuild and revalidate a diagonal from its JSON form against a host cube
+    (each cell by ``cell_from_json``, each symbol by ``Diagonal.from_entries``)."""
     if not isinstance(obj, list):
         raise ValueError(f"diagonal {obj!r} is not a list of entries")
     entries = []
     for rec in obj:
-        if not (isinstance(rec, dict) and set(rec) == {"coords", "symbol"}
-                and _is_int(rec["symbol"])):
+        if not (isinstance(rec, dict) and set(rec) == {"coords", "symbol"}):
             raise ValueError(f"diagonal entry {rec!r} needs coords and an integer symbol")
-        entries.append(Entry(cell_from_json(rec["coords"], H), rec["symbol"]))
+        entries.append((cell_from_json(rec["coords"], H), rec["symbol"]))
     return Diagonal.from_entries(H, entries)
 
 
@@ -166,7 +159,7 @@ def _fail(path: tuple, complaint: str, value: Any) -> NoReturn:
 # no fractional part; a number is any numbers.Number but a bool; arrays are
 # lists (never tuples) and objects are dicts.
 def _is_integer(x) -> bool:
-    return _is_int(x) or (isinstance(x, float) and x.is_integer())
+    return isinstance(x, int) and not isinstance(x, bool) or isinstance(x, float) and x.is_integer()
 
 
 def _is_number(x) -> bool:

@@ -145,23 +145,13 @@ def _require_latin(H: Hypercube) -> None:
 
 
 def _checked_cells(H: Hypercube, cells: Iterable[Coords]) -> list[tuple[int, int]]:
-    """The cells as (row, index) pairs, cell i of row r being the row's i-th
-    in row-major order; ValueError unless each is d integer coordinates in
-    [0, n), since a cell outside the cube lies on no diagonal and would read
-    as an absence claim (numpy would even wrap negative coordinates)."""
-    out = []
-    for cell in cells:
-        try:
-            coords = tuple(operator.index(c) for c in cell)
-        except TypeError:
-            raise ValueError(f"cell {cell!r} is not a tuple of integers") from None
-        if len(coords) != H.d or not all(0 <= c < H.n for c in coords):
-            raise ValueError(f"cell {cell!r} is not a cell of the cube (d={H.d}, n={H.n})")
-        index = 0
-        for v in coords[1:]:
-            index = index * H.n + v
-        out.append((coords[0], index))
-    return out
+    """The caller's cells as (row, index) pairs, cell i of row r being the
+    row's i-th in row-major order; each cell is checked by ``H.entry``, since
+    a cell outside the cube lies on no diagonal and would read as an absence
+    claim."""
+    weights = [H.n ** k for k in reversed(range(H.d - 1))]
+    return [(c[0], sum(map(operator.mul, c[1:], weights)))
+            for c in (H.entry(cell).coords for cell in cells)]
 
 
 class _Shape(NamedTuple):
@@ -527,8 +517,9 @@ def transversal_through(
     first result of ``_dfs`` through the cell, filling the row with the
     fewest fitting cells first.
 
-    Raises ValueError when the cell lies outside the cube, and BudgetExhausted
-    when the budget runs out before either outcome."""
+    Raises ValueError unless the cell is a cell of the cube (``Hypercube.entry``:
+    d integers in [0, n)), and BudgetExhausted when the budget runs out before
+    either outcome."""
     _require_latin(H)
     budget = budget or SearchBudget()
     pre = _checked_cells(H, [cell])
@@ -1284,13 +1275,15 @@ def hitting_set_check(
 
     One gauge covers the whole check: it ticks on every branch and is shared
     by every completion.  BudgetExhausted propagates, so an exhausted budget
-    never yields True.  A cell outside the cube raises ValueError."""
+    never yields True.  ValueError unless each of ``cells`` is a cell of the
+    cube (``Hypercube.entry``)."""
     _require_latin(H)
     budget = budget or SearchBudget()
     goal, deltas, table = _TargetSum.of(H, target)
     add, n, deltas = table.add, H.n, deltas.tolist()
     U = set(_checked_cells(H, cells))
-    X = frozenset(_checked_cells(H, profile(H).support))
+    rows, index = np.nonzero(profile(H).indices.reshape(n, -1))
+    X = frozenset(zip(rows.tolist(), index.tolist()))
     free = sorted(X - U)
     # a cell's row as bit r and its fields as bits n and up: two cells of a
     # partial diagonal share no bit

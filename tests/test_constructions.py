@@ -165,6 +165,19 @@ def test_turn_subcube_rejects_bad_selection():
         cons.turn_subcube(H, (0, 0), (0, 2))
 
 
+def test_turn_subcube_takes_a_cell_and_integer_offsets():
+    # int() used to truncate a corner of (0.5, 0) to (0, 0), and a corner off
+    # the square wrapped onto it
+    H = cyclic(cyclic_group(4), 2)
+    want = cons.turn_subcube(H, (0, 0), (2, 2))
+    assert cons.turn_subcube(H, (np.int64(0), 0), np.array([2, 2])) == want
+    for corner, offsets in [((0.5, 0), (2, 2)), ((4, 0), (2, 2)), ((-4, 0), (2, 2)),
+                            ((0,), (2, 2)), ((0, 0), (2.0, 2)), ((0, 0), (True, 2)),
+                            ((0, 0), (2,))]:
+        with pytest.raises(ValueError):
+            cons.turn_subcube(H, corner, offsets)
+
+
 def test_turned_cyclic_cells():
     assert cons.turned_cyclic(4, 4)[(0, 0, 0, 0)] == 2
     assert cons.turned_cyclic(6, 4)[(3, 3, 0, 0)] == 3
@@ -236,6 +249,9 @@ def test_translated_transversals_rejects_bad_vector():
     T = cons.turned_cyclic_transversal(4, 4)
     with pytest.raises(ConstructionError):
         cons.translated_transversals(H, T, [(1, 0, 0, 0)])
+    for vector in [(0.5, 0, 0, 0), (2.0, 0, 0, 0), (True, 0, 0, 0)]:
+        with pytest.raises(ValueError):
+            cons.translated_transversals(H, T, [vector])
 
 
 # -- fixed exhibits --

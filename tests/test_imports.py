@@ -22,6 +22,42 @@ def _unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def _unread_locals(source: str) -> list[str]:
+    """function.name for each name without a leading underscore that a
+    function assigns (loop targets included) and never reads, itself or in a
+    nested function; names it declares global or nonlocal are left out."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, read, declared = set(), set(), set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name):
+                (read if isinstance(node.ctx, ast.Load) else stored).add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+        found.update(f"{fn.name}.{name}" for name in stored - read - declared
+                     if not name.startswith("_"))
+    return sorted(found)
+
+
+def test_unread_locals_are_detected():
+    source = "def f(xs):\n    total, spare = 0, 1\n    for i, x in enumerate(xs):\n" \
+             "        total += x\n    _skip = 2\n    def g():\n        return total\n" \
+             "    return g\n\ndef h():\n    global seen\n    seen = 1\n"
+    assert _unread_locals(source) == ["f.i", "f.spare"]
+
+
+def test_no_module_or_script_assigns_a_local_it_never_reads():
+    assert len(SOURCES) > 10
+    unread = {}
+    for path in SOURCES:
+        names = _unread_locals(path.read_text(encoding="utf-8"))
+        if names:
+            unread[str(path.relative_to(ROOT))] = names
+    assert unread == {}
+
+
 def test_unused_imports_are_detected():
     source = "from __future__ import annotations\nimport os.path\nimport numpy as np\n" \
              "from typing import Iterable, Sequence\n\ndef f(x: Sequence) -> None:\n" \

@@ -24,12 +24,17 @@ from transversal_lab.constructions import (
     turned_region,
     z6_isotope_square,
 )
-from transversal_lab.delta import profile, suitable_target
-from transversal_lab.dilation import dilate
-from transversal_lab.extension import g_extension
+from transversal_lab.delta import delta, delta_sum, profile, suitable_target
+from transversal_lab.dilation import dilate, transfer_hitting_set
+from transversal_lab.extension import (
+    extension_hitting_certificate,
+    g_extension,
+    transversal_through_fibre,
+)
 from transversal_lab.groups import cyclic_group
 from transversal_lab.hypercube import (
     Diagonal,
+    Entry,
     Hypercube,
     apply_isotopy,
     cyclic,
@@ -56,6 +61,7 @@ from transversal_lab.search import (
     max_disjoint_transversals,
     transversal_through,
 )
+from transversal_lab.reports import cell_from_json, diagonal_from_json
 
 
 def test_enumerate_diagonals_counts_match_oracle():
@@ -1709,21 +1715,92 @@ def test_dfs_rejects_pre_cells_that_conflict():
     assert [D.cells() for D in search._diagonals(H, found)] == [((0, 0), (1, 2), (2, 1))]
 
 
+def _cell_entry_points(H):
+    """Every entry point that takes a caller's cell, each as a call on one
+    cell of the cyclic square H of order 5, whose cell (0, 1) holds symbol 1:
+    the fibre's alpha is the cell followed by a last coordinate 0."""
+    D = transversal_through(H, (0, 1))
+    return {
+        "entry": lambda c: H.entry(c),
+        "from_entries": lambda c: Diagonal.from_entries(H, [(c, 1)]),
+        "from_cells": lambda c: Diagonal.from_cells(H, [c]),
+        "transversal_through": lambda c: transversal_through(H, c),
+        "hitting_set_check": lambda c: hitting_set_check(H, (0,), [(0, 0), c]),
+        "cell_from_json": lambda c: cell_from_json(list(c), H),
+        "diagonal_from_json": lambda c: diagonal_from_json([{"coords": list(c), "symbol": 1}], H),
+        "delta": lambda c: delta(H, Entry(c, 1)),
+        "delta_sum": lambda c: delta_sum(H, [Entry(c, 1)]),
+        "value_at": lambda c: profile(H).value_at(c),
+        "transfer_hitting_set": lambda c: transfer_hitting_set(H, [c], 2),
+        "through_fibre": lambda c: transversal_through_fibre(H, D, 3, Entry((*c, 0), 1)),
+        "extension_hitting_certificate": lambda c: extension_hitting_certificate(H, 3, [c]),
+    }
+
+
 def test_cells_outside_the_cube_are_rejected_not_claimed_absent():
-    # numpy would wrap (-1, 0) to the last row, and cells out of range or of
-    # the wrong length would fail with IndexError or TypeError or be ignored
+    # numpy would wrap (-1, 0) to the last row, int() would truncate (0.5, 0)
+    # to (0, 0), and cells out of range or of the wrong length would fail
+    # with IndexError or TypeError or be ignored: every entry point raises
+    # ValueError instead, and takes NumPy integers as Python ints
     H = cyclic(cyclic_group(5), 2)
     H6 = ord6m_square(1)
-    for bad in [(-1, 0), (5, 0), (0, 5), (0,), (0, 0, 0), (0.0, 1), "01"]:
-        with pytest.raises(ValueError):
-            transversal_through(H, bad)
-        with pytest.raises(ValueError):
-            hitting_set_check(H, (0,), [(0, 0), bad])
+    bad_cells = [(0.5, 0), (1.0, 0), ("1", 0), (True, 0), (None, 0), (-1, 0), (5, 0), (0, 5),
+                 (0,), (0, 0, 0), (0.0, 1), (np.float64(1.0), 0), (np.True_, 0), "01"]
+    for name, call in _cell_entry_points(H).items():
+        for bad in bad_cells:
+            with pytest.raises(ValueError):
+                call(bad)
+                pytest.fail(f"{name} took the cell {bad!r}")
+        want = repr(call((0, 1)))
+        for cell in [(np.int64(0), np.int32(1)), np.array([0, 1]), [0, 1], (np.uint8(0), 1)]:
+            assert repr(call(cell)) == want, name
     with pytest.raises(ValueError):
         transversal_through(H6, (-1, 2))
     with pytest.raises(ValueError):
         hitting_set_check(H6, (3,), [*ord6m_starred_cells(1), (6, 0)])
     assert transversal_through(H, (4, 0)).cells()[4] == (4, 0)
+
+
+def test_symbols_and_permutations_follow_the_integer_rule():
+    # the host holds 1 at (0, 1), so 1.0 and True equal it and still fail
+    H = cyclic(cyclic_group(5), 2)
+    D = transversal_through(H, (0, 1))
+    symbol_entry_points = {
+        "from_entries": lambda s: Diagonal.from_entries(H, [((0, 1), s)]),
+        "diagonal_from_json": lambda s: diagonal_from_json([{"coords": [0, 1], "symbol": s}], H),
+        "delta": lambda s: delta(H, Entry((0, 1), s)),
+        "delta_sum": lambda s: delta_sum(H, [Entry((0, 1), s)]),
+        "through_fibre": lambda s: transversal_through_fibre(H, D, 3, Entry((0, 1, 0), s)),
+    }
+    for name, call in symbol_entry_points.items():
+        for bad in [0.7, "0", True, 1.0, "1", None, np.True_, np.float64(1.0)]:
+            with pytest.raises(ValueError):
+                call(bad)
+                pytest.fail(f"{name} took the symbol {bad!r}")
+        assert repr(call(np.int64(1))) == repr(call(1)), name
+    H3 = cyclic(cyclic_group(3), 2)
+    ident = [0, 1, 2]
+    for bad in [0.7, "0", True]:
+        with pytest.raises(ValueError):
+            Hypercube([[0, 1], [1, bad]])
+        with pytest.raises(ValueError):
+            apply_isotopy(H3, [[0, bad, 2], ident, ident])
+        with pytest.raises(ValueError):
+            apply_isotopy(H3, [ident, ident, [bad, 1, 2]])
+    for bad in [[[True, False], [False, True]], np.array([[0.0, 1.0], [1.0, 0.0]]),
+                [[0, 1], [1, np.True_]], [[0.5, 1.9], [1.2, 0.7]], [["0", "1"], ["1", "0"]]]:
+        with pytest.raises(ValueError):
+            Hypercube(bad)
+    for bad in [[0.2, 1.7, 2.9], ["0", "1", "2"], np.array([2.0, 1.0, 0.0]),
+                np.array([False, True, True])]:
+        with pytest.raises(ValueError):
+            apply_isotopy(H3, [bad, ident, ident])
+    square = Hypercube([[0, 1], [1, 0]])
+    for arr in [np.array([[0, 1], [1, 0]], dtype=np.uint8), [[np.int32(0), 1], [1, 0]]]:
+        assert Hypercube(arr) == square and Hypercube(arr).symbols.dtype == np.int64
+    flip = [2, 1, 0]
+    want = apply_isotopy(H3, [flip, ident, ident])
+    assert apply_isotopy(H3, [np.array(flip, dtype=np.int32), ident, (0, 1, np.int8(2))]) == want
 
 
 def test_budget_max_results():
