@@ -12,6 +12,7 @@ from .hypercube import (
     is_latin,
     load,
     parse,
+    quasi_extend,
     save,
     serialize,
     subcube,
@@ -32,7 +33,6 @@ from .search import (
     transversal_through,
 )
 from .extension import (
-    Quasigroup,
     constant_to_transversal_fibre,
     g_extension,
     hall_pair,
@@ -40,7 +40,6 @@ from .extension import (
     iterated_hypercube,
     lift_diagonal,
     lift_family,
-    quasi_extend,
     symbol_classes,
     transversal_through_fibre,
     transversal_to_constant_fibre,

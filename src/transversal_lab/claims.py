@@ -20,7 +20,6 @@ from . import constructions as cons
 from .delta import profile, suitable_target
 from .dilation import dilate, psi
 from .extension import (
-    Quasigroup,
     extension_hitting_certificate,
     hall_pair,
     iterated_decomposition,
@@ -292,16 +291,16 @@ def claim_10_lifted_decompositions(ctx: ClaimContext) -> str:
     covered = set().union(*(D.cell_set() for D in family))
     assert len(covered) == 27, "lifted family does not partition the extension"
 
-    q4a = Quasigroup.from_group(cyclic_group(4))
-    q4b = Quasigroup.from_group(parse_group("Z2xZ2"))
+    q4a = cyclic(cyclic_group(4), 2)
+    q4b = cyclic(parse_group("Z2xZ2"), 2)
     parts3 = iterated_decomposition([q4a, q4b])
     assert len(parts3) == 16 and all(D.has_distinct_symbols() for D in parts3)
     H3 = iterated_hypercube([q4a, q4b])
     assert is_latin(H3)
     assert len(set().union(*(D.cell_set() for D in parts3))) == 64
 
-    q3 = Quasigroup.from_group(cyclic_group(3))
-    sub3 = Quasigroup(tuple(tuple((r - c) % 3 for c in range(3)) for r in range(3)))
+    q3 = cyclic(cyclic_group(3), 2)
+    sub3 = Hypercube(np.subtract.outer(range(3), range(3)) % 3)
     parts4 = iterated_decomposition([q3, sub3, q3])
     assert len(parts4) == 27 and all(D.is_constant() for D in parts4)
     assert len(set().union(*(D.cell_set() for D in parts4))) == 81

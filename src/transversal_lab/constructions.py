@@ -13,13 +13,12 @@ import itertools
 
 import numpy as np
 
-from .groups import AbelianGroup, cyclic_group
+from .groups import AbelianGroup, checked_int, cyclic_group
 from .hypercube import (
     Coords,
     Diagonal,
     Entry,
     Hypercube,
-    checked_int,
     cyclic,
     is_latin,
     serialize,

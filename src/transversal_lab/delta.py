@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import AbelianGroup, Element, index_table
+from .groups import AbelianGroup, Element, checked_int, index_table
 from .hypercube import Coords, Diagonal, Entry, Hypercube, cyclic
 
 
@@ -91,7 +91,7 @@ def delta_sum(H: Hypercube, D: Diagonal | Sequence[Entry]) -> Element:
 def suitable_target(group: AbelianGroup, d_prime: int) -> Element:
     """The delta sum required of a diagonal that can become a transversal in
     an extension to dimension d_prime: (1 - d_prime) times the all-element sum."""
-    if d_prime < 2:
+    if checked_int(d_prime) < 2:
         raise ValueError("d_prime must be at least 2")
     return group.scalar_mul(1 - d_prime, group.g_plus())
 

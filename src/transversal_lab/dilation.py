@@ -17,21 +17,26 @@ from typing import Iterable
 import numpy as np
 
 from .delta import profile, suitable_target
-from .groups import cyclic_group
+from .groups import checked_int, cyclic_group
 from .hypercube import Coords, Entry, Hypercube, is_latin
 from .search import SearchBudget, hitting_set_check
 
 
-def _require_zn(H: Hypercube) -> None:
+def _dilation_factor(H: Hypercube, factor: int) -> int:
+    """The factor as an int: ValueError unless H has a single-factor cyclic
+    labeling and the factor is an integer (``checked_int``) of at least 2."""
     if H.group.moduli != (H.n,):
         raise ValueError("dilation requires a single-factor cyclic labeling")
+    factor = checked_int(factor)
+    if factor < 2:
+        raise ValueError("dilation factor must be at least 2")
+    return factor
 
 
 def dilate(H: Hypercube, factor: int) -> Hypercube:
-    """Order-boosted cube: scaled copy of H on the divisible cells, cyclic elsewhere."""
-    _require_zn(H)
-    if factor < 2:
-        raise ValueError("dilation factor must be at least 2")
+    """Order-boosted cube: scaled copy of H on the divisible cells, cyclic
+    elsewhere.  ValueError as ``_dilation_factor``."""
+    factor = _dilation_factor(H, factor)
     n, d = H.n, H.d
     N = n * factor
     arr = sum(np.ogrid[(slice(N),) * d]) % N
@@ -125,8 +130,9 @@ def transfer_hitting_set(
     the hitting property is instead checked directly on the dilation; the
     dilated support is the image of the base support, so the check branches
     over exactly as many partial diagonals as on the base.  ValueError unless
-    each of ``cells`` is a cell of H (``Hypercube.entry``)."""
-    _require_zn(H)
+    each of ``cells`` is a cell of H (``Hypercube.entry``), and as
+    ``_dilation_factor``."""
+    factor = _dilation_factor(H, factor)
     cells = tuple(H.entry(c).coords for c in cells)
     parity_ok = parity_condition(H.n, H.d, factor)
     spread = dilrect_condition(H)

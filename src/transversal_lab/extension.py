@@ -10,6 +10,13 @@ itself is constructive: pad the middle dimensions with the natural
 enumeration, then solve a zero-sum pairing problem in the group for the last
 dimension.  All of it runs on element indices, through the group's
 ``index_table``.
+
+Every boost here is the one step ``hypercube.quasi_extend``: the extension
+over a group boosts by the group's addition square (``cyclic(group, 2)``),
+and a chain of Latin squares (``iterated_hypercube``) boosts its first square
+by each of the others.  The fibre partitions split a diagonal's fibre in the
+boosted cube they are handed, reading every symbol from it, so a chain's
+decomposition builds each level once.
 """
 
 from __future__ import annotations
@@ -22,14 +29,16 @@ from typing import Sequence
 import numpy as np
 
 from .delta import delta_sum, is_suitable, suitable_target
-from .groups import AbelianGroup, Element, index_table
+from .groups import AbelianGroup, Element, checked_int, index_table
 from .hypercube import (
     Coords,
     Diagonal,
     Entry,
     Hypercube,
+    cyclic,
     is_latin,
     pairwise_disjoint_family,
+    quasi_extend,
 )
 
 
@@ -42,9 +51,9 @@ def g_extension(L: Hypercube, group: AbelianGroup | None = None, d_prime: int = 
     if group is not None and group != L.group:
         out = Hypercube(L.symbols, group)
         out._latin = L._latin
-    if d_prime <= L.d:
+    if checked_int(d_prime) <= L.d:
         raise ValueError(f"target dimension {d_prime} must exceed base dimension {L.d}")
-    Q = Quasigroup.from_group(out.group)
+    Q = cyclic(out.group, 2)
     for _ in range(d_prime - L.d):
         out = quasi_extend(out, Q)
     return out
@@ -207,137 +216,64 @@ def symbol_classes(L: Hypercube) -> list[Diagonal]:
     return [Diagonal.from_cells(L, np.argwhere(L.symbols == s)) for s in range(L.n)]
 
 
-# -- quasigroup extension ------------------------------------------------------
+# -- chains of Latin squares ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Quasigroup:
-    """Binary operation whose table is a Latin square."""
+def constant_to_transversal_fibre(H: Hypercube, D: Diagonal) -> list[Diagonal]:
+    """Partition the fibre in the boosted cube H of a constant diagonal D of
+    the cube it boosts into n disjoint transversals.
 
-    table: tuple[tuple[int, ...], ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.table)
-
-    def __post_init__(self) -> None:
-        n = len(self.table)
-        want = list(range(n))
-        for row in self.table:
-            if sorted(row) != want:
-                raise ValueError("every row must be a permutation")
-        for j in range(n):
-            if sorted(row[j] for row in self.table) != want:
-                raise ValueError("every column must be a permutation")
-
-    def apply(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
-    def solve_right(self, x: int, target: int) -> int:
-        """The unique y with x * y = target."""
-        return self.table[x].index(target)
-
-    @classmethod
-    def from_square(cls, H: Hypercube) -> "Quasigroup":
-        if H.d != 2:
-            raise ValueError("quasigroup table must be a square")
-        return cls(tuple(tuple(int(v) for v in row) for row in H.symbols))
-
-    @classmethod
-    def from_group(cls, group: AbelianGroup) -> "Quasigroup":
-        return cls(index_table(group).add)
-
-
-def quasi_extend(H_prev: Hypercube, Q: Quasigroup) -> Hypercube:
-    """One-dimension boost: new value at (x, t) is Q applied to (old value, t)."""
-    if Q.order != H_prev.n:
-        raise ValueError(f"quasigroup order {Q.order} does not match cube order {H_prev.n}")
-    tab = np.array(Q.table, dtype=np.int64)
-    arr = tab[H_prev.symbols[..., None], np.arange(H_prev.n)]
-    out = Hypercube(arr, H_prev.group)
-    if H_prev._latin:
-        out._latin = True
-    return out
-
-
-def constant_to_transversal_fibre(
-    H_prev: Hypercube, Q: Quasigroup, D: Diagonal
-) -> list[Diagonal]:
-    """Partition the fibre of a constant diagonal into n disjoint transversals.
-
-    Uses the n cyclic shifts as mutually discordant last-coordinate
-    assignments."""
-    if not D.is_constant() or len(D.entries) != H_prev.n:
+    Uses the n cyclic shifts as mutually discordant last coordinates: the
+    k-th takes cell (c_i, (i + k) mod n) over the i-th cell c_i of D."""
+    if not D.is_constant() or len(D.entries) != H.n:
         raise ValueError("need a complete constant diagonal")
-    H_next = quasi_extend(H_prev, Q)
-    n = H_prev.n
-    sigma = D.entries[0].symbol
-    base = sorted(D.entries)
-    out = []
-    for k in range(n):
-        entries = []
-        for i, e in enumerate(base):
-            t = (i + k) % n
-            entries.append(Entry(e.coords + (t,), Q.apply(sigma, t)))
-        out.append(Diagonal.from_entries(H_next, entries, transversal=True))
+    base, n = sorted(D.cells()), H.n
+    out = [Diagonal.from_cells(H, [c + ((i + k) % n,) for i, c in enumerate(base)],
+                               transversal=True)
+           for k in range(n)]
     if not pairwise_disjoint_family(out):
         raise RuntimeError("fibre transversals are not disjoint")
     return out
 
 
-def transversal_to_constant_fibre(
-    H_prev: Hypercube, Q: Quasigroup, T: Diagonal
-) -> list[Diagonal]:
-    """Partition the fibre of a transversal into n disjoint constant diagonals."""
-    if not T.has_distinct_symbols() or len(T.entries) != H_prev.n:
+def transversal_to_constant_fibre(H: Hypercube, T: Diagonal) -> list[Diagonal]:
+    """Partition the fibre in the boosted cube H of a transversal T of the
+    cube it boosts into n disjoint constant diagonals: the one of symbol s
+    takes, over each cell c of T, the unique t with H[c + (t,)] == s."""
+    if not T.has_distinct_symbols() or len(T.entries) != H.n:
         raise ValueError("need a complete transversal")
-    H_next = quasi_extend(H_prev, Q)
-    n = H_prev.n
-    base = sorted(T.entries)
-    out = []
-    for target in range(n):
-        entries = []
-        for e in base:
-            t = Q.solve_right(e.symbol, target)
-            entries.append(Entry(e.coords + (t,), target))
-        out.append(Diagonal.from_entries(H_next, entries))
+    lines = [(c, [H.entry(c + (t,)).symbol for t in range(H.n)]) for c in sorted(T.cells())]
+    out = [Diagonal.from_entries(H, [(c + (line.index(s),), s) for c, line in lines])
+           for s in range(H.n)]
     if not pairwise_disjoint_family(out):
         raise RuntimeError("fibre constant diagonals are not disjoint")
     return out
 
 
-def iterated_hypercube(ops: Sequence[Quasigroup]) -> Hypercube:
-    """Left-nested chain of binary quasigroups; d-1 operations give dimension d."""
-    if not ops:
-        raise ValueError("need at least one quasigroup")
-    n = ops[0].order
-    if any(q.order != n for q in ops):
-        raise ValueError("all quasigroups must have the same order")
-    H = Hypercube(np.array(ops[0].table, dtype=np.int64))
-    for q in ops[1:]:
-        H = quasi_extend(H, q)
+def iterated_hypercube(squares: Sequence[Hypercube]) -> Hypercube:
+    """The paper's chain H_d = H_{d-1} * x_d: the first Latin square boosted
+    by each of the others (``quasi_extend``); d - 1 squares give dimension d."""
+    if not squares or squares[0].d != 2 or not is_latin(squares[0]):
+        raise ValueError("need a chain of Latin squares")
+    H = squares[0]
+    for Q in squares[1:]:
+        H = quasi_extend(H, Q)
     return H
 
 
-def iterated_decomposition(ops: Sequence[Quasigroup]) -> list[Diagonal]:
+def iterated_decomposition(squares: Sequence[Hypercube]) -> list[Diagonal]:
     """Decomposition of the iterated hypercube into n^(d-1) diagonals.
 
-    Alternates through the chain: constant diagonals after an even number of
+    Alternates through the chain, splitting each part's fibre in the level's
+    boost, built once: constant diagonals after an even number of
     coordinates, transversals after an odd number."""
-    if not ops:
-        raise ValueError("need at least one quasigroup")
-    H = Hypercube(np.array(ops[0].table, dtype=np.int64))
+    H = iterated_hypercube(squares[:1])
     parts = symbol_classes(H)
     constant = True
-    for q in ops[1:]:
-        new_parts: list[Diagonal] = []
-        for D in parts:
-            if constant:
-                new_parts.extend(constant_to_transversal_fibre(H, q, D))
-            else:
-                new_parts.extend(transversal_to_constant_fibre(H, q, D))
-        H = quasi_extend(H, q)
-        parts = new_parts
+    for Q in squares[1:]:
+        H = quasi_extend(H, Q)
+        split = constant_to_transversal_fibre if constant else transversal_to_constant_fibre
+        parts = [P for D in parts for P in split(H, D)]
         constant = not constant
     if not pairwise_disjoint_family(parts):
         raise RuntimeError("iterated decomposition is not a partition")

@@ -9,11 +9,16 @@ profile, pairing, lift and hitting check adds through it.  The checked tuple
 operations of ``AbelianGroup`` serve outside input and tests, and check that
 arithmetic: they read their own element table, built once per group from the
 moduli alone and never from ``index_table``, and add component by component.
+
+``checked_int`` is the package's one integer rule for what a caller hands it
+(coordinates, symbols, target components, counts, factors); it lives in this
+lowest module so that ``AbelianGroup.reduce`` reads targets by it too.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -25,6 +30,18 @@ import numpy as np
 Element = tuple[int, ...]
 
 _LITERAL_RE = re.compile(r"^z(\d+)$", re.IGNORECASE)
+
+
+def checked_int(x) -> int:
+    """x as an int: ValueError unless ``operator.index`` accepts it and it is
+    not a bool, so 1.0, '1', True and None are refused and NumPy ints pass.
+    The one integer rule for every scalar a caller hands the package."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"{x!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -51,12 +68,13 @@ class AbelianGroup:
         return (0,) * len(self.moduli)
 
     def reduce(self, components) -> Element:
-        """Canonical representative: componentwise reduction mod each modulus."""
+        """Canonical representative: componentwise reduction mod each modulus
+        of integer components (``checked_int``)."""
         if len(components) != len(self.moduli):
             raise ValueError(
                 f"element has {len(components)} components, group has {len(self.moduli)} factors"
             )
-        return tuple([int(c) % m for c, m in zip(components, self.moduli)])
+        return tuple([checked_int(c) % m for c, m in zip(components, self.moduli)])
 
     @cached_property
     def _table(self) -> tuple[tuple[Element, ...], dict[Element, int]]:

@@ -6,23 +6,28 @@ every deviation and target sum reads, so the same array is analyzed under
 another labeling as a cube built with that group (``Hypercube(H.symbols, g)``
 or ``load(path, g)``).  Cubes compare and hash by their arrays alone.
 
-One integer rule covers what callers hand a cube: ``checked_int`` for a
-scalar, a NumPy integer dtype for symbols and permutations, ``Hypercube.entry``
-for a cell and ``Hypercube.member`` for an entry.  ``H[coords]`` wraps negative
-coordinates, as NumPy does, so it is for checked coordinates only.
+One integer rule covers what callers hand a cube: ``groups.checked_int`` for
+a scalar, a NumPy integer dtype for symbols and permutations,
+``Hypercube.entry`` for a cell and ``Hypercube.member`` for an entry.
+``H[coords]`` wraps negative coordinates, as NumPy does, so it is for checked
+coordinates only.
+
+The paper's boost step H_d(x_1..x_d) = H_{d-1}(x_1..x_{d-1}) * x_d over a
+quasigroup (Q, *) lives here, once: ``quasi_extend(H, Q)``, where the Latin
+square Q is the quasigroup's table.  The cyclic cube is a group's addition
+square boosted by itself; every other boost goes through the same step.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .groups import AbelianGroup, cyclic_group, index_table
+from .groups import AbelianGroup, checked_int, cyclic_group, index_table
 
 Coords = tuple[int, ...]
 
@@ -34,17 +39,6 @@ class FormatError(ValueError):
 class Entry(NamedTuple):
     coords: Coords
     symbol: int
-
-
-def checked_int(x) -> int:
-    """x as an int: ValueError unless ``operator.index`` accepts it and it is
-    not a bool, so 1.0, '1', True and None are refused and NumPy ints pass."""
-    if not isinstance(x, bool):
-        try:
-            return operator.index(x)
-        except TypeError:
-            pass
-    raise ValueError(f"{x!r} is not an integer")
 
 
 def _integer_array(values, what: str) -> np.ndarray:
@@ -104,8 +98,12 @@ class Hypercube:
 
     def member(self, entry) -> Entry:
         """The host's entry for a caller's (coords, symbol) pair: ValueError unless
-        coords is a cell (``entry``) holding the integer symbol."""
-        coords, symbol = entry
+        entry is such a pair and coords is a cell (``entry``) holding the integer
+        symbol."""
+        try:
+            coords, symbol = entry
+        except (TypeError, ValueError):
+            raise ValueError(f"entry {entry!r} is not a (coords, symbol) pair") from None
         own = self.entry(coords)
         if own.symbol != checked_int(symbol):
             raise ValueError(f"entry {entry!r} does not match the host symbol {own.symbol}")
@@ -139,18 +137,27 @@ class Hypercube:
 
 
 def cyclic(group: AbelianGroup, d: int) -> Hypercube:
-    """The hypercube whose symbol at x is the group sum of the coordinates."""
+    """The hypercube whose symbol at x is the group sum of the coordinates:
+    the group's addition square, boosted d - 2 times by itself."""
     if d < 2:
         raise ValueError("dimension must be at least 2")
-    n = group.order
-    add_tab = index_table(group).add_array
-    axis = np.arange(n, dtype=np.int64)
-    acc = axis.copy()
-    for _ in range(d - 1):
-        acc = add_tab[acc[..., None], axis]
-    H = Hypercube(acc, group)
-    H._latin = True
+    H = Q = Hypercube(index_table(group).add_array, group)
+    Q._latin = True
+    for _ in range(d - 2):
+        H = quasi_extend(H, Q)
     return H
+
+
+def quasi_extend(H: Hypercube, Q: Hypercube) -> Hypercube:
+    """The paper's boost step H_d(x, t) = H_{d-1}(x) * t over the quasigroup
+    whose table is the Latin square Q: one more axis, the symbol at (x, t)
+    being Q[H[x], t].  ValueError unless Q is a Latin square of H's order.
+    The result keeps H's group, and is Latin exactly when H is."""
+    if Q.d != 2 or Q.n != H.n or not is_latin(Q):
+        raise ValueError(f"the boost table must be a Latin square of order {H.n}")
+    out = Hypercube(Q.symbols[H.symbols[..., None], np.arange(H.n)], H.group)
+    out._latin = H._latin
+    return out
 
 
 def is_latin(H: Hypercube) -> bool:

@@ -72,7 +72,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .delta import profile, suitable_target
-from .groups import Element, IndexTable, index_table
+from .groups import Element, IndexTable, checked_int, index_table
 from .hypercube import Coords, Diagonal, Entry, Hypercube, is_latin
 
 DEFAULT_SEED = 2024
@@ -108,9 +108,9 @@ class SearchBudget:
     def __post_init__(self) -> None:
         for name, cap in (("max_nodes", self.max_nodes), ("max_results", self.max_results)):
             try:
-                if (name == "max_results" and cap is None) or operator.index(cap) > 0:
+                if (name == "max_results" and cap is None) or checked_int(cap) > 0:
                     continue
-            except TypeError:
+            except ValueError:
                 pass
             raise ValueError(f"{name} must be a positive integer, got {cap!r}")
         if self.time_cap is not None and not self.time_cap > 0:  # NaN fails it too
@@ -342,7 +342,7 @@ def _census(
     """Count the transversals (``target`` None) or the target-sum diagonals and
     list the first ``keep``, by the rule of ``Census``; one gauge covers the
     whole census."""
-    if keep < 0:
+    if checked_int(keep) < 0:
         raise ValueError("keep must be non-negative")
     gauge = _Gauge(budget)
     cap = budget.max_results
@@ -1211,7 +1211,7 @@ def max_disjoint_transversals(
     flagged exhausted, and a cut listing counts the transversals it listed
     (none if the layers were not built).  A cap below 1 raises ValueError."""
     _require_latin(H)
-    if cap is not None and cap < 1:
+    if cap is not None and checked_int(cap) < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
     budget = budget or SearchBudget()
     gauge = _Gauge(budget)

@@ -277,6 +277,15 @@ def test_certify_dilation_command(tmp_path, capsys):
     assert code == 0
     payload = _output_of(out, _CERTIFY_DILATION_OUTPUT)
     assert (payload["base_hitting_ok"], payload["direct_ok"], payload["holds"]) == (False, None, False)
+    # a factor below 2 is refused before anything is checked, as by dilate,
+    # even where the support spread would need no dilation
+    z4 = tmp_path / "z4.lhc"
+    run_cli(["construct", "cyclic", "--group", "Z4", "--d", "2", "--out", str(z4)], capsys)
+    cells.write_text("[[0, 0]]")
+    for factor in ("0", "-3", "1"):
+        for argv in (["dilate", str(z4)], ["certify-dilation", str(z4), "--hitting-set", str(cells)]):
+            code, out, err = run_cli([*argv, "--lambda", factor], capsys)
+            assert (code, out) == (2, "") and "dilation factor must be at least 2" in err, argv
 
 
 def test_exit_code_2_on_validation_errors(tmp_path, capsys):

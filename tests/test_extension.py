@@ -18,7 +18,6 @@ from transversal_lab.constructions import (
 from transversal_lab.delta import delta_sum, profile, suitable_target
 from transversal_lab import extension
 from transversal_lab.extension import (
-    Quasigroup,
     constant_to_transversal_fibre,
     extension_hitting_certificate,
     g_extension,
@@ -27,18 +26,18 @@ from transversal_lab.extension import (
     iterated_hypercube,
     lift_diagonal,
     lift_family,
-    quasi_extend,
     symbol_classes,
     transversal_through_fibre,
     transversal_to_constant_fibre,
 )
-from transversal_lab.groups import cyclic_group, parse_group
+from transversal_lab.groups import cyclic_group, index_table, parse_group
 from transversal_lab.hypercube import (
     Diagonal,
     Hypercube,
     cyclic,
     is_latin,
     pairwise_disjoint_family,
+    quasi_extend,
 )
 from transversal_lab.search import count_diagonals
 
@@ -281,70 +280,105 @@ def test_decomposition_exists_under_each_sufficient_condition():
         assert len(covered) == g.order**d_prime
 
 
-# -- quasigroup extension --
+# -- chains of Latin squares --
+
+
+def _sub3():
+    """The subtraction table of Z3: a Latin square that is no group's addition."""
+    return Hypercube(np.subtract.outer(range(3), range(3)) % 3)
 
 
 def test_quasigroup_validation():
+    # a quasigroup's table is a Latin square, and quasi_extend boosts by
+    # nothing else; the symbol at (x, t) is Q[H[x], t]
     with pytest.raises(ValueError):
-        Quasigroup(((0, 1), (0, 1)))
-    q = Quasigroup.from_group(cyclic_group(3))
-    assert q.apply(1, 2) == 0
-    assert q.solve_right(1, 0) == 2
+        quasi_extend(cyclic(cyclic_group(2), 2), Hypercube(((0, 1), (0, 1))))
+    q = cyclic(cyclic_group(3), 2)
+    H = quasi_extend(_sub3(), q)
+    assert q[1, 2] == 0 and _sub3()[0, 1] == 2
+    assert H[0, 1, 2] == q[2, 2] == 1
+    assert [t for t in range(3) if H[1, 0, t] == 0] == [2]
 
 
 def test_quasi_extend_matches_group_extension():
     g = cyclic_group(4)
     L = cyclic(g, 2)
-    q = Quasigroup.from_group(g)
-    assert quasi_extend(L, q) == g_extension(L, g, 3)
+    assert quasi_extend(L, cyclic(g, 2)) == g_extension(L, g, 3)
+    # the boost keeps the cube's group and its Latin flag
+    klein = parse_group("Z2xZ2")
+    boosted = quasi_extend(Hypercube(L.symbols, klein), L)
+    assert boosted.group == klein and boosted._latin is None and is_latin(boosted)
+    assert quasi_extend(L, L)._latin is True
+    bare = quasi_extend(Hypercube([[0, 1], [0, 1]]), cyclic(cyclic_group(2), 2))
+    assert bare._latin is None and not is_latin(bare)
 
 
 def test_quasi_extend_rejects_order_mismatch():
     with pytest.raises(ValueError):
-        quasi_extend(cyclic(cyclic_group(3), 2), Quasigroup.from_group(cyclic_group(4)))
+        quasi_extend(cyclic(cyclic_group(3), 2), cyclic(cyclic_group(4), 2))
 
 
 def test_constant_diagonal_fibre_transversals():
     L = cyclic(cyclic_group(2), 2)
-    q = Quasigroup.from_group(cyclic_group(2))
     D = symbol_classes(L)[0]
-    parts = constant_to_transversal_fibre(L, q, D)
+    parts = constant_to_transversal_fibre(quasi_extend(L, L), D)
     assert len(parts) == 2
     union = set().union(*(p.cell_set() for p in parts))
     assert len(union) == 4
     assert all(c[:2] in set(D.cells()) for c in union)
 
     L3 = cyclic(cyclic_group(3), 2)
-    q3 = Quasigroup.from_group(cyclic_group(3))
+    H3 = quasi_extend(L3, L3)
     for D in symbol_classes(L3):
-        parts = constant_to_transversal_fibre(L3, q3, D)
-        H3 = quasi_extend(L3, q3)
-        for T in parts:
+        for T in constant_to_transversal_fibre(H3, D):
             assert Diagonal.from_entries(H3, T.entries, transversal=True).complete
+    # the fibre lies one dimension above the diagonal
+    with pytest.raises(ValueError):
+        constant_to_transversal_fibre(L3, symbol_classes(L3)[0])
 
 
 def test_transversal_fibre_constant_diagonals():
     L = cyclic(cyclic_group(3), 2)
-    q = Quasigroup.from_group(cyclic_group(3))
     T = Diagonal.from_cells(L, [(0, 0), (1, 1), (2, 2)], transversal=True)
-    parts = transversal_to_constant_fibre(L, q, T)
+    H = quasi_extend(L, _sub3())
+    parts = transversal_to_constant_fibre(H, T)
     assert len(parts) == 3
     assert sorted(p.entries[0].symbol for p in parts) == [0, 1, 2]
     for p in parts:
         assert p.is_constant()
+        assert Diagonal.from_entries(H, p.entries).complete
     union = set().union(*(p.cell_set() for p in parts))
     assert union == {e.coords + (t,) for e in T.entries for t in range(3)}
+    with pytest.raises(ValueError):
+        transversal_to_constant_fibre(quasi_extend(H, L), T)
+
+
+def _group_sums(g, d):
+    """The index of x_1 + ... + x_d at every cell, by the checked group
+    operations: the reference both boosts are held to."""
+    n = g.order
+    return np.array([g.index(g.sum(map(g.element, x)))
+                     for x in itertools.product(range(n), repeat=d)]).reshape((n,) * d)
 
 
 def test_iterated_hypercube_of_group_tables_is_cyclic():
-    g = cyclic_group(3)
-    q = Quasigroup.from_group(g)
-    assert iterated_hypercube([q, q, q]) == cyclic(g, 4)
+    # the group's addition square, boosted by itself, is the cyclic cube at
+    # every dimension, and so is the group extension of that square
+    for g, d in itertools.product(map(parse_group, ["Z3", "Z4", "Z2xZ2", "Z2xZ4", "Z6"]),
+                                  range(2, 6)):
+        square = cyclic(g, 2)
+        assert square.symbols.tolist() == [list(row) for row in index_table(g).add]
+        chain = iterated_hypercube([square] * (d - 1))
+        assert np.array_equal(chain.symbols, _group_sums(g, d)), (g, d)
+        assert cyclic(g, d) == chain
+        if d > 2:
+            ext = g_extension(square, g, d)
+            assert ext == chain and ext.group == g and is_latin(ext)
 
 
 def test_iterated_decomposition_odd_dimension_gives_transversals():
-    q4a = Quasigroup.from_group(cyclic_group(4))
-    q4b = Quasigroup.from_group(parse_group("Z2xZ2"))
+    q4a = cyclic(cyclic_group(4), 2)
+    q4b = cyclic(parse_group("Z2xZ2"), 2)
     parts = iterated_decomposition([q4a, q4b])
     assert len(parts) == 16
     H = iterated_hypercube([q4a, q4b])
@@ -354,17 +388,42 @@ def test_iterated_decomposition_odd_dimension_gives_transversals():
 
 
 def test_iterated_decomposition_even_dimension_gives_constants():
-    q3 = Quasigroup.from_group(cyclic_group(3))
-    sub3 = Quasigroup(tuple(tuple((r - c) % 3 for c in range(3)) for r in range(3)))
-    parts = iterated_decomposition([q3, sub3, q3])
+    q3 = cyclic(cyclic_group(3), 2)
+    parts = iterated_decomposition([q3, _sub3(), q3])
     assert len(parts) == 27
     assert all(D.is_constant() for D in parts)
+    H = iterated_hypercube([q3, _sub3(), q3])
+    for D in parts:
+        assert Diagonal.from_entries(H, D.entries).complete
+
+
+def test_iterated_decomposition_builds_each_level_once(monkeypatch):
+    # each level's boost is built once and split part by part
+    built = []
+    real = extension.quasi_extend
+
+    def counting(H, Q):
+        built.append(H.d + 1)
+        return real(H, Q)
+
+    q3 = cyclic(cyclic_group(3), 2)
+    monkeypatch.setattr(extension, "quasi_extend", counting)
+    assert len(iterated_decomposition([q3, _sub3(), q3])) == 27
+    assert built == [3, 4]
+    built.clear()
+    assert len(iterated_decomposition([q3])) == 3
+    assert built == []
 
 
 def test_iterated_rejects_order_mismatch():
+    q3 = cyclic(cyclic_group(3), 2)
     with pytest.raises(ValueError):
-        iterated_hypercube([Quasigroup.from_group(cyclic_group(3)),
-                            Quasigroup.from_group(cyclic_group(4))])
+        iterated_hypercube([q3, cyclic(cyclic_group(4), 2)])
+    for bad in ([], [Hypercube([[0, 1], [0, 1]])], [cyclic(cyclic_group(3), 3)]):
+        with pytest.raises(ValueError):
+            iterated_hypercube(bad)
+        with pytest.raises(ValueError):
+            iterated_decomposition(bad)
 
 
 # -- boosted hitting sets --
@@ -392,10 +451,11 @@ def test_quasigroup_reads_from_square_file(tmp_path):
 
     path = tmp_path / "q.lhc"
     save(z6_isotope_square(), path)
-    q = Quasigroup.from_square(load(path))
-    assert q.order == 6 and q.apply(0, 4) == 5
+    q = load(path)
+    H = quasi_extend(cyclic(cyclic_group(6), 2), q)
+    assert q[0, 4] == 5 and H[0, 0, 4] == 5
     with pytest.raises(ValueError):
-        Quasigroup.from_square(cyclic(cyclic_group(2), 3))
+        quasi_extend(cyclic(cyclic_group(2), 2), cyclic(cyclic_group(2), 3))
 
 
 # -- golden outputs: digests recorded from the componentwise implementation of

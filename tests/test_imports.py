@@ -73,3 +73,41 @@ def test_no_module_or_script_imports_a_name_it_does_not_use():
         if names:
             unused[str(path.relative_to(ROOT))] = names
     assert unused == {}
+
+
+def _index_readers(source: str) -> list[str]:
+    """The functions that read ``operator.index`` (or import it from
+    ``operator``), innermost function first; "<module>" for module level."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif isinstance(node, ast.Attribute) and node.attr == "index" and \
+                isinstance(node.value, ast.Name) and node.value.id == "operator":
+            found.add(owner)
+        elif isinstance(node, ast.ImportFrom) and node.module == "operator" and \
+                any(a.name == "index" for a in node.names):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_index_readers_are_detected():
+    source = "import operator\nfrom operator import index\n\ndef f(x):\n" \
+             "    def g():\n        return operator.index(x)\n    return g\n\n" \
+             "def h(xs):\n    return sorted(xs, key=operator.itemgetter(0))\n"
+    assert _index_readers(source) == ["<module>", "g"]
+
+
+def test_only_checked_int_reads_operator_index():
+    # one integer rule: every other function converts through checked_int
+    readers = {}
+    for path in SOURCES:
+        names = _index_readers(path.read_text(encoding="utf-8"))
+        if names:
+            readers[str(path.relative_to(ROOT))] = names
+    assert readers == {"src/transversal_lab/groups.py": ["checked_int"]}

@@ -29,6 +29,7 @@ from transversal_lab.dilation import dilate, transfer_hitting_set
 from transversal_lab.extension import (
     extension_hitting_certificate,
     g_extension,
+    hall_pair,
     transversal_through_fibre,
 )
 from transversal_lab.groups import cyclic_group
@@ -1759,6 +1760,20 @@ def test_cells_outside_the_cube_are_rejected_not_claimed_absent():
     with pytest.raises(ValueError):
         hitting_set_check(H6, (3,), [*ord6m_starred_cells(1), (6, 0)])
     assert transversal_through(H, (4, 0)).cells()[4] == (4, 0)
+    # an entry that is not a (coords, symbol) pair is refused the same way,
+    # not left to fail on its unpacking
+    D = transversal_through(H, (0, 1))
+    entry_points = {
+        "from_entries": lambda e: Diagonal.from_entries(H, [e]),
+        "delta": lambda e: delta(H, e),
+        "delta_sum": lambda e: delta_sum(H, [e]),
+        "through_fibre": lambda e: transversal_through_fibre(H, D, 3, e),
+    }
+    for name, call in entry_points.items():
+        for bad in [5, None, ((0, 1),), ((0, 1), 1, 0), np.int64(1)]:
+            with pytest.raises(ValueError):
+                call(bad)
+                pytest.fail(f"{name} took the entry {bad!r}")
 
 
 def test_symbols_and_permutations_follow_the_integer_rule():
@@ -1801,6 +1816,45 @@ def test_symbols_and_permutations_follow_the_integer_rule():
     flip = [2, 1, 0]
     want = apply_isotopy(H3, [flip, ident, ident])
     assert apply_isotopy(H3, [np.array(flip, dtype=np.int32), ident, (0, 1, np.int8(2))]) == want
+
+    # a target's components, a count and a dilation factor are integers by
+    # the same rule: 4.9 is not read as 4, nor True as 1, nor '4' as 4
+    L8, pair = ord8_square(), ord8_blocking_cells()
+    target_entry_points = {
+        "count_diagonals": lambda t: count_diagonals(L8, t).count,
+        "enumerate_diagonals": lambda t: len(list(enumerate_diagonals(L8, t))),
+        "hitting_set_check": lambda t: hitting_set_check(L8, t, pair),
+    }
+    for name, call in target_entry_points.items():
+        for bad in [(4.9,), (4.0,), ("4",), (True,), (np.float64(4.0),), (None,)]:
+            with pytest.raises(ValueError):
+                call(bad)
+                pytest.fail(f"{name} took the target {bad!r}")
+        assert call((np.int64(4),)) == call((12,)) == call([4]), name
+    assert count_diagonals(L8, (4,)).count == 1920
+    with pytest.raises(ValueError):
+        hall_pair(cyclic_group(3), [(0.5,), (0,), (0,)])
+    count_entry_points = {
+        "max_nodes": lambda k: SearchBudget(max_nodes=k),
+        "max_results": lambda k: SearchBudget(max_results=k),
+        "keep": lambda k: count_transversals(H, keep=k),
+        "cap": lambda k: max_disjoint_transversals(H, cap=k),
+        "suitable_target": lambda k: suitable_target(cyclic_group(6), k),
+        "g_extension": lambda k: g_extension(H, None, k),
+        "dilate": lambda k: dilate(H, k),
+        "transfer_hitting_set": lambda k: transfer_hitting_set(H, [(0, 0)], k),
+    }
+    for name, call in count_entry_points.items():
+        for bad in [1.5, 3.0, True, "3", np.float64(3.0)]:
+            with pytest.raises(ValueError):
+                call(bad)
+                pytest.fail(f"{name} took the count {bad!r}")
+        assert call(np.int64(3)) == call(3), name
+    # a factor below 2 fails the one factor check, whichever call makes it
+    for bad in [0, -3, 1]:
+        for call in (count_entry_points["dilate"], count_entry_points["transfer_hitting_set"]):
+            with pytest.raises(ValueError, match="dilation factor must be at least 2"):
+                call(bad)
 
 
 def test_budget_max_results():
