@@ -258,14 +258,13 @@ def cmd_verify(args: argparse.Namespace, stdout) -> int:
 
     only = None
     if args.only is not None:
-        try:
-            only = [int(x) for x in args.only.split(",") if x.strip()]
-        except ValueError:
-            only = []
-        if not only:
+        # each item a string of ASCII digits, as the .lhc format's integers are
+        items = [x.strip() for x in args.only.split(",") if x.strip()]
+        if not items or not all(x.isascii() and x.isdigit() for x in items):
             raise ValueError(
                 f"--only {args.only!r} is not a comma-separated list of criterion numbers"
             )
+        only = [int(x) for x in items]
     results = run_claims(args.suite, seed=args.seed, only=only)
     total = len(results)
     for i, res in enumerate(results, start=1):

@@ -182,10 +182,7 @@ def turn_subcube(H: Hypercube, corner: Coords, offsets: Coords) -> Hypercube:
         raise ConstructionError("selected block is not an order-2 Latin subhypercube")
     arr = H.symbols.copy()
     arr[np.ix_(*[list(p) for p in pairs])] = np.where(block == s0, s1, s0)
-    out = Hypercube(arr, H.group)
-    if H._latin:
-        out._latin = True
-    return out
+    return Hypercube(arr, H.group)
 
 
 def turned_region(n: int, d: int) -> tuple[Coords, ...]:

@@ -40,6 +40,7 @@ from .hypercube import (
     pairwise_disjoint_family,
     quasi_extend,
 )
+from .search import hitting_set_check
 
 
 def g_extension(L: Hypercube, group: AbelianGroup | None = None, d_prime: int = 3) -> Hypercube:
@@ -50,7 +51,6 @@ def g_extension(L: Hypercube, group: AbelianGroup | None = None, d_prime: int = 
     out = L
     if group is not None and group != L.group:
         out = Hypercube(L.symbols, group)
-        out._latin = L._latin
     if checked_int(d_prime) <= L.d:
         raise ValueError(f"target dimension {d_prime} must exceed base dimension {L.d}")
     Q = cyclic(out.group, 2)
@@ -305,8 +305,6 @@ def extension_hitting_certificate(
     """Check the base condition of the transfer: every diagonal of L with the
     target deviation sum for d_prime meets ``cells``.  ValueError unless each
     is a cell of L (``Hypercube.entry``)."""
-    from .search import hitting_set_check
-
     cells = tuple(L.entry(c).coords for c in cells)
     ok = hitting_set_check(L, suitable_target(L.group, d_prime), cells, budget)
     return ExtensionHittingCertificate(

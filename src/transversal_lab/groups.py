@@ -29,7 +29,7 @@ import numpy as np
 
 Element = tuple[int, ...]
 
-_LITERAL_RE = re.compile(r"^z(\d+)$", re.IGNORECASE)
+_LITERAL_RE = re.compile(r"^z([0-9]+)$", re.IGNORECASE)
 
 
 def checked_int(x) -> int:
@@ -51,10 +51,13 @@ class AbelianGroup:
     moduli: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.moduli:
+        # each modulus an integer (``checked_int``), stored as a Python int
+        moduli = tuple(map(checked_int, self.moduli))
+        if not moduli:
             raise ValueError("group needs at least one cyclic factor")
-        if any(not isinstance(m, int) or m < 1 for m in self.moduli):
-            raise ValueError(f"moduli must be positive integers, got {self.moduli}")
+        if min(moduli) < 1:
+            raise ValueError(f"moduli must be positive integers, got {moduli}")
+        object.__setattr__(self, "moduli", moduli)
 
     @cached_property
     def order(self) -> int:

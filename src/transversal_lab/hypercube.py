@@ -16,6 +16,8 @@ The paper's boost step H_d(x_1..x_d) = H_{d-1}(x_1..x_{d-1}) * x_d over a
 quasigroup (Q, *) lives here, once: ``quasi_extend(H, Q)``, where the Latin
 square Q is the quasigroup's table.  The cyclic cube is a group's addition
 square boosted by itself; every other boost goes through the same step.
+A cube is Latin when ``is_latin`` has read its array: ``_latin`` is that
+function's cache alone, and no boost or relabelling copies another cube's.
 """
 
 from __future__ import annotations
@@ -142,7 +144,6 @@ def cyclic(group: AbelianGroup, d: int) -> Hypercube:
     if d < 2:
         raise ValueError("dimension must be at least 2")
     H = Q = Hypercube(index_table(group).add_array, group)
-    Q._latin = True
     for _ in range(d - 2):
         H = quasi_extend(H, Q)
     return H
@@ -152,12 +153,11 @@ def quasi_extend(H: Hypercube, Q: Hypercube) -> Hypercube:
     """The paper's boost step H_d(x, t) = H_{d-1}(x) * t over the quasigroup
     whose table is the Latin square Q: one more axis, the symbol at (x, t)
     being Q[H[x], t].  ValueError unless Q is a Latin square of H's order.
-    The result keeps H's group, and is Latin exactly when H is."""
+    The result keeps H's group; it is Latin exactly when H is, which
+    ``is_latin`` reads off its array like any other cube's."""
     if Q.d != 2 or Q.n != H.n or not is_latin(Q):
         raise ValueError(f"the boost table must be a Latin square of order {H.n}")
-    out = Hypercube(Q.symbols[H.symbols[..., None], np.arange(H.n)], H.group)
-    out._latin = H._latin
-    return out
+    return Hypercube(Q.symbols[H.symbols[..., None], np.arange(H.n)], H.group)
 
 
 def is_latin(H: Hypercube) -> bool:
@@ -201,10 +201,7 @@ def apply_isotopy(H: Hypercube, perms: Sequence[Sequence[int]]) -> Hypercube:
         arrs.append(a)
     out = np.empty_like(H.symbols)
     out[np.ix_(*arrs[:-1])] = arrs[-1][H.symbols]
-    result = Hypercube(out, H.group)
-    if H._latin:
-        result._latin = True
-    return result
+    return Hypercube(out, H.group)
 
 
 # -- diagonals ---------------------------------------------------------------
@@ -287,34 +284,36 @@ def serialize(H: Hypercube) -> str:
 
 
 def parse(text: str, group: AbelianGroup | None = None) -> Hypercube:
-    """Parse the text format; '#' starts a comment line."""
+    """Parse the text format; '#' starts a comment line.  The header's d and
+    n and every symbol are strings of ASCII digits, checked in one pass over
+    them joined: int() would also read signs, underscores and other scripts'
+    digits."""
     tokens: list[str] = []
-    header: tuple[int, int] | None = None
+    header: list[str] | None = None
     for raw in text.splitlines():
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if header is None:
-            parts = stripped.split()
-            if len(parts) != 3 or parts[0] != "lhc":
+            header = stripped.split()
+            if len(header) != 3 or header[0] != "lhc":
                 raise FormatError(f"bad header line {stripped!r}; expected 'lhc <d> <n>'")
-            try:
-                header = (int(parts[1]), int(parts[2]))
-            except ValueError:
-                raise FormatError(f"bad header line {stripped!r}; d and n must be integers")
             continue
         tokens.extend(stripped.split())
     if header is None:
         raise FormatError("missing header line")
-    d, n = header
+    fields = header[1:] + tokens
+    digits = "".join(fields)
+    if not (digits.isascii() and digits.isdigit()):
+        raise FormatError("d, n and every symbol must be ASCII digits")
+    try:
+        d, n, *values = map(int, fields)
+    except ValueError as exc:  # more digits than int() reads
+        raise FormatError(str(exc))
     if d < 2 or n < 1:
         raise FormatError(f"invalid dimensions d={d}, n={n}")
-    if len(tokens) != n**d:
-        raise FormatError(f"expected {n**d} cells, found {len(tokens)}")
-    try:
-        values = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise FormatError(f"non-integer cell value: {exc}")
+    if len(values) != n**d:
+        raise FormatError(f"expected {n**d} cells, found {len(values)}")
     if any(not 0 <= v < n for v in values):
         raise FormatError(f"symbols must lie in [0, {n})")
     arr = np.array(values, dtype=np.int64).reshape((n,) * d)

@@ -64,6 +64,7 @@ import functools
 import heapq
 import itertools
 import math
+import numbers
 import operator
 import time
 from dataclasses import dataclass
@@ -98,8 +99,8 @@ class SearchBudget:
     of the determinism contract.
 
     ValueError unless the node and result caps are positive integers and the
-    time cap is positive (``inf`` included): a fractional cap would never be
-    met, and a NaN one never expires."""
+    time cap is a positive real number, not a bool (``inf`` included): a
+    fractional cap would never be met, and a NaN one never expires."""
 
     max_nodes: int = 2_000_000_000
     max_results: int | None = None
@@ -113,8 +114,10 @@ class SearchBudget:
             except ValueError:
                 pass
             raise ValueError(f"{name} must be a positive integer, got {cap!r}")
-        if self.time_cap is not None and not self.time_cap > 0:  # NaN fails it too
-            raise ValueError(f"time_cap must be positive, got {self.time_cap!r}")
+        cap = self.time_cap
+        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, numbers.Real)
+                                or not cap > 0):  # NaN fails `> 0` too
+            raise ValueError(f"time_cap must be a positive real number, got {cap!r}")
 
 
 class _Gauge:

@@ -300,6 +300,11 @@ def test_exit_code_2_on_validation_errors(tmp_path, capsys):
     code, out, err = run_cli(["search", "transversals", str(bad)], capsys)
     assert code == 2
 
+    # int() reads "0_0" as 0; the format takes ASCII digits only
+    bad.write_text("lhc 2 2\n0 1\n1 0_0\n")
+    code, out, err = run_cli(["search", "transversals", str(bad)], capsys)
+    assert (code, out) == (2, "") and "ASCII digits" in err
+
     code, out, err = run_cli(["search", "transversals", str(tmp_path / "missing.lhc")], capsys)
     assert code == 2
 
@@ -428,7 +433,7 @@ def test_analyze_text_grid_draws_squares_only(tmp_path, capsys):
 def test_verify_rejects_malformed_only(capsys):
     # a criterion number that names no criterion is rejected before any runs,
     # and so is an --only that is no list of numbers or names none at all
-    for only in ("1,x", "99", "0,3", "", ",", " , "):
+    for only in ("1,x", "99", "0,3", "", ",", " , ", "1_3", "\u0663", "+3", "-1"):
         code, out, err = run_cli(["verify", "paper-claims", "--only", only], capsys)
         assert code == 2 and out == "", only
         if only in ("99", "0,3"):

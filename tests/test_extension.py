@@ -12,6 +12,7 @@ from transversal_lab.constructions import (
     ord8_blocking_cells,
     ord8_marked_transversals,
     ord8_square,
+    turn_subcube,
     z6_isotope_square,
     z6_marked_diagonal,
 )
@@ -34,6 +35,7 @@ from transversal_lab.groups import cyclic_group, index_table, parse_group
 from transversal_lab.hypercube import (
     Diagonal,
     Hypercube,
+    apply_isotopy,
     cyclic,
     is_latin,
     pairwise_disjoint_family,
@@ -304,13 +306,16 @@ def test_quasi_extend_matches_group_extension():
     g = cyclic_group(4)
     L = cyclic(g, 2)
     assert quasi_extend(L, cyclic(g, 2)) == g_extension(L, g, 3)
-    # the boost keeps the cube's group and its Latin flag
+    # the boost keeps the cube's group, and is Latin exactly when its base
+    # is, as is_latin reads off the boost's own array
     klein = parse_group("Z2xZ2")
     boosted = quasi_extend(Hypercube(L.symbols, klein), L)
-    assert boosted.group == klein and boosted._latin is None and is_latin(boosted)
-    assert quasi_extend(L, L)._latin is True
-    bare = quasi_extend(Hypercube([[0, 1], [0, 1]]), cyclic(cyclic_group(2), 2))
-    assert bare._latin is None and not is_latin(bare)
+    assert boosted.group == klein and is_latin(boosted)
+    assert is_latin(quasi_extend(L, L))
+    assert not is_latin(quasi_extend(Hypercube([[0, 1], [0, 1]]), cyclic(cyclic_group(2), 2)))
+    # a relabelling and a turned block of a Latin cube are Latin on their arrays
+    assert is_latin(apply_isotopy(L, [[1, 0, 3, 2], [0, 1, 2, 3], [3, 2, 1, 0]]))
+    assert is_latin(turn_subcube(L, (0, 0), (2, 2)))
 
 
 def test_quasi_extend_rejects_order_mismatch():

@@ -3,6 +3,7 @@ import random
 import re
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -33,7 +34,7 @@ def test_parse_group_literals():
     assert str(parse_group("Z2xZ4")) == "Z2xZ4"
 
 
-@pytest.mark.parametrize("bad", ["", "Z", "Z0x", "6", "Zx2", "Z2x", "Q8"])
+@pytest.mark.parametrize("bad", ["", "Z", "Z0x", "6", "Zx2", "Z2x", "Q8", "Z\u0663"])
 def test_parse_group_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_group(bad)
@@ -131,6 +132,13 @@ def test_rejects_bad_moduli():
         AbelianGroup((0,))
     with pytest.raises(ValueError):
         AbelianGroup((-2, 3))
+    # each modulus follows the integer rule, and is stored as a Python int
+    for bad in ((True,), (3.0,), ("3",), (2, None)):
+        with pytest.raises(ValueError):
+            AbelianGroup(bad)
+    for moduli in ([3], (np.int64(3),)):
+        g = AbelianGroup(moduli)
+        assert g == cyclic_group(3) and type(g.moduli[0]) is int and index_table(g).add[1][2] == 0
 
 
 def test_sub_and_sum_match_add_and_neg():

@@ -182,6 +182,14 @@ def test_parse_errors():
         parse("lhc 2\n0 1\n1 0")
     with pytest.raises(FormatError):
         parse("lhc 2 2\n0 1\n1 x")
+    # the header's d and n and every symbol are ASCII digits, though int()
+    # reads underscores, signs and other scripts' digits
+    for bad in ("0_0", "+0", "-0", "\u0660"):
+        with pytest.raises(FormatError, match="ASCII digits"):
+            parse(f"lhc 2 2\n0 1\n1 {bad}")
+    for header in ("lhc 2 1_0", "lhc +2 2", "lhc 2 \u0662"):
+        with pytest.raises(FormatError, match="ASCII digits"):
+            parse(f"{header}\n0 1\n1 0")
 
 
 def test_hypercube_validation():

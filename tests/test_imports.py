@@ -75,25 +75,49 @@ def test_no_module_or_script_imports_a_name_it_does_not_use():
     assert unused == {}
 
 
-def _index_readers(source: str) -> list[str]:
-    """The functions that read ``operator.index`` (or import it from
-    ``operator``), innermost function first; "<module>" for module level."""
+def _functions_where(source: str, hit) -> list[str]:
+    """The functions holding a node for which ``hit`` is true, innermost
+    function first ("Class.method" for a method); "<module>" for module
+    level."""
     found = set()
 
-    def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = node.name
-        elif isinstance(node, ast.Attribute) and node.attr == "index" and \
-                isinstance(node.value, ast.Name) and node.value.id == "operator":
-            found.add(owner)
-        elif isinstance(node, ast.ImportFrom) and node.module == "operator" and \
-                any(a.name == "index" for a in node.names):
+    def visit(node, owner, prefix):
+        if isinstance(node, ast.ClassDef):
+            prefix = node.name + "."
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner, prefix = prefix + node.name, ""
+        elif hit(node):
             found.add(owner)
         for child in ast.iter_child_nodes(node):
-            visit(child, owner)
+            visit(child, owner, prefix)
 
-    visit(ast.parse(source), "<module>")
+    visit(ast.parse(source), "<module>", "")
     return sorted(found)
+
+
+def _index_readers(source: str) -> list[str]:
+    """The functions that read ``operator.index`` (or import it from
+    ``operator``)."""
+    return _functions_where(source, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "index"
+        and isinstance(node.value, ast.Name) and node.value.id == "operator"
+    ) or (
+        isinstance(node, ast.ImportFrom) and node.module == "operator"
+        and any(a.name == "index" for a in node.names)
+    ))
+
+
+def _latin_writers(source: str) -> list[str]:
+    """The functions that assign an attribute named ``_latin``, directly or
+    through ``setattr``."""
+    return _functions_where(source, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "_latin"
+        and not isinstance(node.ctx, ast.Load)
+    ) or (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "setattr" and len(node.args) > 1
+        and isinstance(node.args[1], ast.Constant) and node.args[1].value == "_latin"
+    ))
 
 
 def test_index_readers_are_detected():
@@ -111,3 +135,21 @@ def test_only_checked_int_reads_operator_index():
         if names:
             readers[str(path.relative_to(ROOT))] = names
     assert readers == {"src/transversal_lab/groups.py": ["checked_int"]}
+
+
+def test_latin_writers_are_detected():
+    source = "class C:\n    def __init__(self):\n        self._latin = None\n\n" \
+             "def f(H):\n    return H._latin\n\ndef g(H, K):\n    K._latin = H._latin\n" \
+             "    def h():\n        setattr(K, '_latin', True)\n    return h\n"
+    assert _latin_writers(source) == ["C.__init__", "g", "h"]
+
+
+def test_only_is_latin_sets_the_latin_flag():
+    # a cube is Latin when is_latin has read its array: no other function
+    # hands one cube's flag to another
+    writers = {}
+    for path in SOURCES:
+        names = _latin_writers(path.read_text(encoding="utf-8"))
+        if names:
+            writers[str(path.relative_to(ROOT))] = names
+    assert writers == {"src/transversal_lab/hypercube.py": ["Hypercube.__init__", "is_latin"]}

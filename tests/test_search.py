@@ -1879,11 +1879,13 @@ def test_budget_validation():
     {"max_nodes": float("nan")}, {"max_nodes": 2.5}, {"max_nodes": float("inf")},
     {"max_nodes": None}, {"max_results": 2.5}, {"max_results": float("nan")},
     {"max_results": -1}, {"time_cap": float("nan")}, {"time_cap": 0.0},
+    {"time_cap": True}, {"time_cap": "5"},
 ], ids=["nodes-nan", "nodes-2.5", "nodes-inf", "nodes-none", "results-2.5", "results-nan",
-        "results-negative", "time-nan", "time-0"])
+        "results-negative", "time-nan", "time-0", "time-bool", "time-str"])
 def test_budget_rejects_caps_it_cannot_honour(caps):
-    # a fractional or NaN node or result cap is never met, and a NaN time
-    # cap passes a `<= 0` check and never expires
+    # a fractional or NaN node or result cap is never met, a NaN time cap
+    # passes a `<= 0` check and never expires, and a time cap is a real
+    # number of seconds, not a bool or a string
     with pytest.raises(ValueError, match=next(iter(caps))):
         SearchBudget(**caps)
 
