@@ -15,7 +15,6 @@ from .hypercube import (
     quasi_extend,
     save,
     serialize,
-    subcube,
 )
 from .delta import DeltaProfile, delta, delta_sum, is_suitable, profile, suitable_target
 from .search import (

@@ -25,7 +25,7 @@ from .delta import profile, suitable_target, support_as_json
 from .dilation import dilate, psi_cell, transfer_hitting_set
 from .extension import g_extension, lift_diagonal
 from .groups import parse_group
-from .hypercube import Coords, Diagonal, FormatError, Hypercube, load, serialize
+from .hypercube import Coords, Diagonal, Hypercube, load, serialize
 from .reports import SearchReport, cell_from_json, diagonal_from_json
 from .search import (
     DEFAULT_SEED,
@@ -290,7 +290,7 @@ def run(args: argparse.Namespace, stdout=None, stderr=None) -> int:
     except BudgetExhausted as exc:
         stderr.write(f"budget exhausted: {exc}\n")
         return 3
-    except (ValueError, FormatError, cons.ConstructionError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         stderr.write(f"error: {exc}\n")
         return 2
 

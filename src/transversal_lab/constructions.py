@@ -22,7 +22,6 @@ from .hypercube import (
     cyclic,
     is_latin,
     serialize,
-    subcube,
 )
 
 
@@ -84,10 +83,6 @@ def bachelor_transversal(n: int, d: int) -> Diagonal:
 
     Four entries per even offset i in 0, 2, ..., n/2 - 2; the trailing
     coordinate pairs repeat (d - 4) / 2 times and cancel in the symbol."""
-    if d < 4 or d % 2 != 0:
-        raise ConstructionError(f"dimension must be even and at least 4, got {d}")
-    if n < 4 or n % 4 != 0:
-        raise ConstructionError(f"order must be a positive multiple of 4, got {n}")
     H = confirmed_bachelor(n, d)
     half = n // 2
     reps = (d - 4) // 2
@@ -149,40 +144,7 @@ def third_species_example_transversal() -> Diagonal:
     return _checked_transversal(H, rows, "third_species_example_transversal")
 
 
-# -- turning an order-2 block --
-
-
-def turn_subcube(H: Hypercube, corner: Coords, offsets: Coords) -> Hypercube:
-    """Swap the two symbols on an order-2 two-symbol Latin block of H.
-
-    The block is the product of {corner_i, corner_i + offset_i mod n} over all
-    axes, the corner being a cell of H (``Hypercube.entry``) and the offsets
-    integers (``checked_int``).  Every line of H meets the block in 0 or 2
-    cells carrying both symbols, so the swap preserves the Latin property."""
-    corner = H.entry(corner).coords
-    offsets = tuple(map(checked_int, offsets))
-    if len(offsets) != H.d:
-        raise ConstructionError("offsets must have one component per axis")
-    pairs = []
-    for lo, o in zip(corner, offsets):
-        hi = (lo + o) % H.n
-        if lo == hi:
-            raise ConstructionError("offsets must select two distinct values per axis")
-        pairs.append((lo, hi))
-    block = subcube(H, [list(p) for p in pairs])
-    syms = sorted(set(int(v) for v in block.reshape(-1)))
-    if len(syms) != 2:
-        raise ConstructionError(f"selected block carries {len(syms)} symbols, need exactly 2")
-    s0, s1 = syms
-    parity = np.indices((2,) * H.d).sum(axis=0) % 2
-    if not (
-        np.array_equal(block, np.where(parity == 0, s0, s1))
-        or np.array_equal(block, np.where(parity == 0, s1, s0))
-    ):
-        raise ConstructionError("selected block is not an order-2 Latin subhypercube")
-    arr = H.symbols.copy()
-    arr[np.ix_(*[list(p) for p in pairs])] = np.where(block == s0, s1, s0)
-    return Hypercube(arr, H.group)
+# -- a cyclic cube with its order-2 corner block turned --
 
 
 def turned_region(n: int, d: int) -> tuple[Coords, ...]:
@@ -208,8 +170,6 @@ def turned_cyclic(n: int, d: int) -> Hypercube:
 def turned_cyclic_transversal(n: int, d: int) -> Diagonal:
     """A validated transversal of turned_cyclic(n, d); its first entry is the
     all-zero cell, which sits inside the turned block."""
-    if n <= 2 or n % 2 != 0 or d % 2 != 0 or d < 2:
-        raise ConstructionError(f"need even n > 2 and even d >= 2, got ({n}, {d})")
     H = turned_cyclic(n, d)
     half = n // 2
     reps = (d - 2) // 2
@@ -357,14 +317,6 @@ def z6_isotope_square() -> Hypercube:
     Symbol permutation changes which deviation sums diagonals can reach: this
     square has a diagonal with sum 3, which the cyclic square lacks."""
     return _literal_square(_Z6_ISOTOPE_ROWS, _Z6_ISOTOPE_SHA, "z6_isotope_square")
-
-
-def z6_marked_diagonal() -> Diagonal:
-    """The highlighted diagonal of the relabeled order-6 square; its deviation
-    sum is 3, so it lifts to a transversal in any even-dimensional extension."""
-    H = z6_isotope_square()
-    rows = [((0, 5), 4), ((1, 4), 4), ((2, 3), 4), ((3, 0), 3), ((4, 2), 0), ((5, 1), 0)]
-    return Diagonal.from_entries(H, rows)
 
 
 def l8_square() -> Hypercube:

@@ -51,8 +51,12 @@ class AbelianGroup:
     moduli: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # each modulus an integer (``checked_int``), stored as a Python int
-        moduli = tuple(map(checked_int, self.moduli))
+        # a sequence of moduli, each an integer (``checked_int``) stored as a
+        # Python int
+        try:
+            moduli = tuple(map(checked_int, self.moduli))
+        except TypeError:
+            raise ValueError(f"moduli must be a sequence, got {self.moduli!r}") from None
         if not moduli:
             raise ValueError("group needs at least one cyclic factor")
         if min(moduli) < 1:

@@ -1,4 +1,4 @@
-"""Dense d-dimensional Latin hypercubes with validation, slicing and a text format.
+"""Dense d-dimensional Latin hypercubes with validation and a text format.
 
 Storage is a flat row-major array (last coordinate fastest).  The index set is
 always {0, ..., n-1}; a group labeling is carried alongside the array, the one
@@ -131,9 +131,6 @@ class Hypercube:
             self._hash = hash((self.d, self.n, digest))
         return self._hash
 
-    def content_id(self) -> str:
-        return "sha256:" + hashlib.sha256(serialize(self).encode()).hexdigest()[:16]
-
     def __repr__(self) -> str:
         return f"Hypercube(d={self.d}, n={self.n}, group={self.group})"
 
@@ -170,18 +167,6 @@ def is_latin(H: Hypercube) -> bool:
             for axis in range(H.d)
         )
     return H._latin
-
-
-def subcube(H: Hypercube, index_sets: Sequence[Sequence[int]]) -> np.ndarray:
-    """Restriction of the symbol array to the given per-axis index sets."""
-    if len(index_sets) != H.d:
-        raise ValueError(f"need {H.d} index sets, got {len(index_sets)}")
-    for s in index_sets:
-        if len(s) == 0:
-            raise ValueError("index sets must be nonempty")
-        if not all(0 <= checked_int(v) < H.n for v in s):
-            raise ValueError(f"index set {s!r} leaves [0, {H.n})")
-    return H.symbols[np.ix_(*index_sets)].copy()
 
 
 def apply_isotopy(H: Hypercube, perms: Sequence[Sequence[int]]) -> Hypercube:
@@ -283,11 +268,16 @@ def serialize(H: Hypercube) -> str:
     return "\n".join(lines) + "\n"
 
 
+# NumPy's limit on the number of axes of an array
+_MAX_DIMENSION = 64
+
+
 def parse(text: str, group: AbelianGroup | None = None) -> Hypercube:
     """Parse the text format; '#' starts a comment line.  The header's d and
     n and every symbol are strings of ASCII digits, checked in one pass over
     them joined: int() would also read signs, underscores and other scripts'
-    digits."""
+    digits.  FormatError unless 2 <= d <= 64 (NumPy's limit on axes), n >= 1
+    and there are n**d symbols."""
     tokens: list[str] = []
     header: list[str] | None = None
     for raw in text.splitlines():
@@ -310,10 +300,11 @@ def parse(text: str, group: AbelianGroup | None = None) -> Hypercube:
         d, n, *values = map(int, fields)
     except ValueError as exc:  # more digits than int() reads
         raise FormatError(str(exc))
-    if d < 2 or n < 1:
+    if not 2 <= d <= _MAX_DIMENSION or n < 1:
         raise FormatError(f"invalid dimensions d={d}, n={n}")
-    if len(values) != n**d:
-        raise FormatError(f"expected {n**d} cells, found {len(values)}")
+    # n**d is at least n, so it is only computed when n fits the count
+    if n > len(values) or len(values) != n**d:
+        raise FormatError(f"expected {n}**{d} cells, found {len(values)}")
     if any(not 0 <= v < n for v in values):
         raise FormatError(f"symbols must lie in [0, {n})")
     arr = np.array(values, dtype=np.int64).reshape((n,) * d)

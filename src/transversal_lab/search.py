@@ -217,7 +217,7 @@ def enumerate_transversals(
     time cap cuts the listing."""
     _require_latin(H)
     budget = budget or SearchBudget()
-    yield from _listed(H, budget, _results(H, _Gauge(budget)))
+    yield from _listed(H, budget, _results(H, _Gauge(budget))[1])
 
 
 def enumerate_diagonals(
@@ -230,7 +230,7 @@ def enumerate_diagonals(
     _require_latin(H)
     budget = budget or SearchBudget()
     target = _TargetSum.of(H, target_sum)
-    yield from _listed(H, budget, _results(H, _Gauge(budget), target))
+    yield from _listed(H, budget, _results(H, _Gauge(budget), target)[1])
 
 
 @dataclass(frozen=True)
@@ -245,12 +245,13 @@ class Census:
     node or time budget ran out: on the stored layers the witnesses listed (0
     if the cut came while building them), on the DFS every result it reached.
 
-    The census runs on the engine ``_layered`` picks, whatever the budget.
-    The layers give the count without listing, at most ``max_results``, and
-    list the witnesses with a limit of ``keep`` results, so each row holds at
-    most ``keep`` partial results and no layer is read whole; the DFS counts
-    what it lists and stops at the ``max_results``-th result, as
-    ``enumerate_*`` does."""
+    The census reads one ``_results`` listing, on the engine ``_layered``
+    picks whatever the budget, limited to ``keep`` results (and to
+    ``max_results``).  The layers give the count without listing, at most
+    ``max_results``, and list only the witnesses, so each row holds at most
+    ``keep`` partial results and no layer is read whole; the DFS counts what
+    it lists and stops at the ``max_results``-th result, as ``enumerate_*``
+    does."""
 
     count: int
     witnesses: tuple[Diagonal, ...]
@@ -311,22 +312,20 @@ def _layered(H: Hypercube, target: _TargetSum | None) -> bool:
 
 
 def _results(
-    H: Hypercube, gauge: _Gauge, target: _TargetSum | None = None,
-    table: _Table | None = None,
-) -> Iterator[np.ndarray]:
+    H: Hypercube, gauge: _Gauge, target: _TargetSum | None = None, limit: int | None = None
+) -> tuple[int | None, Iterator[np.ndarray]]:
     """Every transversal (``target`` None) or every diagonal with the target
-    sum, in ``_dfs`` listing order, as blocks: (k, n) arrays of each result's
-    cell index per row; read off the stored layers (``_array_listing``) where
-    ``_layered`` holds, and listed by the DFS otherwise, a result a block.  A
-    ``table`` that will hold the results is allocated at their number where
-    the layers give it."""
+    sum, in ``_dfs`` listing order, as ``(total, blocks)``: blocks are (k, n)
+    arrays of each result's cell index per row.  Where ``_layered`` holds,
+    ``total`` is the stored layers' count and the blocks are read off them
+    (``_array_listing``), only the first ``limit`` results with a limit;
+    otherwise ``total`` is None and the DFS lists every result, a result a
+    block, as far as the caller reads."""
     if _layered(H, target):
         layers = _back_layers(H, gauge, target)
-        if table is not None:
-            table.rows = np.empty((layers.count, H.n), np.intp)
-        return _array_listing(layers, gauge)
+        return layers.count, _array_listing(layers, gauge, limit)
     listing = _dfs(_cube_cells(H, target is None), gauge, target)
-    return (np.array([cells], np.intp) for cells in listing)
+    return None, (np.array([cells], np.intp) for cells in listing)
 
 
 def _listed(
@@ -343,8 +342,9 @@ def _census(
     H: Hypercube, budget: SearchBudget, keep: int, target: _TargetSum | None
 ) -> Census:
     """Count the transversals (``target`` None) or the target-sum diagonals and
-    list the first ``keep``, by the rule of ``Census``; one gauge covers the
-    whole census."""
+    list the first ``keep``, by the rule of ``Census``: the count is the
+    layers' ``total`` where ``_results`` gives one, and otherwise the results
+    read.  One gauge covers the whole census."""
     if checked_int(keep) < 0:
         raise ValueError("keep must be non-negative")
     gauge = _Gauge(budget)
@@ -352,19 +352,15 @@ def _census(
     witnesses: list[Diagonal] = []
     count = 0
     try:
-        # the layers count at the root and list only the witnesses; the DFS
-        # counts every result it lists
-        if _layered(H, target):
-            layers = _back_layers(H, gauge, target)
-            for block in _array_listing(layers, gauge, keep if cap is None else min(keep, cap)):
-                witnesses.extend(_diagonals(H, block.tolist()))
-                count = len(witnesses)
-            count = layers.count if cap is None else min(layers.count, cap)
-        else:
-            listing = _dfs(_cube_cells(H, target is None), gauge, target)
-            for count, cells in enumerate(itertools.islice(listing, cap), 1):
-                if count <= keep:
-                    witnesses.extend(_diagonals(H, [cells]))
+        total, blocks = _results(H, gauge, target, keep if cap is None else min(keep, cap))
+        for block in blocks:
+            if len(witnesses) < keep:
+                witnesses.extend(_diagonals(H, block[:keep - len(witnesses)].tolist()))
+            count += len(block)
+            if count == cap:
+                break
+        if total is not None:
+            count = total if cap is None else min(total, cap)
     except BudgetExhausted:
         cap = count
     return Census(count, tuple(witnesses), count != cap, gauge.nodes)
@@ -1082,17 +1078,19 @@ def _set_bits(words: np.ndarray) -> list[int]:
 
 class _Table:
     """Listed results held as one (count, n) array of each one's cell index
-    per row, ``rows[:size]``, filled in place block by block: ``_results``
-    allocates it at its length, the layers' count, where the layers run, and
-    on the DFS it grows by doubling."""
+    per row, ``rows[:size]``, filled in place block by block from one
+    ``_results`` listing: allocated at its ``total`` where the layers give
+    one, and grown by doubling on the DFS."""
 
     def __init__(self, n: int):
         self.rows, self.size = np.zeros((0, n), np.intp), 0
 
-    def fill(self, blocks: Iterable[np.ndarray]) -> np.ndarray:
-        """The rows held once ``blocks`` are added.  A BudgetExhausted from
-        the blocks propagates, and ``size`` then counts the rows added
-        before it."""
+    def fill(self, total: int | None, blocks: Iterable[np.ndarray]) -> np.ndarray:
+        """The rows held once ``blocks`` are added, ``total`` of them if it
+        is given.  A BudgetExhausted from the blocks propagates, and ``size``
+        then counts the rows added before it."""
+        if total is not None:
+            self.rows = np.empty((total, self.rows.shape[1]), np.intp)
         for block in blocks:
             end = self.size + len(block)
             if end > len(self.rows):
@@ -1220,7 +1218,7 @@ def max_disjoint_transversals(
     gauge = _Gauge(budget)
     table = _Table(H.n)
     try:
-        listed = table.fill(_results(H, gauge, table=table))
+        listed = table.fill(*_results(H, gauge))
     except BudgetExhausted:
         return PackingResult((), False, None, "enumeration-truncated", True, table.size)
     if not len(listed):
@@ -1337,7 +1335,7 @@ def hill_climb_decomposition(
     budget = budget or SearchBudget()
     gauge = _Gauge(budget)
     table = _Table(H.n)
-    listed = table.fill(_results(H, gauge, table=table))
+    listed = table.fill(*_results(H, gauge))
     best: list[int] = []
     if not _packs(_cover(H, listed, gauge), H.n ** (H.d - 1), gauge, best):
         return None

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import transversal_lab
 from transversal_lab import cli
 from transversal_lab.cli import main
-from transversal_lab.constructions import ord6m_starred_cells, z6_marked_diagonal
+from transversal_lab.constructions import ord6m_starred_cells
 from transversal_lab.delta import suitable_target
 from transversal_lab.extension import g_extension
 from transversal_lab.groups import cyclic_group
@@ -214,11 +214,11 @@ def test_extend_and_reread(tmp_path, capsys):
     assert load(ext) == g_extension(H, H.group, 4)
 
 
-def test_lift_command(tmp_path, capsys):
+def test_lift_command(tmp_path, capsys, z6_marked_diagonal):
     cube = tmp_path / "z6.lhc"
     run_cli(["construct", "z6-isotope", "--out", str(cube)], capsys)
     diag = tmp_path / "diag.json"
-    diag.write_text(json.dumps({"entries": diagonal_to_json(z6_marked_diagonal())}))
+    diag.write_text(json.dumps({"entries": diagonal_to_json(z6_marked_diagonal)}))
     code, out, err = run_cli(
         ["lift", str(cube), "--dprime", "4", "--diagonal", str(diag)], capsys
     )
@@ -230,11 +230,11 @@ def test_lift_command(tmp_path, capsys):
     assert T.complete and T.has_distinct_symbols()
 
 
-def test_lift_text_grid_marks_the_extension(tmp_path, capsys):
+def test_lift_text_grid_marks_the_extension(tmp_path, capsys, z6_marked_diagonal):
     cube = tmp_path / "z6.lhc"
     run_cli(["construct", "z6-isotope", "--out", str(cube)], capsys)
     diag = tmp_path / "diag.json"
-    diag.write_text(json.dumps({"entries": diagonal_to_json(z6_marked_diagonal())}))
+    diag.write_text(json.dumps({"entries": diagonal_to_json(z6_marked_diagonal)}))
     argv = ["lift", str(cube), "--dprime", "4", "--diagonal", str(diag), "--format", "text-grid"]
     code, out, err = run_cli(argv, capsys)
     assert code == 0
@@ -603,7 +603,7 @@ def test_canonical_report_form_is_deterministic():
     def build():
         witnesses = list(enumerate_transversals(H))
         return SearchReport(
-            instance=H.content_id(),
+            instance="sha256:eb32366f0ab26fc5",
             operation="search transversals",
             group="Z3",
             seed=2024,

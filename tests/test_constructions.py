@@ -138,46 +138,6 @@ def test_third_species_example_transversal():
     assert {e.coords for e in T.entries} == {(3, 1, 2, 0), (0, 2, 0, 3), (2, 0, 3, 1), (1, 3, 1, 2)}
 
 
-# -- turning --
-
-
-def test_turn_subcube_is_involution():
-    H = cyclic(cyclic_group(4), 2)
-    once = cons.turn_subcube(H, (0, 0), (2, 2))
-    twice = cons.turn_subcube(once, (0, 0), (2, 2))
-    assert twice == H
-    assert once != H
-    assert is_latin(once)
-
-
-def test_turn_subcube_matches_turned_cyclic():
-    H = cyclic(cyclic_group(4), 4)
-    turned = cons.turn_subcube(H, (0, 0, 0, 0), (2, 2, 2, 2))
-    assert turned == cons.turned_cyclic(4, 4)
-
-
-def test_turn_subcube_rejects_bad_selection():
-    H = cyclic(cyclic_group(4), 2)
-    # {0,1} x {0,1} of the cyclic square carries 3 symbols
-    with pytest.raises(ConstructionError):
-        cons.turn_subcube(H, (0, 0), (1, 1))
-    with pytest.raises(ConstructionError):
-        cons.turn_subcube(H, (0, 0), (0, 2))
-
-
-def test_turn_subcube_takes_a_cell_and_integer_offsets():
-    # int() used to truncate a corner of (0.5, 0) to (0, 0), and a corner off
-    # the square wrapped onto it
-    H = cyclic(cyclic_group(4), 2)
-    want = cons.turn_subcube(H, (0, 0), (2, 2))
-    assert cons.turn_subcube(H, (np.int64(0), 0), np.array([2, 2])) == want
-    for corner, offsets in [((0.5, 0), (2, 2)), ((4, 0), (2, 2)), ((-4, 0), (2, 2)),
-                            ((0,), (2, 2)), ((0, 0), (2.0, 2)), ((0, 0), (True, 2)),
-                            ((0, 0), (2,))]:
-        with pytest.raises(ValueError):
-            cons.turn_subcube(H, corner, offsets)
-
-
 def test_turned_cyclic_cells():
     assert cons.turned_cyclic(4, 4)[(0, 0, 0, 0)] == 2
     assert cons.turned_cyclic(6, 4)[(3, 3, 0, 0)] == 3
@@ -311,13 +271,6 @@ def test_z6_isotope_square_is_symbol_swap_of_cyclic():
     ident = list(range(6))
     swapped = apply_isotopy(base, [ident, ident, [0, 1, 2, 3, 5, 4]])
     assert H == swapped
-
-
-def test_z6_marked_diagonal():
-    D = cons.z6_marked_diagonal()
-    assert delta_sum(cons.z6_isotope_square(), D) == (3,)
-    assert not D.has_distinct_symbols()
-    assert D.complete
 
 
 def test_l8_square_delta_pattern():

@@ -11,7 +11,6 @@ from transversal_lab.constructions import (
     ord8_square,
     turned_cyclic,
     z6_isotope_square,
-    z6_marked_diagonal,
 )
 from transversal_lab.delta import (
     delta,
@@ -58,7 +57,7 @@ def test_delta_rejects_foreign_entry():
         delta(H, Entry((0, 0), 1))
 
 
-def test_delta_sum_examples():
+def test_delta_sum_examples(z6_marked_diagonal):
     H5 = cyclic(cyclic_group(5), 2)
     main = Diagonal.from_cells(H5, [(i, i) for i in range(5)])
     assert delta_sum(H5, main) == (0,)
@@ -66,7 +65,7 @@ def test_delta_sum_examples():
     for T in ord6m_marked_transversals():
         assert delta_sum(ord6m_square(1), T) == (3,)
 
-    assert delta_sum(z6_isotope_square(), z6_marked_diagonal()) == (3,)
+    assert delta_sum(z6_isotope_square(), z6_marked_diagonal) == (3,)
 
 
 def test_suitable_target_examples():
@@ -78,7 +77,7 @@ def test_suitable_target_examples():
         suitable_target(cyclic_group(5), 1)
 
 
-def test_is_suitable():
+def test_is_suitable(z6_marked_diagonal):
     H = ord6m_square(1)
     for T in ord6m_marked_transversals():
         assert is_suitable(H, T, 2)
@@ -88,7 +87,7 @@ def test_is_suitable():
     main = Diagonal.from_cells(H8, [(i, i) for i in range(8)])
     assert not is_suitable(H8, main, 2)
 
-    assert is_suitable(z6_isotope_square(), z6_marked_diagonal(), 4)
+    assert is_suitable(z6_isotope_square(), z6_marked_diagonal, 4)
 
     partial = Diagonal.from_cells(H8, [(0, 0), (1, 1)])
     with pytest.raises(ValueError):

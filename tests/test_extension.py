@@ -12,9 +12,7 @@ from transversal_lab.constructions import (
     ord8_blocking_cells,
     ord8_marked_transversals,
     ord8_square,
-    turn_subcube,
     z6_isotope_square,
-    z6_marked_diagonal,
 )
 from transversal_lab.delta import delta_sum, profile, suitable_target
 from transversal_lab import extension
@@ -168,9 +166,9 @@ def test_hall_pair_property(data, gi):
 # -- lifting --
 
 
-def test_lift_marked_diagonal_to_dimension_four():
+def test_lift_marked_diagonal_to_dimension_four(z6_marked_diagonal):
     L = z6_isotope_square()
-    D = z6_marked_diagonal()
+    D = z6_marked_diagonal
     T = lift_diagonal(L, D, 4)
     assert len(T.entries) == 6
     assert {e.coords[:2] for e in T.entries} == set(D.cells())
@@ -192,9 +190,9 @@ def test_lift_rejects_unsuitable_diagonal():
         lift_diagonal(L, main, 4)
 
 
-def test_lift_pads_middle_dimensions():
+def test_lift_pads_middle_dimensions(z6_marked_diagonal):
     L = z6_isotope_square()
-    D = z6_marked_diagonal()
+    D = z6_marked_diagonal
     T = lift_diagonal(L, D, 6)
     ext = g_extension(L, L.group, 6)
     assert Diagonal.from_entries(ext, T.entries, transversal=True).complete
@@ -204,9 +202,9 @@ def test_lift_pads_middle_dimensions():
     ]
 
 
-def test_transversal_through_fibre():
+def test_transversal_through_fibre(z6_marked_diagonal):
     L = z6_isotope_square()
-    D = z6_marked_diagonal()
+    D = z6_marked_diagonal
     g = L.group
     ext = g_extension(L, g, 4)
     T = lift_diagonal(L, D, 4)
@@ -239,9 +237,9 @@ def test_lift_family_decomposes_boosted_square():
     assert len(set().union(*(d.cell_set() for d in family))) == 27
 
 
-def test_lift_family_from_one_diagonal():
+def test_lift_family_from_one_diagonal(z6_marked_diagonal):
     L = z6_isotope_square()
-    family = lift_family(L, [z6_marked_diagonal()], 4)
+    family = lift_family(L, [z6_marked_diagonal], 4)
     assert len(family) == 36
     assert pairwise_disjoint_family(family)
 
@@ -313,9 +311,8 @@ def test_quasi_extend_matches_group_extension():
     assert boosted.group == klein and is_latin(boosted)
     assert is_latin(quasi_extend(L, L))
     assert not is_latin(quasi_extend(Hypercube([[0, 1], [0, 1]]), cyclic(cyclic_group(2), 2)))
-    # a relabelling and a turned block of a Latin cube are Latin on their arrays
+    # a relabelling of a Latin cube is Latin on its array
     assert is_latin(apply_isotopy(L, [[1, 0, 3, 2], [0, 1, 2, 3], [3, 2, 1, 0]]))
-    assert is_latin(turn_subcube(L, (0, 0), (2, 2)))
 
 
 def test_quasi_extend_rejects_order_mismatch():
@@ -532,11 +529,11 @@ def test_lifts_build_each_extension_once(monkeypatch):
     extension._extension.cache_clear()
 
 
-def test_golden_lifts():
+def test_golden_lifts(z6_marked_diagonal):
     L = ord6m_square(1)
     family = lift_family(L, ord6m_marked_transversals(), 4)
     assert _diagonals_digest(family) == "b0081b333be087c2"
-    L, D = z6_isotope_square(), z6_marked_diagonal()
+    L, D = z6_isotope_square(), z6_marked_diagonal
     ext = g_extension(L, L.group, 4)
     through = [
         transversal_through_fibre(L, D, 4, ext.entry(e.coords + tail))

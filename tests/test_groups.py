@@ -133,7 +133,7 @@ def test_rejects_bad_moduli():
     with pytest.raises(ValueError):
         AbelianGroup((-2, 3))
     # each modulus follows the integer rule, and is stored as a Python int
-    for bad in ((True,), (3.0,), ("3",), (2, None)):
+    for bad in ((True,), (3.0,), ("3",), (2, None), 3, None):
         with pytest.raises(ValueError):
             AbelianGroup(bad)
     for moduli in ([3], (np.int64(3),)):

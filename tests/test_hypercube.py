@@ -21,7 +21,6 @@ from transversal_lab.hypercube import (
     is_latin,
     parse,
     serialize,
-    subcube,
 )
 
 
@@ -88,32 +87,19 @@ def test_line_of_exhibit_squares():
     assert ord8_square().symbols[1].tolist() == [3, 4, 2, 6, 7, 5, 1, 0]
 
 
-def test_subcube_full_restriction_is_identity():
-    H = cyclic(cyclic_group(3), 2)
-    assert np.array_equal(subcube(H, [range(3), range(3)]), H.symbols)
-
-
 def test_subcube_pre_switch_corner_is_binary_cyclic():
     for n, d in [(4, 4), (8, 4)]:
         H = bachelor_pre_switch(n, d)
-        corner = subcube(H, [(0, 1)] * d)
+        corner = H.symbols[np.ix_(*[(0, 1)] * d)]
         expected = np.indices((2,) * d).sum(axis=0) % 2
         assert np.array_equal(corner, expected)
 
 
 def test_subcube_turned_corner_is_relabeled_binary_cyclic():
     H = turned_cyclic(4, 4)
-    corner = subcube(H, [(0, 2)] * 4)
+    corner = H.symbols[np.ix_(*[(0, 2)] * 4)]
     parity = np.indices((2,) * 4).sum(axis=0) % 2
     assert np.array_equal(corner, np.where(parity == 0, 2, 0))
-
-
-def test_subcube_rejects_bad_indices():
-    H = cyclic(cyclic_group(3), 2)
-    with pytest.raises(ValueError):
-        subcube(H, [[], [0]])
-    with pytest.raises(ValueError):
-        subcube(H, [[0], [3]])
 
 
 def test_apply_isotopy_identity():
@@ -190,6 +176,13 @@ def test_parse_errors():
     for header in ("lhc 2 1_0", "lhc +2 2", "lhc 2 \u0662"):
         with pytest.raises(FormatError, match="ASCII digits"):
             parse(f"{header}\n0 1\n1 0")
+    # a header cannot make parse build a huge count or shape: d is at most
+    # NumPy's 64 axes, and n**d is not formed when n exceeds the symbol count
+    for text in ("lhc 10000000 3\n0 1 2", "lhc 1000000 1\n0", "lhc 65 1\n0",
+                 f"lhc 3 {10**2000}\n0"):
+        with pytest.raises(FormatError):
+            parse(text)
+    assert parse("lhc 64 1\n0").d == 64
 
 
 def test_hypercube_validation():

@@ -153,3 +153,60 @@ def test_only_is_latin_sets_the_latin_flag():
         if names:
             writers[str(path.relative_to(ROOT))] = names
     assert writers == {"src/transversal_lab/hypercube.py": ["Hypercube.__init__", "is_latin"]}
+
+
+
+# the package's public surface is what its claims, CLI, scripts and benchmark
+# read; these public names are read by tests alone, each kept for its reason
+_TESTS_ONLY = {
+    "oracles.brute_diagonals": "brute-force reference the engine's listings are checked against",
+    "oracles.brute_max_disjoint": "brute-force reference the packings are checked against",
+    "extension.transversal_through_fibre": "a fibre lemma of the boost, kept for the claim "
+                                           "that is to check it on the order-6 squares",
+}
+
+
+def _reads(tree, skip=None) -> set[str]:
+    """The names and attribute names the tree loads, outside the node ``skip``."""
+    found, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            found.add(node.id if isinstance(node, ast.Name) else node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _unreached(modules: list[str], sources: dict[str, str]) -> list[str]:
+    """module.name for each module-level public function or class of the
+    ``modules`` (paths among ``sources``) that no node of ``sources`` reads,
+    its own definition left out."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    reads = {path: _reads(tree) for path, tree in trees.items()}
+    found = []
+    for path in modules:
+        elsewhere = set().union(*(names for other, names in reads.items() if other != path))
+        for node in trees[path].body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+                    and node.name not in elsewhere | _reads(trees[path], skip=node)):
+                found.append(f"{Path(path).stem}.{node.name}")
+    return sorted(found)
+
+
+def test_unreached_public_code_is_detected():
+    lib = "def used():\n    pass\n\ndef helper():\n    return used()\n\n" \
+          "def looped(n):\n    return looped(n - 1)\n\nclass Spare:\n    pass\n\n" \
+          "def _private():\n    pass\n"
+    sources = {"lib.py": lib, "run.py": "import lib\nlib.helper()\n"}
+    assert _unreached(["lib.py"], sources) == ["lib.Spare", "lib.looped"]
+
+
+def test_no_public_code_is_read_by_tests_alone():
+    # every public function or class of the package is read by the package,
+    # a script or the benchmark (its tests left out), or is kept on purpose
+    paths = [*SOURCES, *sorted((ROOT / "perfbench").glob("*.py"))]
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in paths}
+    modules = [path for path in sources if path.startswith("src/")]
+    assert _unreached(modules, sources) == sorted(_TESTS_ONLY)

@@ -19,7 +19,6 @@ from transversal_lab.constructions import (
     ord8_square,
     third_species_44,
     third_species_blocked_cells,
-    turn_subcube,
     turned_cyclic,
     turned_region,
     z6_isotope_square,
@@ -397,7 +396,7 @@ def test_full_layer_listing_keeps_its_node_count(name):
     make, back, _, _, _, results, nodes = _LAYER_CUTS[name]
     H = make()
     gauge = search._Gauge(SearchBudget())
-    listed = search._Table(H.n).fill(search._results(H, gauge))
+    listed = search._Table(H.n).fill(*search._results(H, gauge))
     assert (len(listed), gauge.nodes) == (results, nodes)
     assert nodes > sum(back)
 
@@ -433,7 +432,7 @@ def test_layers_do_not_depend_on_the_chunk_size(monkeypatch):
             gauge = search._Gauge(SearchBudget())
             built.append(search._back_layers(H, gauge, t))
             blocks = list(search._array_listing(built[-1], gauge))
-            listings.append((search._Table(H.n).fill(blocks).tolist(), gauge.nodes))
+            listings.append((search._Table(H.n).fill(None, blocks).tolist(), gauge.nodes))
         witnesses = [census.witnesses
                      for keep in (1, 2, 8)
                      for census in (count_transversals(H, keep=keep),
@@ -515,7 +514,7 @@ def test_kept_children_stay_within_the_layers_states(monkeypatch):
     # its forward sweep, 47,269 states) fills the room and lists the same
     # results as with the default chunk
     z11 = cyclic(cyclic_group(11), 2)
-    expected = search._Table(11).fill(search._results(z11, search._Gauge(SearchBudget())))
+    expected = search._Table(11).fill(*search._results(z11, search._Gauge(SearchBudget())))
     made = []
 
     class Spied(search._Kept):
@@ -525,7 +524,7 @@ def test_kept_children_stay_within_the_layers_states(monkeypatch):
 
     monkeypatch.setattr(search, "_Kept", Spied)
     monkeypatch.setattr(search, "_CHUNK_PAIRS", 200)
-    listed = search._Table(11).fill(search._results(z11, search._Gauge(SearchBudget())))
+    listed = search._Table(11).fill(*search._results(z11, search._Gauge(SearchBudget())))
     assert np.array_equal(listed, expected)
     (kept,) = made
     states = sum(map(len, kept.layers.keys))
@@ -541,8 +540,7 @@ def test_cover_masks_match_a_plain_reference():
     # a copy; the table that holds it is allocated once, at the layers' count
     for H in (cyclic(cyclic_group(5), 3), turned_cyclic(4, 4), cyclic(cyclic_group(7), 2)):
         table = search._Table(H.n)
-        every = table.fill(search._results(H, search._Gauge(SearchBudget()),
-                                           table=table))
+        every = table.fill(*search._results(H, search._Gauge(SearchBudget())))
         assert len(table.rows) == len(every) == count_transversals(H).count
         per_row = H.symbols.size // H.n
         for count in (1, 5, 8, 13, 100, len(every)):
@@ -1085,7 +1083,11 @@ def _small_cubes(draw):
     elif kind == "switched":
         n, d = draw(st.sampled_from([(n, d) for n, d in _SMALL_SIZES if n % 2 == 0]))
         corner = draw(st.tuples(*[st.integers(0, n - 1)] * d))
-        H = turn_subcube(cyclic(cyclic_group(n), d), corner, (n // 2,) * d)
+        # n/2 added mod n on the block {c_i, c_i + n/2}^d, a two-symbol subcube
+        arr = np.array(cyclic(cyclic_group(n), d).symbols)
+        block = np.ix_(*[(c, (c + n // 2) % n) for c in corner])
+        arr[block] = (arr[block] + n // 2) % n
+        H = Hypercube(arr, cyclic_group(n))
     else:
         n, d = draw(st.sampled_from(_SMALL_SIZES))
         H = cyclic(cyclic_group(n), d)
@@ -1454,7 +1456,7 @@ def _reference_packs(cover, g, gauge, best):
 def _packing_cover(H):
     gauge = search._Gauge(SearchBudget())
     table = search._Table(H.n)
-    listed = table.fill(search._results(H, gauge, table=table))
+    listed = table.fill(*search._results(H, gauge))
     return search._cover(H, listed, gauge)
 
 
