@@ -17,8 +17,10 @@ from transversal_lab.constructions import (
     ord8_marked_transversals,
     ord8_square,
 )
-from transversal_lab.extension import extension_hitting_certificate, lift_family
+from transversal_lab.delta import suitable_target
+from transversal_lab.extension import lift_family
 from transversal_lab.hypercube import pairwise_disjoint_family
+from transversal_lab.search import hitting_set_check
 
 
 def main() -> None:
@@ -35,9 +37,9 @@ def main() -> None:
     ]
     for name, base, pair, marked in cases:
         t0 = time.perf_counter()
-        cert = extension_hitting_certificate(base, d_prime, pair)
+        hit = hitting_set_check(base, suitable_target(base.group, d_prime), pair)
         family = lift_family(base, list(marked), d_prime)
-        assert cert.holds and pairwise_disjoint_family(family)
+        assert hit and pairwise_disjoint_family(family)
         n = base.n
         print(
             f"{name}: every transversal of the dimension-{d_prime} boost meets the "

@@ -1,9 +1,11 @@
 """Command-line front end producing reproducible JSON reports.
 
-Exit codes: 0 success, 2 validation error (bad parameters, malformed files),
-3 budget exhaustion with partial results flagged.  Reports are deterministic
-for a fixed seed and budget.  Each subcommand registers only the flags its
-handler reads; the handler takes the parsed namespace.
+Exit codes: 0 success, 1 a ``verify`` criterion failed, 2 validation error
+(bad parameters, malformed files), 3 budget exhaustion: a ``search`` report
+still prints, its partial results flagged, but ``certify-dilation`` prints
+only the stderr line.  Reports are deterministic for a fixed seed and
+budget.  Each subcommand registers only the flags its handler reads; the
+handler takes the parsed namespace.
 
 ``main`` builds one parser per process, on its first call, and reuses it for
 every later call; ``build_parser()`` returns a new parser on each call, which
@@ -203,9 +205,7 @@ def cmd_extend(args: argparse.Namespace, stdout) -> int:
 def cmd_lift(args: argparse.Namespace, stdout) -> int:
     H = _load_cube(args)
     with open(args.diagonal_path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    records = payload["entries"] if isinstance(payload, dict) else payload
-    D = diagonal_from_json(records, H)
+        D = diagonal_from_json(json.load(fh), H)
     t0 = time.perf_counter()
     # no RNG: the middle dimensions are padded with the natural enumeration
     T = lift_diagonal(H, D, args.d_prime)

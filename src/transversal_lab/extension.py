@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +30,6 @@ import numpy as np
 from .delta import delta_sum, is_suitable, suitable_target
 from .groups import AbelianGroup, Element, checked_int, index_table
 from .hypercube import (
-    Coords,
     Diagonal,
     Entry,
     Hypercube,
@@ -40,7 +38,6 @@ from .hypercube import (
     pairwise_disjoint_family,
     quasi_extend,
 )
-from .search import hitting_set_check
 
 
 def g_extension(L: Hypercube, group: AbelianGroup | None = None, d_prime: int = 3) -> Hypercube:
@@ -278,38 +275,3 @@ def iterated_decomposition(squares: Sequence[Hypercube]) -> list[Diagonal]:
     if not pairwise_disjoint_family(parts):
         raise RuntimeError("iterated decomposition is not a partition")
     return parts
-
-
-# -- hitting-set transfer to extensions ---------------------------------------
-
-
-@dataclass
-class ExtensionHittingCertificate:
-    """Record of a verified transfer: if every diagonal of the base with the
-    extension's target deviation sum meets the cell set, then every transversal
-    of the extension meets the fibre of that cell set."""
-
-    group: str
-    d_prime: int
-    cells: tuple[Coords, ...]
-    base_checked: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.base_checked
-
-
-def extension_hitting_certificate(
-    L: Hypercube, d_prime: int, cells: Sequence[Coords], budget=None
-) -> ExtensionHittingCertificate:
-    """Check the base condition of the transfer: every diagonal of L with the
-    target deviation sum for d_prime meets ``cells``.  ValueError unless each
-    is a cell of L (``Hypercube.entry``)."""
-    cells = tuple(L.entry(c).coords for c in cells)
-    ok = hitting_set_check(L, suitable_target(L.group, d_prime), cells, budget)
-    return ExtensionHittingCertificate(
-        group=str(L.group),
-        d_prime=d_prime,
-        cells=cells,
-        base_checked=ok,
-    )

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import transversal_lab
 from transversal_lab import cli
+from transversal_lab.claims import _ORD8_DELTA, CRITERIA, run_claims
 from transversal_lab.cli import main
 from transversal_lab.constructions import ord6m_starred_cells
 from transversal_lab.delta import suitable_target
@@ -218,23 +219,26 @@ def test_lift_command(tmp_path, capsys, z6_marked_diagonal):
     cube = tmp_path / "z6.lhc"
     run_cli(["construct", "z6-isotope", "--out", str(cube)], capsys)
     diag = tmp_path / "diag.json"
-    diag.write_text(json.dumps({"entries": diagonal_to_json(z6_marked_diagonal)}))
-    code, out, err = run_cli(
-        ["lift", str(cube), "--dprime", "4", "--diagonal", str(diag)], capsys
-    )
+    diag.write_text(json.dumps(diagonal_to_json(z6_marked_diagonal)))
+    argv = ["lift", str(cube), "--dprime", "4", "--diagonal", str(diag)]
+    code, out, err = run_cli(argv, capsys)
     assert code == 0
     payload = report_of(out)
     H = load(cube)
     ext = g_extension(H, H.group, 4)
     T = diagonal_from_json(payload["witnesses"][0], ext)
     assert T.complete and T.has_distinct_symbols()
+    # the diagonal is a report witness's list of entries, and nothing else
+    diag.write_text(json.dumps({"entries": diagonal_to_json(z6_marked_diagonal)}))
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "") and "is not a list of entries" in err
 
 
 def test_lift_text_grid_marks_the_extension(tmp_path, capsys, z6_marked_diagonal):
     cube = tmp_path / "z6.lhc"
     run_cli(["construct", "z6-isotope", "--out", str(cube)], capsys)
     diag = tmp_path / "diag.json"
-    diag.write_text(json.dumps({"entries": diagonal_to_json(z6_marked_diagonal)}))
+    diag.write_text(json.dumps(diagonal_to_json(z6_marked_diagonal)))
     argv = ["lift", str(cube), "--dprime", "4", "--diagonal", str(diag), "--format", "text-grid"]
     code, out, err = run_cli(argv, capsys)
     assert code == 0
@@ -312,6 +316,17 @@ def test_exit_code_2_on_validation_errors(tmp_path, capsys):
         ["construct", "confirmed-bachelor", "--n", "6", "--d", "4"], capsys
     )
     assert code == 2
+
+
+def test_certify_dilation_out_of_budget_prints_no_payload(tmp_path, capsys):
+    cube = tmp_path / "ord8.lhc"
+    run_cli(["construct", "ord8", "--out", str(cube)], capsys)
+    cells = tmp_path / "cells.json"
+    cells.write_text("[[1, 2], [1, 5]]")
+    argv = ["certify-dilation", str(cube), "--lambda", "3", "--hitting-set", str(cells),
+            "--max-nodes", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (3, "", "budget exhausted: node budget 1 exhausted\n")
 
 
 def test_exit_code_3_on_budget_exhaustion(tmp_path, capsys):
@@ -430,6 +445,34 @@ def test_analyze_text_grid_draws_squares_only(tmp_path, capsys):
     assert code == 0 and json.loads(out)["support"]
 
 
+def test_analyze_text_grid_prints_the_deviation_square(tmp_path, capsys):
+    cube = tmp_path / "ord8.lhc"
+    run_cli(["construct", "ord8", "--out", str(cube)], capsys)
+    code, out, err = run_cli(["analyze", "delta", str(cube), "--format", "text-grid"], capsys)
+    assert (code, err) == (0, "")
+    assert [[int(v) for v in line.split()] for line in out.splitlines()] == (
+        (np.array(_ORD8_DELTA) % 8).tolist()
+    )
+
+
+def test_verify_reports_a_failing_criterion(capsys, monkeypatch):
+    def fail(ctx):
+        raise AssertionError("forced failure")
+
+    monkeypatch.setattr(CRITERIA[0], "fn", fail)
+    code, out, err = run_cli(["verify", "paper-claims", "--only", "1"], capsys)
+    lines = out.splitlines()
+    assert (code, len(lines), err) == (1, 2, "")
+    assert lines[0].startswith("[ 1/1] FAIL 01-cyclic-nonexistence (")
+    assert lines[0].endswith(") forced failure")
+    assert lines[1].startswith("0/1 criteria passed (")
+
+
+def test_run_claims_rejects_an_unknown_suite():
+    with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+        run_claims("bogus")
+
+
 def test_verify_rejects_malformed_only(capsys):
     # a criterion number that names no criterion is rejected before any runs,
     # and so is an --only that is no list of numbers or names none at all
@@ -542,6 +585,8 @@ def test_result_cap_never_sends_a_count_to_the_dfs(tmp_path, capsys):
         ("--diagonal", [5]),
         ("--diagonal", [{"coords": [6, 0], "symbol": 0}]),
         ("--diagonal", [{"coords": [-1, 0], "symbol": 0}]),
+        ("--hitting-set", [5]),
+        ("--hitting-set", [[0, 0], 5]),
     ],
 )
 def test_exit_code_2_on_malformed_json_cells(tmp_path, capsys, flag, payload):
@@ -555,6 +600,8 @@ def test_exit_code_2_on_malformed_json_cells(tmp_path, capsys, flag, payload):
         argv = ["lift", str(cube), "--dprime", "4", flag, str(cells)]
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == "" and err.startswith("error:")
+    if flag == "--hitting-set" and payload in ([5], [[0, 0], 5]):
+        assert err.startswith("error: cell 5 is not a list of 2 integers in [0, 6)")
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from transversal_lab.delta import delta_sum, profile, suitable_target
 from transversal_lab import extension
 from transversal_lab.extension import (
     constant_to_transversal_fibre,
-    extension_hitting_certificate,
     g_extension,
     hall_pair,
     iterated_decomposition,
@@ -39,7 +38,7 @@ from transversal_lab.hypercube import (
     pairwise_disjoint_family,
     quasi_extend,
 )
-from transversal_lab.search import count_diagonals
+from transversal_lab.search import count_diagonals, hitting_set_check
 
 def test_extension_of_cyclic_is_cyclic():
     for g in [cyclic_group(4), parse_group("Z2xZ2")]:
@@ -435,8 +434,7 @@ def test_extension_hitting_certificate_order8():
     L = ord8_square()
     g = L.group
     pair = ord8_blocking_cells()
-    cert = extension_hitting_certificate(L, 4, pair)
-    assert cert.holds
+    assert hitting_set_check(L, suitable_target(g, 4), pair)
 
     ta, tb = ord8_marked_transversals()
     assert delta_sum(L, ta) == suitable_target(g, 4)

@@ -42,6 +42,11 @@ def test_cyclic_value_example():
     assert H[(1, 2, 3, 0)] == 2
 
 
+def test_cyclic_needs_dimension_two():
+    with pytest.raises(ValueError, match="at least 2"):
+        cyclic(cyclic_group(3), 1)
+
+
 def test_cyclic_klein_table():
     g = parse_group("Z2xZ2")
     H = cyclic(g, 2)
@@ -130,6 +135,12 @@ def test_apply_isotopy_rejects_non_bijection():
         apply_isotopy(H, [[0, 0, 1], [0, 1, 2], [0, 1, 2]])
 
 
+def test_apply_isotopy_needs_one_permutation_per_axis_and_one_for_symbols():
+    H = cyclic(cyclic_group(3), 2)
+    with pytest.raises(ValueError, match="need 3 permutations, got 2"):
+        apply_isotopy(H, [[0, 1, 2], [0, 1, 2]])
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), n=st.integers(min_value=2, max_value=8), d=st.integers(min_value=2, max_value=3))
 def test_apply_isotopy_preserves_latin_property(data, n, d):
@@ -183,6 +194,9 @@ def test_parse_errors():
         with pytest.raises(FormatError):
             parse(text)
     assert parse("lhc 64 1\n0").d == 64
+    # past CPython's 4,300-digit int() limit, n is refused as malformed too
+    with pytest.raises(FormatError, match="digits"):
+        parse(f"lhc 3 1{'0' * 5000}\n0")
 
 
 def test_hypercube_validation():

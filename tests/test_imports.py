@@ -210,3 +210,67 @@ def test_no_public_code_is_read_by_tests_alone():
     sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in paths}
     modules = [path for path in sources if path.startswith("src/")]
     assert _unreached(modules, sources) == sorted(_TESTS_ONLY)
+
+
+# the package's layers: each module imports from the package only the modules
+# named here, so nothing below imports what sits above it
+_ALL = {p.stem for p in (ROOT / "src" / "transversal_lab").glob("*.py")}
+_BASE = {"groups", "hypercube", "delta"}
+_LAYERS = {
+    "groups": set(),
+    "hypercube": {"groups"},
+    "delta": _BASE,
+    "constructions": _BASE,
+    "extension": _BASE,
+    "search": _BASE,
+    "oracles": {"hypercube"},
+    "reports": {"hypercube"},
+    "dilation": _BASE | {"search"},
+    "claims": _ALL - {"cli", "claims"},
+    "cli": _ALL - {"cli"},
+    "__init__": _ALL - {"__init__"},
+}
+
+
+
+def _package_imports(source: str) -> set[str]:
+    """The package modules a module imports, at any depth of its tree: ``x``
+    for ``from .x import``, ``from . import x``, ``import transversal_lab.x``
+    and ``from transversal_lab.x import``; ``__init__`` for the package itself
+    or a name it exports."""
+    paths = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths.extend(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "transversal_lab." * bool(node.level) + (node.module or "")
+            if module.rstrip(".") == "transversal_lab":
+                paths.extend(f"transversal_lab.{a.name}" for a in node.names)
+            else:
+                paths.append(module)
+    found = set()
+    for parts in (path.split(".") for path in paths):
+        if parts[0] == "transversal_lab":
+            found.add(parts[1] if len(parts) > 1 and parts[1] in _ALL else "__init__")
+    return found
+
+
+def test_package_imports_are_detected():
+    source = "from __future__ import annotations\nimport numpy as np\nimport transversal_lab\n" \
+             "from . import constructions as cons\nfrom .delta import profile\n" \
+             "from transversal_lab.search import hitting_set_check\n" \
+             "from transversal_lab import AbelianGroup, oracles\n\n" \
+             "def f():\n    import transversal_lab.reports\n    from .claims import run_claims\n"
+    assert _package_imports(source) == {"__init__", "claims", "constructions", "delta",
+                                        "oracles", "reports", "search"}
+
+
+def test_lower_modules_do_not_import_upper_ones():
+    modules = {p.stem: p for p in (ROOT / "src" / "transversal_lab").glob("*.py")}
+    assert set(_LAYERS) == set(modules)
+    above = {}
+    for name, path in modules.items():
+        extra = _package_imports(path.read_text(encoding="utf-8")) - _LAYERS[name]
+        if extra:
+            above[name] = sorted(extra)
+    assert above == {}

@@ -26,7 +26,6 @@ from transversal_lab.constructions import (
 from transversal_lab.delta import delta, delta_sum, profile, suitable_target
 from transversal_lab.dilation import dilate, transfer_hitting_set
 from transversal_lab.extension import (
-    extension_hitting_certificate,
     g_extension,
     hall_pair,
     transversal_through_fibre,
@@ -1736,7 +1735,6 @@ def _cell_entry_points(H):
         "value_at": lambda c: profile(H).value_at(c),
         "transfer_hitting_set": lambda c: transfer_hitting_set(H, [c], 2),
         "through_fibre": lambda c: transversal_through_fibre(H, D, 3, Entry((*c, 0), 1)),
-        "extension_hitting_certificate": lambda c: extension_hitting_certificate(H, 3, [c]),
     }
 
 
